@@ -17,9 +17,11 @@ of ``p`` restricted to a working interval ``[-gamma, gamma]``:
     smallest probability mass the law puts on any length-``nu`` window
     inside ``[-gamma, gamma]``.
 
-All three are evaluated on a uniform grid with ``grid_resolution`` points
-per unit length; the closed-form families used here are smooth enough
-that doubling the resolution moves the results by well under a percent.
+Every law in the family is log-concave, so each extremum sits at an end
+of the interval: ``(log p)'`` and the hazard ``p / P(B <= x)`` decrease,
+``p'^2/(4p)`` rises and then falls on either side of the mode (it is zero
+where ``p'`` changes sign), and the window mass is log-concave in the
+window's start (Prekopa).  All three are exact evaluations at the ends.
 """
 
 from __future__ import annotations
@@ -80,14 +82,13 @@ class BiasModel:
         Kind-specific parameter pair: (rate, shift) for the shifted
         exponential, (mean, std) for the Gaussian, (loc, scale) for the
         logistic.
-    grid_resolution : int
-        Grid points per unit length used when computing interval
-        constants numerically.
+
+    All three kinds are log-concave; the interval constants below and
+    the row-wise shift estimate in :mod:`relurec.replearn` rely on it.
     """
 
     kind: str
     params: tuple[float, float]
-    grid_resolution: int = 10_000
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -95,34 +96,26 @@ class BiasModel:
         spread = self.params[0] if self.kind == "shifted_exponential" else self.params[1]
         if not spread > 0:
             raise ValueError(f"scale parameter must be positive, got {spread!r}")
-        if self.grid_resolution < 2:
-            raise ValueError("grid_resolution must be at least 2")
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
 
     @classmethod
-    def shifted_exponential(
-        cls, rate: float = 1.0, shift: float = 0.0, grid_resolution: int = 10_000
-    ) -> "BiasModel":
+    def shifted_exponential(cls, rate: float = 1.0, shift: float = 0.0) -> "BiasModel":
         """Exponential law with rate ``rate`` supported on ``[shift, inf)``."""
-        return cls("shifted_exponential", (float(rate), float(shift)), grid_resolution)
+        return cls("shifted_exponential", (float(rate), float(shift)))
 
     @classmethod
-    def gaussian(
-        cls, mean: float = 0.0, std: float = 1.0, grid_resolution: int = 10_000
-    ) -> "BiasModel":
-        return cls("gaussian", (float(mean), float(std)), grid_resolution)
+    def gaussian(cls, mean: float = 0.0, std: float = 1.0) -> "BiasModel":
+        return cls("gaussian", (float(mean), float(std)))
 
     @classmethod
-    def logistic(
-        cls, loc: float = 0.0, scale: float = 1.0, grid_resolution: int = 10_000
-    ) -> "BiasModel":
-        return cls("logistic", (float(loc), float(scale)), grid_resolution)
+    def logistic(cls, loc: float = 0.0, scale: float = 1.0) -> "BiasModel":
+        return cls("logistic", (float(loc), float(scale)))
 
     @classmethod
-    def from_config(cls, text: str, grid_resolution: int = 10_000) -> "BiasModel":
+    def from_config(cls, text: str) -> "BiasModel":
         """Parse a config string such as ``"exp:rate=1,shift=-2"``.
 
         The grammar is ``tag:key=value,key=value`` with tags ``exp``
@@ -153,7 +146,7 @@ class BiasModel:
         missing = [k for k in keys if k not in values]
         if missing:
             raise ValueError(f"bias config {text!r} is missing {missing}")
-        return cls(kind, (values[keys[0]], values[keys[1]]), grid_resolution)
+        return cls(kind, (values[keys[0]], values[keys[1]]))
 
     def to_config(self) -> str:
         """Inverse of :meth:`from_config`; values round-trip exactly."""
@@ -172,6 +165,11 @@ class BiasModel:
         if self.kind == "shifted_exponential":
             return b, 1.0 / a
         return a, b
+
+    @property
+    def mode(self) -> float:
+        """Point of highest density: the shift of the exponential, else the centre."""
+        return self._loc_scale()[0]
 
     def density(self, x):
         return np.exp(self.log_density(x))
@@ -311,28 +309,33 @@ def sample_bias(model: BiasModel, d: int, seed: int | None = None) -> np.ndarray
     return model.sample(d, seed=seed)
 
 
-def _interval_grid(gamma: float, resolution: int, length: float) -> np.ndarray:
-    n = max(int(math.ceil(resolution * length)), 2) + 1
-    return np.linspace(-gamma, -gamma + length, n)
+def _interval_ends(gamma: float, length: float) -> np.ndarray:
+    """The two ends of ``[-gamma, -gamma + length]``."""
+    return np.array([-gamma, -gamma + length])
 
 
 def flatness_beta(model: BiasModel, gamma: float) -> float:
     """Infimum of ``p'(x)^2 / (4 p(x))`` over ``[-gamma, gamma]``.
 
+    Zero when ``p'`` changes sign inside the interval (a Gaussian or
+    logistic mode), else attained at an end of the part where ``p > 0``.
     Returns 0.0 (with a :class:`VacuousBoundWarning`) when the infimum is
-    below ``1e-12``, which happens whenever the density has a critical
-    point inside the interval.
+    below ``1e-12``.
     """
     if not gamma > 0:
         raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
-    grid = _interval_grid(gamma, model.grid_resolution, 2.0 * gamma)
-    p, dp = density_and_derivative(model, grid)
-    positive = p > 0.0
-    if not positive.any():
+    ends = _interval_ends(gamma, 2.0 * gamma)
+    ends[0] = max(ends[0], model.support()[0])
+    if ends[0] > ends[1]:
         raise ValueError(
             f"density vanishes on all of [-{gamma}, {gamma}]; flatness is undefined"
         )
-    value = float(np.min(dp[positive] ** 2 / (4.0 * p[positive])))
+    p, dp = density_and_derivative(model, ends)
+    if dp[0] > 0.0 > dp[1]:
+        value = 0.0
+    else:
+        # an end where p underflows has p'^2/(4p) below any double as well
+        value = float(np.min(np.divide(dp**2, 4.0 * p, out=np.zeros(2), where=p > 0.0)))
     if value < 1e-12:
         warnings.warn(
             "flatness constant is numerically zero; error bounds built on it are vacuous",
@@ -347,14 +350,14 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
     """Steepness constant ``max(sup p/P(B<=x), sup |p'|/p)`` over ``[-gamma, gamma]``."""
     if not gamma > 0:
         raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
-    grid = _interval_grid(gamma, model.grid_resolution, 2.0 * gamma)
-    p, dp = density_and_derivative(model, grid)
-    cdf = np.asarray(model.cdf(grid))
+    ends = _interval_ends(gamma, 2.0 * gamma)
+    p, dp = density_and_derivative(model, ends)
+    cdf = np.asarray(model.cdf(ends))
     if cdf[0] <= 0.0:
         raise ValueError(
             f"CDF vanishes at -{gamma}; the hazard-type ratio p/P(B<=x) is unbounded"
         )
-    hazard = float(np.max(p / cdf))
+    hazard = float(p[0] / cdf[0])  # p/F decreases, so its sup is at -gamma
     positive = p > 0.0
     log_slope = float(np.max(np.abs(dp[positive]) / p[positive])) if positive.any() else 0.0
     return max(hazard, log_slope)
@@ -368,7 +371,7 @@ def omega_min_mass(model: BiasModel, gamma: float, nu: float) -> float:
         raise InvalidIntervalError(
             f"window length nu must satisfy 0 < nu <= 2*gamma, got nu={nu}, gamma={gamma}"
         )
-    starts = _interval_grid(gamma, model.grid_resolution, 2.0 * gamma - nu)
+    starts = _interval_ends(gamma, 2.0 * gamma - nu)
     mass = np.asarray(model.cdf(starts + nu)) - np.asarray(model.cdf(starts))
     return max(float(np.min(mass)), 0.0)
 

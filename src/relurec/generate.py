@@ -283,7 +283,8 @@ def _read_matrix(path: Path, as_vector: bool = False) -> np.ndarray:
 def save_instance(instance: GenerativeInstance | RecoveryInstance, out_dir) -> Path:
     """Persist an instance as CSV matrices with a JSON manifest.
 
-    Vectors are stored one value per line; matrices one row per line.
+    Matrices are stored one row per line and vectors as a single line,
+    with values separated by commas.
     Values use shortest round-trip decimals so loading reproduces the
     arrays bit for bit.
     """

@@ -17,8 +17,9 @@ The feasible set for a candidate matrix ``X`` given ``Y``, a bound
   on-support entry of ``X`` in that row.
 
 Under these constraints the row log-likelihood reduces to a
-one-dimensional function of the shared residual, which makes exact
-per-row maximisation cheap.
+one-dimensional function of the shared residual: the log-density of the
+shift.  Every bias law is log-concave, so its maximiser is the law's mode
+clipped to the interval.
 """
 
 from __future__ import annotations
@@ -49,8 +50,6 @@ __all__ = [
 ]
 
 FILL_STRATEGIES = ("upper_boundary", "lower_boundary", "midpoint")
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class InfeasibleRowError(ValueError):
@@ -160,46 +159,6 @@ def row_log_likelihood(
     return lp - float(model.log_density(row.smallest_positive))
 
 
-# ----------------------------------------------------------------------
-# one-dimensional maximisation: coarse grid + golden-section refinement
-# ----------------------------------------------------------------------
-
-
-def _maximize_log_density(
-    model: BiasModel,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    grid_points: int = 1000,
-    tol: float = 1e-10,
-) -> np.ndarray:
-    """Vectorised argmax of the log-density over per-row intervals.
-
-    A coarse grid localises the maximiser, then golden-section refinement
-    narrows the bracket below ``tol``.  Exact ties resolve toward the
-    smaller endpoint.
-    """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    span = hi - lo
-    frac = np.linspace(0.0, 1.0, grid_points)
-    grid = lo[:, None] + span[:, None] * frac[None, :]
-    vals = model.log_density(grid)
-    best = np.argmax(vals, axis=1)  # first max -> smallest beta on ties
-    idx = np.arange(lo.size)
-    a = grid[idx, np.maximum(best - 1, 0)]
-    b = grid[idx, np.minimum(best + 1, grid_points - 1)]
-    for _ in range(200):
-        width = b - a
-        if not (width > tol).any():
-            break
-        c = b - _GOLDEN * width
-        d = a + _GOLDEN * width
-        keep_left = model.log_density(c) >= model.log_density(d)
-        b = np.where(keep_left, d, b)
-        a = np.where(keep_left, a, c)
-    return (a + b) / 2.0
-
-
 @dataclass(frozen=True)
 class RowMle:
     """Maximiser of one row's shift likelihood."""
@@ -229,15 +188,16 @@ def estimate_row_bias(
             f"vs bound {gamma}, separation {nu})"
         )
     hi = max(hi, lo)
-    if hi - lo <= 1e-12:
+    # a log-concave density rises up to its mode and falls after it, so the
+    # argmax is the clipped mode; where the density vanishes on the whole
+    # interval (an exponential law starting right of hi) all shifts tie at
+    # zero likelihood, and the tie goes to lo
+    beta = min(max(model.mode, lo), hi)
+    loglik = row_log_likelihood(row, beta, model, gamma, nu)
+    if loglik == -math.inf:
         beta = lo
-    else:
-        beta = float(
-            _maximize_log_density(model, np.array([lo]), np.array([hi]))[0]
-        )
     margin = 1e-9 * max(1.0, hi - lo)
     status = "interior" if lo + margin < beta < hi - margin else "boundary"
-    loglik = row_log_likelihood(row, beta, model, gamma, nu)
     return RowMle(beta_hat=beta, interval=(lo, hi), loglik=loglik, status=status)
 
 
@@ -281,39 +241,23 @@ def reconstruct_matrix(
     statuses: list[str] = ["empty_support_row"] * d
     total = 0.0
 
-    if occupied:
-        lo = np.empty(len(occupied))
-        hi = np.empty(len(occupied))
-        for j, r in enumerate(occupied):
-            lo[j], hi[j] = feasible_shift_interval(r, gamma, nu)
-            if lo[j] > hi[j] + 1e-12:
-                raise InfeasibleRowError(
-                    f"row {r.index}: empty feasible interval [{lo[j]}, {hi[j]}]"
-                )
-        hi = np.maximum(hi, lo)
-        betas = _maximize_log_density(model, lo, hi)
-        collapsed = hi - lo <= 1e-12
-        betas[collapsed] = lo[collapsed]
-        for j, r in enumerate(occupied):
-            i = r.index
-            beta = float(betas[j])
-            beta_hats[i] = beta
-            margin = 1e-9 * max(1.0, hi[j] - lo[j])
-            statuses[i] = (
-                "interior" if lo[j] + margin < beta < hi[j] - margin else "boundary"
-            )
-            m_hat[i, r.support] = Y[i, r.support] - beta
-            if r.s < n:
-                ceiling = (r.smallest_positive - beta) - nu
-                if fill == "upper_boundary":
-                    value = max(ceiling, -gamma)
-                elif fill == "lower_boundary":
-                    value = -gamma
-                else:
-                    value = max((ceiling - gamma) / 2.0, -gamma)
-                off = np.setdiff1d(np.arange(n), r.support, assume_unique=True)
-                m_hat[i, off] = value
-            total += row_log_likelihood(r, beta, model, gamma, nu)
+    for r in occupied:
+        mle = estimate_row_bias(r, model, gamma, nu)
+        i, beta = r.index, mle.beta_hat
+        beta_hats[i] = beta
+        statuses[i] = mle.status
+        m_hat[i, r.support] = Y[i, r.support] - beta
+        if r.s < n:
+            ceiling = (r.smallest_positive - beta) - nu
+            if fill == "upper_boundary":
+                value = max(ceiling, -gamma)
+            elif fill == "lower_boundary":
+                value = -gamma
+            else:
+                value = max((ceiling - gamma) / 2.0, -gamma)
+            off = np.setdiff1d(np.arange(n), r.support, assume_unique=True)
+            m_hat[i, off] = value
+        total += mle.loglik
 
     for r in rows:
         if r.s == 0:

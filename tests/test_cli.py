@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relurec
 from relurec.cli import cli_dispatch
 
 
@@ -30,6 +35,29 @@ class TestExitCodes:
             ["learn-rep", "--input", tmp_path / "missing", "--out", tmp_path / "o"]
         )
         assert code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m relurec.cli`` behaves like the ``relurec`` entry point."""
+
+    def _run(self, *args):
+        src = str(Path(relurec.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "relurec.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_help_exits_clean(self):
+        proc = self._run("--help")
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: relurec")
+
+    def test_no_arguments_is_usage_error(self):
+        proc = self._run()
+        assert proc.returncode == 1
+        assert "usage: relurec" in proc.stderr
 
 
 class TestGen:

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from relurec.bias import BiasModel
 from relurec.generate import generate_recovery_instance
@@ -36,6 +36,7 @@ from relurec.lasso import (
     soft_threshold,
     solve_robust_lasso,
 )
+from relurec.lasso import _tail_nodes
 
 
 class TestMuParameter:
@@ -56,8 +57,6 @@ class TestMuParameter:
     def test_random_bias_reduces_to_averaged_cdf(self):
         # E_g[g ReLU(g+b)] = Phi(b), so averaging over b gives E[Phi(b)]
         model = BiasModel.gaussian(mean=0.5, std=0.8)
-        from scipy import integrate
-
         expected, _ = integrate.quad(
             lambda b: stats.norm.cdf(b) * model.density(b), -np.inf, np.inf
         )
@@ -119,6 +118,62 @@ class TestSigmaEta:
         assert stats_obj.sigma == pytest.approx(0.5, abs=1e-6)
         assert stats_obj.method == "quadrature"
         assert stats_obj.bias == "const:value=0.0"
+
+
+def _normal_pdf(g):
+    return math.exp(-0.5 * g * g) / math.sqrt(2.0 * math.pi)
+
+
+def _quad_moments(b0, mu):
+    """``(mu, sigma^2, eta^2)`` at a constant offset by adaptive quadrature."""
+
+    def below(g):
+        return (mu * g) ** 2 * _normal_pdf(g)
+
+    def above(g):
+        return (g + b0 - mu * g) ** 2 * _normal_pdf(g)
+
+    def quad(f, lo, hi):
+        return integrate.quad(f, lo, hi, limit=200)[0]
+
+    slope = quad(lambda g: g * (g + b0) * _normal_pdf(g), -b0, np.inf)
+    sig2 = quad(below, -np.inf, -b0) + quad(above, -b0, np.inf)
+    eta2 = quad(lambda g: g * g * below(g), -np.inf, -b0)
+    eta2 += quad(lambda g: g * g * above(g), -b0, np.inf)
+    return slope, sig2, eta2
+
+
+class TestMomentsMatchQuadrature:
+    """The closed forms against ``scipy.integrate.quad`` of the defining integrals."""
+
+    @pytest.mark.parametrize("b0", [-3.0, -1.0, 0.5, 2.0, 4.0])
+    def test_constant_offset(self, b0):
+        mu = mu_parameter(b0)
+        slope, sig2, eta2 = _quad_moments(b0, mu)
+        sigma, eta = sigma_eta_parameters(b0, mu)
+        assert mu == pytest.approx(slope, rel=1e-10)
+        assert sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
+        assert eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            BiasModel.shifted_exponential(rate=1.5, shift=-1.0),
+            BiasModel.gaussian(mean=0.3, std=0.8),
+            BiasModel.logistic(loc=-0.2, scale=0.5),
+        ],
+    )
+    def test_random_offset(self, model):
+        # same outer rule over the bias law, quad for the Gaussian integral at each node
+        nodes, weights = _tail_nodes(model)
+        mass = weights * model.density(nodes)
+        mu = mu_parameter(model)
+        inner = np.array([_quad_moments(float(b0), mu) for b0 in nodes])
+        slope, sig2, eta2 = mass @ inner
+        sigma, eta = sigma_eta_parameters(model, mu)
+        assert mu == pytest.approx(slope, rel=1e-10)
+        assert sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
+        assert eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
 
 
 class TestSoftThreshold:

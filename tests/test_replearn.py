@@ -13,9 +13,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from relurec.bias import BiasModel, compute_bias_constants, default_exponential
-from relurec.generate import generate_representation_instance
+from relurec.generate import DegenerateInstanceError, generate_representation_instance
 from relurec.replearn import (
     ConsistencyError,
     InfeasibilityError,
@@ -148,6 +150,19 @@ class TestEstimateRowBias:
             attained = model.log_density(mle.beta_hat)
             assert attained + 1e-9 >= best
 
+    def test_zero_density_interval_ties_to_lower_end(self):
+        # the exponential support starts right of the whole interval [-0.5, 1.15]:
+        # every shift has zero likelihood, and the tie goes to the lower end
+        row = row_support(np.array([0.5, 0.2, 0.0]))
+        model = BiasModel.shifted_exponential(rate=1.0, shift=5.0)
+        mle = estimate_row_bias(row, model, 1.0, 0.05)
+        assert mle.beta_hat == -0.5
+        assert mle.loglik == -math.inf
+        assert mle.status == "boundary"
+        est = reconstruct_matrix(np.array([[0.5, 0.2, 0.0]]), model, 1.0, 0.05)
+        assert est.beta_hats[0] == -0.5
+        assert est.total_loglik == -math.inf
+
     def test_empty_interval_raises_with_row_details(self):
         row = row_support(np.array([3.0, 0.5, 0.0]), index=4)
         with pytest.raises(InfeasibleRowError, match="row 4"):
@@ -223,6 +238,43 @@ class TestReconstructMatrix:
     def test_unknown_fill_rejected(self):
         with pytest.raises(ValueError):
             reconstruct_matrix(np.ones((1, 2)), EXP4, 3.0, 0.1, fill="median")
+
+
+LAWS = {
+    "shifted_exponential": BiasModel.shifted_exponential,
+    "gaussian": BiasModel.gaussian,
+    "logistic": BiasModel.logistic,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    location=st.floats(-2.0, 2.0),
+    scale=st.floats(0.2, 3.0),
+    gamma=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_row_mle_is_feasible_and_beats_a_dense_grid(kind, location, scale, gamma, seed):
+    # the exponential's first parameter is its rate, the others' their location
+    params = (1.0 / scale, location) if kind == "shifted_exponential" else (location, scale)
+    model = LAWS[kind](*params)
+    try:
+        inst = generate_representation_instance(12, 24, 2, gamma, model, seed=seed)
+    except DegenerateInstanceError:
+        assume(False)
+    # raises ConsistencyError if the estimate leaves the feasible set
+    est = reconstruct_matrix(inst.Y, model, gamma, inst.realized_nu)
+    for i in range(inst.Y.shape[0]):
+        row = row_support(inst.Y[i], i)
+        if row.s == 0:
+            continue
+        lo, hi = feasible_shift_interval(row, gamma, inst.realized_nu)
+        hi = max(hi, lo)
+        beta = est.beta_hats[i]
+        assert lo <= beta <= hi
+        best = np.max(model.log_density(np.linspace(lo, hi, 10_000)))
+        assert model.log_density(beta) >= best - 1e-12
 
 
 class TestLikelihoodGap:
