@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from relurec.bias import BiasModel, compute_bias_constants, default_exponential
@@ -248,7 +248,6 @@ LAWS = {
 
 
 @pytest.mark.parametrize("kind", sorted(LAWS))
-@settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     location=st.floats(-2.0, 2.0),
     scale=st.floats(0.2, 3.0),

@@ -1,7 +1,12 @@
 """Tests for subspace extraction, alignment, and the perturbation bound."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import subspace_angles
 
 from relurec.subspace import (
     RankDeficiencyWarning,
@@ -65,12 +70,65 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
 
 
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(1, 12),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_truncated_svd_matches_full_svd(d, n, scale, seed):
+    M = scale * np.random.default_rng(seed).standard_normal((d, n))
+    U_full, S_full, Vt_full = np.linalg.svd(M, full_matrices=False)
+    tail = np.append(S_full, 0.0)
+    for k in range(1, min(d, n) + 1):
+        U, S, V = truncated_svd(M, k)
+        assert U.shape == (d, k) and S.shape == (k,) and V.shape == (n, k)
+        np.testing.assert_allclose(S, S_full[:k], rtol=1e-10)
+        if tail[k - 1] > 1.01 * tail[k]:
+            assert sin_theta_distance(U_full[:, :k], U) <= 1e-8
+            assert sin_theta_distance(Vt_full[:k].T, V) <= 1e-8
+        np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-10)
+        np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-10)
+        np.testing.assert_allclose(M @ V, U * S, atol=1e-10 * S_full[0])
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_truncated_svd_warns_exactly_beyond_the_rank(d, n, rank, seed):
+    rank = min(rank, d, n)
+    gen = np.random.default_rng(seed)
+    M = gen.standard_normal((d, rank)) @ gen.standard_normal((rank, n))
+    for k in range(1, min(d, n) + 1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            truncated_svd(M, k)
+        warned = any(issubclass(w.category, RankDeficiencyWarning) for w in caught)
+        assert warned == (k > rank)
+
+
 class TestSinTheta:
     def test_same_subspace_is_zero(self, rng):
         U = random_orthonormal(10, 3, rng)
         # any rotation of the basis spans the same subspace
         O = random_orthonormal(3, 3, rng)
-        assert sin_theta_distance(U, U @ O) == pytest.approx(0.0, abs=1e-7)
+        assert sin_theta_distance(U, U @ O) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("angle", np.logspace(-9, -3, 7))
+    def test_small_angles_match_scipy(self, rng, angle):
+        d, k = 40, 3
+        # signed coordinate axes keep both bases exact in floating point
+        axes = np.eye(d)[rng.permutation(d)][:, : 2 * k] * rng.choice([-1.0, 1.0], 2 * k)
+        U = axes[:, :k]
+        thetas = angle * np.array([1.0, 0.6, 0.3])
+        W = U * np.cos(thetas) + axes[:, k:] * np.sin(thetas)
+        expected = np.linalg.norm(np.sin(subspace_angles(U, W)))
+        O = random_orthonormal(k, k, rng)
+        assert sin_theta_distance(U, W) == pytest.approx(expected, rel=1e-10)
+        assert sin_theta_distance(U, W @ O) == pytest.approx(expected, rel=1e-10)
 
     def test_orthogonal_subspaces_reach_sqrt_k(self):
         U = np.eye(10)[:, :2]
@@ -137,6 +195,23 @@ class TestAlignmentErrorBound:
             U_hat, _, _ = truncated_svd(M + E, 3)
             _, err = procrustes_align(U, U_hat)
             assert err <= alignment_error_bound(M, E, 3) + 1e-12
+
+    @given(
+        k=st.integers(1, 4),
+        extra_d=st.integers(0, 8),
+        extra_n=st.integers(0, 8),
+        log_scale=st.floats(-6.0, 1.0),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_bound_holds_on_random_perturbations(self, k, extra_d, extra_n, log_scale, seed):
+        gen = np.random.default_rng(seed)
+        d, n = k + extra_d, k + extra_n
+        M = gen.standard_normal((d, k)) @ gen.standard_normal((k, n))
+        E = 10.0**log_scale * gen.standard_normal((d, n))
+        U, _, _ = truncated_svd(M, k)
+        U_hat, _, _ = truncated_svd(M + E, k)
+        _, err = procrustes_align(U, U_hat)
+        assert err <= alignment_error_bound(M, E, k) + 1e-12
 
     def test_no_spectral_gap_raises(self):
         M = np.eye(3)  # s_1 = s_2, so the k=1 gap vanishes
