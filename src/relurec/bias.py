@@ -41,13 +41,10 @@ __all__ = [
     "bias_spec_to_config",
     "compute_bias_constants",
     "default_exponential",
-    "density_and_derivative",
     "flatness_beta",
-    "interval_probability",
     "lipschitz_L",
     "omega_min_mass",
     "parse_bias_spec",
-    "sample_bias",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -277,36 +274,8 @@ def bias_spec_to_config(spec: BiasModel | float) -> str:
 
 
 # ----------------------------------------------------------------------
-# module-level operations
+# interval constants
 # ----------------------------------------------------------------------
-
-
-def density_and_derivative(model: BiasModel, x):
-    """Evaluate ``(p(x), p'(x))``; accepts scalars or arrays."""
-    return model.density(x), model.density_derivative(x)
-
-
-def interval_probability(model: BiasModel, x1, x2) -> float:
-    """Probability that the bias lies in ``[-x1, -x2]``.
-
-    Endpoints follow the shifted-observation convention used by the
-    likelihoods in this package: ``x1`` is the lower shift, ``x2`` the
-    upper one, and the requirement ``x1 >= x2`` makes the target interval
-    nonempty.  ``math.inf`` endpoints are accepted and handled by taking
-    the corresponding CDF limit; no arithmetic is ever performed on them.
-    """
-    x1 = float(x1)
-    x2 = float(x2)
-    if x1 < x2:
-        raise InvalidIntervalError(f"need x1 >= x2, got x1={x1}, x2={x2}")
-    upper = 1.0 if math.isinf(x2) and x2 < 0 else float(model.cdf(-x2))
-    lower = 0.0 if math.isinf(x1) and x1 > 0 else float(model.cdf(-x1))
-    return max(upper - lower, 0.0)
-
-
-def sample_bias(model: BiasModel, d: int, seed: int | None = None) -> np.ndarray:
-    """Draw a length-``d`` bias vector reproducibly from ``seed``."""
-    return model.sample(d, seed=seed)
 
 
 def _interval_ends(gamma: float, length: float) -> np.ndarray:
@@ -330,7 +299,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
         raise ValueError(
             f"density vanishes on all of [-{gamma}, {gamma}]; flatness is undefined"
         )
-    p, dp = density_and_derivative(model, ends)
+    p, dp = model.density(ends), model.density_derivative(ends)
     if dp[0] > 0.0 > dp[1]:
         value = 0.0
     else:
@@ -351,7 +320,7 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
     if not gamma > 0:
         raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
     ends = _interval_ends(gamma, 2.0 * gamma)
-    p, dp = density_and_derivative(model, ends)
+    p, dp = model.density(ends), model.density_derivative(ends)
     cdf = np.asarray(model.cdf(ends))
     if cdf[0] <= 0.0:
         raise ValueError(

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, compute_bias_constants, default_exponential, parse_bias_spec
+from .bias import BiasModel, default_exponential, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -29,19 +29,20 @@ from .generate import (
     load_instance,
     save_instance,
 )
-from .harness import emit_results, parse_config, run_sweep
+from .harness import (
+    emit_results,
+    parse_config,
+    penalty_level,
+    reconstruct_and_evaluate,
+    restricted_cone_check,
+    run_sweep,
+)
 from .lasso import (
     LassoConfig,
-    RestrictedSetParams,
-    agnostic_lambda,
-    check_restricted_lower_bound,
     make_nonlinearity_stats,
-    oracle_lambda,
     recovery_error_and_bound,
     solve_robust_lasso,
 )
-from .replearn import VacuousBoundError, reconstruct_matrix, theoretical_rep_bound
-from .subspace import procrustes_align, sin_theta_distance, truncated_svd
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -158,29 +159,18 @@ def _cmd_learn_rep(args) -> int:
     spec = parse_bias_spec(args.bias) if args.bias else parse_bias_spec(instance.bias)
     if not isinstance(spec, BiasModel):
         raise ValueError("matrix reconstruction needs a distributional bias")
-    estimate = reconstruct_matrix(
-        instance.Y, spec, gamma, nu, fill=_FILL_BY_FLAG[args.fill]
-    )
-    k = instance.A.shape[1]
-    U, _, _ = truncated_svd(instance.M, k)
-    U_hat, _, _ = truncated_svd(estimate.m_hat, k)
-    _, procrustes_err = procrustes_align(U, U_hat)
-    constants = compute_bias_constants(spec, gamma, nu)
-    try:
-        bound = theoretical_rep_bound(constants, instance.M.shape[0])
-    except VacuousBoundError:
-        bound = None
+    outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "m_hat.csv", estimate.m_hat, delimiter=",")
-    _write_vector(out / "beta_hat.csv", estimate.beta_hats)
-    np.savetxt(out / "u_hat.csv", U_hat, delimiter=",")
+    np.savetxt(out / "m_hat.csv", outcome.estimate.m_hat, delimiter=",")
+    _write_vector(out / "beta_hat.csv", outcome.estimate.beta_hats)
+    np.savetxt(out / "u_hat.csv", outcome.u_hat, delimiter=",")
     report = {
-        "frob_err_sq": float(np.linalg.norm(instance.M - estimate.m_hat) ** 2),
-        "bound": bound,
-        "sin_theta": sin_theta_distance(U, U_hat),
-        "procrustes_err": procrustes_err,
-        "total_loglik": estimate.total_loglik,
+        "frob_err_sq": outcome.frob_err_sq,
+        "bound": outcome.rep_bound,
+        "sin_theta": outcome.sin_theta,
+        "procrustes_err": outcome.procrustes_err,
+        "total_loglik": outcome.estimate.total_loglik,
     }
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
@@ -191,14 +181,8 @@ def _cmd_recover(args) -> int:
     instance = load_instance(args.input)
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
-    bias = parse_bias_spec(instance.bias)
-    stats = make_nonlinearity_stats(bias)
-    if args.lam == "oracle":
-        lam = oracle_lambda(instance, stats)
-    elif args.lam == "agnostic":
-        lam = agnostic_lambda(instance.A.shape[0], stats.sigma, instance.delta)
-    else:
-        lam = float(args.lam)
+    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
+    lam = penalty_level(args.lam, instance, stats)
     solution = solve_robust_lasso(
         instance.v, instance.A, LassoConfig(lam=lam, tol=args.tol, max_iter=args.max_iter)
     )
@@ -240,31 +224,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    bias = parse_bias_spec(args.bias)
-    stats = make_nonlinearity_stats(bias)
-    rng = np.random.default_rng(args.seed)
-    A = rng.standard_normal((args.d, args.k))
-    w = rng.uniform(-args.delta, args.delta, size=args.d) if args.delta > 0 else np.zeros(args.d)
-    support = (
-        rng.choice(args.d, size=args.s, replace=False)
-        if args.s > 0
-        else np.empty(0, dtype=int)
+    _, _, checked = restricted_cone_check(
+        args.d, args.k, args.s, args.delta, args.bias, args.samples, args.seed
     )
-    params = RestrictedSetParams(
-        lam=agnostic_lambda(args.d, stats.sigma, args.delta),
-        sigma=stats.sigma,
-        eta=stats.eta,
-        support=support,
-        delta_norm=float(np.abs(A.T @ w).max()),
-    )
-    report_obj = check_restricted_lower_bound(A, args.samples, params, seed=args.seed)
     report = {
         "d": args.d,
         "k": args.k,
         "s": args.s,
-        "num_checked": report_obj.num_checked,
-        "num_violations": report_obj.num_violations,
-        "min_ratio": report_obj.min_ratio,
+        "num_checked": checked.num_checked,
+        "num_violations": checked.num_violations,
+        "min_ratio": checked.min_ratio,
     }
     print(json.dumps(report, sort_keys=True))
     if args.out:

@@ -21,13 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, bias_spec_to_config, parse_bias_spec
+from .bias import BiasModel, bias_spec_to_config
 
 __all__ = [
     "DegenerateInstanceError",
     "GenerativeInstance",
     "RecoveryInstance",
-    "bias_model_of",
     "generate_recovery_instance",
     "generate_representation_instance",
     "load_instance",
@@ -93,13 +92,12 @@ def row_margins(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     survive the rectifier.  Rows that are entirely on or entirely off get
     ``inf`` since they impose no separation constraint.
     """
-    pre = M + b[:, None]
-    margins = np.full(M.shape[0], np.inf)
-    for i in range(M.shape[0]):
-        on = pre[i] > 0.0
-        if on.any() and not on.all():
-            margins[i] = M[i, on].min() - M[i, ~on].max()
-    return margins
+    on = M + b[:, None] > 0.0
+    # an empty minimum is +inf and an empty maximum -inf, so both kinds of
+    # one-sided row come out as +inf
+    return np.min(M, axis=1, where=on, initial=np.inf) - np.max(
+        M, axis=1, where=~on, initial=-np.inf
+    )
 
 
 def generate_representation_instance(
@@ -158,7 +156,7 @@ def generate_representation_instance(
     if min_margin is not None:
         for i in range(d):
             tries = 0
-            while _single_row_margin(M[i], b[i]) < min_margin:
+            while row_margins(M[i : i + 1], b[i : i + 1])[0] < min_margin:
                 if tries >= max_retries:
                     raise DegenerateInstanceError(
                         f"row {i} failed to reach margin {min_margin} "
@@ -185,13 +183,6 @@ def generate_representation_instance(
         seed=int(seed),
         bias=model.to_config(),
     )
-
-
-def _single_row_margin(m_row: np.ndarray, b_i: float) -> float:
-    on = m_row + b_i > 0.0
-    if on.all() or not on.any():
-        return np.inf
-    return float(m_row[on].min() - m_row[~on].max())
 
 
 def generate_recovery_instance(
@@ -290,33 +281,14 @@ def save_instance(instance: GenerativeInstance | RecoveryInstance, out_dir) -> P
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest = dict.fromkeys(_MANIFEST_KEYS)  # keys a task does not use stay null
+    manifest.update(d=instance.A.shape[0], k=instance.A.shape[1], seed=instance.seed)
+    manifest["bias"] = instance.bias
     if isinstance(instance, GenerativeInstance):
-        d, n = instance.Y.shape
-        manifest = {
-            "d": d,
-            "n": n,
-            "k": instance.A.shape[1],
-            "s": None,
-            "gamma": instance.gamma,
-            "nu": instance.realized_nu,
-            "delta": None,
-            "seed": instance.seed,
-            "bias": instance.bias,
-        }
+        manifest.update(n=instance.Y.shape[1], gamma=instance.gamma, nu=instance.realized_nu)
         files = {stem: getattr(instance, attr) for stem, attr in _REP_FILES.items()}
     else:
-        d, k = instance.A.shape
-        manifest = {
-            "d": d,
-            "n": None,
-            "k": k,
-            "s": instance.s,
-            "gamma": None,
-            "nu": None,
-            "delta": instance.delta,
-            "seed": instance.seed,
-            "bias": instance.bias,
-        }
+        manifest.update(s=instance.s, delta=instance.delta)
         files = {stem: getattr(instance, attr) for stem, attr in _REC_FILES.items()}
     for stem, arr in files.items():
         _write_matrix(out / f"{stem}.csv", arr)
@@ -361,10 +333,3 @@ def load_instance(in_dir) -> GenerativeInstance | RecoveryInstance:
         )
     raise FileNotFoundError(f"{src} contains neither y.csv nor v.csv")
 
-
-def bias_model_of(instance: GenerativeInstance) -> BiasModel:
-    """Reconstruct the bias model recorded in an instance manifest string."""
-    spec = parse_bias_spec(instance.bias)
-    if not isinstance(spec, BiasModel):
-        raise ValueError(f"instance records a constant bias {spec!r}, not a model")
-    return spec

@@ -36,12 +36,16 @@ import numpy as np
 
 from .bias import BiasModel, compute_bias_constants, parse_bias_spec
 from .generate import (
+    GenerativeInstance,
+    RecoveryInstance,
     generate_recovery_instance,
     generate_representation_instance,
 )
 from .lasso import (
     LassoConfig,
+    NonlinearityStats,
     RestrictedSetParams,
+    RestrictedSetReport,
     agnostic_lambda,
     check_restricted_lower_bound,
     make_nonlinearity_stats,
@@ -51,6 +55,7 @@ from .lasso import (
 )
 from .replearn import (
     FILL_STRATEGIES,
+    EstimatedMatrix,
     VacuousBoundError,
     reconstruct_matrix,
     theoretical_rep_bound,
@@ -60,9 +65,13 @@ from .subspace import procrustes_align, sin_theta_distance, truncated_svd
 __all__ = [
     "DimensionRule",
     "ExperimentConfig",
+    "RepOutcome",
     "ResultRecord",
     "emit_results",
     "parse_config",
+    "penalty_level",
+    "reconstruct_and_evaluate",
+    "restricted_cone_check",
     "run_sweep",
 ]
 
@@ -236,31 +245,64 @@ RESULT_COLUMNS = tuple(
 )
 
 
-def _run_rep_cell(config: ExperimentConfig, d: int, n: int, k: int, seed: int) -> ResultRecord:
-    record = ResultRecord(
-        task=config.task, d=d, n=n, k=k, seed=seed, bias=config.bias,
-        gamma=config.gamma, fill_strategy=config.fill_strategy,
+@dataclass(frozen=True)
+class RepOutcome:
+    """A reconstruction of one matrix instance and how far it lies from the truth."""
+
+    estimate: EstimatedMatrix
+    u_hat: np.ndarray  # top-k left singular vectors of the estimate
+    frob_err_sq: float
+    rep_bound: float | None  # None where the bound is vacuous
+    sin_theta: float
+    procrustes_err: float
+
+
+def reconstruct_and_evaluate(
+    instance: GenerativeInstance, model: BiasModel, gamma: float, nu: float, fill: str
+) -> RepOutcome:
+    """Reconstruct ``instance.M`` from ``instance.Y`` and score the estimate.
+
+    The true column space is that of ``A``, since ``M = A C`` with ``C`` of
+    full row rank; both subspace scores depend only on spans, so the Q
+    factor of ``A`` serves as the truth's basis.
+    """
+    estimate = reconstruct_matrix(instance.Y, model, gamma, nu, fill=fill)
+    frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
+    constants = compute_bias_constants(model, gamma, nu)
+    try:
+        bound = theoretical_rep_bound(constants, instance.Y.shape[0])
+    except VacuousBoundError:
+        bound = None
+    U = np.linalg.qr(instance.A)[0]
+    U_hat, _, _ = truncated_svd(estimate.m_hat, instance.A.shape[1])
+    _, procrustes_err = procrustes_align(U, U_hat)
+    return RepOutcome(
+        estimate, U_hat, frob_err_sq, bound, sin_theta_distance(U, U_hat), procrustes_err
     )
+
+
+def _run_rep_cell(config: ExperimentConfig, d: int, n: int, k: int, seed: int) -> ResultRecord:
     model = parse_bias_spec(config.bias)
     if not isinstance(model, BiasModel):
         raise ValueError("rep_learning requires a distributional bias, not a constant")
     instance = generate_representation_instance(d, n, k, config.gamma, model, seed)
     nu = config.nu if config.nu is not None else instance.realized_nu
-    record.nu = nu
-    estimate = reconstruct_matrix(
-        instance.Y, model, config.gamma, nu, fill=config.fill_strategy
+    outcome = reconstruct_and_evaluate(instance, model, config.gamma, nu, config.fill_strategy)
+    return ResultRecord(
+        task=config.task, d=d, n=n, k=k, seed=seed, bias=config.bias, gamma=config.gamma,
+        nu=nu, fill_strategy=config.fill_strategy, frob_err_sq=outcome.frob_err_sq,
+        rep_bound=outcome.rep_bound, sin_theta=outcome.sin_theta,
+        procrustes_err=outcome.procrustes_err,
     )
-    record.frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
-    constants = compute_bias_constants(model, config.gamma, nu)
-    try:
-        record.rep_bound = theoretical_rep_bound(constants, d)
-    except VacuousBoundError:
-        record.rep_bound = None
-    U, _, _ = truncated_svd(instance.M, k)
-    U_hat, _, _ = truncated_svd(estimate.m_hat, k)
-    record.sin_theta = sin_theta_distance(U, U_hat)
-    _, record.procrustes_err = procrustes_align(U, U_hat)
-    return record
+
+
+def penalty_level(mode: str, instance: RecoveryInstance, stats: NonlinearityStats) -> float:
+    """The lasso penalty for ``mode``: ``"oracle"``, ``"agnostic"`` or a number."""
+    if mode == "oracle":
+        return oracle_lambda(instance, stats)
+    if mode == "agnostic":
+        return agnostic_lambda(instance.A.shape[0], stats.sigma, instance.delta)
+    return float(mode)
 
 
 def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
@@ -274,12 +316,7 @@ def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: i
     )
     stats = make_nonlinearity_stats(bias)
     record.mu = stats.mu
-    if config.lambda_mode == "oracle":
-        lam = oracle_lambda(instance, stats)
-    elif config.lambda_mode == "agnostic":
-        lam = agnostic_lambda(d, stats.sigma, config.delta)
-    else:
-        lam = float(config.lambda_mode)
+    lam = penalty_level(config.lambda_mode, instance, stats)
     record.lambda_used = lam
     solution = solve_robust_lasso(instance.v, instance.A, LassoConfig(lam=lam))
     record.iterations = solution.iterations
@@ -290,31 +327,34 @@ def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: i
     return record
 
 
-def _run_diag_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
-    record = ResultRecord(
-        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias,
-        delta=config.delta,
-    )
-    bias = parse_bias_spec(config.bias)
-    stats = make_nonlinearity_stats(bias)
-    record.mu = stats.mu
+def restricted_cone_check(
+    d: int, k: int, s: int, delta: float, bias: str, samples: int, seed: int
+) -> tuple[NonlinearityStats, float, RestrictedSetReport]:
+    """The bias law's moments, the agnostic penalty and a sampled restricted-cone check."""
+    stats = make_nonlinearity_stats(parse_bias_spec(bias))
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
-    w = rng.uniform(-config.delta, config.delta, size=d) if config.delta > 0 else np.zeros(d)
+    w = rng.uniform(-delta, delta, size=d) if delta > 0 else np.zeros(d)
     support = rng.choice(d, size=s, replace=False) if s > 0 else np.empty(0, dtype=int)
-    lam = agnostic_lambda(d, stats.sigma, config.delta)
-    record.lambda_used = lam
     params = RestrictedSetParams(
-        lam=lam,
+        lam=agnostic_lambda(d, stats.sigma, delta),
         sigma=stats.sigma,
         eta=stats.eta,
         support=support,
         delta_norm=float(np.abs(A.T @ w).max()) if d else 0.0,
     )
-    report = check_restricted_lower_bound(A, config.diag_samples, params, seed=seed)
-    record.diag_violations = report.num_violations
-    record.diag_min_ratio = report.min_ratio
-    return record
+    return stats, params.lam, check_restricted_lower_bound(A, samples, params, seed=seed)
+
+
+def _run_diag_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
+    stats, lam, report = restricted_cone_check(
+        d, k, s, config.delta, config.bias, config.diag_samples, seed
+    )
+    return ResultRecord(
+        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias, delta=config.delta,
+        mu=stats.mu, lambda_used=lam, diag_violations=report.num_violations,
+        diag_min_ratio=report.min_ratio,
+    )
 
 
 def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:

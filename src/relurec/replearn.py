@@ -20,6 +20,12 @@ Under these constraints the row log-likelihood reduces to a
 one-dimensional function of the shared residual: the log-density of the
 shift.  Every bias law is log-concave, so its maximiser is the law's mode
 clipped to the interval.
+
+A row's interval depends only on the largest and smallest entry of its
+support, so :func:`reconstruct_matrix` takes all rows at once: masked row
+reductions over ``Y > 0``, the clipped mode per row, one masked subtraction
+over a per-row fill.  The feasibility check, the likelihood gap and the
+one-row helpers run on the same batched functions.
 """
 
 from __future__ import annotations
@@ -92,14 +98,87 @@ class RowObservation:
         return float(self.positive_values[-1])
 
 
+def _observations(Y, first_row: int = 0) -> np.ndarray:
+    """``Y`` as a float matrix; ``ValueError`` naming the first entry no rectifier outputs."""
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be a 2-D matrix, got shape {Y.shape}")
+    if Y.size and not (Y.min() >= 0.0 and Y.max() < math.inf):  # NaN fails both tests
+        i, j = np.argwhere(~((Y >= 0.0) & (Y < math.inf)))[0]
+        raise ValueError(
+            f"Y row {first_row + i} holds {Y[i, j]} at column {j}; "
+            "a rectified output is finite and nonnegative"
+        )
+    return Y
+
+
 def row_support(y_row: np.ndarray, index: int = 0) -> RowObservation:
     """Split a row into its surviving (strictly positive) part and the rest."""
-    y_row = np.asarray(y_row, dtype=float)
-    if (y_row < 0.0).any():
-        raise ValueError(f"row {index} contains negative entries; not a rectified output")
+    y_row = _observations(np.asarray(y_row, dtype=float)[np.newaxis], first_row=index)[0]
     support = np.flatnonzero(y_row > 0.0)
     values = np.sort(y_row[support])[::-1]
     return RowObservation(index=index, n=y_row.size, support=support, positive_values=values)
+
+
+# ----------------------------------------------------------------------
+# batched row functions over rows with support, each given by its largest
+# (top) and smallest (bottom) observation and whether it has clipped entries
+# ----------------------------------------------------------------------
+
+
+def _shift_intervals(top, bottom, mixed, gamma, nu):
+    """Feasible shift intervals ``(lo, hi)``; see :func:`feasible_shift_interval`."""
+    return top - gamma, bottom + gamma - np.where(mixed, nu, 0.0)
+
+
+def _shift_logliks(beta, bottom, model: BiasModel) -> np.ndarray:
+    """``log p(beta) - log p(bottom)`` per row; ``-inf`` where ``p(beta)`` is zero."""
+    lp = model.log_density(beta)
+    out = np.full(lp.shape, -np.inf)
+    finite = np.isfinite(lp)
+    out[finite] = lp[finite] - model.log_density(bottom[finite])
+    return out
+
+
+def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: float):
+    """Per-row ``(lo, hi, beta, loglik, interior)``; ``index`` numbers the rows in errors."""
+    lo, hi = _shift_intervals(top, bottom, mixed, gamma, nu)
+    empty = lo > hi + 1e-12
+    if empty.any():
+        i = int(np.argmax(empty))
+        raise InfeasibleRowError(
+            f"row {index[i]}: empty feasible interval [{float(lo[i])}, {float(hi[i])}] "
+            f"(spread {top[i] - bottom[i]:.6g} vs bound {gamma}, separation {nu})"
+        )
+    hi = np.maximum(hi, lo)
+    # a log-concave density rises up to its mode and falls after it, so the
+    # argmax is the clipped mode; where the density vanishes on the whole
+    # interval (an exponential law starting right of hi) all shifts tie at
+    # zero likelihood, and the tie goes to lo
+    beta = np.minimum(np.maximum(model.mode, lo), hi)
+    loglik = _shift_logliks(beta, bottom, model)
+    beta = np.where(loglik == -np.inf, lo, beta)
+    margin = 1e-9 * np.maximum(1.0, hi - lo)
+    interior = (lo + margin < beta) & (beta < hi - margin)
+    return lo, hi, beta, loglik, interior
+
+
+def _ceiling_loglik(x: float, model: BiasModel) -> float:
+    """``log P(B <= -x) - log P(B <= 0)``: an all-clipped row with ceiling ``x``."""
+    mass = float(model.cdf(-x))
+    base = float(model.cdf(0.0))
+    if mass <= 0.0:
+        return -math.inf
+    if base <= 0.0:
+        raise ValueError("baseline probability P(B <= 0) vanishes for this model")
+    return math.log(mass) - math.log(base)
+
+
+def _one_row(row: RowObservation):
+    """A row with support as the ``(top, bottom, mixed)`` input of the batched functions."""
+    if row.s == 0:
+        raise ValueError(f"row {row.index} has empty support; no shift to estimate")
+    return row.positive_values[:1], row.positive_values[-1:], np.array([row.s < row.n])
 
 
 def feasible_shift_interval(
@@ -111,13 +190,8 @@ def feasible_shift_interval(
     pins ``beta <= Y_min + gamma`` and, when the row also has clipped
     entries, the separation tightens this to ``Y_min + gamma - nu``.
     """
-    if row.s == 0:
-        raise ValueError(f"row {row.index} has empty support; no shift to estimate")
-    lo = float(row.positive_values[0]) - gamma
-    hi = float(row.positive_values[-1]) + gamma
-    if row.s < row.n:
-        hi -= nu
-    return lo, hi
+    lo, hi = _shift_intervals(*_one_row(row), gamma, nu)
+    return float(lo[0]), float(hi[0])
 
 
 def row_log_likelihood(
@@ -138,14 +212,7 @@ def row_log_likelihood(
     ``x`` (``x_star``, defaulting to ``-gamma``).
     """
     if row.s == 0:
-        x = -gamma if x_star is None else float(x_star)
-        mass = float(model.cdf(-x))
-        base = float(model.cdf(0.0))
-        if mass <= 0.0:
-            return -math.inf
-        if base <= 0.0:
-            raise ValueError("baseline probability P(B <= 0) vanishes for this model")
-        return math.log(mass) - math.log(base)
+        return _ceiling_loglik(-gamma if x_star is None else float(x_star), model)
     if beta is None:
         raise ValueError(f"row {row.index} has support; a shift value is required")
     lo, hi = feasible_shift_interval(row, gamma, nu)
@@ -153,10 +220,7 @@ def row_log_likelihood(
         raise InfeasibleBetaError(
             f"shift {beta} outside feasible interval [{lo}, {hi}] for row {row.index}"
         )
-    lp = float(model.log_density(beta))
-    if not math.isfinite(lp):
-        return -math.inf
-    return lp - float(model.log_density(row.smallest_positive))
+    return float(_shift_logliks(np.array([float(beta)]), row.positive_values[-1:], model)[0])
 
 
 @dataclass(frozen=True)
@@ -180,25 +244,9 @@ def estimate_row_bias(
         If the observations admit no shift at all (spread wider than the
         interval allows).
     """
-    lo, hi = feasible_shift_interval(row, gamma, nu)
-    if lo > hi + 1e-12:
-        raise InfeasibleRowError(
-            f"row {row.index}: empty feasible interval [{lo}, {hi}] "
-            f"(spread {row.positive_values[0] - row.positive_values[-1]:.6g} "
-            f"vs bound {gamma}, separation {nu})"
-        )
-    hi = max(hi, lo)
-    # a log-concave density rises up to its mode and falls after it, so the
-    # argmax is the clipped mode; where the density vanishes on the whole
-    # interval (an exponential law starting right of hi) all shifts tie at
-    # zero likelihood, and the tie goes to lo
-    beta = min(max(model.mode, lo), hi)
-    loglik = row_log_likelihood(row, beta, model, gamma, nu)
-    if loglik == -math.inf:
-        beta = lo
-    margin = 1e-9 * max(1.0, hi - lo)
-    status = "interior" if lo + margin < beta < hi - margin else "boundary"
-    return RowMle(beta_hat=beta, interval=(lo, hi), loglik=loglik, status=status)
+    lo, hi, beta, loglik, interior = _row_mles(*_one_row(row), (row.index,), model, gamma, nu)
+    status = "interior" if interior[0] else "boundary"
+    return RowMle(float(beta[0]), (float(lo[0]), float(hi[0])), float(loglik[0]), status)
 
 
 @dataclass(frozen=True)
@@ -228,55 +276,56 @@ def reconstruct_matrix(
     (where ``m_min`` is the row's smallest reconstructed support entry)
     according to ``fill``: its upper end, its lower end, or the midpoint.
     Rows with no support at all are filled with ``-gamma``.
+
+    Raises ``ValueError`` for a ``Y`` that is not a 2-D matrix or holds a
+    NaN, an infinity or a negative entry (naming the first such row), for
+    ``gamma`` not positive and finite, and for ``nu`` not nonnegative and
+    finite.
     """
     if fill not in FILL_STRATEGIES:
         raise ValueError(f"fill must be one of {FILL_STRATEGIES}, got {fill!r}")
-    Y = np.asarray(Y, dtype=float)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+    Y = _observations(Y)
     d, n = Y.shape
-    rows = [row_support(Y[i], i) for i in range(d)]
-    occupied = [r for r in rows if r.s > 0]
+    on = Y > 0.0
+    rows = np.flatnonzero(on.any(axis=1))
+    top = Y.max(axis=1, initial=0.0)[rows]  # Y >= 0, so the row max is the support's
+    bottom = np.min(Y, axis=1, where=on, initial=math.inf)[rows]
+    mixed = ~on.all(axis=1)[rows]
+    lo, hi, beta, loglik, interior = _row_mles(top, bottom, mixed, rows, model, gamma, nu)
 
-    m_hat = np.full((d, n), -gamma, dtype=float)
+    # one fill value per row: the row's ceiling m_min - nu on mixed rows
+    # (moot on fully observed ones), -gamma on rows with empty support
+    fill_value = np.full(d, -float(gamma))
+    ceiling = (bottom - beta) - nu
+    if fill == "upper_boundary":
+        fill_value[rows] = np.maximum(ceiling, -gamma)
+    elif fill == "midpoint":
+        fill_value[rows] = np.maximum((ceiling - gamma) / 2.0, -gamma)
+    shift = np.zeros(d)
+    shift[rows] = beta
+    m_hat = np.repeat(fill_value[:, None], n, axis=1)
+    np.subtract(Y, shift[:, None], out=m_hat, where=on)
+
     beta_hats = np.full(d, np.nan)
-    statuses: list[str] = ["empty_support_row"] * d
-    total = 0.0
+    beta_hats[rows] = beta
+    statuses = np.full(d, "empty_support_row", dtype=object)
+    statuses[rows] = np.where(interior, "interior", "boundary")
+    total = sum(loglik.tolist(), 0.0)
+    if rows.size < d:
+        total += (d - rows.size) * _ceiling_loglik(-gamma, model)
 
-    for r in occupied:
-        mle = estimate_row_bias(r, model, gamma, nu)
-        i, beta = r.index, mle.beta_hat
-        beta_hats[i] = beta
-        statuses[i] = mle.status
-        m_hat[i, r.support] = Y[i, r.support] - beta
-        if r.s < n:
-            ceiling = (r.smallest_positive - beta) - nu
-            if fill == "upper_boundary":
-                value = max(ceiling, -gamma)
-            elif fill == "lower_boundary":
-                value = -gamma
-            else:
-                value = max((ceiling - gamma) / 2.0, -gamma)
-            off = np.setdiff1d(np.arange(n), r.support, assume_unique=True)
-            m_hat[i, off] = value
-        total += mle.loglik
-
-    for r in rows:
-        if r.s == 0:
-            total += row_log_likelihood(r, None, model, gamma, nu)
-
-    estimate = EstimatedMatrix(
-        m_hat=m_hat,
-        beta_hats=beta_hats,
-        row_statuses=tuple(statuses),
-        fill_strategy=fill,
-        total_loglik=total,
-        gamma=float(gamma),
-        nu=float(nu),
-    )
     try:
         _check_feasible(m_hat, Y, gamma, nu, label="reconstruction")
     except InfeasibilityError as exc:
         raise ConsistencyError(f"reconstruction violated its own constraints: {exc}") from exc
-    return estimate
+    return EstimatedMatrix(
+        m_hat=m_hat, beta_hats=beta_hats, row_statuses=tuple(statuses), fill_strategy=fill,
+        total_loglik=total, gamma=float(gamma), nu=float(nu),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -287,29 +336,29 @@ def reconstruct_matrix(
 def _check_feasible(
     X: np.ndarray, Y: np.ndarray, gamma: float, nu: float, label: str, tol: float = 1e-8
 ) -> None:
+    """Raise ``InfeasibilityError`` naming the first row where ``X`` leaves the feasible set."""
     X = np.asarray(X, dtype=float)
     if X.shape != Y.shape:
         raise InfeasibilityError(f"{label}: shape {X.shape} does not match Y {Y.shape}")
-    over = np.abs(X).max()
+    over = max(X.max(initial=-math.inf), -X.min(initial=math.inf))
     if over > gamma + tol:
         raise InfeasibilityError(f"{label}: entry magnitude {over:.6g} exceeds bound {gamma}")
-    for i in range(Y.shape[0]):
-        on = Y[i] > 0.0
-        if not on.any():
-            continue
-        resid = Y[i, on] - X[i, on]
-        spread = float(np.ptp(resid))
-        if spread > tol:
-            raise InfeasibilityError(
-                f"{label}: row {i} support residuals vary by {spread:.6g}"
-            )
-        if on.all():
-            continue
-        gap = X[i, on].min() - X[i, ~on].max()
-        if gap < nu - tol:
-            raise InfeasibilityError(
-                f"{label}: row {i} separation {gap:.6g} below required {nu}"
-            )
+    on = Y > 0.0
+    resid = Y - X
+    # rows without support get spread -inf, rows without clipped entries gap +inf
+    spread = np.max(resid, axis=1, where=on, initial=-math.inf) - np.min(
+        resid, axis=1, where=on, initial=math.inf
+    )
+    gap = np.min(X, axis=1, where=on, initial=math.inf) - np.max(
+        X, axis=1, where=~on, initial=-math.inf
+    )
+    varies = spread > tol
+    bad = varies | (gap < nu - tol)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if varies[i]:
+            raise InfeasibilityError(f"{label}: row {i} support residuals vary by {spread[i]:.6g}")
+        raise InfeasibilityError(f"{label}: row {i} separation {gap[i]:.6g} below required {nu}")
 
 
 def log_likelihood_gap(
@@ -330,24 +379,22 @@ def log_likelihood_gap(
     Y = np.asarray(Y, dtype=float)
     _check_feasible(M, Y, gamma, nu, label="M")
     _check_feasible(X, Y, gamma, nu, label="X")
-    M = np.asarray(M, dtype=float)
-    X = np.asarray(X, dtype=float)
-    total = 0.0
-    for i in range(Y.shape[0]):
-        on = Y[i] > 0.0
-        if on.any():
-            j = np.flatnonzero(on)[np.argmin(Y[i, on])]
-            lp_m = float(model.log_density(Y[i, j] - M[i, j]))
-            lp_x = float(model.log_density(Y[i, j] - X[i, j]))
-        else:
-            mass_m = float(model.cdf(-M[i].max()))
-            mass_x = float(model.cdf(-X[i].max()))
-            lp_m = math.log(mass_m) if mass_m > 0.0 else -math.inf
-            lp_x = math.log(mass_x) if mass_x > 0.0 else -math.inf
-        if lp_m == lp_x:
-            continue  # also covers rows where both candidates are impossible
-        total += lp_m - lp_x
-    return total
+    on = Y > 0.0
+    rows = np.flatnonzero(on.any(axis=1))
+    cols = np.argmin(np.where(on, Y, math.inf), axis=1)[rows]  # each row's smallest observation
+
+    def row_logliks(C: np.ndarray) -> np.ndarray:
+        # all-clipped rows: log P(B <= -max_j C_ij); the others: the shift's log-density
+        mass = model.cdf(-C.max(axis=1))
+        out = np.full(C.shape[0], -math.inf)
+        np.log(mass, out=out, where=mass > 0.0)
+        out[rows] = model.log_density(Y[rows, cols] - C[rows, cols])
+        return out
+
+    lp_m = row_logliks(np.asarray(M, dtype=float))
+    lp_x = row_logliks(np.asarray(X, dtype=float))
+    differ = lp_m != lp_x  # equal terms cancel, also where both candidates are impossible
+    return sum((lp_m[differ] - lp_x[differ]).tolist(), 0.0)
 
 
 def theoretical_rep_bound(constants: BiasConstants, d: int, c0: float = 2.0) -> float:

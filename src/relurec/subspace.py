@@ -49,8 +49,9 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     ``eps * s_1``; ``U`` and ``V`` are accurate to about
     ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 
-    Warns when the ``k``-th singular value is numerically zero, since the
-    trailing basis directions are then arbitrary.
+    Warns when the ``k``-th singular value is numerically zero relative to
+    the first, ``s_k <= max(d, n) * eps * s_1`` (always for a zero matrix),
+    since the trailing basis directions are then arbitrary.
     """
     M = np.asarray(M, dtype=float)
     if not 1 <= k <= min(M.shape):
@@ -61,9 +62,10 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     _, Q = eigh(short @ short.T, subset_by_index=[m - k, m - 1])
     P, S, Wt = np.linalg.svd(Q.T @ short, full_matrices=False)
     U, V = Q @ P, Wt.T
-    if S[k - 1] < 1e-12:
+    if S[k - 1] <= max(M.shape) * np.finfo(float).eps * S[0]:
         warnings.warn(
-            f"singular value {k} is {S[k - 1]:.3g}; matrix has numerical rank below {k}",
+            f"singular value {k} is {S[k - 1]:.3g} of s_1 = {S[0]:.3g}; "
+            f"matrix has numerical rank below {k}",
             RankDeficiencyWarning,
             stacklevel=2,
         )

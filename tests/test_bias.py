@@ -21,13 +21,10 @@ from relurec.bias import (
     bias_spec_to_config,
     compute_bias_constants,
     default_exponential,
-    density_and_derivative,
     flatness_beta,
-    interval_probability,
     lipschitz_L,
     omega_min_mass,
     parse_bias_spec,
-    sample_bias,
 )
 
 ALL_MODELS = [
@@ -50,28 +47,32 @@ def _scipy_frozen(model):
     return stats.logistic(loc=a, scale=b)
 
 
+def _p_and_dp(model, x):
+    return model.density(x), model.density_derivative(x)
+
+
 class TestDensityAndDerivative:
     def test_exponential_at_support_edge(self):
         model = BiasModel.shifted_exponential(rate=1.0, shift=-1.0)
-        p, dp = density_and_derivative(model, -1.0)
+        p, dp = _p_and_dp(model, -1.0)
         assert p == pytest.approx(1.0, abs=1e-12)
         assert dp == pytest.approx(-1.0, abs=1e-12)
 
     def test_gaussian_at_mode(self):
         model = BiasModel.gaussian(mean=0.0, std=1.0)
-        p, dp = density_and_derivative(model, 0.0)
+        p, dp = _p_and_dp(model, 0.0)
         assert p == pytest.approx(0.3989422804014327, abs=1e-12)
         assert dp == pytest.approx(0.0, abs=1e-12)
 
     def test_exponential_interior_point(self):
         model = BiasModel.shifted_exponential(rate=2.0, shift=0.0)
-        p, dp = density_and_derivative(model, 1.0)
+        p, dp = _p_and_dp(model, 1.0)
         assert p == pytest.approx(0.2706705664732254, rel=1e-12)
         assert dp == pytest.approx(-0.5413411329464508, rel=1e-12)
 
     def test_left_of_exponential_support_is_zero(self):
         model = BiasModel.shifted_exponential(rate=1.0, shift=0.0)
-        p, dp = density_and_derivative(model, -0.5)
+        p, dp = _p_and_dp(model, -0.5)
         assert p == 0.0
         assert dp == 0.0
 
@@ -99,55 +100,42 @@ class TestDensityAndDerivative:
 
 
 class TestIntervalProbability:
-    def test_empty_interval_has_zero_mass(self):
-        model = BiasModel.gaussian()
-        assert interval_probability(model, 0.7, 0.7) == 0.0
+    """The mass of ``[a, b]`` is ``cdf(b) - cdf(a)``, also at infinite ends."""
 
     def test_full_line_has_unit_mass(self):
         model = BiasModel.logistic()
-        assert interval_probability(model, math.inf, -math.inf) == pytest.approx(1.0)
+        assert model.cdf(math.inf) - model.cdf(-math.inf) == pytest.approx(1.0)
 
     def test_half_line_matches_cdf(self):
         model = BiasModel.shifted_exponential(rate=1.0, shift=-1.0)
         # mass of B <= 0 for a unit exponential started at -1
-        assert interval_probability(model, math.inf, 0.0) == pytest.approx(
+        assert model.cdf(0.0) - model.cdf(-math.inf) == pytest.approx(
             0.6321205588285577, rel=1e-12
         )
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_matches_quadrature(self, model):
-        # F(x1, x2) integrates the density over [-x1, -x2]
-        val = interval_probability(model, 1.3, -0.4)
+        val = model.cdf(0.4) - model.cdf(-1.3)
         ref, _ = integrate.quad(model.density, -1.3, 0.4)
         assert val == pytest.approx(ref, abs=1e-9)
-
-    def test_additive_over_adjacent_intervals(self):
-        model = BiasModel.gaussian(mean=0.2, std=1.1)
-        whole = interval_probability(model, 2.0, -1.0)
-        parts = interval_probability(model, 2.0, 0.3) + interval_probability(model, 0.3, -1.0)
-        assert whole == pytest.approx(parts, abs=1e-12)
-
-    def test_misordered_endpoints_raise(self):
-        with pytest.raises(InvalidIntervalError):
-            interval_probability(BiasModel.gaussian(), -1.0, 1.0)
 
 
 class TestSampling:
     def test_deterministic_given_seed(self):
         model = BiasModel.logistic(loc=0.5, scale=2.0)
-        a = sample_bias(model, 100, seed=3)
-        b = sample_bias(model, 100, seed=3)
+        a = model.sample(100, seed=3)
+        b = model.sample(100, seed=3)
         np.testing.assert_array_equal(a, b)
 
     def test_exponential_respects_support(self):
         model = BiasModel.shifted_exponential(rate=3.0, shift=-2.0)
-        draws = sample_bias(model, 10_000, seed=0)
+        draws = model.sample(10_000, seed=0)
         assert draws.min() >= -2.0
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_sample_mean_matches_distribution_mean(self, model):
         ref = _scipy_frozen(model)
-        draws = sample_bias(model, 100_000, seed=7)
+        draws = model.sample(100_000, seed=7)
         tol = 4.0 * ref.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - ref.mean()) < tol, (
             f"sample mean {draws.mean():.4f} far from {ref.mean():.4f}"

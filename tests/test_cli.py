@@ -11,6 +11,7 @@ import pytest
 
 import relurec
 from relurec.cli import cli_dispatch
+from relurec.harness import parse_config, run_sweep
 
 
 def run(argv):
@@ -116,6 +117,26 @@ class TestLearnRep:
         assert m_hat.shape == (15, 30)
         u_hat = np.loadtxt(out / "u_hat.csv", delimiter=",")
         assert u_hat.shape == (15, 2)
+
+    def test_report_equals_the_sweep_cell(self, tmp_path):
+        # learn-rep and a rep_learning sweep cell share one code path
+        inst, out = tmp_path / "inst", tmp_path / "fit"
+        assert run(
+            ["gen", "--task", "rep", "--d", 15, "--n", 30, "--k", 2,
+             "--gamma", 1.0, "--seed", 5, "--out", inst]
+        ) == 0
+        assert run(["learn-rep", "--input", inst, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        config = parse_config(
+            "task = rep_learning\nd = 15\nn = 2d\nk = 2\nseeds = 5\n"
+            "bias = exp:rate=1.0,shift=-2.0\n"
+        )
+        [record] = run_sweep(config)
+        assert record.error is None, record.error
+        assert report["frob_err_sq"] == record.frob_err_sq
+        assert report["bound"] == record.rep_bound
+        assert report["sin_theta"] == record.sin_theta
+        assert report["procrustes_err"] == record.procrustes_err
 
     def test_fill_flag_changes_unsupported_entries(self, tmp_path):
         inst = tmp_path / "inst"

@@ -5,14 +5,18 @@ import json
 import numpy as np
 import pytest
 
+from relurec.bias import BiasModel
+from relurec.generate import generate_representation_instance
 from relurec.harness import (
     RESULT_COLUMNS,
     DimensionRule,
     ExperimentConfig,
     emit_results,
     parse_config,
+    reconstruct_and_evaluate,
     run_sweep,
 )
+from relurec.subspace import procrustes_align, sin_theta_distance, truncated_svd
 
 REP_CONFIG = """
 # small representation-learning sweep
@@ -148,6 +152,21 @@ class TestRunSweep:
         records = run_sweep(config)
         assert len(records) == 1
         assert "distributional" in records[0].error
+
+
+class TestReconstructAndEvaluate:
+    def test_basis_of_a_scores_like_the_svd_of_m(self):
+        # colspace(M) = colspace(A); the scores depend only on the spans
+        model = BiasModel.gaussian()
+        inst = generate_representation_instance(40, 80, 3, 1.0, model, seed=7)
+        outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
+        U, _, _ = truncated_svd(inst.M, 3)
+        assert outcome.sin_theta == pytest.approx(sin_theta_distance(U, outcome.u_hat), rel=1e-10)
+        _, procrustes_err = procrustes_align(U, outcome.u_hat)
+        assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-10)
+        m_hat = outcome.estimate.m_hat
+        assert outcome.frob_err_sq == float(np.linalg.norm(inst.M - m_hat) ** 2)
+        np.testing.assert_allclose(outcome.u_hat, truncated_svd(m_hat, 3)[0])
 
 
 class TestEmitResults:

@@ -239,6 +239,39 @@ class TestReconstructMatrix:
         with pytest.raises(ValueError):
             reconstruct_matrix(np.ones((1, 2)), EXP4, 3.0, 0.1, fill="median")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.nan, r"Y row 1 holds nan at column 2"),
+            (np.inf, r"Y row 1 holds inf at column 2"),
+            (-0.5, r"Y row 1 holds -0.5 at column 2"),
+        ],
+    )
+    def test_bad_entries_are_named_by_row(self, bad, message):
+        # a NaN once read as clipped, and an inf gave an interval [inf, ...]
+        Y = np.array([[1.0, 0.0, 0.5], [0.2, 0.0, bad], [0.0, np.nan, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            reconstruct_matrix(Y, EXP4, 3.0, 0.1)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_y_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"Y must be a 2-D matrix, got shape"):
+            reconstruct_matrix(np.ones(shape), EXP4, 3.0, 0.1)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            reconstruct_matrix(np.array([[1.0, 0.0]]), EXP4, gamma, 0.1)
+
+    @pytest.mark.parametrize("nu", [-0.1, np.nan, np.inf])
+    def test_nu_must_be_nonnegative_and_finite(self, nu):
+        with pytest.raises(ValueError, match="nu must be nonnegative and finite"):
+            reconstruct_matrix(np.array([[1.0, 0.0]]), EXP4, 3.0, nu)
+
+    def test_zero_separation_is_accepted(self):
+        est = reconstruct_matrix(np.array([[2.0, 1.0, 0.0]]), EXP4, 3.0, 0.0)
+        assert est.m_hat[0, 2] == pytest.approx(-0.5)
+
 
 LAWS = {
     "shifted_exponential": BiasModel.shifted_exponential,

@@ -63,6 +63,24 @@ class TestTruncatedSvd:
         with pytest.warns(RankDeficiencyWarning):
             truncated_svd(M, 2)
 
+    def test_rank_test_is_relative_to_the_largest_singular_value(self, rng):
+        # a rank-1 matrix at scale 1e6 leaves rounding noise s_2 of about 1e-10
+        # (above any absolute cutoff near 1e-12) and must warn; a
+        # well-conditioned matrix at scale 1e-13 is full rank and must not
+        gen = np.random.default_rng(0)
+        low_rank = 1e6 * np.outer(gen.standard_normal(6), gen.standard_normal(4))
+        with pytest.warns(RankDeficiencyWarning, match="singular value 2"):
+            _, S, _ = truncated_svd(low_rank, 2)
+        assert S[1] > 1e-12
+        tiny = 1e-13 * rng.standard_normal((6, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RankDeficiencyWarning)
+            truncated_svd(tiny, 4)
+
+    def test_zero_matrix_warns(self):
+        with pytest.warns(RankDeficiencyWarning):
+            truncated_svd(np.zeros((3, 5)), 1)
+
     def test_bad_rank_raises(self):
         with pytest.raises(ValueError):
             truncated_svd(np.eye(3), 0)
