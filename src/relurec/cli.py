@@ -204,6 +204,8 @@ def _cmd_recover(args) -> int:
         "lambda_used": lam,
         "iterations": solution.iterations,
         "converged": solution.converged,
+        "stop_reason": solution.stop_reason,
+        "grad_norm": solution.grad_norm,
     }
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))

@@ -9,9 +9,11 @@ LASSO
     min_{c, e}  (1/2d) ||v - A c - e||_2^2  +  lambda ||e||_1
 
 by exact alternating minimisation: the ``c``-step is a least-squares
-solve (QR factorisation computed once), the ``e``-step a soft
-threshold.  Each step solves its block exactly, so the objective never
-increases.
+solve, the ``e``-step a soft threshold.  Each step solves its block
+exactly, so the objective never increases.  The ``c``-step needs only the
+triangular factor ``R`` of a Householder QR of ``A`` (``Q`` is never
+formed): it corrects the previous ``c`` by ``R^-1 R^-T A^T r`` from the
+residual ``r`` the last sweep left, the corrected seminormal equations.
 
 The module also provides the moment computations, penalty-level rules,
 the recovery error/bound pair, and a sampling check of the
@@ -255,63 +257,107 @@ class LassoConfig:
 
 @dataclass(frozen=True)
 class LassoSolution:
+    """A solver result and why the solver stopped.
+
+    ``stop_reason`` is ``"tol"`` when the objective flattened out and the
+    pair was first-order stationary in ``c``, or ``"max_iter"`` when the
+    sweep budget ran out first.  ``grad_norm`` is ``||A^T r||_inf / d``
+    at the returned pair, with ``r = v - A c_hat - e_hat``.
+    """
+
     c_hat: np.ndarray
     e_hat: np.ndarray
     objective_trace: np.ndarray
     iterations: int
     converged: bool
+    stop_reason: str
+    grad_norm: float
+
+
+def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
+    """``v`` and ``A`` as float arrays, or a ``ValueError`` naming the bad argument."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"A must be a 2-D design matrix, got shape {A.shape}")
+    v = np.asarray(v, dtype=float)
+    if v.shape != (A.shape[0],):
+        raise ValueError(f"v must be 1-D of length {A.shape[0]} (the rows of A), got shape {v.shape}")
+    for name, x in (("v", v), ("A", A)):
+        finite = np.isfinite(x)
+        if not finite.all():
+            index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), x.shape))
+            at = index[0] if x.ndim == 1 else index
+            raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
+    return v, A
 
 
 def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> LassoSolution:
     """Alternating exact minimisation of the robust recovery objective.
 
-    Starting from ``e = 0``, each sweep solves the least-squares problem
-    in ``c`` (via a QR factorisation computed once) and then soft
-    thresholds the residual to update ``e``.  Stops when the relative
-    objective decrease falls below ``config.tol``.
+    Starting from ``c = 0`` and ``e = 0``, each sweep first minimises over
+    ``c``: with the triangular factor ``R`` of a Householder QR of ``A``
+    (computed once, ``Q`` never formed) and ``g = A^T r`` for the residual
+    ``r = v - A c - e`` of the previous sweep, the step
+    ``c <- c + R^-1 R^-T g`` solves ``A^T A c = A^T (v - e)``, and in
+    floating point it refines the previous ``c`` rather than solving
+    afresh.  It then soft thresholds ``u = v - A c`` at ``d * lam`` to
+    update ``e``.  Stops with ``stop_reason="tol"`` once the relative
+    objective decrease falls below ``config.tol`` and ``||g||_inf / d`` is
+    at most ``1e-8 max(1, ||v||_inf)``, or with ``"max_iter"``.
 
     Raises
     ------
+    ValueError
+        If ``A`` is not 2-D, ``v`` is not 1-D with one entry per row of
+        ``A``, or either holds a non-finite entry (the first one is named).
     RankDeficiencyError
         If the design has fewer rows than columns or a smallest singular
         value at or below 1e-10.
     """
-    v = np.asarray(v, dtype=float)
-    A = np.asarray(A, dtype=float)
+    v, A = _validated_problem(v, A)
     d, k = A.shape
     if d <= k:
         raise RankDeficiencyError(f"need more rows than columns, got {d} x {k}")
-    Q, R = np.linalg.qr(A)
+    R = np.linalg.qr(A, mode="r")
     # A = QR with orthonormal Q, so A and the k x k factor R share singular values
     smallest = np.linalg.svd(R, compute_uv=False)[-1]
     if smallest <= 1e-10:
         raise RankDeficiencyError(f"smallest singular value {smallest:.3g} is numerically zero")
 
-    e = np.zeros(d)
     threshold = d * config.lam
+    grad_tol = 1e-8 * max(1.0, float(np.abs(v).max()))
+    c = np.zeros(k)
+    g = A.T @ v  # A^T r at c = 0, e = 0
     trace: list[float] = []
-    converged = False
+    stop_reason = "max_iter"
     prev = math.inf
     for _ in range(config.max_iter):
-        c = solve_triangular(R, Q.T @ (v - e))
-        e = soft_threshold(v - A @ c, threshold)
-        current = lasso_objective(v, A, c, e, config.lam)
+        c = c + solve_triangular(R, solve_triangular(R, g, trans="T"))
+        u = v - A @ c
+        e = u - np.clip(u, -threshold, threshold)
+        r = u - e  # the residual v - A c - e, rounded as lasso_objective rounds it
+        g = A.T @ r
+        grad_norm = float(np.abs(g).max()) / d
+        current = float(r @ r / (2.0 * d) + config.lam * np.abs(e).sum())
         trace.append(current)
-        if math.isfinite(prev) and abs(prev - current) <= config.tol * max(abs(prev), 1e-12):
-            # the objective flattens out quadratically in the gradient, so
-            # polish until the pair is first-order stationary as well
-            r = (v - A @ c - e) / d
-            grad = float(np.abs(A.T @ r).max())
-            if grad <= 1e-8 * max(1.0, float(np.abs(v).max())):
-                converged = True
-                break
+        # the objective flattens out quadratically in the gradient, so
+        # polish until the pair is first-order stationary as well
+        if (
+            math.isfinite(prev)
+            and abs(prev - current) <= config.tol * max(abs(prev), 1e-12)
+            and grad_norm <= grad_tol
+        ):
+            stop_reason = "tol"
+            break
         prev = current
     return LassoSolution(
         c_hat=c,
         e_hat=e,
         objective_trace=np.asarray(trace),
         iterations=len(trace),
-        converged=converged,
+        converged=stop_reason == "tol",
+        stop_reason=stop_reason,
+        grad_norm=grad_norm,
     )
 
 
@@ -326,15 +372,16 @@ def kkt_residuals(
     set, and the excess of ``|r_i|`` over ``lam`` off it).
     """
     d = A.shape[0]
-    r = (v - A @ solution.c_hat - solution.e_hat) / d
-    grad_c = A.T @ r
+    r = v - A @ solution.c_hat - solution.e_hat
+    grad_c = float(np.abs(A.T @ r).max()) / d
+    r = r / d
     active = solution.e_hat != 0.0
     sub = 0.0
     if active.any():
         sub = float(np.abs(r[active] - lam * np.sign(solution.e_hat[active])).max())
     if (~active).any():
         sub = max(sub, float(np.maximum(np.abs(r[~active]) - lam, 0.0).max()))
-    return float(np.abs(grad_c).max()), sub
+    return grad_c, sub
 
 
 # ----------------------------------------------------------------------

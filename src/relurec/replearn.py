@@ -341,7 +341,9 @@ def _check_feasible(
     if X.shape != Y.shape:
         raise InfeasibilityError(f"{label}: shape {X.shape} does not match Y {Y.shape}")
     over = max(X.max(initial=-math.inf), -X.min(initial=math.inf))
-    if over > gamma + tol:
+    if not over <= gamma + tol:  # a NaN entry propagates through max/min and fails here
+        if not math.isfinite(over):
+            raise InfeasibilityError(f"{label}: an entry is not finite ({over})")
         raise InfeasibilityError(f"{label}: entry magnitude {over:.6g} exceeds bound {gamma}")
     on = Y > 0.0
     resid = Y - X

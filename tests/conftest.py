@@ -2,7 +2,9 @@
 
 Every ``hypothesis`` property test runs the same 25 derandomised examples
 on each run, without a deadline and without writing an example database,
-so a test suite run repeats exactly and leaves no ``.hypothesis/`` directory.
+so a test suite run repeats exactly.  hypothesis still writes its
+constants cache under ``.hypothesis/constants/`` in the working directory,
+which ``.gitignore`` excludes.
 """
 
 from hypothesis import settings

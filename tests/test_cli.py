@@ -177,9 +177,11 @@ class TestRecover:
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {
             "error", "bound", "mu", "sigma", "eta",
-            "lambda_used", "iterations", "converged",
+            "lambda_used", "iterations", "converged", "stop_reason", "grad_norm",
         }
         assert report["converged"] is True
+        assert report["stop_reason"] == "tol"
+        assert 0.0 <= report["grad_norm"] < 1e-6
         assert report["mu"] == pytest.approx(0.5, abs=1e-6)
         c_hat = np.loadtxt(out / "c_hat.csv", delimiter=",")
         assert c_hat.shape == (2,)

@@ -282,6 +282,55 @@ class TestSolver:
         with pytest.raises(RankDeficiencyError):
             solve_robust_lasso(np.zeros(2), np.ones((2, 3)), LassoConfig(lam=1.0))
 
+    def test_design_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match=r"^A must be a 2-D design matrix, got shape \(6,\)"):
+            solve_robust_lasso(np.zeros(6), np.ones(6), LassoConfig(lam=1.0))
+
+    @pytest.mark.parametrize("shape", [(7,), (5,), (6, 1)])
+    def test_observations_must_match_the_rows(self, shape):
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(ValueError, match=r"^v must be 1-D of length 6"):
+            solve_robust_lasso(np.zeros(shape), A, LassoConfig(lam=1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_observation_is_named(self, value):
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        v = np.zeros(6)
+        v[[3, 5]] = value
+        with pytest.raises(ValueError, match=r"^v has a non-finite entry .* at index 3$"):
+            solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_design_entry_is_named(self, value):
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        A[4, 1] = value
+        A[5, 0] = value
+        with pytest.raises(ValueError, match=r"^A has a non-finite entry .* at index \(4, 1\)$"):
+            solve_robust_lasso(np.zeros(6), A, LassoConfig(lam=1.0))
+
+    def test_budget_exhausted_reports_max_iter(self):
+        rng = np.random.default_rng(5)
+        A = rng.standard_normal((50, 3))
+        v = rng.standard_normal(50)
+        v[:4] += 8.0
+        sol = solve_robust_lasso(v, A, LassoConfig(lam=0.01, max_iter=1))
+        assert sol.iterations == 1
+        assert sol.stop_reason == "max_iter"
+        assert not sol.converged
+
+    def test_stop_reason_and_gradient_norm(self):
+        rng = np.random.default_rng(6)
+        for lam in (1e-3, 1e-2, 1e-1):
+            A = rng.standard_normal((80, 4))
+            v = rng.standard_normal(80)
+            v[rng.integers(0, 80, 5)] += rng.choice([-8.0, 8.0], 5)
+            for max_iter in (1, 2, 1000):
+                sol = solve_robust_lasso(v, A, LassoConfig(lam=lam, max_iter=max_iter))
+                assert sol.stop_reason == ("tol" if sol.converged else "max_iter")
+                grad_c, _ = kkt_residuals(v, A, sol, lam)
+                assert sol.grad_norm == pytest.approx(grad_c, rel=1e-15, abs=0.0)
+            assert sol.converged
+
     def test_invalid_config_raises(self):
         with pytest.raises(ValueError):
             LassoConfig(lam=0.0)
@@ -349,6 +398,8 @@ class TestErrorAndBound:
             objective_trace=np.array([0.0]),
             iterations=1,
             converged=True,
+            stop_reason="tol",
+            grad_norm=0.0,
         )
 
     def test_perfect_estimate_has_zero_error(self):

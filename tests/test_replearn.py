@@ -353,6 +353,14 @@ class TestLikelihoodGap:
         with pytest.raises(InfeasibilityError, match="X"):
             log_likelihood_gap(inst.M, bad, inst.Y, model, 1.0, inst.realized_nu)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_candidate_is_named(self, value):
+        inst, model = self._instance()
+        bad = inst.M.copy()
+        bad[2] = value
+        with pytest.raises(InfeasibilityError, match=r"^X: an entry is not finite"):
+            log_likelihood_gap(inst.M, bad, inst.Y, model, 1.0, inst.realized_nu)
+
 
 class TestTheoreticalBound:
     def test_composes_tested_constants(self):
