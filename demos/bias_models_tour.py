@@ -71,6 +71,6 @@ print(
 )
 
 # Config strings round-trip through repr-quality floats, so a model can
-# be stored in a manifest and rebuilt bit for bit.
+# be stored as a string (an instance's `bias` field) and rebuilt bit for bit.
 rebuilt = parse_bias_spec(logistic.to_config())
 print(f"\nconfig round trip: {logistic.to_config()} -> equal={rebuilt == logistic}")

@@ -32,16 +32,10 @@ from .generate import (
 from .harness import (
     emit_results,
     parse_config,
-    penalty_level,
     reconstruct_and_evaluate,
+    recover_and_evaluate,
     restricted_cone_check,
     run_sweep,
-)
-from .lasso import (
-    LassoConfig,
-    make_nonlinearity_stats,
-    recovery_error_and_bound,
-    solve_robust_lasso,
 )
 
 __all__ = ["cli_dispatch", "main"]
@@ -82,10 +76,10 @@ def _build_parser() -> _Parser:
 
     rep = sub.add_parser("learn-rep", help="reconstruct a saved matrix instance")
     rep.add_argument("--input", required=True)
-    rep.add_argument("--gamma", type=float, help="default: instance manifest")
-    rep.add_argument("--nu", type=float, help="default: instance manifest")
+    rep.add_argument("--gamma", type=float, help="default: the saved instance's")
+    rep.add_argument("--nu", type=float, help="default: the saved instance's")
     rep.add_argument("--fill", choices=["upper", "lower", "mid"], default="mid")
-    rep.add_argument("--bias", help="default: instance manifest")
+    rep.add_argument("--bias", help="default: the saved instance's")
     rep.add_argument("--out", required=True)
 
     rec = sub.add_parser("recover", help="robust recovery on a saved vector instance")
@@ -115,12 +109,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write_vector(path: Path, values: np.ndarray) -> None:
-    with path.open("w", encoding="ascii", newline="\n") as fh:
-        for v in np.atleast_1d(values):
-            fh.write(repr(float(v)) + "\n")
-
-
 def _write_report(path: Path, report: dict) -> None:
     with path.open("w", encoding="ascii") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -129,7 +117,7 @@ def _write_report(path: Path, report: dict) -> None:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
-    if (out / "instance.json").exists() and not args.force:
+    if (out / "instance.npz").exists() and not args.force:
         raise FileExistsError(f"{out} already holds an instance; pass --force to overwrite")
     if args.task == "rep":
         if args.n is None:
@@ -163,7 +151,7 @@ def _cmd_learn_rep(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "m_hat.csv", outcome.estimate.m_hat, delimiter=",")
-    _write_vector(out / "beta_hat.csv", outcome.estimate.beta_hats)
+    np.savetxt(out / "beta_hat.csv", outcome.estimate.beta_hats, fmt="%s")
     np.savetxt(out / "u_hat.csv", outcome.u_hat, delimiter=",")
     report = {
         "frob_err_sq": outcome.frob_err_sq,
@@ -181,27 +169,23 @@ def _cmd_recover(args) -> int:
     instance = load_instance(args.input)
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
-    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
-    lam = penalty_level(args.lam, instance, stats)
-    solution = solve_robust_lasso(
-        instance.v, instance.A, LassoConfig(lam=lam, tol=args.tol, max_iter=args.max_iter)
-    )
-    error, bound = recovery_error_and_bound(solution, instance, stats)
+    outcome = recover_and_evaluate(instance, args.lam, args.tol, args.max_iter)
+    solution = outcome.solution
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_vector(out / "c_hat.csv", solution.c_hat)
-    _write_vector(out / "e_hat.csv", solution.e_hat)
+    np.savetxt(out / "c_hat.csv", solution.c_hat, fmt="%s")
+    np.savetxt(out / "e_hat.csv", solution.e_hat, fmt="%s")
     with (out / "trace.csv").open("w", encoding="ascii", newline="\n") as fh:
         fh.write("iteration,objective\n")
         for i, value in enumerate(solution.objective_trace, start=1):
             fh.write(f"{i},{repr(float(value))}\n")
     report = {
-        "error": error,
-        "bound": bound,
-        "mu": stats.mu,
-        "sigma": stats.sigma,
-        "eta": stats.eta,
-        "lambda_used": lam,
+        "error": outcome.error,
+        "bound": outcome.bound,
+        "mu": outcome.stats.mu,
+        "sigma": outcome.stats.sigma,
+        "eta": outcome.stats.eta,
+        "lambda_used": outcome.lam,
         "iterations": solution.iterations,
         "converged": solution.converged,
         "stop_reason": solution.stop_reason,

@@ -7,16 +7,15 @@ Two observation models are covered:
 * a single-measurement-vector model ``v = ReLU(A c* + b) + e* + w`` with a
   sparse outlier vector ``e*`` and bounded dense noise ``w``.
 
-Both generators are deterministic functions of their seed, and instances
-round-trip through a small on-disk format (CSV matrices plus a JSON
-manifest).
+Both generators are deterministic functions of their seed.  An instance
+is saved as one ``instance.npz`` archive holding an entry per dataclass
+field plus its class name, so it loads back bit for bit.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +58,6 @@ class GenerativeInstance:
     seed: int
     bias: str
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.Y.shape
-
 
 @dataclass(frozen=True)
 class RecoveryInstance:
@@ -78,10 +73,6 @@ class RecoveryInstance:
     delta: float
     seed: int
     bias: str
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.A.shape
 
 
 def row_margins(M: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,88 +239,45 @@ def generate_recovery_instance(
 
 
 # ----------------------------------------------------------------------
-# on-disk format: CSV matrices + JSON manifest
+# on-disk format: one .npz archive of the dataclass fields
 # ----------------------------------------------------------------------
 
-_MANIFEST_KEYS = ("d", "n", "k", "s", "gamma", "nu", "delta", "seed", "bias")
-
-_REP_FILES = {"a": "A", "c": "C", "b": "b", "m": "M", "y": "Y"}
-_REC_FILES = {"a": "A", "c_star": "c_star", "b": "b", "e_star": "e_star", "w": "w", "v": "v"}
-
-
-def _write_matrix(path: Path, arr: np.ndarray) -> None:
-    # repr() emits the shortest decimal that round-trips the double exactly
-    arr2 = np.atleast_2d(np.asarray(arr, dtype=float))
-    with path.open("w", encoding="ascii", newline="\n") as fh:
-        for row in arr2:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")
-
-
-def _read_matrix(path: Path, as_vector: bool = False) -> np.ndarray:
-    arr = np.loadtxt(path, delimiter=",", ndmin=2)
-    return arr.ravel() if as_vector else arr
+_ARCHIVE = "instance.npz"
+_KINDS = {cls.__name__: cls for cls in (GenerativeInstance, RecoveryInstance)}
 
 
 def save_instance(instance: GenerativeInstance | RecoveryInstance, out_dir) -> Path:
-    """Persist an instance as CSV matrices with a JSON manifest.
+    """Write ``instance`` to ``out_dir/instance.npz`` and return ``out_dir``.
 
-    Matrices are stored one row per line and vectors as a single line,
-    with values separated by commas.
-    Values use shortest round-trip decimals so loading reproduces the
-    arrays bit for bit.
+    The archive holds one entry per dataclass field, named after it, and a
+    ``type`` entry with the class name.  Arrays are stored in binary, so
+    :func:`load_instance` reproduces every field bit for bit.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = dict.fromkeys(_MANIFEST_KEYS)  # keys a task does not use stay null
-    manifest.update(d=instance.A.shape[0], k=instance.A.shape[1], seed=instance.seed)
-    manifest["bias"] = instance.bias
-    if isinstance(instance, GenerativeInstance):
-        manifest.update(n=instance.Y.shape[1], gamma=instance.gamma, nu=instance.realized_nu)
-        files = {stem: getattr(instance, attr) for stem, attr in _REP_FILES.items()}
-    else:
-        manifest.update(s=instance.s, delta=instance.delta)
-        files = {stem: getattr(instance, attr) for stem, attr in _REC_FILES.items()}
-    for stem, arr in files.items():
-        _write_matrix(out / f"{stem}.csv", arr)
-    with (out / "instance.json").open("w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    entries = {f.name: getattr(instance, f.name) for f in fields(instance)}
+    np.savez(out / _ARCHIVE, type=type(instance).__name__, **entries)
     return out
 
 
 def load_instance(in_dir) -> GenerativeInstance | RecoveryInstance:
-    """Load an instance directory written by :func:`save_instance`."""
-    src = Path(in_dir)
-    with (src / "instance.json").open(encoding="ascii") as fh:
-        manifest = json.load(fh)
-    missing = [key for key in _MANIFEST_KEYS if key not in manifest]
-    if missing:
-        raise ValueError(f"manifest {src / 'instance.json'} is missing keys {missing}")
-    if (src / "y.csv").exists():
-        return GenerativeInstance(
-            A=_read_matrix(src / "a.csv"),
-            C=_read_matrix(src / "c.csv"),
-            b=_read_matrix(src / "b.csv", as_vector=True),
-            M=_read_matrix(src / "m.csv"),
-            Y=_read_matrix(src / "y.csv"),
-            gamma=float(manifest["gamma"]),
-            realized_nu=float(manifest["nu"]),
-            seed=int(manifest["seed"]),
-            bias=manifest["bias"],
-        )
-    if (src / "v.csv").exists():
-        return RecoveryInstance(
-            A=_read_matrix(src / "a.csv"),
-            c_star=_read_matrix(src / "c_star.csv", as_vector=True),
-            b=_read_matrix(src / "b.csv", as_vector=True),
-            e_star=_read_matrix(src / "e_star.csv", as_vector=True),
-            w=_read_matrix(src / "w.csv", as_vector=True),
-            v=_read_matrix(src / "v.csv", as_vector=True),
-            s=int(manifest["s"]),
-            delta=float(manifest["delta"]),
-            seed=int(manifest["seed"]),
-            bias=manifest["bias"],
-        )
-    raise FileNotFoundError(f"{src} contains neither y.csv nor v.csv")
+    """Load the ``instance.npz`` that :func:`save_instance` wrote into ``in_dir``.
 
+    Scalar fields come back as the Python ``float``, ``int`` or ``str``
+    they were saved from; array fields keep their dtype and shape.  A
+    directory without the archive raises ``FileNotFoundError``; an archive
+    whose ``type`` names no instance class, or that lacks a field of that
+    class, raises ``ValueError``.
+    """
+    path = Path(in_dir) / _ARCHIVE
+    with np.load(path, allow_pickle=False) as archive:
+        entries = {name: archive[name] for name in archive.files}
+    kind = str(entries.pop("type", "<missing>"))
+    if kind not in _KINDS:
+        raise ValueError(f"{path}: instance type {kind!r} is not one of {sorted(_KINDS)}")
+    names = [f.name for f in fields(_KINDS[kind])]
+    missing = [name for name in names if name not in entries]
+    if missing:
+        raise ValueError(f"{path} lacks the {kind} fields {missing}")
+    values = {name: entries[name] for name in names}
+    return _KINDS[kind](**{k: v.item() if v.ndim == 0 else v for k, v in values.items()})

@@ -43,6 +43,7 @@ from .generate import (
 )
 from .lasso import (
     LassoConfig,
+    LassoSolution,
     NonlinearityStats,
     RestrictedSetParams,
     RestrictedSetReport,
@@ -65,12 +66,14 @@ from .subspace import procrustes_align, sin_theta_distance, truncated_svd
 __all__ = [
     "DimensionRule",
     "ExperimentConfig",
+    "RecoveryOutcome",
     "RepOutcome",
     "ResultRecord",
     "emit_results",
     "parse_config",
     "penalty_level",
     "reconstruct_and_evaluate",
+    "recover_and_evaluate",
     "restricted_cone_check",
     "run_sweep",
 ]
@@ -305,26 +308,45 @@ def penalty_level(mode: str, instance: RecoveryInstance, stats: NonlinearityStat
     return float(mode)
 
 
-def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
-    record = ResultRecord(
-        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias,
-        delta=config.delta, lambda_mode=config.lambda_mode,
+@dataclass(frozen=True)
+class RecoveryOutcome:
+    """A robust recovery of one vector instance and how far it lies from the truth."""
+
+    stats: NonlinearityStats
+    lam: float
+    solution: LassoSolution
+    error: float
+    bound: float
+
+
+def recover_and_evaluate(
+    instance: RecoveryInstance, lambda_mode: str, tol: float = 1e-10, max_iter: int = 1000
+) -> RecoveryOutcome:
+    """Solve the robust lasso on ``instance`` and score the solution.
+
+    The moments come from the instance's own bias spec and the penalty from
+    ``lambda_mode`` (see :func:`penalty_level`).
+    """
+    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
+    lam = penalty_level(lambda_mode, instance, stats)
+    solution = solve_robust_lasso(
+        instance.v, instance.A, LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
     )
-    bias = parse_bias_spec(config.bias)
-    instance = generate_recovery_instance(
-        d, k, s, config.delta, config.outlier_magnitude, bias, seed
-    )
-    stats = make_nonlinearity_stats(bias)
-    record.mu = stats.mu
-    lam = penalty_level(config.lambda_mode, instance, stats)
-    record.lambda_used = lam
-    solution = solve_robust_lasso(instance.v, instance.A, LassoConfig(lam=lam))
-    record.iterations = solution.iterations
-    record.converged = solution.converged
     error, bound = recovery_error_and_bound(solution, instance, stats)
-    record.recovery_error = error
-    record.recovery_bound = bound
-    return record
+    return RecoveryOutcome(stats, lam, solution, error, bound)
+
+
+def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
+    instance = generate_recovery_instance(
+        d, k, s, config.delta, config.outlier_magnitude, parse_bias_spec(config.bias), seed
+    )
+    outcome = recover_and_evaluate(instance, config.lambda_mode)
+    return ResultRecord(
+        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias, delta=config.delta,
+        lambda_mode=config.lambda_mode, recovery_error=outcome.error,
+        recovery_bound=outcome.bound, mu=outcome.stats.mu, lambda_used=outcome.lam,
+        iterations=outcome.solution.iterations, converged=outcome.solution.converged,
+    )
 
 
 def restricted_cone_check(

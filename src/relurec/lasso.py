@@ -101,6 +101,18 @@ def _tail_nodes(model: BiasModel) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * x, half * w
 
 
+def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and probability masses of a rule averaging over the offset.
+
+    A constant offset ``b0`` is the one-node rule ``([b0], [1.0])``; a
+    random law weights the :func:`_tail_nodes` rule by its density.
+    """
+    if not isinstance(bias, BiasModel):
+        return np.array([float(bias)]), np.array([1.0])
+    nodes, weights = _tail_nodes(bias)
+    return nodes, weights * np.asarray(bias.density(nodes))
+
+
 def _residual_moments(b0, mu: float):
     """``E[(ReLU(g+b0) - mu g)^2]`` and ``E[g^2 (ReLU(g+b0) - mu g)^2]``, elementwise in ``b0``.
 
@@ -154,10 +166,8 @@ def mu_parameter(
     offset ``b0`` the slope is ``Phi(b0)`` (Stein's lemma).
     """
     if method == "quadrature":
-        if isinstance(bias, BiasModel):
-            nodes, weights = _tail_nodes(bias)
-            return float(np.sum(weights * np.asarray(bias.density(nodes)) * ndtr(nodes)))
-        return float(ndtr(float(bias)))
+        nodes, mass = _offset_rule(bias)
+        return float(np.sum(mass * ndtr(nodes)))
     if method == "monte_carlo":
         g, b = _mc_draws(bias, n_samples, seed)
         vals = np.maximum(g + b, 0.0) * g
@@ -180,13 +190,8 @@ def sigma_eta_parameters(
     design direction.  Both are returned as square roots.
     """
     if method == "quadrature":
-        if isinstance(bias, BiasModel):
-            nodes, weights = _tail_nodes(bias)
-            mass = weights * np.asarray(bias.density(nodes))
-            s2, e2 = _residual_moments(nodes, mu)
-            sig2, eta2 = float(mass @ s2), float(mass @ e2)
-        else:
-            sig2, eta2 = (float(m) for m in _residual_moments(float(bias), mu))
+        nodes, mass = _offset_rule(bias)
+        sig2, eta2 = (float(mass @ m) for m in _residual_moments(nodes, mu))
     elif method == "monte_carlo":
         g, b = _mc_draws(bias, n_samples, seed)
         resid = np.maximum(g + b, 0.0) - mu * g

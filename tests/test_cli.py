@@ -11,6 +11,7 @@ import pytest
 
 import relurec
 from relurec.cli import cli_dispatch
+from relurec.generate import GenerativeInstance, RecoveryInstance, load_instance
 from relurec.harness import parse_config, run_sweep
 
 
@@ -69,11 +70,11 @@ class TestGen:
              "--gamma", 1.0, "--seed", 0, "--out", target]
         )
         assert code == 0
-        for name in ("a.csv", "c.csv", "b.csv", "m.csv", "y.csv", "instance.json"):
-            assert (target / name).exists()
-        manifest = json.loads((target / "instance.json").read_text())
-        assert manifest["d"] == 12
-        assert manifest["bias"].startswith("exp:")
+        assert [p.name for p in target.iterdir()] == ["instance.npz"]
+        instance = load_instance(target)
+        assert isinstance(instance, GenerativeInstance)
+        assert instance.Y.shape == (12, 20) and instance.A.shape == (12, 2)
+        assert instance.bias.startswith("exp:")
 
     def test_recovery_instance_files(self, tmp_path):
         target = tmp_path / "inst"
@@ -82,10 +83,12 @@ class TestGen:
              "--delta", 0.01, "--seed", 7, "--out", target]
         )
         assert code == 0
-        for name in ("a.csv", "c_star.csv", "e_star.csv", "w.csv", "v.csv"):
-            assert (target / name).exists()
-        manifest = json.loads((target / "instance.json").read_text())
-        assert manifest["bias"] == "const:value=0.0"
+        assert [p.name for p in target.iterdir()] == ["instance.npz"]
+        instance = load_instance(target)
+        assert isinstance(instance, RecoveryInstance)
+        assert instance.v.shape == (60,) and instance.A.shape == (60, 3)
+        assert instance.s == 4 and instance.delta == 0.01
+        assert instance.bias == "const:value=0.0"
 
     def test_refuses_overwrite(self, tmp_path):
         target = tmp_path / "inst"
@@ -151,7 +154,7 @@ class TestLearnRep:
                 ["learn-rep", "--input", inst, "--out", out, "--fill", fill]
             ) == 0
             results[fill] = np.loadtxt(out / "m_hat.csv", delimiter=",")
-        y = np.loadtxt(inst / "y.csv", delimiter=",")
+        y = load_instance(inst).Y
         off = y <= 0.0
         assert off.any()
         assert np.all(results["lower"][off] == -1.0)
@@ -208,6 +211,24 @@ class TestRecover:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["lambda_used"] > 0.0
+
+    def test_report_equals_the_sweep_cell(self, tmp_path):
+        # recover and a robust_recovery sweep cell share one code path
+        inst = self.make_instance(tmp_path)
+        out = tmp_path / "fit"
+        assert run(["recover", "--input", inst, "--out", out]) == 0
+        report = json.loads((out / "report.json").read_text())
+        config = parse_config(
+            "task = robust_recovery\nd = 80\nk = 2\ns = 3\nseeds = 2\n"
+            "delta = 0.005\nbias = const:value=0.0\nlambda_mode = oracle\n"
+        )
+        [record] = run_sweep(config)
+        assert record.error is None, record.error
+        assert report["error"] == record.recovery_error
+        assert report["lambda_used"] == record.lambda_used
+        assert report["mu"] == record.mu
+        assert report["iterations"] == record.iterations
+        assert report["converged"] == record.converged
 
     def test_wrong_instance_type_fails(self, tmp_path):
         inst = tmp_path / "inst"

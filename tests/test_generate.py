@@ -1,9 +1,13 @@
 """Tests for the synthetic instance generators and their on-disk format."""
 
 import math
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from relurec.bias import BiasModel, default_exponential
 from relurec.generate import (
@@ -179,20 +183,102 @@ class TestSerialization:
         assert loaded.s == 4 and loaded.delta == 0.01
 
     def test_manifest_schema(self, tmp_path, rep_instance):
-        import json
-
+        # the archive's entries are the dataclass fields plus the class name
         save_instance(rep_instance, tmp_path / "inst")
-        manifest = json.loads((tmp_path / "inst" / "instance.json").read_text())
-        assert sorted(manifest) == sorted(
-            ["d", "n", "k", "s", "gamma", "nu", "delta", "seed", "bias"]
-        )
-        assert manifest["d"] == 40 and manifest["n"] == 80 and manifest["k"] == 3
-        assert manifest["s"] is None
+        assert sorted(p.name for p in (tmp_path / "inst").iterdir()) == ["instance.npz"]
+        with np.load(tmp_path / "inst" / "instance.npz", allow_pickle=False) as archive:
+            assert sorted(archive.files) == sorted(
+                ["A", "C", "b", "M", "Y", "gamma", "realized_nu", "seed", "bias", "type"]
+            )
+            assert archive["type"].item() == "GenerativeInstance"
+            assert archive["Y"].shape == (40, 80)
+            assert archive["gamma"].shape == ()
 
     def test_missing_files_raise(self, tmp_path):
-        (tmp_path / "instance.json").write_text(
-            '{"d": 1, "n": 1, "k": 1, "s": null, "gamma": 1.0, '
-            '"nu": 0.1, "delta": null, "seed": 0, "bias": "gauss:mean=0.0,std=1.0"}'
-        )
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(FileNotFoundError, match="instance.npz"):
             load_instance(tmp_path)
+        # a directory in the earlier CSV + JSON layout holds no archive either
+        (tmp_path / "instance.json").write_text('{"d": 1, "seed": 0}')
+        (tmp_path / "y.csv").write_text("0.5\n")
+        with pytest.raises(FileNotFoundError, match="instance.npz"):
+            load_instance(tmp_path)
+
+    def test_missing_field_raises(self, tmp_path, rep_instance):
+        save_instance(rep_instance, tmp_path)
+        with np.load(tmp_path / "instance.npz") as archive:
+            entries = {name: archive[name] for name in archive.files}
+        del entries["Y"], entries["seed"]
+        np.savez(tmp_path / "instance.npz", **entries)
+        missing = r"lacks the GenerativeInstance fields \['Y', 'seed'\]"
+        with pytest.raises(ValueError, match=missing):
+            load_instance(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["RowObservation", None])
+    def test_unknown_type_raises(self, tmp_path, kind):
+        inst = generate_recovery_instance(6, 2, 1, 0.0, 5.0, bias=0.0, seed=1)
+        entries = {f.name: getattr(inst, f.name) for f in fields(inst)}
+        if kind is not None:
+            entries["type"] = kind
+        np.savez(tmp_path / "instance.npz", **entries)
+        with pytest.raises(ValueError, match=r"instance\.npz: instance type .* is not one of"):
+            load_instance(tmp_path)
+
+
+def _assert_same_fields(loaded, original):
+    assert type(loaded) is type(original)
+    for f in fields(original):
+        got, want = getattr(loaded, f.name), getattr(original, f.name)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray), f.name
+            assert got.dtype == want.dtype and got.shape == want.shape, f.name
+            assert np.array_equal(got, want), f.name
+        else:
+            assert type(got) is type(want), f.name
+            assert got == want, f.name
+
+
+def _round_trip(instance):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_instance(instance, tmp)
+        return load_instance(tmp)
+
+
+BIAS_FAMILIES = [
+    BiasModel.shifted_exponential(rate=1.0, shift=-1.0),
+    BiasModel.gaussian(mean=0.0, std=1.0),
+    BiasModel.logistic(loc=0.25, scale=0.5),
+]
+
+
+class TestRoundTripProperty:
+    """Every field of either instance kind survives save and load bit for bit."""
+
+    @given(
+        d=st.integers(2, 12),
+        n=st.integers(2, 12),
+        data=st.data(),
+        gamma=st.floats(0.1, 10.0),
+        model=st.sampled_from(BIAS_FAMILIES),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_representation_instance(self, d, n, data, gamma, model, seed):
+        k = data.draw(st.integers(1, min(d, n)), label="k")
+        try:
+            inst = generate_representation_instance(d, n, k, gamma, model, seed)
+        except DegenerateInstanceError:
+            assume(False)
+        _assert_same_fields(_round_trip(inst), inst)
+
+    @given(
+        d=st.integers(1, 12),
+        k=st.integers(1, 4),
+        data=st.data(),
+        delta=st.floats(0.0, 1.0),
+        magnitude=st.floats(0.1, 10.0),
+        bias=st.one_of(st.floats(-3.0, 3.0), st.sampled_from(BIAS_FAMILIES)),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_recovery_instance(self, d, k, data, delta, magnitude, bias, seed):
+        s = data.draw(st.integers(0, d), label="s")
+        inst = generate_recovery_instance(d, k, s, delta, magnitude, bias, seed)
+        _assert_same_fields(_round_trip(inst), inst)
