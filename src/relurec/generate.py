@@ -83,9 +83,11 @@ def row_margins(M: np.ndarray, b: np.ndarray) -> np.ndarray:
     survive the rectifier.  Rows that are entirely on or entirely off get
     ``inf`` since they impose no separation constraint.
     """
-    on = M + b[:, None] > 0.0
-    # an empty minimum is +inf and an empty maximum -inf, so both kinds of
-    # one-sided row come out as +inf
+    return _masked_margins(M, M + b[:, None] > 0.0)
+
+
+def _masked_margins(M: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """:func:`row_margins` for the mask ``on`` of surviving entries; one-sided rows get +inf."""
     return np.min(M, axis=1, where=on, initial=np.inf) - np.max(
         M, axis=1, where=~on, initial=-np.inf
     )
@@ -124,24 +126,26 @@ def generate_representation_instance(
 
     Raises
     ------
+    ValueError
+        If a dimension is not positive, or ``gamma`` is not in ``(0, inf)``.
     DegenerateInstanceError
         If every row is entirely on or entirely off, or a row margin
         cannot reach ``min_margin`` within the retry budget.
     """
     if min(d, n, k) < 1:
         raise ValueError(f"dimensions must be positive, got d={d}, n={n}, k={k}")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     C = rng.standard_normal((k, n))
     M = A @ C
-    peak = np.abs(M).max()
+    peak = max(M.max(), -M.min())  # max |M_ij| without forming |M|
     if peak == 0.0:
         raise DegenerateInstanceError("product A C vanished; cannot rescale")
     scale = gamma / peak
-    M = M * scale
-    A = A * scale
+    M *= scale
+    A *= scale
     b = model.sample(d, rng=rng)
 
     if min_margin is not None:
@@ -156,8 +160,9 @@ def generate_representation_instance(
                 b[i] = model.sample(1, rng=rng)[0]
                 tries += 1
 
-    Y = relu_map(M + b[:, None])
-    margins = row_margins(M, b)
+    Y = M + b[:, None]
+    np.maximum(Y, 0.0, out=Y)  # relu_map in place
+    margins = _masked_margins(M, Y > 0.0)  # an entry survives exactly when M_ij + b_i > 0
     finite = margins[np.isfinite(margins)]
     if finite.size == 0:
         raise DegenerateInstanceError(

@@ -12,9 +12,11 @@ The truncated SVD computes only the ``k`` triplets it returns: the top-``k``
 eigenvectors of the Gram matrix of the shorter side, followed by one
 Rayleigh-Ritz step, an SVD of the ``k``-row projection.  For a ``d x n``
 matrix with ``d <= n`` that costs one ``d x d`` Gram product and a partial
-symmetric eigensolve instead of a full thin SVD.  The singular values are
-accurate to about ``eps * s_1`` and the bases to about
-``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
+symmetric eigensolve instead of a full thin SVD.  Constant rows
+``c_i 1^T``, such as the rows a reconstruction fills without support,
+first merge into one row ``||c|| 1^T``, which leaves ``M^T M`` unchanged.
+The singular values are accurate to about ``eps * s_1`` and
+the bases to about ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 """
 
 from __future__ import annotations
@@ -40,28 +42,47 @@ class RankDeficiencyWarning(UserWarning):
 def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Top-``k`` singular triplets ``(U, S, V)`` with ``U`` d x k and ``V`` n x k.
 
-    Works on the shorter side ``m = min(d, n)``: the top-``k`` eigenvectors
-    ``Q`` of the ``m x m`` Gram matrix, then the SVD of the ``k``-row
-    projection ``Q^T M = P S W^T``, which gives ``U = Q P``, ``S`` and
-    ``V = W`` (a tall matrix is handled as its transpose).  The cost is the
-    Gram product, ``O(m^2 max(d, n))``, plus a partial eigensolve; no full
-    basis is formed.  The Rayleigh-Ritz step keeps ``S`` accurate to about
-    ``eps * s_1``; ``U`` and ``V`` are accurate to about
-    ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
+    Rows ``c_i 1^T`` (maximum equal to minimum) first merge into one row
+    ``||c|| 1^T``: ``M^T M``, hence ``S`` and ``V``, is unchanged, and
+    ``U_i = (c_i / ||c||) U_merged`` on those rows.  The merge is skipped
+    when it removes no row, every constant row is zero, or fewer than ``k``
+    rows would remain.  Then, on the shorter side ``m``, the top-``k``
+    eigenvectors ``Q`` of the ``m x m`` Gram matrix and the SVD of the
+    projection ``Q^T M = P S W^T`` give ``U = Q P``, ``S`` and ``V = W``
+    (a tall matrix is handled as its transpose), at the cost of the Gram
+    product, ``O(m^2 max(d, n))``, and a partial eigensolve; no full basis
+    is formed.  ``S`` is accurate to about ``eps * s_1``, and ``U`` and
+    ``V`` to about ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 
-    Warns when the ``k``-th singular value is numerically zero relative to
-    the first, ``s_k <= max(d, n) * eps * s_1`` (always for a zero matrix),
-    since the trailing basis directions are then arbitrary.
+    Raises ``ValueError`` naming the first NaN or infinite entry.  Warns
+    when ``s_k <= max(d, n) * eps * s_1`` (always for a zero matrix), since
+    the trailing basis directions are then arbitrary.
     """
     M = np.asarray(M, dtype=float)
     if not 1 <= k <= min(M.shape):
         raise ValueError(f"rank k={k} must lie in [1, {min(M.shape)}] for shape {M.shape}")
-    tall = M.shape[0] > M.shape[1]
-    short = M.T if tall else M
+    top, bottom = M.max(axis=1), M.min(axis=1)  # both finite exactly when the row is
+    if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
+        i, j = np.argwhere(~np.isfinite(M))[0]
+        raise ValueError(f"M row {i} holds {M[i, j]} at column {j}; the SVD needs finite entries")
+    constant = top == bottom
+    c = top[constant]
+    norm = float(np.linalg.norm(c))
+    merge = c.size >= 2 and norm > 0.0 and M.shape[0] - c.size + 1 >= k
+    X = M
+    if merge:
+        X = M[np.append(np.flatnonzero(~constant), np.argmax(constant))]
+        X[-1] = norm
+    tall = X.shape[0] > X.shape[1]
+    short = X.T if tall else X
     m = short.shape[0]
     _, Q = eigh(short @ short.T, subset_by_index=[m - k, m - 1])
     P, S, Wt = np.linalg.svd(Q.T @ short, full_matrices=False)
-    U, V = Q @ P, Wt.T
+    U, V = (Wt.T, Q @ P) if tall else (Q @ P, Wt.T)
+    if merge:
+        U_merged, U = U, np.empty((M.shape[0], k))
+        U[~constant] = U_merged[:-1]
+        U[constant] = np.outer(c / norm, U_merged[-1])
     if S[k - 1] <= max(M.shape) * np.finfo(float).eps * S[0]:
         warnings.warn(
             f"singular value {k} is {S[k - 1]:.3g} of s_1 = {S[0]:.3g}; "
@@ -69,7 +90,7 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    return (V, S, U) if tall else (U, S, V)
+    return U, S, V
 
 
 def sin_theta_distance(U: np.ndarray, U_hat: np.ndarray) -> float:

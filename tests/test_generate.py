@@ -110,6 +110,11 @@ class TestRepresentationInstance:
         with pytest.raises(ValueError):
             generate_representation_instance(5, 5, 1, -1.0, default_exponential(1.0), seed=0)
 
+    @pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
+    def test_gamma_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            generate_representation_instance(5, 10, 1, gamma, default_exponential(1.0), seed=0)
+
 
 class TestRecoveryInstance:
     def test_noiseless_case_is_exact(self):

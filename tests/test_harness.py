@@ -168,6 +168,19 @@ class TestReconstructAndEvaluate:
         assert outcome.frob_err_sq == float(np.linalg.norm(inst.M - m_hat) ** 2)
         np.testing.assert_allclose(outcome.u_hat, truncated_svd(m_hat, 3)[0])
 
+    @pytest.mark.parametrize("d", [100, 400])
+    @pytest.mark.parametrize("bias", ["exp:rate=1.0,shift=-2.0", "gauss:mean=0.0,std=1.0"])
+    def test_scores_match_a_full_svd_oracle(self, bias, d):
+        # the many constant -gamma rows of m_hat are merged inside truncated_svd
+        model = BiasModel.from_config(bias)
+        inst = generate_representation_instance(d, 2 * d, 5, 1.0, model, seed=d + 1)
+        outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
+        U = np.linalg.qr(inst.A)[0]
+        U_hat = np.linalg.svd(outcome.estimate.m_hat, full_matrices=False)[0][:, :5]
+        _, procrustes_err = procrustes_align(U, U_hat)
+        assert outcome.sin_theta == pytest.approx(sin_theta_distance(U, U_hat), rel=1e-12)
+        assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-12)
+
 
 class TestEmitResults:
     def test_csv_layout_and_summary(self, tmp_path):

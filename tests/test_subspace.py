@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
@@ -88,21 +88,25 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
 
 
-@given(
-    d=st.integers(1, 12),
-    n=st.integers(1, 12),
-    scale=st.floats(1e-3, 1e3),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_truncated_svd_matches_full_svd(d, n, scale, seed):
-    M = scale * np.random.default_rng(seed).standard_normal((d, n))
+def assert_matches_full_svd(M: np.ndarray, rank: int) -> None:
+    """``truncated_svd(M, k)`` against ``np.linalg.svd`` for every ``k``.
+
+    Beyond ``rank`` the singular values are rounding-level, so there they are
+    compared to ``s_1`` and their arbitrary directions are not compared.
+    """
+    d, n = M.shape
     U_full, S_full, Vt_full = np.linalg.svd(M, full_matrices=False)
     tail = np.append(S_full, 0.0)
     for k in range(1, min(d, n) + 1):
-        U, S, V = truncated_svd(M, k)
+        with warnings.catch_warnings():
+            if k > rank:
+                warnings.simplefilter("ignore", RankDeficiencyWarning)
+            U, S, V = truncated_svd(M, k)
         assert U.shape == (d, k) and S.shape == (k,) and V.shape == (n, k)
-        np.testing.assert_allclose(S, S_full[:k], rtol=1e-10)
-        if tail[k - 1] > 1.01 * tail[k]:
+        r = min(k, rank)
+        np.testing.assert_allclose(S[:r], S_full[:r], rtol=1e-10)
+        np.testing.assert_allclose(S[r:], S_full[r:k], rtol=0.0, atol=1e-13 * S_full[0])
+        if k <= rank and tail[k - 1] > 1.01 * tail[k]:
             assert sin_theta_distance(U_full[:, :k], U) <= 1e-8
             assert sin_theta_distance(Vt_full[:k].T, V) <= 1e-8
         np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-10)
@@ -113,19 +117,79 @@ def test_truncated_svd_matches_full_svd(d, n, scale, seed):
 @given(
     d=st.integers(1, 12),
     n=st.integers(1, 12),
-    rank=st.integers(1, 12),
+    scale=st.floats(1e-3, 1e3),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_truncated_svd_warns_exactly_beyond_the_rank(d, n, rank, seed):
+def test_truncated_svd_matches_full_svd(d, n, scale, seed):
+    M = scale * np.random.default_rng(seed).standard_normal((d, n))
+    assert_matches_full_svd(M, min(d, n))
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(1, 12),
+    planted=st.integers(0, 12),
+    zeros=st.integers(0, 3),
+    scale=st.floats(1e-3, 1e3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(d=12, n=4, planted=0, zeros=0, scale=1.0, seed=0)  # no constant row, tall
+@example(d=5, n=9, planted=1, zeros=0, scale=1.0, seed=1)  # one: no merge
+@example(d=12, n=7, planted=6, zeros=0, scale=1.0, seed=2)  # several, tall
+@example(d=6, n=11, planted=3, zeros=1, scale=1.0, seed=3)  # with a zero row, wide
+@example(d=8, n=5, planted=8, zeros=0, scale=1.0, seed=4)  # all: one merged row, < k for k > 1
+@example(d=7, n=10, planted=5, zeros=2, scale=1e3, seed=5)  # 3 merged rows, < k for k > 3
+@example(d=6, n=6, planted=6, zeros=6, scale=1.0, seed=6)  # the zero matrix
+def test_truncated_svd_merges_constant_rows_exactly(d, n, planted, zeros, scale, seed):
+    gen = np.random.default_rng(seed)
+    M = scale * gen.standard_normal((d, n))
+    rows = gen.permutation(d)[: min(planted, d)]
+    M[rows] = M[rows, :1]  # constant rows c_i 1^T, which truncated_svd merges
+    M[rows[:zeros]] = 0.0
+    # the free rows are generic and the nonzero constant rows add 1^T
+    assert_matches_full_svd(M, min(d - rows.size + (rows.size > zeros), n))
+
+
+@given(
+    d=st.integers(1, 12),
+    n=st.integers(1, 12),
+    rank=st.integers(1, 12),
+    planted=st.integers(0, 12),
+    zeros=st.integers(0, 3),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(d=9, n=6, rank=4, planted=7, zeros=0, seed=0)  # rank 3: 2 free rows and 1^T
+@example(d=6, n=8, rank=3, planted=6, zeros=2, seed=1)  # all constant: rank 1
+@example(d=5, n=5, rank=2, planted=5, zeros=5, seed=2)  # the zero matrix: rank 0
+def test_truncated_svd_warns_exactly_beyond_the_rank(d, n, rank, planted, zeros, seed):
     rank = min(rank, d, n)
     gen = np.random.default_rng(seed)
-    M = gen.standard_normal((d, rank)) @ gen.standard_normal((rank, n))
+    B = gen.standard_normal((d, rank))
+    W = gen.standard_normal((rank, n))
+    rows = gen.permutation(d)[: min(planted, d)]
+    if rows.size:
+        # with 1^T as the first row of W, the planted rows of M = B W are
+        # constant; the free rows are generic and the nonzero constant ones add 1^T
+        W[0] = 1.0
+        B[rows, 1:] = 0.0
+        B[rows[:zeros]] = 0.0
+    M = B @ W
+    rank = min(rank, d - rows.size + (rows.size > zeros))
     for k in range(1, min(d, n) + 1):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             truncated_svd(M, k)
         warned = any(issubclass(w.category, RankDeficiencyWarning) for w in caught)
         assert warned == (k > rank)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_truncated_svd_names_the_first_non_finite_entry(bad):
+    M = np.ones((4, 6))
+    M[2, 3] = bad
+    M[3, 1] = bad
+    with pytest.raises(ValueError, match=f"M row 2 holds {bad} at column 3"):
+        truncated_svd(M, 2)
 
 
 class TestSinTheta:
