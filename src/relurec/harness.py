@@ -207,6 +207,9 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError("config key 'n' is required for task rep_learning")
     if config.task in ("robust_recovery", "diagnostics") and config.s is None:
         raise ValueError(f"config key 's' is required for task {config.task}")
+    unused = "s" if config.task == "rep_learning" else "n"
+    if unused in raw:  # run_sweep would repeat each cell once per value of the key
+        raise ValueError(f"config key {unused!r} is not used by task {config.task}")
     return config
 
 

@@ -452,8 +452,8 @@ class RestrictedSetParams:
                                 + sqrt(k)/d * delta_norm) ||h||_2
                              + 3 lam ||f_S||_1
 
-    where ``delta_norm`` bounds ``||A^T w||_inf`` and ``C`` is an
-    absolute constant (default 1).
+    where ``delta_norm`` bounds ``||A^T w||_inf`` and the absolute
+    constant ``C`` is fixed at 1.
     """
 
     lam: float
@@ -461,7 +461,6 @@ class RestrictedSetParams:
     eta: float
     support: np.ndarray
     delta_norm: float = 0.0
-    c_const: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -518,7 +517,7 @@ def check_restricted_lower_bound(
         budget = (
             2.0
             * (
-                params.c_const * (math.sqrt(k) * params.sigma + params.eta) / math.sqrt(d)
+                (math.sqrt(k) * params.sigma + params.eta) / math.sqrt(d)
                 + math.sqrt(k) / d * params.delta_norm
             )
             * float(np.linalg.norm(h))

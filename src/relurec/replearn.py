@@ -24,8 +24,9 @@ clipped to the interval.
 A row's interval depends only on the largest and smallest entry of its
 support, so :func:`reconstruct_matrix` takes all rows at once: masked row
 reductions over ``Y > 0``, the clipped mode per row, one masked subtraction
-over a per-row fill.  The feasibility check, the likelihood gap and the
-one-row helpers run on the same batched functions.
+over a per-row fill.  The feasibility check and the likelihood gap are
+masked row reductions too.  Each row's estimate depends on that row alone,
+so ``reconstruct_matrix(Y[i:i+1], ...)`` is the one-row estimator.
 """
 
 from __future__ import annotations
@@ -40,18 +41,11 @@ from .bias import BiasConstants, BiasModel
 __all__ = [
     "ConsistencyError",
     "EstimatedMatrix",
-    "InfeasibleBetaError",
     "InfeasibleRowError",
     "InfeasibilityError",
-    "RowMle",
-    "RowObservation",
     "VacuousBoundError",
-    "feasible_shift_interval",
-    "estimate_row_bias",
     "log_likelihood_gap",
     "reconstruct_matrix",
-    "row_log_likelihood",
-    "row_support",
     "theoretical_rep_bound",
 ]
 
@@ -60,10 +54,6 @@ FILL_STRATEGIES = ("upper_boundary", "lower_boundary", "midpoint")
 
 class InfeasibleRowError(ValueError):
     """The feasible interval for a row's shift is empty."""
-
-
-class InfeasibleBetaError(ValueError):
-    """A candidate shift lies outside its row's feasible interval."""
 
 
 class InfeasibilityError(ValueError):
@@ -78,27 +68,7 @@ class VacuousBoundError(ValueError):
     """A requested theoretical bound is infinite for these constants."""
 
 
-@dataclass(frozen=True)
-class RowObservation:
-    """Support pattern and positive values of one observation row."""
-
-    index: int
-    n: int
-    support: np.ndarray
-    positive_values: np.ndarray  # sorted descending
-
-    @property
-    def s(self) -> int:
-        return self.support.size
-
-    @property
-    def smallest_positive(self) -> float:
-        if self.s == 0:
-            raise ValueError(f"row {self.index} has empty support")
-        return float(self.positive_values[-1])
-
-
-def _observations(Y, first_row: int = 0) -> np.ndarray:
+def _observations(Y) -> np.ndarray:
     """``Y`` as a float matrix; ``ValueError`` naming the first entry no rectifier outputs."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
@@ -106,18 +76,10 @@ def _observations(Y, first_row: int = 0) -> np.ndarray:
     if Y.size and not (Y.min() >= 0.0 and Y.max() < math.inf):  # NaN fails both tests
         i, j = np.argwhere(~((Y >= 0.0) & (Y < math.inf)))[0]
         raise ValueError(
-            f"Y row {first_row + i} holds {Y[i, j]} at column {j}; "
+            f"Y row {i} holds {Y[i, j]} at column {j}; "
             "a rectified output is finite and nonnegative"
         )
     return Y
-
-
-def row_support(y_row: np.ndarray, index: int = 0) -> RowObservation:
-    """Split a row into its surviving (strictly positive) part and the rest."""
-    y_row = _observations(np.asarray(y_row, dtype=float)[np.newaxis], first_row=index)[0]
-    support = np.flatnonzero(y_row > 0.0)
-    values = np.sort(y_row[support])[::-1]
-    return RowObservation(index=index, n=y_row.size, support=support, positive_values=values)
 
 
 # ----------------------------------------------------------------------
@@ -127,7 +89,12 @@ def row_support(y_row: np.ndarray, index: int = 0) -> RowObservation:
 
 
 def _shift_intervals(top, bottom, mixed, gamma, nu):
-    """Feasible shift intervals ``(lo, hi)``; see :func:`feasible_shift_interval`."""
+    """Feasible shift intervals ``(lo, hi)``.
+
+    The largest observation pins ``beta >= Y_max - gamma``; the smallest
+    pins ``beta <= Y_min + gamma`` and, when the row also has clipped
+    entries, the separation tightens this to ``Y_min + gamma - nu``.
+    """
     return top - gamma, bottom + gamma - np.where(mixed, nu, 0.0)
 
 
@@ -172,81 +139,6 @@ def _ceiling_loglik(x: float, model: BiasModel) -> float:
     if base <= 0.0:
         raise ValueError("baseline probability P(B <= 0) vanishes for this model")
     return math.log(mass) - math.log(base)
-
-
-def _one_row(row: RowObservation):
-    """A row with support as the ``(top, bottom, mixed)`` input of the batched functions."""
-    if row.s == 0:
-        raise ValueError(f"row {row.index} has empty support; no shift to estimate")
-    return row.positive_values[:1], row.positive_values[-1:], np.array([row.s < row.n])
-
-
-def feasible_shift_interval(
-    row: RowObservation, gamma: float, nu: float
-) -> tuple[float, float]:
-    """Interval of residual shifts ``beta`` compatible with the feasible set.
-
-    The largest observation pins ``beta >= Y_max - gamma``; the smallest
-    pins ``beta <= Y_min + gamma`` and, when the row also has clipped
-    entries, the separation tightens this to ``Y_min + gamma - nu``.
-    """
-    lo, hi = _shift_intervals(*_one_row(row), gamma, nu)
-    return float(lo[0]), float(hi[0])
-
-
-def row_log_likelihood(
-    row: RowObservation,
-    beta: float | None,
-    model: BiasModel,
-    gamma: float,
-    nu: float,
-    x_star: float | None = None,
-) -> float:
-    """Normalised log-likelihood contribution of one row.
-
-    For rows with support the contribution is
-    ``log p(beta) - log p(Y_min)``, the density of the candidate shift
-    relative to the zero-shift baseline; ``-inf`` is returned when the
-    candidate shift has zero density.  For all-clipped rows it is
-    ``log P(B <= -x) - log P(B <= 0)`` evaluated at the candidate ceiling
-    ``x`` (``x_star``, defaulting to ``-gamma``).
-    """
-    if row.s == 0:
-        return _ceiling_loglik(-gamma if x_star is None else float(x_star), model)
-    if beta is None:
-        raise ValueError(f"row {row.index} has support; a shift value is required")
-    lo, hi = feasible_shift_interval(row, gamma, nu)
-    if not (lo - 1e-9 <= beta <= hi + 1e-9):
-        raise InfeasibleBetaError(
-            f"shift {beta} outside feasible interval [{lo}, {hi}] for row {row.index}"
-        )
-    return float(_shift_logliks(np.array([float(beta)]), row.positive_values[-1:], model)[0])
-
-
-@dataclass(frozen=True)
-class RowMle:
-    """Maximiser of one row's shift likelihood."""
-
-    beta_hat: float
-    interval: tuple[float, float]
-    loglik: float
-    status: str  # "interior" | "boundary"
-
-
-def estimate_row_bias(
-    row: RowObservation, model: BiasModel, gamma: float, nu: float
-) -> RowMle:
-    """Maximise the shift likelihood of a single row with support.
-
-    Raises
-    ------
-    InfeasibleRowError
-        If the observations admit no shift at all (spread wider than the
-        interval allows).
-    """
-    lo, hi, beta, loglik, interior = _row_mles(*_one_row(row), (row.index,), model, gamma, nu)
-    status = "interior" if interior[0] else "boundary"
-    return RowMle(float(beta[0]), (float(lo[0]), float(hi[0])), float(loglik[0]), status)
 
 
 @dataclass(frozen=True)
@@ -399,10 +291,10 @@ def log_likelihood_gap(
     return sum((lp_m[differ] - lp_x[differ]).tolist(), 0.0)
 
 
-def theoretical_rep_bound(constants: BiasConstants, d: int, c0: float = 2.0) -> float:
-    """Squared-Frobenius error bound implied by the bias constants.
+def theoretical_rep_bound(constants: BiasConstants, d: int) -> float:
+    """Squared-Frobenius error bound ``2 L gamma d / (beta omega)`` of the bias constants.
 
-    Scales linearly in the number of rows; infinite (and rejected) when
+    The leading constant is fixed at 2.  Scales linearly in the number of rows; infinite (and rejected) when
     the flatness or window-mass constant vanishes.  The bound has no
     column count ``n``: the acceptance suite compares it with the total
     error ``||M - M_hat||_F^2`` but gates the scaling in ``d`` on the
@@ -417,4 +309,4 @@ def theoretical_rep_bound(constants: BiasConstants, d: int, c0: float = 2.0) -> 
         raise VacuousBoundError(
             f"bound is vacuous: flatness={constants.beta}, window mass={constants.omega}"
         )
-    return c0 * constants.lipschitz * constants.gamma * d / (constants.beta * constants.omega)
+    return 2.0 * constants.lipschitz * constants.gamma * d / (constants.beta * constants.omega)

@@ -36,15 +36,7 @@ from relurec.lasso import (
     sigma_eta_parameters,
     solve_robust_lasso,
 )
-from relurec.replearn import (
-    estimate_row_bias,
-    feasible_shift_interval,
-    log_likelihood_gap,
-    reconstruct_matrix,
-    row_log_likelihood,
-    row_support,
-    theoretical_rep_bound,
-)
+from relurec.replearn import log_likelihood_gap, reconstruct_matrix, theoretical_rep_bound
 from relurec.subspace import (
     alignment_error_bound,
     procrustes_align,
@@ -429,15 +421,18 @@ def test_acceptance_10_row_mle_matches_grid_oracle():
         model = models[cases % len(models)]
         m = rng.uniform(-0.9, 0.9, 5)
         b = float(model.sample(1, rng=rng)[0])
-        row = row_support(relu_map(m + b))
-        if row.s == 0:
+        y = relu_map(m + b)
+        on = y > 0.0
+        if not on.any():
             continue
-        mle = estimate_row_bias(row, model, gamma, nu)
-        lo, hi = feasible_shift_interval(row, gamma, nu)
+        loglik = reconstruct_matrix(y[None], model, gamma, nu).total_loglik
+        # the feasible shifts [Y_max - gamma, Y_min + gamma (- nu with clipped entries)]
+        lo = float(y[on].max()) - gamma
+        hi = float(y[on].min()) + gamma - (nu if not on.all() else 0.0)
         grid = np.linspace(lo, hi, 10_000)
         best = float(grid[int(np.argmax(model.log_density(grid)))])
-        grid_loglik = row_log_likelihood(row, best, model, gamma, nu)
-        worst_gap = min(worst_gap, mle.loglik - grid_loglik)
+        grid_loglik = float(model.log_density(best) - model.log_density(float(y[on].min())))
+        worst_gap = min(worst_gap, loglik - grid_loglik)
         cases += 1
     _report(
         10, worst_gap >= -1e-9,

@@ -218,7 +218,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=missing):
             load_instance(tmp_path)
 
-    @pytest.mark.parametrize("kind", ["RowObservation", None])
+    @pytest.mark.parametrize("kind", ["EstimatedMatrix", None])
     def test_unknown_type_raises(self, tmp_path, kind):
         inst = generate_recovery_instance(6, 2, 1, 0.0, 5.0, bias=0.0, seed=1)
         entries = {f.name: getattr(inst, f.name) for f in fields(inst)}

@@ -105,6 +105,18 @@ class TestParseConfig:
                 "task = rep_learning\nd = 10\nk = 1\nseeds = 0\nbias = gauss:mean=0,std=1"
             )
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [(REP_CONFIG, "s = 1, 2, 3"), (RECOVERY_CONFIG, "n = 100, 300"), (DIAG_CONFIG, "n = 2d")],
+    )
+    def test_key_the_task_does_not_use_is_named(self, config, key):
+        # run_sweep loops over n and s for every task, so such a key once
+        # wrote one identical row per value
+        task = parse_config(config).task
+        message = f"config key '{key[0]}' is not used by task {task}"
+        with pytest.raises(ValueError, match=message):
+            parse_config(config + key + "\n")
+
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):
             parse_config(

@@ -19,158 +19,140 @@ from hypothesis import strategies as st
 from relurec.bias import BiasModel, compute_bias_constants, default_exponential
 from relurec.generate import DegenerateInstanceError, generate_representation_instance
 from relurec.replearn import (
-    ConsistencyError,
+    FILL_STRATEGIES,
     InfeasibilityError,
-    InfeasibleBetaError,
     InfeasibleRowError,
     VacuousBoundError,
-    estimate_row_bias,
-    feasible_shift_interval,
     log_likelihood_gap,
     reconstruct_matrix,
-    row_log_likelihood,
-    row_support,
     theoretical_rep_bound,
 )
 
 EXP4 = BiasModel.shifted_exponential(rate=1.0, shift=-4.0)
+# a Gaussian law whose mode lies right of every interval below
+FAR_RIGHT = BiasModel.gaussian(10.0, 1.0)
 
 
-class TestRowSupport:
-    def test_mixed_row(self):
-        row = row_support(np.array([2.0, 0.0, 1.0]), index=7)
-        np.testing.assert_array_equal(row.support, [0, 2])
-        np.testing.assert_array_equal(row.positive_values, [2.0, 1.0])
-        assert row.s == 2 and row.n == 3 and row.index == 7
-        assert row.smallest_positive == 1.0
+def one_row(y, model, gamma, nu):
+    """``reconstruct_matrix`` of the single row ``y``: the one-row estimator."""
+    return reconstruct_matrix(np.array([y], dtype=float), model, gamma, nu)
 
-    def test_empty_row(self):
-        row = row_support(np.zeros(4))
-        assert row.s == 0
-        with pytest.raises(ValueError):
-            row.smallest_positive
 
-    def test_full_row(self):
-        row = row_support(np.array([0.5, 1.5]))
-        assert row.s == row.n == 2
+def shift_interval(y, gamma, nu):
+    """Oracle feasible shift interval ``[Y_max - gamma, Y_min + gamma (- nu)]`` of a row.
 
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            row_support(np.array([1.0, -0.1]))
+    The separation ``nu`` applies only to a row with clipped entries; an
+    interval that closes up to rounding collapses onto its lower end.
+    """
+    on = y > 0.0
+    lo = float(y[on].max()) - gamma
+    hi = float(y[on].min()) + gamma
+    if not on.all():
+        hi -= nu
+    return lo, max(hi, lo)
 
 
 class TestFeasibleInterval:
+    # a density falling across the interval puts the MLE on its lower end,
+    # one whose mode lies right of it on its upper end
     def test_mixed_row_interval(self):
-        row = row_support(np.array([2.0, 1.0, 0.0]))
-        assert feasible_shift_interval(row, 3.0, 0.1) == (-1.0, 3.9)
+        assert one_row([2.0, 1.0, 0.0], EXP4, 3.0, 0.1).beta_hats[0] == -1.0
+        assert one_row([2.0, 1.0, 0.0], FAR_RIGHT, 3.0, 0.1).beta_hats[0] == 3.9
 
     def test_full_row_drops_separation_term(self):
-        row = row_support(np.array([2.0, 1.0]))
-        assert feasible_shift_interval(row, 3.0, 0.5) == (-1.0, 4.0)
+        assert one_row([2.0, 1.0], EXP4, 3.0, 0.5).beta_hats[0] == -1.0
+        assert one_row([2.0, 1.0], FAR_RIGHT, 3.0, 0.5).beta_hats[0] == 4.0
 
     def test_singleton_interval(self):
-        row = row_support(np.array([1.0, 0.0]))
-        lo, hi = feasible_shift_interval(row, 0.5, 1.0)
-        assert lo == pytest.approx(0.5) and hi == pytest.approx(0.5)
+        for model in (EXP4, FAR_RIGHT):
+            est = one_row([1.0, 0.0], model, 0.5, 1.0)
+            assert est.beta_hats[0] == pytest.approx(0.5)
 
 
 class TestRowLogLikelihood:
     def test_zero_shift_is_the_baseline(self):
-        row = row_support(np.array([2.0, 1.0, 0.0]))
-        assert row_log_likelihood(row, row.smallest_positive, EXP4, 3.0, 0.1) == pytest.approx(
-            0.0, abs=1e-12
-        )
+        # a row scores log p(beta) - log p(Y_min): zero when the MLE is Y_min
+        est = one_row([2.0, 1.0, 0.0], BiasModel.gaussian(1.0, 1.0), 3.0, 0.1)
+        assert est.beta_hats[0] == 1.0
+        assert est.total_loglik == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_worked_value(self):
-        row = row_support(np.array([2.0, 1.0, 0.0]))
-        assert row_log_likelihood(row, -1.0, EXP4, 3.0, 0.1) == pytest.approx(2.0, abs=1e-12)
+        # [2, 1, 0]: beta = -1, (-3) - (-5) = 2; [3, 0.5, 0]: beta = 0, (-4) - (-4.5) = 0.5
+        Y = np.array([[2.0, 1.0, 0.0], [3.0, 0.5, 0.0]])
+        est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
+        np.testing.assert_allclose(est.beta_hats, [-1.0, 0.0], atol=1e-12)
+        assert est.total_loglik == pytest.approx(2.5, abs=1e-12)
 
     def test_zero_density_shift_gives_minus_inf(self):
-        row = row_support(np.array([0.5, 0.2, 0.0]))
-        model = BiasModel.shifted_exponential(rate=1.0, shift=0.0)
-        # shift -0.4 is feasible for gamma=1 but below the bias support
-        assert row_log_likelihood(row, -0.4, model, 1.0, 0.05) == -math.inf
+        # row 0's interval [-0.5, 1.15] lies left of the support [1.5, inf) of
+        # the law, so its likelihood and the total vanish; row 1's does not
+        Y = np.array([[0.5, 0.2, 0.0], [3.0, 2.5, 0.0]])
+        model = BiasModel.shifted_exponential(rate=1.0, shift=1.5)
+        est = reconstruct_matrix(Y, model, 1.0, 0.05)
+        assert est.total_loglik == -math.inf
+        np.testing.assert_array_equal(est.beta_hats, [-0.5, 2.0])
 
     def test_empty_row_uses_ceiling(self):
-        row = row_support(np.zeros(3))
+        # an all-clipped row adds log P(B <= gamma) - log P(B <= 0) to the
+        # row with support, which scores log p(0) - log p(0.8)
         model = BiasModel.gaussian()
-        expected = math.log(model.cdf(1.0)) - math.log(model.cdf(0.0))
-        assert row_log_likelihood(row, None, model, 1.0, 0.1) == pytest.approx(expected)
-        shifted = row_log_likelihood(row, None, model, 1.0, 0.1, x_star=0.0)
-        assert shifted == pytest.approx(0.0, abs=1e-12)
-
-    def test_infeasible_shift_raises(self):
-        row = row_support(np.array([2.0, 1.0, 0.0]))
-        with pytest.raises(InfeasibleBetaError):
-            row_log_likelihood(row, 5.0, EXP4, 3.0, 0.1)
+        est = reconstruct_matrix(np.array([[0.0, 0.0, 0.0], [1.0, 0.8, 0.0]]), model, 1.0, 0.1)
+        ceiling = math.log(model.cdf(1.0)) - math.log(model.cdf(0.0))
+        assert est.total_loglik == pytest.approx(ceiling + 0.32, abs=1e-12)
 
 
 class TestEstimateRowBias:
     def test_boundary_maximum_for_decreasing_density(self):
-        row = row_support(np.array([2.0, 1.0, 0.0]))
-        mle = estimate_row_bias(row, EXP4, 3.0, 0.1)
-        assert mle.beta_hat == pytest.approx(-1.0, abs=1e-9)
-        assert mle.status == "boundary"
-        assert mle.loglik == pytest.approx(2.0, abs=1e-8)
-        assert mle.interval == (-1.0, 3.9)
+        est = one_row([2.0, 1.0, 0.0], EXP4, 3.0, 0.1)
+        assert est.beta_hats[0] == pytest.approx(-1.0, abs=1e-9)
+        assert est.row_statuses[0] == "boundary"
+        assert est.total_loglik == pytest.approx(2.0, abs=1e-8)
 
     def test_interior_maximum_at_gaussian_mode(self):
-        row = row_support(np.array([1.0, 0.8, 0.0]))
-        mle = estimate_row_bias(row, BiasModel.gaussian(), 2.0, 0.1)
+        est = one_row([1.0, 0.8, 0.0], BiasModel.gaussian(), 2.0, 0.1)
         # near a smooth maximum the argument is only determined to ~sqrt(eps)
-        assert mle.beta_hat == pytest.approx(0.0, abs=1e-7)
-        assert mle.status == "interior"
+        assert est.beta_hats[0] == pytest.approx(0.0, abs=1e-7)
+        assert est.row_statuses[0] == "interior"
 
     def test_support_edge_inside_interval(self):
         # density jumps at the support edge; the maximiser sits exactly there
-        row = row_support(np.array([1.0, 0.5, 0.0]))
         model = BiasModel.shifted_exponential(rate=1.0, shift=-0.3)
-        mle = estimate_row_bias(row, model, 2.0, 0.1)
-        assert mle.beta_hat == pytest.approx(-0.3, abs=1e-9)
+        est = one_row([1.0, 0.5, 0.0], model, 2.0, 0.1)
+        assert est.beta_hats[0] == pytest.approx(-0.3, abs=1e-9)
 
     def test_singleton_interval_collapses(self):
-        row = row_support(np.array([1.0, 0.0]))
-        mle = estimate_row_bias(row, BiasModel.gaussian(), 0.5, 1.0)
-        assert mle.beta_hat == pytest.approx(0.5)
-        assert mle.status == "boundary"
+        est = one_row([1.0, 0.0], BiasModel.gaussian(), 0.5, 1.0)
+        assert est.beta_hats[0] == pytest.approx(0.5)
+        assert est.row_statuses[0] == "boundary"
 
     def test_matches_dense_grid_search(self):
         rng = np.random.default_rng(0)
         model = BiasModel.logistic(loc=0.2, scale=0.6)
+        gamma, nu = 2.0, 0.05
         for _ in range(20):
             y = np.abs(rng.normal(size=6)) * (rng.random(6) > 0.3)
             if not (y > 0).any():
                 continue
-            row = row_support(y)
-            gamma, nu = 2.0, 0.05
-            mle = estimate_row_bias(row, model, gamma, nu)
-            lo, hi = mle.interval
+            beta = one_row(y, model, gamma, nu).beta_hats[0]
+            lo, hi = shift_interval(y, gamma, nu)
             grid = np.linspace(lo, hi, 10_000)
             best = np.max(model.log_density(grid))
-            attained = model.log_density(mle.beta_hat)
-            assert attained + 1e-9 >= best
+            assert model.log_density(beta) + 1e-9 >= best
 
     def test_zero_density_interval_ties_to_lower_end(self):
         # the exponential support starts right of the whole interval [-0.5, 1.15]:
         # every shift has zero likelihood, and the tie goes to the lower end
-        row = row_support(np.array([0.5, 0.2, 0.0]))
         model = BiasModel.shifted_exponential(rate=1.0, shift=5.0)
-        mle = estimate_row_bias(row, model, 1.0, 0.05)
-        assert mle.beta_hat == -0.5
-        assert mle.loglik == -math.inf
-        assert mle.status == "boundary"
-        est = reconstruct_matrix(np.array([[0.5, 0.2, 0.0]]), model, 1.0, 0.05)
+        est = one_row([0.5, 0.2, 0.0], model, 1.0, 0.05)
         assert est.beta_hats[0] == -0.5
         assert est.total_loglik == -math.inf
+        assert est.row_statuses[0] == "boundary"
 
     def test_empty_interval_raises_with_row_details(self):
-        row = row_support(np.array([3.0, 0.5, 0.0]), index=4)
+        Y = np.zeros((5, 3))
+        Y[4] = [3.0, 0.5, 0.0]  # spread 2.5 exceeds 2 gamma - nu = 1.9
         with pytest.raises(InfeasibleRowError, match="row 4"):
-            estimate_row_bias(row, EXP4, 1.0, 0.1)
-
-    def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_row_bias(row_support(np.zeros(3)), EXP4, 1.0, 0.1)
+            reconstruct_matrix(Y, EXP4, 1.0, 0.1)
 
 
 class TestReconstructMatrix:
@@ -297,16 +279,38 @@ def test_row_mle_is_feasible_and_beats_a_dense_grid(kind, location, scale, gamma
         assume(False)
     # raises ConsistencyError if the estimate leaves the feasible set
     est = reconstruct_matrix(inst.Y, model, gamma, inst.realized_nu)
-    for i in range(inst.Y.shape[0]):
-        row = row_support(inst.Y[i], i)
-        if row.s == 0:
+    for i, y in enumerate(inst.Y):
+        if not (y > 0.0).any():
             continue
-        lo, hi = feasible_shift_interval(row, gamma, inst.realized_nu)
-        hi = max(hi, lo)
+        lo, hi = shift_interval(y, gamma, inst.realized_nu)
         beta = est.beta_hats[i]
         assert lo <= beta <= hi
         best = np.max(model.log_density(np.linspace(lo, hi, 10_000)))
         assert model.log_density(beta) >= best - 1e-12
+
+
+@pytest.mark.parametrize("kind", sorted(LAWS))
+@given(
+    location=st.floats(-2.0, 2.0),
+    scale=st.floats(0.2, 3.0),
+    fill=st.sampled_from(FILL_STRATEGIES),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_each_row_is_estimated_from_that_row_alone(kind, location, scale, fill, seed):
+    # so reconstruct_matrix on one row is the one-row estimator
+    params = (1.0 / scale, location) if kind == "shifted_exponential" else (location, scale)
+    model = LAWS[kind](*params)
+    try:
+        inst = generate_representation_instance(10, 20, 2, 1.0, model, seed=seed)
+    except DegenerateInstanceError:
+        assume(False)
+    nu = inst.realized_nu
+    full = reconstruct_matrix(inst.Y, model, 1.0, nu, fill=fill)
+    for i in range(inst.Y.shape[0]):
+        alone = reconstruct_matrix(inst.Y[i : i + 1], model, 1.0, nu, fill=fill)
+        np.testing.assert_array_equal(alone.m_hat[0], full.m_hat[i])
+        np.testing.assert_array_equal(alone.beta_hats[0], full.beta_hats[i])
+        assert alone.row_statuses[0] == full.row_statuses[i]
 
 
 class TestLikelihoodGap:
