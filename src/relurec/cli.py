@@ -37,6 +37,7 @@ from .harness import (
     restricted_cone_check,
     run_sweep,
 )
+from .lasso import LassoConfig
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -166,6 +167,12 @@ def _cmd_learn_rep(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    # the oracle and agnostic rules give a positive finite penalty themselves
+    numeric = args.lam not in ("oracle", "agnostic")
+    try:
+        LassoConfig(float(args.lam) if numeric else 1.0, args.tol, args.max_iter)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     instance = load_instance(args.input)
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
@@ -190,6 +197,7 @@ def _cmd_recover(args) -> int:
         "converged": solution.converged,
         "stop_reason": solution.stop_reason,
         "grad_norm": solution.grad_norm,
+        "flagged": int(np.count_nonzero(solution.e_hat)),
     }
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))

@@ -11,9 +11,15 @@ LASSO
 by exact alternating minimisation: the ``c``-step is a least-squares
 solve, the ``e``-step a soft threshold.  Each step solves its block
 exactly, so the objective never increases.  The ``c``-step needs only the
-triangular factor ``R`` of a Householder QR of ``A`` (``Q`` is never
-formed): it corrects the previous ``c`` by ``R^-1 R^-T A^T r`` from the
-residual ``r`` the last sweep left, the corrected seminormal equations.
+triangular factor ``R`` of a QR of ``A`` (``Q`` is never formed): it
+corrects the previous ``c`` by ``R^-1 R^-T A^T r`` from the residual ``r``
+the last sweep left, the corrected seminormal equations.  ``R`` comes from
+a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
+arXiv:0808.2664): for ``k <= 90`` a Householder QR of each block of
+``32768 // k`` rows (at most 256 KiB of ``A``), then one more of the
+stacked ``k x k`` factors.  It is as backward stable as one Householder
+QR of ``A``, and a design that fits in one block gets exactly that QR, as
+does every design with more than 90 columns.
 
 The module also provides the moment computations, penalty-level rules,
 the recovery error/bound pair, and a sampling check of the
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -247,17 +254,27 @@ def lasso_objective(v: np.ndarray, A: np.ndarray, c: np.ndarray, e: np.ndarray, 
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty level and stopping rule for the alternating solver."""
+    """Penalty level and stopping rule for the alternating solver.
+
+    ``ValueError`` names the field of a ``lam`` or ``tol`` that is not
+    positive and finite, or of a ``max_iter`` that is not an integer of at
+    least 1.
+    """
 
     lam: float
     tol: float = 1e-10
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        if not self.lam > 0:
-            raise ValueError(f"penalty lambda must be positive, got {self.lam}")
-        if not self.tol > 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter at least 1")
+        for name in ("lam", "tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # bool is an int subclass, but True is no sweep count
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -296,17 +313,41 @@ def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
     return v, A
 
 
+def _triangular_factor(A: np.ndarray) -> np.ndarray:
+    """The ``k x k`` factor ``R`` of a QR of the tall ``d x k`` design ``A``.
+
+    For ``k <= 90`` each block of ``32768 // k`` rows (at most 256 KiB, at
+    least ``4 k`` rows) gets a Householder QR that stays in cache, and one
+    more QR of the stacked block factors gives ``R``.  A design within one
+    block gets one Householder QR of ``A`` bit for bit: the second QR of a
+    triangular factor leaves it as it is.  Wider designs get one
+    Householder QR of ``A``, because blocks shorter than ``4 k`` rows stack
+    into so many rows that the last QR costs more than the blocks save.
+    ``R`` is unique up to the signs of its rows, which ``R^T R = A^T A``
+    does not see.
+    """
+    d, k = A.shape
+    rows = 32768 // k
+    if rows < 4 * k:
+        return np.linalg.qr(A, mode="r")
+    blocks = [np.linalg.qr(A[i : i + rows], mode="r") for i in range(0, d, rows)]
+    return np.linalg.qr(np.vstack(blocks), mode="r")
+
+
 def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> LassoSolution:
     """Alternating exact minimisation of the robust recovery objective.
 
     Starting from ``c = 0`` and ``e = 0``, each sweep first minimises over
-    ``c``: with the triangular factor ``R`` of a Householder QR of ``A``
-    (computed once, ``Q`` never formed) and ``g = A^T r`` for the residual
+    ``c``: with the triangular factor ``R`` of a QR of ``A`` (computed
+    once, ``Q`` never formed) and ``g = A^T r`` for the residual
     ``r = v - A c - e`` of the previous sweep, the step
     ``c <- c + R^-1 R^-T g`` solves ``A^T A c = A^T (v - e)``, and in
     floating point it refines the previous ``c`` rather than solving
-    afresh.  It then soft thresholds ``u = v - A c`` at ``d * lam`` to
-    update ``e``.  Stops with ``stop_reason="tol"`` once the relative
+    afresh.  ``R`` is the TSQR factor: for ``k <= 90``, Householder QRs
+    of blocks of ``32768 // k`` rows, then one of their stacked factors; a
+    design of at most that many rows, or of more than 90 columns, gets one
+    Householder QR.  It then soft thresholds ``u = v - A c`` at
+    ``d * lam`` to update ``e``.  Stops with ``stop_reason="tol"`` once the relative
     objective decrease falls below ``config.tol`` and ``||g||_inf / d`` is
     at most ``1e-8 max(1, ||v||_inf)``, or with ``"max_iter"``.
 
@@ -323,7 +364,7 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     d, k = A.shape
     if d <= k:
         raise RankDeficiencyError(f"need more rows than columns, got {d} x {k}")
-    R = np.linalg.qr(A, mode="r")
+    R = _triangular_factor(A)
     # A = QR with orthonormal Q, so A and the k x k factor R share singular values
     smallest = np.linalg.svd(R, compute_uv=False)[-1]
     if smallest <= 1e-10:

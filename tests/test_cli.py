@@ -181,6 +181,7 @@ class TestRecover:
         assert set(report) == {
             "error", "bound", "mu", "sigma", "eta",
             "lambda_used", "iterations", "converged", "stop_reason", "grad_norm",
+            "flagged",
         }
         assert report["converged"] is True
         assert report["stop_reason"] == "tol"
@@ -188,6 +189,10 @@ class TestRecover:
         assert report["mu"] == pytest.approx(0.5, abs=1e-6)
         c_hat = np.loadtxt(out / "c_hat.csv", delimiter=",")
         assert c_hat.shape == (2,)
+        # the flagged count is the number of observations the fit calls outliers
+        e_hat = np.loadtxt(out / "e_hat.csv", delimiter=",")
+        assert type(report["flagged"]) is int
+        assert report["flagged"] == np.count_nonzero(e_hat) > 0
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "iteration,objective"
         assert len(trace) == report["iterations"] + 1
@@ -229,6 +234,23 @@ class TestRecover:
         assert report["mu"] == record.mu
         assert report["iterations"] == record.iterations
         assert report["converged"] == record.converged
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--lambda", "inf", "lam must be positive and finite, got inf"),
+            ("--lambda", "foo", "could not convert string to float: 'foo'"),
+            ("--tol", "inf", "tol must be positive and finite, got inf"),
+            ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+        ],
+        ids=["lambda-inf", "lambda-foo", "tol-inf", "max-iter-0"],
+    )
+    def test_bad_solver_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        inst = self.make_instance(tmp_path)
+        out = tmp_path / "fit"
+        assert run(["recover", "--input", inst, "--out", out, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_wrong_instance_type_fails(self, tmp_path):
         inst = tmp_path / "inst"

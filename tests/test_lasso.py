@@ -337,6 +337,27 @@ class TestSolver:
         with pytest.raises(ValueError):
             LassoConfig(lam=1.0, max_iter=0)
 
+    @pytest.mark.parametrize("lam", [math.inf, math.nan])
+    def test_non_finite_penalty_is_named(self, lam):
+        # an infinite lam once ran the whole budget on an all-NaN objective (inf * 0)
+        with pytest.raises(ValueError, match=r"^lam must be positive and finite, got (inf|nan)$"):
+            LassoConfig(lam=lam)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_is_named(self, tol):
+        with pytest.raises(ValueError, match=r"^tol must be positive and finite, got (inf|nan)$"):
+            LassoConfig(lam=1.0, tol=tol)
+
+    def test_fractional_budget_is_named(self):
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got 1\.5$"):
+            LassoConfig(lam=1.0, max_iter=1.5)
+
+    def test_boolean_budget_is_named(self):
+        # True is an int to Python, but not a sweep count
+        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got True$"):
+            LassoConfig(lam=1.0, max_iter=True)
+        assert LassoConfig(lam=1.0, max_iter=np.int64(3)).max_iter == 3
+
 
 class TestPenaltyRules:
     def test_oracle_matches_definition(self):

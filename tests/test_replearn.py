@@ -313,6 +313,40 @@ def test_each_row_is_estimated_from_that_row_alone(kind, location, scale, fill, 
         assert alone.row_statuses[0] == full.row_statuses[i]
 
 
+@pytest.mark.parametrize("fill", FILL_STRATEGIES)
+@pytest.mark.parametrize("kind", sorted(LAWS))
+@given(
+    location=st.floats(-2.0, 2.0),
+    scale=st.floats(0.2, 3.0),
+    gamma=st.floats(0.2, 3.0),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_reconstruction_is_feasible(kind, fill, location, scale, gamma, seed):
+    # checked here from the definition of the feasible set, not through
+    # the ConsistencyError self-check at the end of reconstruct_matrix
+    params = (1.0 / scale, location) if kind == "shifted_exponential" else (location, scale)
+    model = LAWS[kind](*params)
+    try:
+        inst = generate_representation_instance(12, 24, 2, gamma, model, seed=seed)
+    except DegenerateInstanceError:
+        assume(False)
+    Y, nu = inst.Y, inst.realized_nu
+    est = reconstruct_matrix(Y, model, gamma, nu, fill=fill)
+    m_hat, tol = est.m_hat, 1e-10
+    on = Y > 0.0
+    assert np.abs(m_hat).max() <= gamma + tol
+    for i in range(Y.shape[0]):
+        support, clipped = m_hat[i, on[i]], m_hat[i, ~on[i]]
+        if support.size == 0:
+            # an all-clipped row's likelihood is that of its ceiling -gamma
+            assert np.isnan(est.beta_hats[i])
+            assert clipped.max() <= -gamma
+            continue
+        np.testing.assert_allclose(Y[i, on[i]] - support, est.beta_hats[i], rtol=0.0, atol=tol)
+        if clipped.size:
+            assert support.min() - clipped.max() >= nu - tol
+
+
 class TestLikelihoodGap:
     def _instance(self, seed=3):
         model = default_exponential(1.0)
