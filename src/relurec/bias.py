@@ -49,14 +49,13 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-_KINDS = ("shifted_exponential", "gaussian", "logistic")
-
 # config-string tags and their parameter names, in storage order
 _CONFIG_SCHEMA = {
     "exp": ("shifted_exponential", ("rate", "shift")),
     "gauss": ("gaussian", ("mean", "std")),
     "logistic": ("logistic", ("loc", "scale")),
 }
+_PARAM_NAMES = dict(_CONFIG_SCHEMA.values())
 
 
 class InvalidIntervalError(ValueError):
@@ -88,8 +87,11 @@ class BiasModel:
     params: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in _PARAM_NAMES:
             raise ValueError(f"unknown bias kind {self.kind!r}")
+        for name, value in zip(_PARAM_NAMES[self.kind], self.params):
+            if not math.isfinite(value):
+                raise ValueError(f"{self.kind} parameter {name} must be finite, got {value!r}")
         spread = self.params[0] if self.kind == "shifted_exponential" else self.params[1]
         if not spread > 0:
             raise ValueError(f"scale parameter must be positive, got {spread!r}")
@@ -244,6 +246,8 @@ def default_exponential(gamma: float) -> BiasModel:
     working interval, which keeps the density positive and the CDF
     bounded away from zero on the whole interval.
     """
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     return BiasModel.shifted_exponential(rate=1.0, shift=-float(gamma) - 1.0)
 
 
@@ -263,7 +267,10 @@ def parse_bias_spec(text: str) -> BiasModel | float:
         key, eq, raw = stripped[len("const:"):].partition("=")
         if key.strip() != "value" or not eq:
             raise ValueError(f"constant bias config {text!r} must be 'const:value=<real>'")
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"constant bias value must be finite, got {raw.strip()!r}")
+        return value
     return BiasModel.from_config(stripped)
 
 
@@ -291,8 +298,8 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
     Returns 0.0 (with a :class:`VacuousBoundWarning`) when the infimum is
     below ``1e-12``.
     """
-    if not gamma > 0:
-        raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
     ends = _interval_ends(gamma, 2.0 * gamma)
     ends[0] = max(ends[0], model.support()[0])
     if ends[0] > ends[1]:
@@ -317,8 +324,8 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
 
 def lipschitz_L(model: BiasModel, gamma: float) -> float:
     """Steepness constant ``max(sup p/P(B<=x), sup |p'|/p)`` over ``[-gamma, gamma]``."""
-    if not gamma > 0:
-        raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
     ends = _interval_ends(gamma, 2.0 * gamma)
     p, dp = model.density(ends), model.density_derivative(ends)
     cdf = np.asarray(model.cdf(ends))
@@ -334,9 +341,9 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
 
 def omega_min_mass(model: BiasModel, gamma: float, nu: float) -> float:
     """Smallest mass of a length-``nu`` window contained in ``[-gamma, gamma]``."""
-    if not gamma > 0:
-        raise InvalidIntervalError(f"gamma must be positive, got {gamma}")
-    if not (0.0 < nu <= 2.0 * gamma) or not math.isfinite(nu):
+    if not 0.0 < gamma < math.inf:
+        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 < nu <= 2.0 * gamma:  # gamma is finite, so nu is too
         raise InvalidIntervalError(
             f"window length nu must satisfy 0 < nu <= 2*gamma, got nu={nu}, gamma={gamma}"
         )

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, default_exponential, parse_bias_spec
+from .bias import default_exponential, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -124,8 +124,6 @@ def _cmd_gen(args) -> int:
         if args.n is None:
             raise ValueError("--n is required for --task rep")
         spec = parse_bias_spec(args.bias) if args.bias else default_exponential(args.gamma)
-        if not isinstance(spec, BiasModel):
-            raise ValueError("rep instances need a distributional bias")
         instance = generate_representation_instance(
             args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
         )
@@ -145,9 +143,7 @@ def _cmd_learn_rep(args) -> int:
         raise ValueError(f"{args.input} does not contain a matrix instance")
     gamma = args.gamma if args.gamma is not None else instance.gamma
     nu = args.nu if args.nu is not None else instance.realized_nu
-    spec = parse_bias_spec(args.bias) if args.bias else parse_bias_spec(instance.bias)
-    if not isinstance(spec, BiasModel):
-        raise ValueError("matrix reconstruction needs a distributional bias")
+    spec = parse_bias_spec(args.bias or instance.bias)
     outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

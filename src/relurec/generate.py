@@ -127,7 +127,8 @@ def generate_representation_instance(
     Raises
     ------
     ValueError
-        If a dimension is not positive, or ``gamma`` is not in ``(0, inf)``.
+        If a dimension is not positive, ``gamma`` is not in ``(0, inf)``,
+        or ``model`` is not a :class:`BiasModel`.
     DegenerateInstanceError
         If every row is entirely on or entirely off, or a row margin
         cannot reach ``min_margin`` within the retry budget.
@@ -136,6 +137,8 @@ def generate_representation_instance(
         raise ValueError(f"dimensions must be positive, got d={d}, n={n}, k={k}")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not isinstance(model, BiasModel):
+        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     C = rng.standard_normal((k, n))
@@ -196,7 +199,9 @@ def generate_recovery_instance(
     ``e*`` places ``+/- outlier_magnitude`` on ``s`` uniformly chosen
     coordinates, and ``w`` is i.i.d. uniform on ``[-delta, delta]``.  The
     bias is either a shared constant (float) or drawn i.i.d. per
-    coordinate from a :class:`BiasModel`.
+    coordinate from a :class:`BiasModel`.  ``ValueError`` names a bad
+    dimension or ``s``, a negative ``delta``, and a ``delta``,
+    ``outlier_magnitude`` or constant ``bias`` that is not finite.
 
     The design, outlier, noise, and bias draws come from independent
     child streams of the seed, so e.g. changing ``s`` leaves ``A`` and
@@ -206,8 +211,12 @@ def generate_recovery_instance(
         raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
     if k < 1 or d <= 0:
         raise ValueError(f"dimensions must be positive, got d={d}, k={k}")
-    if delta < 0:
-        raise ValueError(f"noise level delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
+    if not math.isfinite(outlier_magnitude):
+        raise ValueError(f"outlier_magnitude must be finite, got {outlier_magnitude}")
+    if not isinstance(bias, BiasModel) and not math.isfinite(bias):
+        raise ValueError(f"constant bias must be finite, got {bias}")
     stream_main, stream_out, stream_noise, stream_bias = [
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
     ]

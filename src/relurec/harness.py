@@ -289,8 +289,6 @@ def reconstruct_and_evaluate(
 
 def _run_rep_cell(config: ExperimentConfig, d: int, n: int, k: int, seed: int) -> ResultRecord:
     model = parse_bias_spec(config.bias)
-    if not isinstance(model, BiasModel):
-        raise ValueError("rep_learning requires a distributional bias, not a constant")
     instance = generate_representation_instance(d, n, k, config.gamma, model, seed)
     nu = config.nu if config.nu is not None else instance.realized_nu
     outcome = reconstruct_and_evaluate(instance, model, config.gamma, nu, config.fill_strategy)

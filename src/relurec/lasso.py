@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .bias import BiasModel
+from .bias import BiasModel, bias_spec_to_config
 from .generate import RecoveryInstance
 
 __all__ = [
@@ -84,7 +84,6 @@ class NonlinearityStats:
     mu: float
     sigma: float
     eta: float
-    method: str
     bias: str = ""
 
 
@@ -211,20 +210,11 @@ def sigma_eta_parameters(
     return math.sqrt(max(sig2, 0.0)), math.sqrt(max(eta2, 0.0))
 
 
-def make_nonlinearity_stats(
-    bias: BiasModel | float,
-    method: str = "quadrature",
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> NonlinearityStats:
-    """Convenience wrapper computing ``(mu, sigma, eta)`` together."""
-    from .bias import bias_spec_to_config
-
-    mu = mu_parameter(bias, method, n_samples, seed)
-    sigma, eta = sigma_eta_parameters(bias, mu, method, n_samples, seed)
-    return NonlinearityStats(
-        mu=mu, sigma=sigma, eta=eta, method=method, bias=bias_spec_to_config(bias)
-    )
+def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
+    """``(mu, sigma, eta)`` of ``bias`` together, by quadrature."""
+    mu = mu_parameter(bias)
+    sigma, eta = sigma_eta_parameters(bias, mu)
+    return NonlinearityStats(mu=mu, sigma=sigma, eta=eta, bias=bias_spec_to_config(bias))
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,10 @@ clipped to the interval.
 A row's interval depends only on the largest and smallest entry of its
 support, so :func:`reconstruct_matrix` takes all rows at once: masked row
 reductions over ``Y > 0``, the clipped mode per row, one masked subtraction
-over a per-row fill.  The feasibility check and the likelihood gap are
-masked row reductions too.  Each row's estimate depends on that row alone,
-so ``reconstruct_matrix(Y[i:i+1], ...)`` is the one-row estimator.
+over a per-row fill.  Each row's estimate depends on that row alone, so
+``reconstruct_matrix(Y[i:i+1], ...)`` is the one-row estimator.  The
+estimate is feasible by construction; the feasibility check guards the
+candidates passed to :func:`log_likelihood_gap`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import numpy as np
 from .bias import BiasConstants, BiasModel
 
 __all__ = [
-    "ConsistencyError",
     "EstimatedMatrix",
     "InfeasibleRowError",
     "InfeasibilityError",
@@ -60,16 +60,18 @@ class InfeasibilityError(ValueError):
     """A candidate matrix violates the feasible-set constraints."""
 
 
-class ConsistencyError(RuntimeError):
-    """An internally produced estimate failed its own feasibility check."""
-
-
 class VacuousBoundError(ValueError):
     """A requested theoretical bound is infinite for these constants."""
 
 
-def _observations(Y) -> np.ndarray:
-    """``Y`` as a float matrix; ``ValueError`` naming the first entry no rectifier outputs."""
+def _checked_inputs(Y, model, gamma: float, nu: float) -> np.ndarray:
+    """``Y`` as a float matrix, after the input checks both public entry points share."""
+    if not isinstance(model, BiasModel):
+        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be a 2-D matrix, got shape {Y.shape}")
@@ -169,18 +171,20 @@ def reconstruct_matrix(
     according to ``fill``: its upper end, its lower end, or the midpoint.
     Rows with no support at all are filled with ``-gamma``.
 
-    Raises ``ValueError`` for a ``Y`` that is not a 2-D matrix or holds a
-    NaN, an infinity or a negative entry (naming the first such row), for
-    ``gamma`` not positive and finite, and for ``nu`` not nonnegative and
-    finite.
+    The estimate is feasible by construction: each ``beta_hat`` is clipped
+    into its row's interval, so support entries lie within ``gamma`` and
+    their residual is ``beta_hat``, and each fill lies in its admissible
+    interval.  The only slack is the ``1e-12`` tolerance on an interval
+    that is empty by rounding.
+
+    Raises ``ValueError`` for a ``model`` that is not a :class:`BiasModel`,
+    for a ``Y`` that is not a 2-D matrix or holds a NaN, an infinity or a
+    negative entry (naming the first such row), for ``gamma`` not positive
+    and finite, and for ``nu`` not nonnegative and finite.
     """
     if fill not in FILL_STRATEGIES:
         raise ValueError(f"fill must be one of {FILL_STRATEGIES}, got {fill!r}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
-    Y = _observations(Y)
+    Y = _checked_inputs(Y, model, gamma, nu)
     d, n = Y.shape
     on = Y > 0.0
     rows = np.flatnonzero(on.any(axis=1))
@@ -209,11 +213,6 @@ def reconstruct_matrix(
     total = sum(loglik.tolist(), 0.0)
     if rows.size < d:
         total += (d - rows.size) * _ceiling_loglik(-gamma, model)
-
-    try:
-        _check_feasible(m_hat, Y, gamma, nu, label="reconstruction")
-    except InfeasibilityError as exc:
-        raise ConsistencyError(f"reconstruction violated its own constraints: {exc}") from exc
     return EstimatedMatrix(
         m_hat=m_hat, beta_hats=beta_hats, row_statuses=tuple(statuses), fill_strategy=fill,
         total_loglik=total, gamma=float(gamma), nu=float(nu),
@@ -265,12 +264,12 @@ def log_likelihood_gap(
 ) -> float:
     """Difference of normalised log-likelihoods of two feasible candidates.
 
-    Both ``M`` and ``X`` must lie in the feasible set for ``Y``; the
-    offending matrix and row are named otherwise.  Per-row normalisation
-    cancels in the difference, so only candidate shifts (and ceilings of
-    all-clipped rows) enter.
+    The other inputs are checked as in :func:`reconstruct_matrix`, and
+    ``M`` and ``X`` must lie in the feasible set for ``Y`` (naming the
+    offending matrix and row otherwise).  Per-row normalisation cancels, so
+    only candidate shifts (and ceilings of all-clipped rows) enter.
     """
-    Y = np.asarray(Y, dtype=float)
+    Y = _checked_inputs(Y, model, gamma, nu)
     _check_feasible(M, Y, gamma, nu, label="M")
     _check_feasible(X, Y, gamma, nu, label="X")
     on = Y > 0.0

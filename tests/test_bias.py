@@ -248,6 +248,22 @@ class TestOmega:
             omega_min_mass(model, 1.0, math.inf)
 
 
+@pytest.mark.parametrize(
+    "constant",
+    [
+        lambda model, gamma: flatness_beta(model, gamma),
+        lambda model, gamma: lipschitz_L(model, gamma),
+        lambda model, gamma: omega_min_mass(model, gamma, 0.5),
+    ],
+    ids=["flatness", "lipschitz", "omega"],
+)
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0])
+def test_gamma_must_be_positive_and_finite(constant, gamma):
+    # at gamma = inf flatness once gave 0.0, omega NaN and lipschitz a CDF error
+    with pytest.raises(InvalidIntervalError, match="gamma must be positive and finite"):
+        constant(BiasModel.gaussian(), gamma)
+
+
 SCAN_INTERVALS = [(0.5, 0.2), (1.0, 0.4), (1.7, 1.1), (3.0, 0.05)]
 
 
@@ -370,6 +386,35 @@ class TestConfigStrings:
             BiasModel.gaussian(std=0.0)
         with pytest.raises(ValueError):
             BiasModel.shifted_exponential(rate=-1.0)
+
+    # each was once accepted, and its moments in make_nonlinearity_stats were all NaN
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BiasModel.gaussian(math.nan, 1.0), "gaussian parameter mean must be finite"),
+            (lambda: BiasModel.gaussian(0.0, math.inf), "gaussian parameter std must be finite"),
+            (
+                lambda: BiasModel.shifted_exponential(rate=math.inf),
+                "shifted_exponential parameter rate must be finite",
+            ),
+            (
+                lambda: BiasModel.from_config("gauss:mean=nan,std=1"),
+                "gaussian parameter mean must be finite",
+            ),
+            (lambda: parse_bias_spec("const:value=nan"), "constant bias value must be finite"),
+        ],
+        ids=["gaussian-mean-nan", "gaussian-std-inf", "exp-rate-inf", "config-nan", "const-nan"],
+    )
+    def test_non_finite_parameters_are_named(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+
+@pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0])
+def test_default_exponential_needs_a_positive_finite_gamma(gamma):
+    # gamma = inf once gave a law with shift -inf
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        default_exponential(gamma)
 
 
 def test_default_exponential_places_support_left_of_interval():

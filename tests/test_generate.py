@@ -115,6 +115,11 @@ class TestRepresentationInstance:
         with pytest.raises(ValueError, match="gamma must be positive and finite"):
             generate_representation_instance(5, 10, 1, gamma, default_exponential(1.0), seed=0)
 
+    def test_constant_bias_is_rejected(self):
+        # a float has no sample method; it once raised AttributeError
+        with pytest.raises(ValueError, match="distributional"):
+            generate_representation_instance(5, 10, 1, 1.0, 0.0, seed=0)
+
 
 class TestRecoveryInstance:
     def test_noiseless_case_is_exact(self):
@@ -161,6 +166,24 @@ class TestRecoveryInstance:
             generate_recovery_instance(10, 2, 11, 0.0, 5.0, bias=0.0, seed=0)
         with pytest.raises(ValueError):
             generate_recovery_instance(10, 2, 0, -0.1, 5.0, bias=0.0, seed=0)
+
+    # a NaN delta once gave noiseless w = 0 while recording delta = nan, an
+    # infinite one an OverflowError, and the others a non-finite v
+    @pytest.mark.parametrize(
+        "delta, magnitude, bias, message",
+        [
+            (math.nan, 5.0, 0.0, "delta"),
+            (math.inf, 5.0, 0.0, "delta"),
+            (0.0, math.nan, 0.0, "outlier_magnitude"),
+            (0.0, math.inf, 0.0, "outlier_magnitude"),
+            (0.0, 5.0, math.nan, "constant bias"),
+            (0.0, 5.0, math.inf, "constant bias"),
+        ],
+        ids=["delta-nan", "delta-inf", "magnitude-nan", "magnitude-inf", "bias-nan", "bias-inf"],
+    )
+    def test_non_finite_arguments_are_named(self, delta, magnitude, bias, message):
+        with pytest.raises(ValueError, match=message):
+            generate_recovery_instance(10, 2, 3, delta, magnitude, bias=bias, seed=0)
 
 
 class TestSerialization:

@@ -116,7 +116,6 @@ class TestSigmaEta:
         stats_obj = make_nonlinearity_stats(0.0)
         assert stats_obj.mu == pytest.approx(0.5, abs=1e-6)
         assert stats_obj.sigma == pytest.approx(0.5, abs=1e-6)
-        assert stats_obj.method == "quadrature"
         assert stats_obj.bias == "const:value=0.0"
 
 
@@ -390,7 +389,7 @@ class TestPenaltyRules:
             seed=0,
             bias="const:value=0.0",
         )
-        flat = NonlinearityStats(mu=1.0, sigma=0.1, eta=0.1, method="manual")
+        flat = NonlinearityStats(mu=1.0, sigma=0.1, eta=0.1)
         assert oracle_lambda(inst, flat) == 1e-12
 
     def test_oracle_scaling_with_dimension(self):

@@ -10,6 +10,7 @@ reconstructed support is ``[3, 2]``, and the clipped entry may range over
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,28 @@ def shift_interval(y, gamma, nu):
     if not on.all():
         hi -= nu
     return lo, max(hi, lo)
+
+
+def assert_feasible(est, Y, gamma, nu, tol=1e-10):
+    """Check ``est.m_hat`` against the definition of the feasible set for ``Y``.
+
+    Every entry lies within ``gamma``; on each row's support the residual
+    ``Y - m_hat`` is the row's estimated shift; every clipped entry sits at
+    least ``nu`` below the row's smallest support entry.  A row with no
+    support has no shift and is filled at ``-gamma``.
+    """
+    m_hat, on = est.m_hat, Y > 0.0
+    assert np.abs(m_hat).max() <= gamma + tol
+    for i in range(Y.shape[0]):
+        support, clipped = m_hat[i, on[i]], m_hat[i, ~on[i]]
+        if support.size == 0:
+            # an all-clipped row's likelihood is that of its ceiling -gamma
+            assert np.isnan(est.beta_hats[i])
+            assert clipped.max() <= -gamma
+            continue
+        np.testing.assert_allclose(Y[i, on[i]] - support, est.beta_hats[i], rtol=0.0, atol=tol)
+        if clipped.size:
+            assert support.min() - clipped.max() >= nu - tol
 
 
 class TestFeasibleInterval:
@@ -201,9 +224,6 @@ class TestReconstructMatrix:
 
     @pytest.mark.parametrize("fill", ["upper_boundary", "lower_boundary", "midpoint"])
     def test_random_instances_satisfy_constraints(self, fill):
-        # the internal feasibility check raises ConsistencyError on violation
-        from relurec.generate import DegenerateInstanceError
-
         model = default_exponential(1.0)
         checked = 0
         for seed in range(100):
@@ -213,7 +233,8 @@ class TestReconstructMatrix:
                 inst = generate_representation_instance(d, n, 2, 1.0, model, seed=seed)
             except DegenerateInstanceError:
                 continue  # tiny instances may carry no sign information
-            reconstruct_matrix(inst.Y, model, 1.0, inst.realized_nu, fill=fill)
+            est = reconstruct_matrix(inst.Y, model, 1.0, inst.realized_nu, fill=fill)
+            assert_feasible(est, inst.Y, 1.0, inst.realized_nu)
             checked += 1
         assert checked >= 50
 
@@ -277,8 +298,8 @@ def test_row_mle_is_feasible_and_beats_a_dense_grid(kind, location, scale, gamma
         inst = generate_representation_instance(12, 24, 2, gamma, model, seed=seed)
     except DegenerateInstanceError:
         assume(False)
-    # raises ConsistencyError if the estimate leaves the feasible set
     est = reconstruct_matrix(inst.Y, model, gamma, inst.realized_nu)
+    assert_feasible(est, inst.Y, gamma, inst.realized_nu)
     for i, y in enumerate(inst.Y):
         if not (y > 0.0).any():
             continue
@@ -322,29 +343,14 @@ def test_each_row_is_estimated_from_that_row_alone(kind, location, scale, fill, 
     seed=st.integers(0, 2**31 - 1),
 )
 def test_reconstruction_is_feasible(kind, fill, location, scale, gamma, seed):
-    # checked here from the definition of the feasible set, not through
-    # the ConsistencyError self-check at the end of reconstruct_matrix
     params = (1.0 / scale, location) if kind == "shifted_exponential" else (location, scale)
     model = LAWS[kind](*params)
     try:
         inst = generate_representation_instance(12, 24, 2, gamma, model, seed=seed)
     except DegenerateInstanceError:
         assume(False)
-    Y, nu = inst.Y, inst.realized_nu
-    est = reconstruct_matrix(Y, model, gamma, nu, fill=fill)
-    m_hat, tol = est.m_hat, 1e-10
-    on = Y > 0.0
-    assert np.abs(m_hat).max() <= gamma + tol
-    for i in range(Y.shape[0]):
-        support, clipped = m_hat[i, on[i]], m_hat[i, ~on[i]]
-        if support.size == 0:
-            # an all-clipped row's likelihood is that of its ceiling -gamma
-            assert np.isnan(est.beta_hats[i])
-            assert clipped.max() <= -gamma
-            continue
-        np.testing.assert_allclose(Y[i, on[i]] - support, est.beta_hats[i], rtol=0.0, atol=tol)
-        if clipped.size:
-            assert support.min() - clipped.max() >= nu - tol
+    est = reconstruct_matrix(inst.Y, model, gamma, inst.realized_nu, fill=fill)
+    assert_feasible(est, inst.Y, gamma, inst.realized_nu)
 
 
 class TestLikelihoodGap:
@@ -398,6 +404,39 @@ class TestLikelihoodGap:
         bad[2] = value
         with pytest.raises(InfeasibilityError, match=r"^X: an entry is not finite"):
             log_likelihood_gap(inst.M, bad, inst.Y, model, 1.0, inst.realized_nu)
+
+
+# a valid Y; each case below breaks Y, the law, gamma or nu
+GOOD_Y = np.array([[2.0, 1.0, 0.0], [3.0, 2.5, 0.0]])
+
+
+def _with_entry(value):
+    Y = GOOD_Y.copy()
+    Y[1, 2] = value
+    return Y
+
+
+@pytest.mark.parametrize(
+    "Y, model, gamma, nu",
+    [
+        (_with_entry(math.nan), EXP4, 3.0, 0.1),
+        (_with_entry(-0.5), EXP4, 3.0, 0.1),
+        (GOOD_Y, EXP4, 3.0, math.nan),
+        (GOOD_Y[0], EXP4, 3.0, 0.1),
+        (GOOD_Y, EXP4, math.nan, 0.1),
+        (GOOD_Y, 0.0, 3.0, 0.1),
+    ],
+    ids=["y-nan", "y-negative", "nu-nan", "y-1d", "gamma-nan", "constant-law"],
+)
+def test_likelihood_gap_rejects_what_reconstruction_rejects(Y, model, gamma, nu):
+    # both entry points share one input check; the gap once returned 0.0 for
+    # the first three, raised AxisError, a magnitude error or AttributeError
+    with pytest.raises(ValueError) as expected:
+        reconstruct_matrix(Y, model, gamma, nu)
+    M = reconstruct_matrix(GOOD_Y, EXP4, 3.0, 0.1).m_hat
+    M = M[0] if np.ndim(Y) == 1 else M
+    with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+        log_likelihood_gap(M, M, Y, model, gamma, nu)
 
 
 class TestTheoreticalBound:
