@@ -221,10 +221,8 @@ class BiasModel:
             out = loc + scale * logit(q)
         return out if out.ndim else float(out)
 
-    def sample(self, d: int, seed: int | None = None, rng: np.random.Generator | None = None):
-        """Draw ``d`` i.i.d. biases; pass either a seed or an existing generator."""
-        if rng is None:
-            rng = np.random.default_rng(seed)
+    def sample(self, d: int, rng: np.random.Generator):
+        """Draw ``d`` i.i.d. biases from ``rng``."""
         loc, scale = self._loc_scale()
         if self.kind == "shifted_exponential":
             return loc + rng.exponential(scale, size=d)

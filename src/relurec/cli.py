@@ -8,7 +8,7 @@ Subcommands::
     sweep      run a config-driven experiment sweep
     diag       sample-check the restricted-cone lower bound
 
-Exit codes: 0 on success, 1 on usage errors, 2 on runtime failures.
+Exit codes: 0 on success, 1 for a bad flag or config value, 2 on runtime failures.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ from .generate import (
     save_instance,
 )
 from .harness import (
+    bias_law,
     emit_results,
+    nonnegative_float,
     parse_config,
+    positive_float,
+    positive_int,
     reconstruct_and_evaluate,
     recover_and_evaluate,
     restricted_cone_check,
@@ -47,6 +51,16 @@ class _UsageError(Exception):
 
 
 _FILL_BY_FLAG = {"upper": "upper_boundary", "lower": "lower_boundary", "mid": "midpoint"}
+
+
+def _flag(parse):
+    """An argparse ``type`` that reports the ``ValueError`` of ``parse`` as its message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,20 +91,21 @@ def _build_parser() -> _Parser:
 
     rep = sub.add_parser("learn-rep", help="reconstruct a saved matrix instance")
     rep.add_argument("--input", required=True)
-    rep.add_argument("--gamma", type=float, help="default: the saved instance's")
-    rep.add_argument("--nu", type=float, help="default: the saved instance's")
+    rep.add_argument("--gamma", type=_flag(positive_float), help="default: the saved instance's")
+    rep.add_argument("--nu", type=_flag(nonnegative_float), help="default: the saved instance's")
     rep.add_argument("--fill", choices=["upper", "lower", "mid"], default="mid")
-    rep.add_argument("--bias", help="default: the saved instance's")
+    rep.add_argument("--bias", type=_flag(bias_law), help="default: the saved instance's")
     rep.add_argument("--out", required=True)
 
     rec = sub.add_parser("recover", help="robust recovery on a saved vector instance")
     rec.add_argument("--input", required=True)
     rec.add_argument(
         "--lambda", dest="lam", default="oracle",
+        type=_flag(lambda text: text if text in ("oracle", "agnostic") else positive_float(text)),
         help="penalty level: a number, 'oracle', or 'agnostic'",
     )
-    rec.add_argument("--tol", type=float, default=1e-10)
-    rec.add_argument("--max-iter", type=int, default=1000, dest="max_iter")
+    rec.add_argument("--tol", type=_flag(positive_float), default=LassoConfig.tol)
+    rec.add_argument("--max-iter", type=_flag(positive_int), default=LassoConfig.max_iter)
     rec.add_argument("--out", required=True)
 
     sweep = sub.add_parser("sweep", help="run a config-driven sweep")
@@ -143,7 +158,7 @@ def _cmd_learn_rep(args) -> int:
         raise ValueError(f"{args.input} does not contain a matrix instance")
     gamma = args.gamma if args.gamma is not None else instance.gamma
     nu = args.nu if args.nu is not None else instance.realized_nu
-    spec = parse_bias_spec(args.bias or instance.bias)
+    spec = args.bias or parse_bias_spec(instance.bias)
     outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -163,12 +178,6 @@ def _cmd_learn_rep(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    # the oracle and agnostic rules give a positive finite penalty themselves
-    numeric = args.lam not in ("oracle", "agnostic")
-    try:
-        LassoConfig(float(args.lam) if numeric else 1.0, args.tol, args.max_iter)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     instance = load_instance(args.input)
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
@@ -201,10 +210,7 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
     records = run_sweep(config)
     out_dir = args.out if args.out else config.output_dir
     target = emit_results(records, out_dir, force=args.force)
@@ -256,10 +262,11 @@ def cli_dispatch(argv: list[str]) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process
+        # gen, sweep and diag read no instance, so their ValueErrors come from a flag or the config
+        if isinstance(exc, ValueError) and args.command in ("gen", "sweep", "diag"):
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

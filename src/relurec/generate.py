@@ -101,7 +101,6 @@ def generate_representation_instance(
     model: BiasModel,
     seed: int,
     min_margin: float | None = None,
-    max_retries: int = 100,
 ) -> GenerativeInstance:
     """Sample a rank-``k`` matrix instance of the rectified observation model.
 
@@ -115,7 +114,7 @@ def generate_representation_instance(
     ----------
     min_margin : float, optional
         When given, rows whose on/off separation falls below this value
-        have their bias redrawn, up to ``max_retries`` times per row.
+        have their bias redrawn, up to 100 times per row.
 
     Returns
     -------
@@ -155,10 +154,9 @@ def generate_representation_instance(
         for i in range(d):
             tries = 0
             while row_margins(M[i : i + 1], b[i : i + 1])[0] < min_margin:
-                if tries >= max_retries:
+                if tries >= 100:
                     raise DegenerateInstanceError(
-                        f"row {i} failed to reach margin {min_margin} "
-                        f"after {max_retries} bias redraws"
+                        f"row {i} failed to reach margin {min_margin} after 100 bias redraws"
                     )
                 b[i] = model.sample(1, rng=rng)[0]
                 tries += 1

@@ -45,7 +45,6 @@ from .lasso import (
     LassoConfig,
     LassoSolution,
     NonlinearityStats,
-    RestrictedSetParams,
     RestrictedSetReport,
     agnostic_lambda,
     check_restricted_lower_bound,
@@ -81,6 +80,27 @@ __all__ = [
 TASKS = ("rep_learning", "robust_recovery", "diagnostics")
 
 
+def _rule(parse, test, rule: str):
+    """``parse`` that also rejects a value failing ``test``, saying it must be ``rule``."""
+    def checked(text: str):
+        value = parse(text)
+        if not test(value):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+    return checked
+
+
+# range rules of the config keys, shared with the CLI flags that set the same values
+positive_float = _rule(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+nonnegative_float = _rule(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
+positive_int = _rule(int, lambda x: x >= 1, "at least 1")
+bias_law = _rule(parse_bias_spec, lambda spec: isinstance(spec, BiasModel), "a bias law")
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(","))
+
+
 @dataclass(frozen=True)
 class DimensionRule:
     """A dimension given either as an explicit list or as a multiple of d."""
@@ -97,10 +117,9 @@ class DimensionRule:
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: bad rule {text!r}") from exc
         try:
-            values = tuple(int(part) for part in text.split(","))
+            return cls(values=_int_list(text))
         except ValueError as exc:
             raise ValueError(f"config key {key!r}: bad list {text!r}") from exc
-        return cls(values=values)
 
     def resolve(self, d: int) -> tuple[int, ...]:
         if self.multiplier is not None:
@@ -132,14 +151,17 @@ class ExperimentConfig:
 
 _REQUIRED_KEYS = ("task", "d", "k", "seeds", "bias")
 
-_OPTIONAL_PARSERS = {
-    "gamma": float,
-    "nu": float,
-    "delta": float,
-    "outlier_magnitude": float,
+_VALUE_PARSERS = {
+    "d": _int_list,
+    "k": _int_list,
+    "seeds": _int_list,
+    "gamma": positive_float,
+    "nu": nonnegative_float,
+    "delta": nonnegative_float,
+    "outlier_magnitude": _rule(float, math.isfinite, "finite"),
     "lambda_mode": str,
     "fill_strategy": str,
-    "diag_samples": int,
+    "diag_samples": positive_int,
     "output_dir": str,
 }
 
@@ -147,7 +169,8 @@ _OPTIONAL_PARSERS = {
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format.
 
-    Raises ``ValueError`` naming the offending or missing key.
+    Raises ``ValueError`` naming the offending or missing key, also for a
+    value out of its range, on which every cell would fail.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -162,7 +185,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    known = set(_REQUIRED_KEYS) | set(_OPTIONAL_PARSERS) | {"n", "s"}
+    known = set(_REQUIRED_KEYS) | set(_VALUE_PARSERS) | {"n", "s"}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
@@ -174,24 +197,21 @@ def parse_config(text: str) -> ExperimentConfig:
     if task not in TASKS:
         raise ValueError(f"config key 'task': {task!r} is not one of {TASKS}")
     try:
-        d = tuple(int(part) for part in raw["d"].split(","))
-        k = tuple(int(part) for part in raw["k"].split(","))
-        seeds = tuple(int(part) for part in raw["seeds"].split(","))
+        (bias_law if task == "rep_learning" else parse_bias_spec)(raw["bias"])
     except ValueError as exc:
-        raise ValueError(f"bad integer list in config: {exc}") from exc
+        raise ValueError(f"config key 'bias': {exc}") from exc
 
-    kwargs: dict = {"task": task, "d": d, "k": k, "seeds": seeds, "bias": raw["bias"]}
+    kwargs: dict = {"task": task, "bias": raw["bias"]}
     if "n" in raw:
         kwargs["n"] = DimensionRule.parse(raw["n"], "n")
     if "s" in raw:
         kwargs["s"] = DimensionRule.parse(raw["s"], "s")
-    for key, cast in _OPTIONAL_PARSERS.items():
+    for key, cast in _VALUE_PARSERS.items():
         if key in raw:
             try:
                 kwargs[key] = cast(raw[key])
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from exc
-    parse_bias_spec(raw["bias"])  # fail fast on malformed bias specs
     config = ExperimentConfig(**kwargs)
     if config.fill_strategy not in FILL_STRATEGIES:
         raise ValueError(
@@ -300,7 +320,7 @@ def _run_rep_cell(config: ExperimentConfig, d: int, n: int, k: int, seed: int) -
     )
 
 
-def penalty_level(mode: str, instance: RecoveryInstance, stats: NonlinearityStats) -> float:
+def penalty_level(mode: str | float, instance: RecoveryInstance, stats: NonlinearityStats) -> float:
     """The lasso penalty for ``mode``: ``"oracle"``, ``"agnostic"`` or a number."""
     if mode == "oracle":
         return oracle_lambda(instance, stats)
@@ -321,7 +341,8 @@ class RecoveryOutcome:
 
 
 def recover_and_evaluate(
-    instance: RecoveryInstance, lambda_mode: str, tol: float = 1e-10, max_iter: int = 1000
+    instance: RecoveryInstance, lambda_mode: str | float,
+    tol: float = LassoConfig.tol, max_iter: int = LassoConfig.max_iter,
 ) -> RecoveryOutcome:
     """Solve the robust lasso on ``instance`` and score the solution.
 
@@ -359,14 +380,12 @@ def restricted_cone_check(
     A = rng.standard_normal((d, k))
     w = rng.uniform(-delta, delta, size=d) if delta > 0 else np.zeros(d)
     support = rng.choice(d, size=s, replace=False) if s > 0 else np.empty(0, dtype=int)
-    params = RestrictedSetParams(
-        lam=agnostic_lambda(d, stats.sigma, delta),
-        sigma=stats.sigma,
-        eta=stats.eta,
-        support=support,
-        delta_norm=float(np.abs(A.T @ w).max()) if d else 0.0,
+    lam = agnostic_lambda(d, stats.sigma, delta)
+    report = check_restricted_lower_bound(
+        A, samples, lam=lam, sigma=stats.sigma, eta=stats.eta, support=support,
+        delta_norm=float(np.abs(A.T @ w).max()) if d else 0.0, seed=seed,
     )
-    return stats, params.lam, check_restricted_lower_bound(A, samples, params, seed=seed)
+    return stats, lam, report
 
 
 def _run_diag_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:

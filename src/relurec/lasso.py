@@ -22,11 +22,13 @@ QR of ``A``, and a design that fits in one block gets exactly that QR, as
 does every design with more than 90 columns.
 
 The module also provides the moment computations, penalty-level rules,
-the recovery error/bound pair, and a sampling check of the
-restricted-cone lower bound that underlies the recovery analysis.  At a
-constant offset the moments have truncated-normal closed forms, averaged
-over a random offset's law by a fixed Gauss-Legendre rule
-(``method="quadrature"``); ``method="monte_carlo"`` is the cross-check.
+the recovery error with its rate bound (leading constant 1), and a
+sampling check of the restricted-cone lower bound that underlies the
+recovery analysis; the check takes the cone's penalty, moments, outlier
+support and noise level as keywords.  At a constant offset the moments
+have truncated-normal closed forms, averaged over a random offset's law
+by a fixed Gauss-Legendre rule (``method="quadrature"``);
+``method="monte_carlo"`` is the cross-check.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 
-from .bias import BiasModel, bias_spec_to_config
+from .bias import BiasModel
 from .generate import RecoveryInstance
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "MonteCarloVarianceWarning",
     "NonlinearityStats",
     "RankDeficiencyError",
-    "RestrictedSetParams",
     "RestrictedSetReport",
     "agnostic_lambda",
     "check_restricted_lower_bound",
@@ -84,7 +85,6 @@ class NonlinearityStats:
     mu: float
     sigma: float
     eta: float
-    bias: str = ""
 
 
 def _phi(x):
@@ -214,7 +214,7 @@ def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
     """``(mu, sigma, eta)`` of ``bias`` together, by quadrature."""
     mu = mu_parameter(bias)
     sigma, eta = sigma_eta_parameters(bias, mu)
-    return NonlinearityStats(mu=mu, sigma=sigma, eta=eta, bias=bias_spec_to_config(bias))
+    return NonlinearityStats(mu=mu, sigma=sigma, eta=eta)
 
 
 # ----------------------------------------------------------------------
@@ -450,48 +450,26 @@ def recovery_error_and_bound(
     solution: LassoSolution,
     instance: RecoveryInstance,
     stats: NonlinearityStats,
-    c_tilde: float = 1.0,
 ) -> tuple[float, float]:
     """Combined estimation error and its theoretical rate counterpart.
 
     The error is ``||mu c* - c_hat||_2 + ||e* - e_hat||_2 / sqrt(d)``;
-    the bound is ``c_tilde * max(sqrt(k log k / d), sqrt(s log d / d))``
-    with the degenerate ``k = 1`` factor ``k log k`` replaced by ``k``.
+    the bound is the rate ``max(sqrt(k log k / d), sqrt(s log d / d))``
+    with its leading constant fixed at 1 and the degenerate ``k = 1``
+    factor ``k log k`` replaced by ``k``.
     """
     d, k = instance.A.shape
     err_c = float(np.linalg.norm(stats.mu * instance.c_star - solution.c_hat))
     err_e = float(np.linalg.norm(instance.e_star - solution.e_hat)) / math.sqrt(d)
     latent = k * math.log(k) if k > 1 else float(k)
     sparse = instance.s * math.log(d) if instance.s > 0 else 0.0
-    bound = c_tilde * math.sqrt(max(latent, sparse) / d)
+    bound = math.sqrt(max(latent, sparse) / d)
     return err_c + err_e, bound
 
 
 # ----------------------------------------------------------------------
 # sampling check of the restricted-cone lower bound
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RestrictedSetParams:
-    """Constants defining the restricted cone of error directions.
-
-    A pair ``(h, f)`` lies in the cone when the penalised mass of ``f``
-    off the outlier support ``S`` is controlled by
-
-        lam ||f_{S^c}||_1 <= 2 (C (sqrt(k) sigma + eta) / sqrt(d)
-                                + sqrt(k)/d * delta_norm) ||h||_2
-                             + 3 lam ||f_S||_1
-
-    where ``delta_norm`` bounds ``||A^T w||_inf`` and the absolute
-    constant ``C`` is fixed at 1.
-    """
-
-    lam: float
-    sigma: float
-    eta: float
-    support: np.ndarray
-    delta_norm: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -516,54 +494,54 @@ def restricted_pair_ratio(A: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
 
 
 def check_restricted_lower_bound(
-    A: np.ndarray,
-    samples: int,
-    params: RestrictedSetParams,
-    seed: int = 0,
+    A: np.ndarray, samples: int, *, lam: float, sigma: float, eta: float,
+    support: np.ndarray, delta_norm: float = 0.0, seed: int = 0,
 ) -> RestrictedSetReport:
     """Sample cone members and check the quadratic lower bound on each.
 
-    Members are built to satisfy the cone inequality by construction:
-    ``h`` and the on-support part of ``f`` are Gaussian with varied
-    scales, and the off-support part of ``f`` spreads a random fraction
-    of its allowed L1 budget over a few random coordinates.
+    A pair ``(h, f)`` lies in the restricted cone when the penalised mass
+    of ``f`` off the outlier support ``S = support`` is controlled by
+
+        lam ||f_{S^c}||_1 <= 2 (C (sqrt(k) sigma + eta) / sqrt(d)
+                                + sqrt(k)/d * delta_norm) ||h||_2
+                             + 3 lam ||f_S||_1
+
+    where ``delta_norm`` bounds ``||A^T w||_inf`` and the absolute
+    constant ``C`` is fixed at 1.  Members are built to satisfy this
+    inequality by construction: ``h`` and the on-support part of ``f`` are
+    Gaussian with varied scales, and the off-support part of ``f`` spreads
+    a random fraction of its allowed L1 budget over a few random
+    coordinates.  ``ValueError`` rejects ``samples < 1``, which checks
+    nothing, and ``k + |S| > d / 4``, outside the bound's regime.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     A = np.asarray(A, dtype=float)
     d, k = A.shape
-    S = np.asarray(params.support, dtype=int)
+    S = np.asarray(support, dtype=int)
     if k + S.size > d / 4:
         raise ValueError(
             f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}"
         )
     off = np.setdiff1d(np.arange(d), S)
+    slope = 2.0 * ((math.sqrt(k) * sigma + eta) / math.sqrt(d) + math.sqrt(k) / d * delta_norm)
     rng = np.random.default_rng(seed)
-    violations = 0
-    min_ratio = math.inf
+    ratios = []
     for _ in range(samples):
         scale = 10.0 ** rng.uniform(-1.0, 1.0)
         h = rng.standard_normal(k) * scale
         f = np.zeros(d)
         if S.size:
             f[S] = rng.standard_normal(S.size) * scale * rng.uniform(0.0, 3.0)
-        budget = (
-            2.0
-            * (
-                (math.sqrt(k) * params.sigma + params.eta) / math.sqrt(d)
-                + math.sqrt(k) / d * params.delta_norm
-            )
-            * float(np.linalg.norm(h))
-            + 3.0 * params.lam * float(np.abs(f[S]).sum() if S.size else 0.0)
-        ) / params.lam
+        # the L1 mass the cone allows off the support
+        budget = (slope * float(np.linalg.norm(h)) + 3.0 * lam * float(np.abs(f[S]).sum())) / lam
         if off.size and budget > 0.0:
             m = min(3 * max(S.size, 1), off.size)
             coords = rng.choice(off, size=m, replace=False)
             raw = rng.standard_normal(m)
             raw *= rng.uniform(0.0, 1.0) * budget / np.abs(raw).sum()
             f[coords] = raw
-        ratio = restricted_pair_ratio(A, h, f)
-        min_ratio = min(min_ratio, ratio)
-        if ratio < 1.0:
-            violations += 1
+        ratios.append(restricted_pair_ratio(A, h, f))
     return RestrictedSetReport(
-        num_checked=samples, num_violations=violations, min_ratio=min_ratio
+        num_checked=samples, num_violations=sum(r < 1.0 for r in ratios), min_ratio=min(ratios)
     )

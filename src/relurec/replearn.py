@@ -150,10 +150,7 @@ class EstimatedMatrix:
     m_hat: np.ndarray
     beta_hats: np.ndarray  # NaN for rows with empty support
     row_statuses: tuple[str, ...]
-    fill_strategy: str
     total_loglik: float
-    gamma: float
-    nu: float
 
 
 def reconstruct_matrix(
@@ -214,8 +211,7 @@ def reconstruct_matrix(
     if rows.size < d:
         total += (d - rows.size) * _ceiling_loglik(-gamma, model)
     return EstimatedMatrix(
-        m_hat=m_hat, beta_hats=beta_hats, row_statuses=tuple(statuses), fill_strategy=fill,
-        total_loglik=total, gamma=float(gamma), nu=float(nu),
+        m_hat=m_hat, beta_hats=beta_hats, row_statuses=tuple(statuses), total_loglik=total
     )
 
 

@@ -25,7 +25,6 @@ from relurec.bias import (
 from relurec.generate import generate_recovery_instance, generate_representation_instance, relu_map
 from relurec.lasso import (
     LassoConfig,
-    RestrictedSetParams,
     check_restricted_lower_bound,
     kkt_residuals,
     lasso_objective,
@@ -393,10 +392,10 @@ def test_acceptance_09_restricted_set_lower_bound():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((500, 10))
     support = rng.choice(500, size=25, replace=False)
-    params = RestrictedSetParams(
-        lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=support, delta_norm=0.5
+    report = check_restricted_lower_bound(
+        A, 100, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=support, delta_norm=0.5,
+        seed=11,
     )
-    report = check_restricted_lower_bound(A, 100, params, seed=11)
     ok = report.num_checked == 100 and report.num_violations == 0
     _report(
         9, ok,

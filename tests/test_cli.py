@@ -238,10 +238,10 @@ class TestRecover:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--lambda", "inf", "lam must be positive and finite, got inf"),
-            ("--lambda", "foo", "could not convert string to float: 'foo'"),
-            ("--tol", "inf", "tol must be positive and finite, got inf"),
-            ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+            ("--lambda", "inf", "argument --lambda: must be positive and finite, got inf"),
+            ("--lambda", "foo", "argument --lambda: could not convert string to float: 'foo'"),
+            ("--tol", "inf", "argument --tol: must be positive and finite, got inf"),
+            ("--max-iter", "0", "argument --max-iter: must be at least 1, got 0"),
         ],
         ids=["lambda-inf", "lambda-foo", "tol-inf", "max-iter-0"],
     )
@@ -249,7 +249,7 @@ class TestRecover:
         inst = self.make_instance(tmp_path)
         out = tmp_path / "fit"
         assert run(["recover", "--input", inst, "--out", out, flag, value]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err.startswith(f"error: {message}\nusage: relurec")
         assert not out.exists()
 
     def test_wrong_instance_type_fails(self, tmp_path):
@@ -259,6 +259,49 @@ class TestRecover:
              "--seed", 0, "--out", inst]
         ) == 0
         assert run(["recover", "--input", inst, "--out", tmp_path / "o"]) == 2
+
+
+class TestBadFlagValue:
+    """A bad flag value exits 1, with the message on stderr and no output written."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["learn-rep", "--input", "{inst}", "--bias", "const:value=0.0"],
+             "argument --bias: must be a bias law, got 0.0"),
+            (["learn-rep", "--input", "{inst}", "--gamma", "nan"],
+             "argument --gamma: must be positive and finite, got nan"),
+            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--delta", "nan"],
+             "noise level delta must be nonnegative and finite, got nan"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--bias", "const:value=0.0"],
+             "the bias law must be a distributional BiasModel, got 0.0"),
+            (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--bias", "nope"],
+             "bias config 'nope' is missing the ':' separator"),
+            (["diag", "--d", 40, "--k", 4, "--s", 30],
+             "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", 0],
+             "samples must be at least 1, got 0"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", -5],
+             "samples must be at least 1, got -5"),
+        ],
+        ids=[
+            "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
+            "gen-rep-const-bias", "gen-rep-without-n", "diag-bad-bias", "diag-regime",
+            "diag-no-samples", "diag-negative-samples",
+        ],
+    )
+    def test_exits_one(self, tmp_path, capsys, argv, message):
+        inst, out = tmp_path / "inst", tmp_path / "out"
+        assert run(
+            ["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--seed", 0, "--out", inst]
+        ) == 0
+        capsys.readouterr()
+        assert run([str(a).format(inst=inst) for a in argv] + ["--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0] == f"error: {message}"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSweepAndDiag:

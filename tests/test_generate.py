@@ -98,11 +98,11 @@ class TestRepresentationInstance:
         assert inst.realized_nu >= 0.01
 
     def test_unreachable_margin_raises(self):
-        model = default_exponential(1.0)
-        with pytest.raises(DegenerateInstanceError):
-            generate_representation_instance(
-                10, 20, 2, 1.0, model, seed=1, min_margin=1.9, max_retries=5
-            )
+        # biases near 0 leave every row mixed with a small margin, so no redraw
+        # reaches 1.9; under a wide law a redraw finds a one-sided row, margin inf
+        model = BiasModel.gaussian(0.0, 1e-3)
+        with pytest.raises(DegenerateInstanceError, match="after 100 bias redraws"):
+            generate_representation_instance(10, 20, 2, 1.0, model, seed=1, min_margin=1.9)
 
     def test_bad_dimensions_raise(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,33 @@ class TestDimensionRule:
             DimensionRule.parse("abc", "n")
 
 
+# values parse_config rejects, naming the key; each range case would fail every cell of a sweep
+BAD_VALUES = [
+    (REP_CONFIG, "bias", "const:value=0.0"),
+    (REP_CONFIG, "gamma", "nan"),
+    (REP_CONFIG, "gamma", "inf"),
+    (REP_CONFIG, "gamma", "0"),
+    (REP_CONFIG, "gamma", "-1"),
+    (REP_CONFIG, "nu", "nan"),
+    (REP_CONFIG, "nu", "-0.5"),
+    (RECOVERY_CONFIG, "delta", "nan"),
+    (RECOVERY_CONFIG, "delta", "-0.1"),
+    (RECOVERY_CONFIG, "outlier_magnitude", "inf"),
+    (RECOVERY_CONFIG, "outlier_magnitude", "nan"),
+    (DIAG_CONFIG, "diag_samples", "0"),
+    (DIAG_CONFIG, "diag_samples", "-1"),
+    (REP_CONFIG, "d", "20, x"),
+    (REP_CONFIG, "k", "2.5"),
+    (REP_CONFIG, "seeds", "a"),
+]
+
+
+def _with(config: str, key: str, value: str) -> str:
+    """``config`` with ``key`` set to ``value``."""
+    lines = [line for line in config.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
 class TestParseConfig:
     def test_rep_config(self):
         config = parse_config(REP_CONFIG)
@@ -116,6 +143,13 @@ class TestParseConfig:
         message = f"config key '{key[0]}' is not used by task {task}"
         with pytest.raises(ValueError, match=message):
             parse_config(config + key + "\n")
+
+    @pytest.mark.parametrize(
+        "config, key, value", BAD_VALUES, ids=[f"{key}={value}" for _, key, value in BAD_VALUES]
+    )
+    def test_value_every_cell_would_reject_is_named(self, config, key, value):
+        with pytest.raises(ValueError, match=f"^config key '{key}': "):
+            parse_config(_with(config, key, value))
 
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):

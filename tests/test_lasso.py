@@ -22,7 +22,6 @@ from relurec.lasso import (
     LassoSolution,
     MonteCarloVarianceWarning,
     RankDeficiencyError,
-    RestrictedSetParams,
     agnostic_lambda,
     check_restricted_lower_bound,
     kkt_residuals,
@@ -116,7 +115,6 @@ class TestSigmaEta:
         stats_obj = make_nonlinearity_stats(0.0)
         assert stats_obj.mu == pytest.approx(0.5, abs=1e-6)
         assert stats_obj.sigma == pytest.approx(0.5, abs=1e-6)
-        assert stats_obj.bias == "const:value=0.0"
 
 
 def _normal_pdf(g):
@@ -435,7 +433,7 @@ class TestErrorAndBound:
         inst = generate_recovery_instance(1000, 10, 50, 0.0, 5.0, bias=0.0, seed=2)
         stats_obj = make_nonlinearity_stats(0.0)
         sol = self._fake_solution(np.zeros(10), np.zeros(1000))
-        _, bound = recovery_error_and_bound(sol, inst, stats_obj, c_tilde=1.0)
+        _, bound = recovery_error_and_bound(sol, inst, stats_obj)
         assert bound == pytest.approx(0.5876897, abs=1e-5)
 
     def test_rank_one_latent_guard(self):
@@ -454,14 +452,6 @@ class TestErrorAndBound:
             sol = self._fake_solution(np.zeros(4), np.zeros(d))
             bounds.append(recovery_error_and_bound(sol, inst, stats_obj)[1])
         assert bounds[1] == pytest.approx(bounds[0] / 2.0, rel=1e-12)
-
-    def test_error_scale_parameter(self):
-        inst = generate_recovery_instance(100, 2, 0, 0.0, 5.0, bias=0.0, seed=5)
-        stats_obj = make_nonlinearity_stats(0.0)
-        sol = self._fake_solution(np.zeros(2), np.zeros(100))
-        _, b1 = recovery_error_and_bound(sol, inst, stats_obj, c_tilde=1.0)
-        _, b3 = recovery_error_and_bound(sol, inst, stats_obj, c_tilde=3.0)
-        assert b3 == pytest.approx(3.0 * b1, rel=1e-12)
 
 
 class TestRestrictedSet:
@@ -482,22 +472,26 @@ class TestRestrictedSet:
         rng = np.random.default_rng(7)
         d, k, s = 500, 10, 25
         A = rng.standard_normal((d, k))
-        params = RestrictedSetParams(
-            lam=0.01,
-            sigma=0.5,
-            eta=math.sqrt(0.75),
-            support=np.arange(s),
-            delta_norm=0.5,
+        report = check_restricted_lower_bound(
+            A, samples=100, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=np.arange(s),
+            delta_norm=0.5, seed=11,
         )
-        report = check_restricted_lower_bound(A, samples=100, params=params, seed=11)
         assert report.num_checked == 100
         assert report.num_violations == 0
         assert report.min_ratio >= 1.0
 
     def test_regime_guard(self):
         A = np.random.default_rng(8).standard_normal((40, 10))
-        params = RestrictedSetParams(
-            lam=0.01, sigma=0.5, eta=0.8, support=np.arange(20)
-        )
         with pytest.raises(ValueError):
-            check_restricted_lower_bound(A, samples=10, params=params)
+            check_restricted_lower_bound(
+                A, samples=10, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(20)
+            )
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_a_check_of_no_samples_is_rejected(self, samples):
+        # it once reported num_checked = samples and min_ratio = inf, a vacuous pass
+        A = np.random.default_rng(8).standard_normal((100, 3))
+        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
+            check_restricted_lower_bound(
+                A, samples=samples, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(5)
+            )

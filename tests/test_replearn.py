@@ -188,7 +188,10 @@ class TestReconstructMatrix:
             assert est.m_hat[0, 2] == pytest.approx(value, abs=1e-8)
             assert est.beta_hats[0] == pytest.approx(-1.0, abs=1e-8)
         est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
-        assert est.fill_strategy == "midpoint"
+        # the default fill is the midpoint
+        np.testing.assert_array_equal(
+            est.m_hat, reconstruct_matrix(Y, EXP4, 3.0, 0.1, fill="midpoint").m_hat
+        )
         assert est.total_loglik == pytest.approx(2.0, abs=1e-8)
 
     def test_gaussian_mode_keeps_support_values(self):
