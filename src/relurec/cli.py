@@ -38,6 +38,7 @@ from .harness import (
     positive_int,
     reconstruct_and_evaluate,
     recover_and_evaluate,
+    rep_settings_fault,
     restricted_cone_check,
     run_sweep,
 )
@@ -114,11 +115,11 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--force", action="store_true")
 
     diag = sub.add_parser("diag", help="restricted-cone sampling check")
-    diag.add_argument("--d", type=int, required=True)
-    diag.add_argument("--k", type=int, required=True)
+    diag.add_argument("--d", type=_flag(positive_int), required=True)
+    diag.add_argument("--k", type=_flag(positive_int), required=True)
     diag.add_argument("--s", type=int, required=True)
-    diag.add_argument("--samples", type=int, default=100)
-    diag.add_argument("--delta", type=float, default=0.0)
+    diag.add_argument("--samples", type=_flag(positive_int), default=100)
+    diag.add_argument("--delta", type=_flag(nonnegative_float), default=0.0)
     diag.add_argument("--bias", default="const:value=0.0")
     diag.add_argument("--seed", type=int, default=0)
     diag.add_argument("--out", help="also write the report JSON here")
@@ -159,6 +160,12 @@ def _cmd_learn_rep(args) -> int:
     gamma = args.gamma if args.gamma is not None else instance.gamma
     nu = args.nu if args.nu is not None else instance.realized_nu
     spec = args.bias or parse_bias_spec(instance.bias)
+    fault = rep_settings_fault(spec, gamma, nu)
+    if fault is not None:  # a usage error when a flag set the value at fault or gamma
+        key, exc = fault
+        flag = next((name for name in (key, "gamma") if getattr(args, name) is not None), None)
+        if flag is not None:
+            raise _UsageError(f"argument --{flag}: {exc}") from exc
     outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,7 +271,9 @@ def cli_dispatch(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
         # gen, sweep and diag read no instance, so their ValueErrors come from a flag or the config
-        if isinstance(exc, ValueError) and args.command in ("gen", "sweep", "diag"):
+        if isinstance(exc, _UsageError) or (
+            isinstance(exc, ValueError) and args.command in ("gen", "sweep", "diag")
+        ):
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

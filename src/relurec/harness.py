@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, compute_bias_constants, parse_bias_spec
+from .bias import BiasModel, compute_bias_constants, lipschitz_L, omega_min_mass, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -94,11 +94,17 @@ def _rule(parse, test, rule: str):
 positive_float = _rule(float, lambda x: 0.0 < x < math.inf, "positive and finite")
 nonnegative_float = _rule(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
 positive_int = _rule(int, lambda x: x >= 1, "at least 1")
+nonnegative_int = _rule(int, lambda x: x >= 0, "at least 0")
 bias_law = _rule(parse_bias_spec, lambda spec: isinstance(spec, BiasModel), "a bias law")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _int_list(item):
+    """A parser of comma-separated integers, each checked by the rule ``item``."""
+    return lambda text: tuple(item(part) for part in text.split(","))
+
+
+# the range rules of a dimension key's listed values and of its multiplier of d
+_DIMENSION_RANGES = {"n": (positive_int, positive_float), "s": (nonnegative_int, nonnegative_float)}
 
 
 @dataclass(frozen=True)
@@ -110,16 +116,18 @@ class DimensionRule:
 
     @classmethod
     def parse(cls, text: str, key: str) -> "DimensionRule":
+        """``n`` takes values of at least 1 or a positive multiplier, ``s`` nonnegative ones."""
+        count, scale = _DIMENSION_RANGES[key]
         text = text.strip()
         if text.endswith("d") and text != "d":
             try:
-                return cls(multiplier=float(text[:-1]))
+                return cls(multiplier=scale(text[:-1]))
             except ValueError as exc:
-                raise ValueError(f"config key {key!r}: bad rule {text!r}") from exc
+                raise ValueError(f"config key {key!r}: bad rule {text!r}: {exc}") from exc
         try:
-            return cls(values=_int_list(text))
+            return cls(values=_int_list(count)(text))
         except ValueError as exc:
-            raise ValueError(f"config key {key!r}: bad list {text!r}") from exc
+            raise ValueError(f"config key {key!r}: bad list {text!r}: {exc}") from exc
 
     def resolve(self, d: int) -> tuple[int, ...]:
         if self.multiplier is not None:
@@ -152,9 +160,9 @@ class ExperimentConfig:
 _REQUIRED_KEYS = ("task", "d", "k", "seeds", "bias")
 
 _VALUE_PARSERS = {
-    "d": _int_list,
-    "k": _int_list,
-    "seeds": _int_list,
+    "d": _int_list(positive_int),
+    "k": _int_list(positive_int),
+    "seeds": _int_list(nonnegative_int),  # default_rng rejects a negative seed
     "gamma": positive_float,
     "nu": nonnegative_float,
     "delta": nonnegative_float,
@@ -164,6 +172,27 @@ _VALUE_PARSERS = {
     "diag_samples": positive_int,
     "output_dir": str,
 }
+
+
+def rep_settings_fault(
+    model: BiasModel, gamma: float, nu: float | None
+) -> tuple[str, ValueError] | None:
+    """The setting every rep cell would fail on, ``"bias"`` or ``"nu"``, with its error.
+
+    These are the checks ``compute_bias_constants`` makes in each cell:
+    the law's steepness on ``[-gamma, gamma]`` and, for a given ``nu``, a
+    window of length ``nu`` inside that interval.  ``None`` if both pass.
+    """
+    try:
+        lipschitz_L(model, gamma)
+    except ValueError as exc:
+        return "bias", exc
+    if nu is not None:
+        try:
+            omega_min_mass(model, gamma, nu)
+        except ValueError as exc:
+            return "nu", exc
+    return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -223,8 +252,13 @@ def parse_config(text: str) -> ExperimentConfig:
             f"config key 'lambda_mode': {config.lambda_mode!r} is not one of "
             "('oracle', 'agnostic')"
         )
-    if config.task == "rep_learning" and config.n is None:
-        raise ValueError("config key 'n' is required for task rep_learning")
+    if config.task == "rep_learning":
+        if config.n is None:
+            raise ValueError("config key 'n' is required for task rep_learning")
+        fault = rep_settings_fault(parse_bias_spec(config.bias), config.gamma, config.nu)
+        if fault is not None:
+            key, exc = fault
+            raise ValueError(f"config key {key!r}: {exc}") from exc
     if config.task in ("robust_recovery", "diagnostics") and config.s is None:
         raise ValueError(f"config key 's' is required for task {config.task}")
     unused = "s" if config.task == "rep_learning" else "n"
@@ -374,7 +408,15 @@ def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: i
 def restricted_cone_check(
     d: int, k: int, s: int, delta: float, bias: str, samples: int, seed: int
 ) -> tuple[NonlinearityStats, float, RestrictedSetReport]:
-    """The bias law's moments, the agnostic penalty and a sampled restricted-cone check."""
+    """The bias law's moments, the agnostic penalty and a sampled restricted-cone check.
+
+    ``ValueError`` for an outlier count ``s`` outside ``[0, d]`` or a noise
+    level ``delta`` that is not nonnegative and finite.
+    """
+    if not 0 <= s <= d:
+        raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
     stats = make_nonlinearity_stats(parse_bias_spec(bias))
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))

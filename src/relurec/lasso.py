@@ -21,14 +21,14 @@ stacked ``k x k`` factors.  It is as backward stable as one Householder
 QR of ``A``, and a design that fits in one block gets exactly that QR, as
 does every design with more than 90 columns.
 
-The module also provides the moment computations, penalty-level rules,
+The module also provides the rectifier's moments, penalty-level rules,
 the recovery error with its rate bound (leading constant 1), and a
 sampling check of the restricted-cone lower bound that underlies the
 recovery analysis; the check takes the cone's penalty, moments, outlier
-support and noise level as keywords.  At a constant offset the moments
-have truncated-normal closed forms, averaged over a random offset's law
-by a fixed Gauss-Legendre rule (``method="quadrature"``);
-``method="monte_carlo"`` is the cross-check.
+support and noise level as keywords.  One function,
+:func:`make_nonlinearity_stats`, computes the moments: at a constant
+offset they have truncated-normal closed forms, which a fixed
+Gauss-Legendre rule averages over a random offset's law.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ from .generate import RecoveryInstance
 __all__ = [
     "LassoConfig",
     "LassoSolution",
-    "MonteCarloVarianceWarning",
     "NonlinearityStats",
     "RankDeficiencyError",
     "RestrictedSetReport",
@@ -58,11 +56,9 @@ __all__ = [
     "kkt_residuals",
     "lasso_objective",
     "make_nonlinearity_stats",
-    "mu_parameter",
     "oracle_lambda",
     "recovery_error_and_bound",
     "restricted_pair_ratio",
-    "sigma_eta_parameters",
     "soft_threshold",
     "solve_robust_lasso",
 ]
@@ -72,10 +68,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 class RankDeficiencyError(ValueError):
     """The design matrix is numerically rank deficient."""
-
-
-class MonteCarloVarianceWarning(UserWarning):
-    """A Monte Carlo moment estimate has a standard error above 1e-3."""
 
 
 @dataclass(frozen=True)
@@ -139,82 +131,23 @@ def _residual_moments(b0, mu: float):
     return sig2, eta2
 
 
-def _mc_draws(bias, n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(n_samples)
-    if isinstance(bias, BiasModel):
-        b = bias.sample(n_samples, rng=rng)
-    else:
-        b = np.full(n_samples, float(bias))
-    return g, b
-
-
-def _warn_if_noisy(se: float, label: str) -> None:
-    if se > 1e-3:
-        warnings.warn(
-            f"Monte Carlo estimate of {label} has standard error {se:.2e}; "
-            "consider more samples or quadrature",
-            MonteCarloVarianceWarning,
-            stacklevel=3,
-        )
-
-
-def mu_parameter(
-    bias: BiasModel | float,
-    method: str = "quadrature",
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> float:
-    """Effective linear slope ``E[g ReLU(g + b)]`` of the rectifier.
+def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
+    """Effective slope ``mu`` and noise moments ``sigma``, ``eta`` of the rectifier.
 
     ``bias`` is either a constant offset or a :class:`BiasModel` whose
-    draw is independent of the Gaussian input ``g``.  For a constant
-    offset ``b0`` the slope is ``Phi(b0)`` (Stein's lemma).
+    draw is independent of the Gaussian input ``g``.  The slope is
+    ``mu = E[g ReLU(g + b)]``, which is ``Phi(b0)`` at a constant offset
+    ``b0`` (Stein's lemma).  ``sigma^2 = E[(ReLU(g+b) - mu g)^2]`` measures
+    the residual size and ``eta^2 = E[g^2 (ReLU(g+b) - mu g)^2]`` its
+    correlation with the design direction.  All three average the
+    constant-offset closed forms over the nodes of :func:`_offset_rule`.
     """
-    if method == "quadrature":
-        nodes, mass = _offset_rule(bias)
-        return float(np.sum(mass * ndtr(nodes)))
-    if method == "monte_carlo":
-        g, b = _mc_draws(bias, n_samples, seed)
-        vals = np.maximum(g + b, 0.0) * g
-        _warn_if_noisy(vals.std() / math.sqrt(n_samples), "mu")
-        return float(vals.mean())
-    raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
-
-
-def sigma_eta_parameters(
-    bias: BiasModel | float,
-    mu: float,
-    method: str = "quadrature",
-    n_samples: int = 1_000_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Noise moments ``sigma`` and ``eta`` of the rectifier residual.
-
-    ``sigma^2 = E[(ReLU(g+b) - mu g)^2]`` measures the residual size;
-    ``eta^2 = E[g^2 (ReLU(g+b) - mu g)^2]`` its correlation with the
-    design direction.  Both are returned as square roots.
-    """
-    if method == "quadrature":
-        nodes, mass = _offset_rule(bias)
-        sig2, eta2 = (float(mass @ m) for m in _residual_moments(nodes, mu))
-    elif method == "monte_carlo":
-        g, b = _mc_draws(bias, n_samples, seed)
-        resid = np.maximum(g + b, 0.0) - mu * g
-        sq = resid * resid
-        _warn_if_noisy(sq.std() / math.sqrt(n_samples), "sigma^2")
-        sig2 = float(sq.mean())
-        eta2 = float((g * g * sq).mean())
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'monte_carlo'")
-    return math.sqrt(max(sig2, 0.0)), math.sqrt(max(eta2, 0.0))
-
-
-def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
-    """``(mu, sigma, eta)`` of ``bias`` together, by quadrature."""
-    mu = mu_parameter(bias)
-    sigma, eta = sigma_eta_parameters(bias, mu)
-    return NonlinearityStats(mu=mu, sigma=sigma, eta=eta)
+    nodes, mass = _offset_rule(bias)
+    mu = float(np.sum(mass * ndtr(nodes)))
+    sig2, eta2 = (float(mass @ m) for m in _residual_moments(nodes, mu))
+    return NonlinearityStats(
+        mu=mu, sigma=math.sqrt(max(sig2, 0.0)), eta=math.sqrt(max(eta2, 0.0))
+    )
 
 
 # ----------------------------------------------------------------------

@@ -29,10 +29,8 @@ from relurec.lasso import (
     kkt_residuals,
     lasso_objective,
     make_nonlinearity_stats,
-    mu_parameter,
     oracle_lambda,
     recovery_error_and_bound,
-    sigma_eta_parameters,
     solve_robust_lasso,
 )
 from relurec.replearn import log_likelihood_gap, reconstruct_matrix, theoretical_rep_bound
@@ -42,6 +40,8 @@ from relurec.subspace import (
     sin_theta_distance,
     truncated_svd,
 )
+
+from rectifier_sampling import sampled_moments
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -322,15 +322,13 @@ def test_acceptance_07_nonlinearity_constants():
     residual moments at zero offset match their closed forms."""
     offsets = (-1.0, 0.0, 0.5, 1.0, 2.0)
     mu_err = max(
-        abs(mu_parameter(b0) - float(scipy_stats.norm.cdf(b0))) for b0 in offsets
+        abs(make_nonlinearity_stats(b0).mu - float(scipy_stats.norm.cdf(b0))) for b0 in offsets
     )
-    sigma_q, eta_q = sigma_eta_parameters(0.0, mu_parameter(0.0))
-    quad_err = max(abs(sigma_q - 0.5), abs(eta_q - math.sqrt(0.75)))
+    quad = make_nonlinearity_stats(0.0)
+    quad_err = max(abs(quad.sigma - 0.5), abs(quad.eta - math.sqrt(0.75)))
 
     n_samples = 1_000_000
-    sigma_mc, eta_mc = sigma_eta_parameters(
-        0.0, 0.5, method="monte_carlo", n_samples=n_samples, seed=5
-    )
+    _, sigma_mc, eta_mc = sampled_moments(0.0, 0.5, n_samples, seed=5)
     # independent draw estimates the Monte Carlo standard errors
     g = np.random.default_rng(99).standard_normal(n_samples)
     sq = (np.maximum(g, 0.0) - 0.5 * g) ** 2

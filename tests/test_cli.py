@@ -281,14 +281,34 @@ class TestBadFlagValue:
             (["diag", "--d", 40, "--k", 4, "--s", 30],
              "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
             (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", 0],
-             "samples must be at least 1, got 0"),
+             "argument --samples: must be at least 1, got 0"),
             (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", -5],
-             "samples must be at least 1, got -5"),
+             "argument --samples: must be at least 1, got -5"),
+            (["learn-rep", "--input", "{inst}", "--nu", 0],
+             "argument --nu: window length nu must satisfy 0 < nu <= 2*gamma, "
+             "got nu=0.0, gamma=1.0"),
+            (["learn-rep", "--input", "{inst}", "--nu", 5],
+             "argument --nu: window length nu must satisfy 0 < nu <= 2*gamma, "
+             "got nu=5.0, gamma=1.0"),
+            (["learn-rep", "--input", "{inst}", "--bias", "exp:rate=1.0,shift=-1.0"],
+             "argument --bias: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
+             "is unbounded"),
+            (["diag", "--d", 10, "--k", 1, "--s", 20], "outlier count s=20 must lie in [0, d=10]"),
+            (["diag", "--d", 100, "--k", 3, "--s", -1],
+             "outlier count s=-1 must lie in [0, d=100]"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
+             "argument --delta: must be nonnegative and finite, got -1.0"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--delta", "nan"],
+             "argument --delta: must be nonnegative and finite, got nan"),
+            (["diag", "--d", 100, "--k", 0, "--s", 5], "argument --k: must be at least 1, got 0"),
+            (["diag", "--d", 0, "--k", 1, "--s", 0], "argument --d: must be at least 1, got 0"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
             "gen-rep-const-bias", "gen-rep-without-n", "diag-bad-bias", "diag-regime",
-            "diag-no-samples", "diag-negative-samples",
+            "diag-no-samples", "diag-negative-samples", "learn-rep-nu-0", "learn-rep-nu-5",
+            "learn-rep-law-starts-at-gamma", "diag-s-above-d", "diag-negative-s",
+            "diag-negative-delta", "diag-delta-nan", "diag-k-0", "diag-d-0",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

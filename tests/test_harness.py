@@ -14,6 +14,7 @@ from relurec.harness import (
     emit_results,
     parse_config,
     reconstruct_and_evaluate,
+    restricted_cone_check,
     run_sweep,
 )
 from relurec.subspace import procrustes_align, sin_theta_distance, truncated_svd
@@ -71,7 +72,8 @@ class TestDimensionRule:
             DimensionRule.parse("abc", "n")
 
 
-# values parse_config rejects, naming the key; each range case would fail every cell of a sweep
+# values parse_config rejects, naming the key; each range case would fail every cell of a
+# sweep or, like a negative s, run it on a setting that means nothing
 BAD_VALUES = [
     (REP_CONFIG, "bias", "const:value=0.0"),
     (REP_CONFIG, "gamma", "nan"),
@@ -89,6 +91,20 @@ BAD_VALUES = [
     (REP_CONFIG, "d", "20, x"),
     (REP_CONFIG, "k", "2.5"),
     (REP_CONFIG, "seeds", "a"),
+    (REP_CONFIG, "nu", "0"),
+    (REP_CONFIG, "nu", "5"),
+    (REP_CONFIG, "bias", "exp:rate=1.0,shift=-1.0"),
+    (REP_CONFIG, "d", "-4"),
+    (REP_CONFIG, "k", "0"),
+    (REP_CONFIG, "seeds", "-1"),
+    (REP_CONFIG, "n", "0"),
+    (REP_CONFIG, "n", "-1d"),
+    (REP_CONFIG, "n", "0d"),
+    (REP_CONFIG, "n", "nand"),
+    (REP_CONFIG, "n", "infd"),
+    (DIAG_CONFIG, "s", "-1"),
+    (RECOVERY_CONFIG, "s", "-0.5d"),
+    (RECOVERY_CONFIG, "s", "infd"),
 ]
 
 
@@ -226,6 +242,22 @@ class TestReconstructAndEvaluate:
         _, procrustes_err = procrustes_align(U, U_hat)
         assert outcome.sin_theta == pytest.approx(sin_theta_distance(U, U_hat), rel=1e-12)
         assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s, delta, message",
+    [
+        (-1, 0.0, r"outlier count s=-1 must lie in \[0, d=40\]"),
+        (41, 0.0, r"outlier count s=41 must lie in \[0, d=40\]"),
+        (2, -1.0, "noise level delta must be nonnegative and finite, got -1.0"),
+        (2, float("nan"), "noise level delta must be nonnegative and finite, got nan"),
+    ],
+    ids=["s-negative", "s-above-d", "delta-negative", "delta-nan"],
+)
+def test_restricted_cone_check_rejects_bad_setting(s, delta, message):
+    # a negative s once ran with an empty support, and a NaN delta made every budget test false
+    with pytest.raises(ValueError, match=message):
+        restricted_cone_check(40, 2, s, delta, "const:value=0.0", 10, seed=0)
 
 
 class TestEmitResults:

@@ -20,36 +20,35 @@ from relurec.generate import generate_recovery_instance
 from relurec.lasso import (
     LassoConfig,
     LassoSolution,
-    MonteCarloVarianceWarning,
     RankDeficiencyError,
     agnostic_lambda,
     check_restricted_lower_bound,
     kkt_residuals,
     lasso_objective,
     make_nonlinearity_stats,
-    mu_parameter,
     oracle_lambda,
     recovery_error_and_bound,
     restricted_pair_ratio,
-    sigma_eta_parameters,
     soft_threshold,
     solve_robust_lasso,
 )
 from relurec.lasso import _tail_nodes
 
+from rectifier_sampling import sampled_moments
+
 
 class TestMuParameter:
     @pytest.mark.parametrize("b0", [-1.0, 0.0, 0.5, 1.0, 2.0])
     def test_matches_normal_cdf(self, b0):
-        assert mu_parameter(b0) == pytest.approx(stats.norm.cdf(b0), abs=1e-4)
+        assert make_nonlinearity_stats(b0).mu == pytest.approx(stats.norm.cdf(b0), abs=1e-4)
 
     def test_saturates_for_large_offset(self):
-        assert mu_parameter(10.0) == pytest.approx(1.0, abs=1e-6)
+        assert make_nonlinearity_stats(10.0).mu == pytest.approx(1.0, abs=1e-6)
 
     def test_monte_carlo_agrees_with_quadrature(self):
-        quad = mu_parameter(0.5)
+        quad = make_nonlinearity_stats(0.5).mu
         draws = 4_000_000
-        mc = mu_parameter(0.5, method="monte_carlo", n_samples=draws, seed=3)
+        mc, _, _ = sampled_moments(0.5, quad, draws, seed=3)
         # the integrand's std is about 1.4, so allow 4 standard errors
         assert mc == pytest.approx(quad, abs=6.0 / math.sqrt(draws))
 
@@ -59,57 +58,42 @@ class TestMuParameter:
         expected, _ = integrate.quad(
             lambda b: stats.norm.cdf(b) * model.density(b), -np.inf, np.inf
         )
-        assert mu_parameter(model) == pytest.approx(expected, abs=1e-4)
-
-    def test_noisy_monte_carlo_warns(self):
-        with pytest.warns(MonteCarloVarianceWarning):
-            mu_parameter(0.0, method="monte_carlo", n_samples=1000, seed=0)
-
-    def test_unknown_method_raises(self):
-        with pytest.raises(ValueError):
-            mu_parameter(0.0, method="simpson")
+        assert make_nonlinearity_stats(model).mu == pytest.approx(expected, abs=1e-4)
 
 
 class TestSigmaEta:
     def test_zero_offset_closed_form(self):
-        sigma, eta = sigma_eta_parameters(0.0, mu=0.5)
-        assert sigma == pytest.approx(0.5, abs=1e-3)
-        assert eta == pytest.approx(math.sqrt(0.75), abs=1e-3)
+        moments = make_nonlinearity_stats(0.0)
+        assert moments.sigma == pytest.approx(0.5, abs=1e-3)
+        assert moments.eta == pytest.approx(math.sqrt(0.75), abs=1e-3)
 
     def test_sigma_formula_across_offsets(self):
         # sigma^2 = (1 + b0^2) Phi(b0) + b0 phi(b0) - Phi(b0)^2 at mu = Phi(b0)
         for b0 in (-0.5, 0.5, 1.5):
-            mu = stats.norm.cdf(b0)
             expected = math.sqrt(
                 (1.0 + b0 * b0) * stats.norm.cdf(b0)
                 + b0 * stats.norm.pdf(b0)
                 - stats.norm.cdf(b0) ** 2
             )
-            sigma, _ = sigma_eta_parameters(b0, mu=mu)
-            assert sigma == pytest.approx(expected, abs=1e-6)
+            assert make_nonlinearity_stats(b0).sigma == pytest.approx(expected, abs=1e-6)
 
     def test_large_offset_limit(self):
-        sigma, eta = sigma_eta_parameters(10.0, mu=1.0)
-        assert sigma == pytest.approx(10.0, abs=1e-3)
-        assert eta == pytest.approx(10.0, abs=1e-3)
+        moments = make_nonlinearity_stats(10.0)
+        assert moments.sigma == pytest.approx(10.0, abs=1e-3)
+        assert moments.eta == pytest.approx(10.0, abs=1e-3)
 
     def test_monte_carlo_agreement(self):
-        sigma_q, eta_q = sigma_eta_parameters(0.0, mu=0.5)
-        sigma_m, eta_m = sigma_eta_parameters(
-            0.0, mu=0.5, method="monte_carlo", n_samples=2_000_000, seed=5
-        )
-        assert sigma_m == pytest.approx(sigma_q, abs=3e-3)
-        assert eta_m == pytest.approx(eta_q, abs=6e-3)
+        quad = make_nonlinearity_stats(0.0)
+        _, sigma_m, eta_m = sampled_moments(0.0, quad.mu, 2_000_000, seed=5)
+        assert sigma_m == pytest.approx(quad.sigma, abs=3e-3)
+        assert eta_m == pytest.approx(quad.eta, abs=6e-3)
 
     def test_random_bias_nested_quadrature(self):
         model = BiasModel.gaussian(mean=0.0, std=0.5)
-        mu = mu_parameter(model)
-        sigma_q, eta_q = sigma_eta_parameters(model, mu=mu)
-        sigma_m, eta_m = sigma_eta_parameters(
-            model, mu=mu, method="monte_carlo", n_samples=2_000_000, seed=7
-        )
-        assert sigma_q == pytest.approx(sigma_m, abs=3e-3)
-        assert eta_q == pytest.approx(eta_m, abs=8e-3)
+        quad = make_nonlinearity_stats(model)
+        _, sigma_m, eta_m = sampled_moments(model, quad.mu, 2_000_000, seed=7)
+        assert quad.sigma == pytest.approx(sigma_m, abs=3e-3)
+        assert quad.eta == pytest.approx(eta_m, abs=8e-3)
 
     def test_stats_bundle(self):
         stats_obj = make_nonlinearity_stats(0.0)
@@ -145,12 +129,11 @@ class TestMomentsMatchQuadrature:
 
     @pytest.mark.parametrize("b0", [-3.0, -1.0, 0.5, 2.0, 4.0])
     def test_constant_offset(self, b0):
-        mu = mu_parameter(b0)
-        slope, sig2, eta2 = _quad_moments(b0, mu)
-        sigma, eta = sigma_eta_parameters(b0, mu)
-        assert mu == pytest.approx(slope, rel=1e-10)
-        assert sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
-        assert eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
+        moments = make_nonlinearity_stats(b0)
+        slope, sig2, eta2 = _quad_moments(b0, moments.mu)
+        assert moments.mu == pytest.approx(slope, rel=1e-10)
+        assert moments.sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
+        assert moments.eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
 
     @pytest.mark.parametrize(
         "model",
@@ -164,13 +147,12 @@ class TestMomentsMatchQuadrature:
         # same outer rule over the bias law, quad for the Gaussian integral at each node
         nodes, weights = _tail_nodes(model)
         mass = weights * model.density(nodes)
-        mu = mu_parameter(model)
-        inner = np.array([_quad_moments(float(b0), mu) for b0 in nodes])
+        moments = make_nonlinearity_stats(model)
+        inner = np.array([_quad_moments(float(b0), moments.mu) for b0 in nodes])
         slope, sig2, eta2 = mass @ inner
-        sigma, eta = sigma_eta_parameters(model, mu)
-        assert mu == pytest.approx(slope, rel=1e-10)
-        assert sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
-        assert eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
+        assert moments.mu == pytest.approx(slope, rel=1e-10)
+        assert moments.sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
+        assert moments.eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
 
 
 class TestSoftThreshold:
