@@ -226,7 +226,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if task not in TASKS:
         raise ValueError(f"config key 'task': {task!r} is not one of {TASKS}")
     try:
-        (bias_law if task == "rep_learning" else parse_bias_spec)(raw["bias"])
+        model = (bias_law if task == "rep_learning" else parse_bias_spec)(raw["bias"])
     except ValueError as exc:
         raise ValueError(f"config key 'bias': {exc}") from exc
 
@@ -255,7 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
     if config.task == "rep_learning":
         if config.n is None:
             raise ValueError("config key 'n' is required for task rep_learning")
-        fault = rep_settings_fault(parse_bias_spec(config.bias), config.gamma, config.nu)
+        fault = rep_settings_fault(model, config.gamma, config.nu)
         if fault is not None:
             key, exc = fault
             raise ValueError(f"config key {key!r}: {exc}") from exc
