@@ -33,6 +33,7 @@ from .harness import (
     bias_law,
     emit_results,
     nonnegative_float,
+    nonnegative_int,
     parse_config,
     positive_float,
     positive_int,
@@ -43,6 +44,7 @@ from .harness import (
     run_sweep,
 )
 from .lasso import LassoConfig
+from .replearn import InfeasibleRowError
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -85,8 +87,8 @@ def _build_parser() -> _Parser:
     gen.add_argument("--delta", type=float, default=0.0)
     gen.add_argument("--magnitude", type=float, default=5.0)
     gen.add_argument("--bias", help="bias config string; defaults per task")
-    gen.add_argument("--min-margin", type=float, dest="min_margin")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--min-margin", type=_flag(nonnegative_float), dest="min_margin")
+    gen.add_argument("--seed", type=_flag(nonnegative_int), default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true", help="overwrite an existing instance")
 
@@ -121,7 +123,7 @@ def _build_parser() -> _Parser:
     diag.add_argument("--samples", type=_flag(positive_int), default=100)
     diag.add_argument("--delta", type=_flag(nonnegative_float), default=0.0)
     diag.add_argument("--bias", default="const:value=0.0")
-    diag.add_argument("--seed", type=int, default=0)
+    diag.add_argument("--seed", type=_flag(nonnegative_int), default=0)
     diag.add_argument("--out", help="also write the report JSON here")
     return parser
 
@@ -166,7 +168,13 @@ def _cmd_learn_rep(args) -> int:
         flag = next((name for name in (key, "gamma") if getattr(args, name) is not None), None)
         if flag is not None:
             raise _UsageError(f"argument --{flag}: {exc}") from exc
-    outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
+    try:
+        outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
+    except InfeasibleRowError as exc:  # a usage error when a flag set gamma or nu
+        flags = [f"--{name}" for name in ("gamma", "nu") if getattr(args, name) is not None]
+        if not flags:
+            raise
+        raise _UsageError(f"argument {'/'.join(flags)}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "m_hat.csv", outcome.estimate.m_hat, delimiter=",")

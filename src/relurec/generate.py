@@ -127,7 +127,8 @@ def generate_representation_instance(
     ------
     ValueError
         If a dimension is not positive, ``gamma`` is not in ``(0, inf)``,
-        or ``model`` is not a :class:`BiasModel`.
+        ``min_margin`` is not in ``[0, inf)``, or ``model`` is not a
+        :class:`BiasModel`.
     DegenerateInstanceError
         If every row is entirely on or entirely off, or a row margin
         cannot reach ``min_margin`` within the retry budget.
@@ -136,6 +137,8 @@ def generate_representation_instance(
         raise ValueError(f"dimensions must be positive, got d={d}, n={n}, k={k}")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if min_margin is not None and not 0.0 <= min_margin < math.inf:
+        raise ValueError(f"min_margin must be nonnegative and finite, got {min_margin}")
     if not isinstance(model, BiasModel):
         raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
     rng = np.random.default_rng(seed)

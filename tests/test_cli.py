@@ -302,6 +302,24 @@ class TestBadFlagValue:
              "argument --delta: must be nonnegative and finite, got nan"),
             (["diag", "--d", 100, "--k", 0, "--s", 5], "argument --k: must be at least 1, got 0"),
             (["diag", "--d", 0, "--k", 1, "--s", 0], "argument --d: must be at least 1, got 0"),
+            (["learn-rep", "--input", "{inst}", "--gamma", 0.1, "--nu", 0.05],
+             "argument --gamma/--nu: row 2: empty feasible interval "
+             "[0.11174730013446474, 0.07973209912665659] "
+             "(spread 0.182015 vs bound 0.1, separation 0.05)"),
+            (["learn-rep", "--input", "{inst}", "--gamma", 0.095],
+             "argument --gamma: row 2: empty feasible interval "
+             "[0.11674730013446474, 0.068626558863551] "
+             "(spread 0.182015 vs bound 0.095, separation 0.05610554026310559)"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--seed", -1],
+             "argument --seed: must be at least 0, got -1"),
+            (["diag", "--d", 100, "--k", 3, "--s", 5, "--seed", -1],
+             "argument --seed: must be at least 0, got -1"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "nan"],
+             "argument --min-margin: must be nonnegative and finite, got nan"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "inf"],
+             "argument --min-margin: must be nonnegative and finite, got inf"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", -1],
+             "argument --min-margin: must be nonnegative and finite, got -1.0"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -309,6 +327,9 @@ class TestBadFlagValue:
             "diag-no-samples", "diag-negative-samples", "learn-rep-nu-0", "learn-rep-nu-5",
             "learn-rep-law-starts-at-gamma", "diag-s-above-d", "diag-negative-s",
             "diag-negative-delta", "diag-delta-nan", "diag-k-0", "diag-d-0",
+            "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
+            "diag-negative-seed", "gen-min-margin-nan", "gen-min-margin-inf",
+            "gen-negative-min-margin",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

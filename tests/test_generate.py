@@ -104,6 +104,14 @@ class TestRepresentationInstance:
         with pytest.raises(DegenerateInstanceError, match="after 100 bias redraws"):
             generate_representation_instance(10, 20, 2, 1.0, model, seed=1, min_margin=1.9)
 
+    @pytest.mark.parametrize("min_margin", [np.nan, np.inf, -1.0])
+    def test_min_margin_must_be_nonnegative_and_finite(self, min_margin):
+        # a NaN margin never triggered a redraw, and inf ran 100 redraws per row
+        with pytest.raises(ValueError, match="min_margin must be nonnegative and finite"):
+            generate_representation_instance(
+                10, 20, 2, 1.0, default_exponential(1.0), seed=0, min_margin=min_margin
+            )
+
     def test_bad_dimensions_raise(self):
         with pytest.raises(ValueError):
             generate_representation_instance(0, 5, 1, 1.0, default_exponential(1.0), seed=0)

@@ -1,12 +1,13 @@
 """Tests for subspace extraction, alignment, and the perturbation bound."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.linalg import subspace_angles
+from scipy.linalg import eigh, subspace_angles
 
 from relurec.subspace import (
     RankDeficiencyWarning,
@@ -88,8 +89,8 @@ class TestTruncatedSvd:
             truncated_svd(np.eye(3), 4)
 
 
-def assert_matches_full_svd(M: np.ndarray, rank: int) -> None:
-    """``truncated_svd(M, k)`` against ``np.linalg.svd`` for every ``k``.
+def assert_matches_full_svd(M: np.ndarray, rank: int, ks=None) -> None:
+    """``truncated_svd(M, k)`` against ``np.linalg.svd`` for each of ``ks`` (default: every ``k``).
 
     Beyond ``rank`` the singular values are rounding-level, so there they are
     compared to ``s_1`` and their arbitrary directions are not compared.
@@ -97,7 +98,7 @@ def assert_matches_full_svd(M: np.ndarray, rank: int) -> None:
     d, n = M.shape
     U_full, S_full, Vt_full = np.linalg.svd(M, full_matrices=False)
     tail = np.append(S_full, 0.0)
-    for k in range(1, min(d, n) + 1):
+    for k in ks or range(1, min(d, n) + 1):
         with warnings.catch_warnings():
             if k > rank:
                 warnings.simplefilter("ignore", RankDeficiencyWarning)
@@ -181,6 +182,104 @@ def test_truncated_svd_warns_exactly_beyond_the_rank(d, n, rank, planted, zeros,
             truncated_svd(M, k)
         warned = any(issubclass(w.category, RankDeficiencyWarning) for w in caught)
         assert warned == (k > rank)
+
+
+# Above the crossover: a short side of at least 300 rows puts k <= 9 on the Lanczos path
+LANCZOS_SHAPE = (330, 420)
+LANCZOS_KS = (1, 2, 5, 6)
+
+
+@pytest.fixture
+def dense_calls():
+    """The calls into the dense eigensolve, which the Lanczos path avoids."""
+    with mock.patch("relurec.subspace.eigh", wraps=eigh) as spy:
+        yield spy
+
+
+def spectrum_matrix(squares, shape, seed):
+    """A matrix with the squared singular values ``squares`` and random bases."""
+    gen = np.random.default_rng(seed)
+    d, n = shape
+    r = len(squares)
+    return (random_orthonormal(d, r, gen) * np.sqrt(squares)) @ random_orthonormal(n, r, gen).T
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_path_certifies_planted_rank_plus_noise(seed, dense_calls):
+    # a reconstruction's shape: rank k + 1 (the constant rows add 1^T), noise,
+    # and constant rows that merge into one, leaving a short side of 330 - 30 + 1
+    gen = np.random.default_rng(seed)
+    d, n = LANCZOS_SHAPE
+    M = 3.0 * gen.standard_normal((d, 6)) @ gen.standard_normal((6, n))
+    M += 0.1 * gen.standard_normal((d, n))
+    rows = gen.permutation(d)[:30]
+    M[rows] = gen.standard_normal(30)[:, None]
+    assert_matches_full_svd(M, min(d, n), ks=LANCZOS_KS)
+    assert dense_calls.call_count == 0
+
+
+@pytest.mark.parametrize("shape", [LANCZOS_SHAPE, (420, 330), (330, 330)])
+def test_lanczos_falls_back_to_dense_on_gapless_matrices(shape, dense_calls):
+    M = np.random.default_rng(7).standard_normal(shape)
+    assert_matches_full_svd(M, min(shape), ks=LANCZOS_KS)
+    assert dense_calls.call_count == len(LANCZOS_KS)
+
+
+@pytest.mark.parametrize("tail", [1e-3, 1e-6, 0.0])
+@pytest.mark.parametrize("seed", range(2))
+def test_repeated_top_singular_values(tail, seed):
+    # k = 1 and 2 split the repeated value, k = 3 and 5 do not
+    tail_squares = tail**2 * np.random.default_rng(seed).uniform(0.5, 1.0, 300)
+    M = spectrum_matrix(np.concatenate([[9.0, 9.0, 9.0, 4.0, 3.0], tail_squares]),
+                        LANCZOS_SHAPE, seed)
+    assert_matches_full_svd(M, 5, ks=(1, 2, 3, 5))
+
+
+def test_unseen_copy_of_a_repeated_value_is_not_certified():
+    # one start vector sees one copy of 9 in exact arithmetic; the first basis
+    # holds Ritz pairs 9, 9, 9, 7.5 and 5.5 with residuals that certify each as
+    # an eigenpair, and only the Frobenius norm left outside them shows the
+    # fourth copy of 9 that belongs in the top 5
+    gen = np.random.default_rng(20)
+    squares = np.concatenate([[9.0] * 4, [7.5, 5.5, 2.0], 0.01 * gen.uniform(0.0, 1.0, 300)])
+    M = spectrum_matrix(squares, LANCZOS_SHAPE, 20)
+    assert_matches_full_svd(M, 307, ks=(5,))
+
+
+@pytest.mark.parametrize("seed", [2, 5])
+def test_values_below_the_certificate_resolution_go_dense(seed, dense_calls):
+    # s_4 and s_5 near 1e-5 s_1: theta_5^2 is below the rounding of ||G||_F^2,
+    # so the Frobenius check cannot rule out a missed eigenvalue; certified
+    # anyway, S was off by up to 2e-8 s_1, where the check allows 1e-13 s_1
+    tail_squares = 1e-10 * np.random.default_rng(seed).uniform(0.5, 1.0, 300)
+    M = spectrum_matrix(np.concatenate([[9.0, 4.0, 3.0], tail_squares]), LANCZOS_SHAPE, seed)
+    assert_matches_full_svd(M, 3, ks=(5,))
+    assert dense_calls.call_count == 1
+
+
+def test_exactly_rank_deficient_matrix_warns_beyond_the_rank():
+    gen = np.random.default_rng(3)
+    d, n = LANCZOS_SHAPE
+    M = gen.standard_normal((d, 3)) @ gen.standard_normal((3, n))
+    assert_matches_full_svd(M, 3, ks=(2, 3, 4, 6))
+    for k in (3, 4):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            truncated_svd(M, k)
+        assert any(issubclass(w.category, RankDeficiencyWarning) for w in caught) == (k > 3)
+
+
+def test_lanczos_path_does_not_depend_on_call_history(dense_calls):
+    gen = np.random.default_rng(5)
+    d, n = LANCZOS_SHAPE
+    M = 2.0 * gen.standard_normal((d, 5)) @ gen.standard_normal((5, n))
+    M += 0.05 * gen.standard_normal((d, n))
+    first = truncated_svd(M, 5)
+    truncated_svd(M[::-1].T + 0.01 * gen.standard_normal((n, d)), 3)
+    second = truncated_svd(M, 5)
+    assert dense_calls.call_count == 0
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
