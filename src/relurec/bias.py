@@ -27,11 +27,11 @@ window's start (Prekopa).  All three are exact evaluations at the ends.
 from __future__ import annotations
 
 import math
+import statistics
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, ndtr, ndtri
 
 __all__ = [
     "BiasModel",
@@ -48,6 +48,18 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
+_NORMAL_INV_CDF = statistics.NormalDist().inv_cdf
+
+
+def _normal_quantile(p: float) -> float:
+    """Standard-normal quantile: -inf at 0, inf at 1, NaN outside ``[0, 1]``."""
+    if 0.0 < p < 1.0:
+        return _NORMAL_INV_CDF(p)
+    return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+
+
+_NORMAL_QUANTILE = np.frompyfunc(_normal_quantile, 1, 1)
 
 # config-string tags and their parameter names, in storage order
 _CONFIG_SCHEMA = {
@@ -205,9 +217,10 @@ class BiasModel:
         if self.kind == "shifted_exponential":
             out = np.where(y >= 0.0, -np.expm1(-np.maximum(y, 0.0)), 0.0)
         elif self.kind == "gaussian":
-            out = ndtr(y)
+            out = 0.5 * np.asarray(_ERFC(-y / math.sqrt(2.0)), dtype=float)
         else:
-            out = expit(y)
+            z = np.exp(-np.abs(y))  # overflows in neither tail
+            out = np.where(y >= 0.0, 1.0, z) / (1.0 + z)
         return out if out.ndim else float(out)
 
     def ppf(self, q):
@@ -215,10 +228,14 @@ class BiasModel:
         q = np.asarray(q, dtype=float)
         if self.kind == "shifted_exponential":
             out = loc - scale * np.log1p(-q)
-        elif self.kind == "gaussian":
-            out = loc + scale * ndtri(q)
         else:
-            out = loc + scale * logit(q)
+            # -inf at q = 0, inf at q = 1 and NaN outside [0, 1], without a warning
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if self.kind == "gaussian":
+                    z = np.asarray(_NORMAL_QUANTILE(q), dtype=float)
+                else:  # the logit: 2 q - 1 is exact for q >= 1/4, where log q - log1p(-q) cancels
+                    z = np.where(q < 0.25, np.log(q) - np.log1p(-q), 2.0 * np.arctanh(2.0 * q - 1))
+            out = loc + scale * z
         return out if out.ndim else float(out)
 
     def sample(self, d: int, rng: np.random.Generator):

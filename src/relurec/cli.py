@@ -82,12 +82,13 @@ def _build_parser() -> _Parser:
     gen.add_argument("--d", type=int, required=True)
     gen.add_argument("--n", type=int, help="columns (rep task)")
     gen.add_argument("--k", type=int, required=True)
-    gen.add_argument("--s", type=int, default=0, help="outlier count (recover task)")
-    gen.add_argument("--gamma", type=float, default=1.0)
-    gen.add_argument("--delta", type=float, default=0.0)
-    gen.add_argument("--magnitude", type=float, default=5.0)
+    gen.add_argument("--s", type=int, help="outlier count (recover task; default 0)")
+    gen.add_argument("--gamma", type=float, help="entry bound (rep task; default 1.0)")
+    gen.add_argument("--delta", type=float, help="noise level (recover task; default 0.0)")
+    gen.add_argument("--magnitude", type=float, help="outlier size (recover task; default 5.0)")
     gen.add_argument("--bias", help="bias config string; defaults per task")
-    gen.add_argument("--min-margin", type=_flag(nonnegative_float), dest="min_margin")
+    gen.add_argument("--min-margin", type=_flag(nonnegative_float), dest="min_margin",
+                     help="least row margin (rep task)")
     gen.add_argument("--seed", type=_flag(nonnegative_int), default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true", help="overwrite an existing instance")
@@ -134,7 +135,21 @@ def _write_report(path: Path, report: dict) -> None:
         fh.write("\n")
 
 
+# the gen flags only one task reads, with their defaults
+_GEN_TASK_FLAGS = {
+    "rep": {"n": None, "gamma": 1.0, "min_margin": None},
+    "recover": {"s": 0, "delta": 0.0, "magnitude": 5.0},
+}
+
+
 def _cmd_gen(args) -> int:
+    for task, defaults in _GEN_TASK_FLAGS.items():
+        for name, default in defaults.items():
+            if getattr(args, name) is None:
+                setattr(args, name, default)
+            elif task != args.task:
+                flag = "--" + name.replace("_", "-")
+                raise _UsageError(f"flag {flag} is not used by task {args.task}")
     out = Path(args.out)
     if (out / "instance.npz").exists() and not args.force:
         raise FileExistsError(f"{out} already holds an instance; pass --force to overwrite")

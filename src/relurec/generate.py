@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy loads it on first use, which would fall in the first cell
 
 from .bias import BiasModel, bias_spec_to_config
 
@@ -126,15 +127,17 @@ def generate_representation_instance(
     Raises
     ------
     ValueError
-        If a dimension is not positive, ``gamma`` is not in ``(0, inf)``,
-        ``min_margin`` is not in ``[0, inf)``, or ``model`` is not a
-        :class:`BiasModel`.
+        If a dimension is not positive, ``k`` exceeds ``min(d, n)``,
+        ``gamma`` is not in ``(0, inf)``, ``min_margin`` is not in
+        ``[0, inf)``, or ``model`` is not a :class:`BiasModel`.
     DegenerateInstanceError
         If every row is entirely on or entirely off, or a row margin
         cannot reach ``min_margin`` within the retry budget.
     """
     if min(d, n, k) < 1:
         raise ValueError(f"dimensions must be positive, got d={d}, n={n}, k={k}")
+    if k > min(d, n):  # M = A C would have rank min(d, n), not k
+        raise ValueError(f"rank k={k} must be at most min(d, n) = {min(d, n)}")
     if not 0.0 < gamma < math.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if min_margin is not None and not 0.0 <= min_margin < math.inf:

@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
+import numpy.ma  # np.percentile loads it on its first call, which would fall in the first sweep
 
 from .bias import BiasModel, compute_bias_constants, lipschitz_L, omega_min_mass, parse_bias_spec
 from .generate import (
@@ -255,6 +256,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if config.task == "rep_learning":
         if config.n is None:
             raise ValueError("config key 'n' is required for task rep_learning")
+        rank = max(config.k)
+        for d in config.d:
+            short = min(d, *config.n.resolve(d))
+            if rank > short:  # generate_representation_instance rejects it in every such cell
+                raise ValueError(
+                    f"config key 'k': rank k={rank} must be at most min(d, n) = {short} for d={d}"
+                )
         fault = rep_settings_fault(model, config.gamma, config.nu)
         if fault is not None:
             key, exc = fault

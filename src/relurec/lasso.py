@@ -39,8 +39,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr
+import numpy.polynomial  # numpy loads it on first use, which would fall in the first cell
 
 from .bias import BiasModel
 from .generate import RecoveryInstance
@@ -63,7 +62,8 @@ __all__ = [
     "solve_robust_lasso",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Phi and phi of the moments below
+_STANDARD_NORMAL = BiasModel.gaussian()
 
 
 class RankDeficiencyError(ValueError):
@@ -77,10 +77,6 @@ class NonlinearityStats:
     mu: float
     sigma: float
     eta: float
-
-
-def _phi(x):
-    return np.exp(-0.5 * x * x) / _SQRT_2PI
 
 
 @functools.cache
@@ -121,8 +117,8 @@ def _residual_moments(b0, mu: float):
     """
     b0 = np.asarray(b0, dtype=float)
     a = -b0
-    t0 = ndtr(b0)
-    t1 = _phi(b0)
+    t0 = _STANDARD_NORMAL.cdf(b0)
+    t1 = _STANDARD_NORMAL.density(b0)
     t2 = t0 + a * t1
     t3 = (a * a + 2.0) * t1
     t4 = 3.0 * t2 + a**3 * t1
@@ -143,7 +139,7 @@ def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
     constant-offset closed forms over the nodes of :func:`_offset_rule`.
     """
     nodes, mass = _offset_rule(bias)
-    mu = float(np.sum(mass * ndtr(nodes)))
+    mu = float(np.sum(mass * _STANDARD_NORMAL.cdf(nodes)))
     sig2, eta2 = (float(mass @ m) for m in _residual_moments(nodes, mu))
     return NonlinearityStats(
         mu=mu, sigma=math.sqrt(max(sig2, 0.0)), eta=math.sqrt(max(eta2, 0.0))
@@ -264,7 +260,8 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     ``c``: with the triangular factor ``R`` of a QR of ``A`` (computed
     once, ``Q`` never formed) and ``g = A^T r`` for the residual
     ``r = v - A c - e`` of the previous sweep, the step
-    ``c <- c + R^-1 R^-T g`` solves ``A^T A c = A^T (v - e)``, and in
+    ``c <- c + R^-1 R^-T g``, two ``k x k`` solves with ``R^T`` and then
+    ``R``, solves ``A^T A c = A^T (v - e)``, and in
     floating point it refines the previous ``c`` rather than solving
     afresh.  ``R`` is the TSQR factor: for ``k <= 90``, Householder QRs
     of blocks of ``32768 // k`` rows, then one of their stacked factors; a
@@ -301,7 +298,7 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     stop_reason = "max_iter"
     prev = math.inf
     for _ in range(config.max_iter):
-        c = c + solve_triangular(R, solve_triangular(R, g, trans="T"))
+        c = c + np.linalg.solve(R, np.linalg.solve(R.T, g))
         u = v - A @ c
         e = u - np.clip(u, -threshold, threshold)
         r = u - e  # the residual v - A c - e, rounded as lasso_objective rounds it

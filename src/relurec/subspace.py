@@ -11,16 +11,16 @@ the perturbation's Frobenius norm and the truth's spectral gap.
 The truncated SVD computes only the ``k`` triplets it returns: the top-``k``
 eigenvectors of the Gram matrix of the shorter side, followed by one
 Rayleigh-Ritz step, an SVD of the ``k``-row projection.  For a ``d x n``
-matrix with ``d <= n`` that costs one ``d x d`` Gram product and a partial
-symmetric eigensolve instead of a full thin SVD.  Constant rows
+matrix with ``d <= n`` that costs one ``d x d`` Gram product and a
+symmetric eigensolve of it instead of a full thin SVD.  Constant rows
 ``c_i 1^T``, such as the rows a reconstruction fills without support,
 first merge into one row ``||c|| 1^T``, which leaves ``M^T M`` unchanged.
 The singular values are accurate to about ``eps * s_1`` and
 the bases to about ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 
-The eigensolve is dense (``scipy.linalg.eigh``) on a short side of fewer
-than ``15 p`` rows, ``p = max(2k + 1, 20)``.  From there, where its
-``O(m^3)`` tridiagonal reduction dominates, single-vector Lanczos with
+The eigensolve is dense (``numpy.linalg.eigh``, all ``m`` eigenpairs) on a
+short side of fewer than ``8 p`` rows, ``p = max(2k + 1, 20)``.  From
+there, where its ``O(m^3)`` cost dominates, single-vector Lanczos with
 full reorthogonalisation builds a basis of ``p`` vectors (``2 p`` at most)
 from a fixed seeded start, and Rayleigh-Ritz on it gives the top-``k``
 vectors.  They are used only when certified: every top-``k`` residual
@@ -32,7 +32,7 @@ eigensolve runs.  The certificate bounds the basis error by
 bases match the dense ones to about ``1e-14`` and the singular values to
 ``1e-15`` relative, so the accuracy is that of the dense path.  A matrix
 with no spectral gap at ``k`` pays for a failed basis of ``p`` vectors,
-which costs a tenth to a quarter of the dense eigensolve.
+which costs at most about a quarter of the dense eigensolve.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import eigh
+from numpy.linalg import eigh
 
 __all__ = [
     "RankDeficiencyWarning",
@@ -66,8 +66,8 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     eigenvectors ``Q`` of the ``m x m`` Gram matrix and the SVD of the
     projection ``Q^T M = P S W^T`` give ``U = Q P``, ``S`` and ``V = W``
     (a tall matrix is handled as its transpose), at the cost of the Gram
-    product, ``O(m^2 max(d, n))``, and a partial eigensolve; no full basis
-    is formed.  The eigensolve is dense below ``m = 15 max(2k + 1, 20)``
+    product, ``O(m^2 max(d, n))``, and an ``m x m`` eigensolve, never a thin
+    SVD of ``M``.  The eigensolve is dense below ``m = 8 max(2k + 1, 20)``
     and certified Lanczos from there, with the dense one as its fallback
     (module docstring); the result is deterministic either way.  ``S`` is
     accurate to about ``eps * s_1``, and ``U`` and ``V`` to about
@@ -113,7 +113,7 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
 # Lanczos with a first basis of p vectors replaces the dense eigensolve on a
 # short side of at least _CROSSOVER * p rows, where a failed attempt is cheap
-_CROSSOVER = 15
+_CROSSOVER = 8
 # a Ritz pair is certified when ||G x - theta x|| <= _RESIDUAL * theta_max
 _RESIDUAL = 1e-13
 # the basis doubles once when the top-k residual at p is below _RETRY * theta_max
@@ -128,7 +128,7 @@ def _top_eigenvectors(G: np.ndarray, k: int) -> np.ndarray:
         Q = _certified_lanczos(G, k, p)
         if Q is not None:
             return Q
-    return eigh(G, subset_by_index=[m - k, m - 1])[1]
+    return eigh(G)[1][:, m - k :]
 
 
 def _certified_lanczos(G: np.ndarray, k: int, p: int) -> np.ndarray | None:

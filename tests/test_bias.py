@@ -120,6 +120,42 @@ class TestIntervalProbability:
         assert val == pytest.approx(ref, abs=1e-9)
 
 
+class TestDistributionFunctionsAgainstScipy:
+    """``cdf`` and ``ppf`` of the standard Gaussian and logistic laws, tails included."""
+
+    MODELS = [BiasModel.gaussian(), BiasModel.logistic()]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_cdf_to_relative_precision(self, model):
+        # an absolute tolerance would pass any value below it in the left tail
+        x = np.linspace(-37.0, 37.0, 7401)
+        np.testing.assert_allclose(model.cdf(x), _scipy_frozen(model).cdf(x), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_ppf_to_relative_precision(self, model):
+        q = np.concatenate([
+            np.logspace(-300.0, -1.0, 600),
+            np.linspace(0.1, 0.9, 161),  # holds q = 1/2, where both give 0
+            1.0 - np.logspace(-15.0, -1.0, 300),
+        ])
+        np.testing.assert_allclose(model.ppf(q), _scipy_frozen(model).ppf(q), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.kind)
+    def test_edge_values_without_a_warning(self, model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = np.array([0.0, 1.0, np.nan, -0.5, 1.5])
+            np.testing.assert_array_equal(
+                model.ppf(q), [-np.inf, np.inf, np.nan, np.nan, np.nan]
+            )
+            assert model.ppf(0.0) == -math.inf and model.ppf(1.0) == math.inf
+            assert math.isnan(model.ppf(math.nan))
+            np.testing.assert_array_equal(
+                model.cdf(np.array([-np.inf, np.inf, np.nan])), [0.0, 1.0, np.nan]
+            )
+            assert model.cdf(-math.inf) == 0.0 and model.cdf(math.inf) == 1.0
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         model = BiasModel.logistic(loc=0.5, scale=2.0)

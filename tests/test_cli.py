@@ -320,6 +320,18 @@ class TestBadFlagValue:
              "argument --min-margin: must be nonnegative and finite, got inf"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", -1],
              "argument --min-margin: must be nonnegative and finite, got -1.0"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 20],
+             "rank k=20 must be at most min(d, n) = 8"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--delta", 0.5],
+             "flag --delta is not used by task rep"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--magnitude", -4],
+             "flag --magnitude is not used by task rep"),
+            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--n", 5],
+             "flag --n is not used by task recover"),
+            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--min-margin", 0.3],
+             "flag --min-margin is not used by task recover"),
+            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--gamma", 7],
+             "flag --gamma is not used by task recover"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -329,7 +341,8 @@ class TestBadFlagValue:
             "diag-negative-delta", "diag-delta-nan", "diag-k-0", "diag-d-0",
             "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
             "diag-negative-seed", "gen-min-margin-nan", "gen-min-margin-inf",
-            "gen-negative-min-margin",
+            "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
+            "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

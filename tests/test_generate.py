@@ -118,6 +118,12 @@ class TestRepresentationInstance:
         with pytest.raises(ValueError):
             generate_representation_instance(5, 5, 1, -1.0, default_exponential(1.0), seed=0)
 
+    @pytest.mark.parametrize("d, n", [(8, 12), (12, 8)])
+    def test_rank_above_min_d_n_raises(self, d, n):
+        # M = A C would have rank 8, not k
+        with pytest.raises(ValueError, match=r"rank k=20 must be at most min\(d, n\) = 8"):
+            generate_representation_instance(d, n, 20, 1.0, default_exponential(1.0), seed=0)
+
     @pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
     def test_gamma_must_be_positive_and_finite(self, gamma):
         with pytest.raises(ValueError, match="gamma must be positive and finite"):

@@ -167,6 +167,14 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^config key '{key}': "):
             parse_config(_with(config, key, value))
 
+    def test_rank_above_min_d_n_is_named(self):
+        # every cell would fail in generate_representation_instance
+        config = _with(_with(_with(REP_CONFIG, "d", "8"), "n", "12"), "k", "2, 20")
+        with pytest.raises(
+            ValueError, match=r"^config key 'k': rank k=20 must be at most min\(d, n\) = 8 for d=8$"
+        ):
+            parse_config(config)
+
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):
             parse_config(

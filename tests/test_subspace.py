@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.linalg import eigh, subspace_angles
+from scipy.linalg import subspace_angles
 
 from relurec.subspace import (
     RankDeficiencyWarning,
@@ -184,7 +184,7 @@ def test_truncated_svd_warns_exactly_beyond_the_rank(d, n, rank, planted, zeros,
         assert warned == (k > rank)
 
 
-# Above the crossover: a short side of at least 300 rows puts k <= 9 on the Lanczos path
+# Above the crossover: a short side of at least 160 rows puts k <= 9 on the Lanczos path
 LANCZOS_SHAPE = (330, 420)
 LANCZOS_KS = (1, 2, 5, 6)
 
@@ -192,7 +192,7 @@ LANCZOS_KS = (1, 2, 5, 6)
 @pytest.fixture
 def dense_calls():
     """The calls into the dense eigensolve, which the Lanczos path avoids."""
-    with mock.patch("relurec.subspace.eigh", wraps=eigh) as spy:
+    with mock.patch("relurec.subspace.eigh", wraps=np.linalg.eigh) as spy:
         yield spy
 
 
