@@ -189,7 +189,7 @@ class BiasModel:
         loc, scale = self._loc_scale()
         y = (np.asarray(x, dtype=float) - loc) / scale
         if self.kind == "shifted_exponential":
-            out = np.where(y >= 0.0, -y - math.log(scale), -np.inf)
+            out = np.where(y < 0.0, -np.inf, -y - math.log(scale))  # NaN stays NaN
         elif self.kind == "gaussian":
             out = -0.5 * y * y - math.log(scale) - _LOG_SQRT_2PI
         else:
@@ -204,7 +204,7 @@ class BiasModel:
         p = self.density(xarr)
         if self.kind == "shifted_exponential":
             # one-sided derivative at the support edge; zero strictly below it
-            out = np.where(y >= 0.0, -p / scale, 0.0)
+            out = np.where(y < 0.0, 0.0, -p / scale)
         elif self.kind == "gaussian":
             out = -(y / scale) * p
         else:
@@ -215,7 +215,7 @@ class BiasModel:
         loc, scale = self._loc_scale()
         y = (np.asarray(x, dtype=float) - loc) / scale
         if self.kind == "shifted_exponential":
-            out = np.where(y >= 0.0, -np.expm1(-np.maximum(y, 0.0)), 0.0)
+            out = -np.expm1(-np.maximum(y, 0.0))  # 0.0 below the shift, NaN at NaN
         elif self.kind == "gaussian":
             out = 0.5 * np.asarray(_ERFC(-y / math.sqrt(2.0)), dtype=float)
         else:
@@ -226,16 +226,16 @@ class BiasModel:
     def ppf(self, q):
         loc, scale = self._loc_scale()
         q = np.asarray(q, dtype=float)
-        if self.kind == "shifted_exponential":
-            out = loc - scale * np.log1p(-q)
-        else:
-            # -inf at q = 0, inf at q = 1 and NaN outside [0, 1], without a warning
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if self.kind == "gaussian":
-                    z = np.asarray(_NORMAL_QUANTILE(q), dtype=float)
-                else:  # the logit: 2 q - 1 is exact for q >= 1/4, where log q - log1p(-q) cancels
-                    z = np.where(q < 0.25, np.log(q) - np.log1p(-q), 2.0 * np.arctanh(2.0 * q - 1))
-            out = loc + scale * z
+        # inf at q = 1, -inf at q = 0 (the exponential: its shift) and NaN
+        # outside [0, 1], without a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.kind == "shifted_exponential":
+                z = np.where(q >= 0.0, -np.log1p(-q), np.nan)
+            elif self.kind == "gaussian":
+                z = np.asarray(_NORMAL_QUANTILE(q), dtype=float)
+            else:  # the logit: 2 q - 1 is exact for q >= 1/4, where log q - log1p(-q) cancels
+                z = np.where(q < 0.25, np.log(q) - np.log1p(-q), 2.0 * np.arctanh(2.0 * q - 1))
+        out = loc + scale * z
         return out if out.ndim else float(out)
 
     def sample(self, d: int, rng: np.random.Generator):

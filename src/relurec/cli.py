@@ -14,6 +14,7 @@ Exit codes: 0 on success, 1 for a bad flag or config value, 2 on runtime failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ from .harness import (
     restricted_cone_check,
     run_sweep,
 )
-from .lasso import LassoConfig
+from .lasso import LassoConfig, make_nonlinearity_stats
 from .replearn import InfeasibleRowError
 
 __all__ = ["cli_dispatch", "main"]
@@ -73,6 +74,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser per process: parsing leaves it as it was
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relurec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -211,7 +213,8 @@ def _cmd_recover(args) -> int:
     instance = load_instance(args.input)
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
-    outcome = recover_and_evaluate(instance, args.lam, args.tol, args.max_iter)
+    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
+    outcome = recover_and_evaluate(instance, stats, args.lam, args.tol, args.max_iter)
     solution = outcome.solution
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

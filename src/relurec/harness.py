@@ -26,9 +26,11 @@ guarantee.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -383,15 +385,16 @@ class RecoveryOutcome:
 
 
 def recover_and_evaluate(
-    instance: RecoveryInstance, lambda_mode: str | float,
+    instance: RecoveryInstance, stats: NonlinearityStats, lambda_mode: str | float,
     tol: float = LassoConfig.tol, max_iter: int = LassoConfig.max_iter,
 ) -> RecoveryOutcome:
     """Solve the robust lasso on ``instance`` and score the solution.
 
-    The moments come from the instance's own bias spec and the penalty from
+    The caller supplies ``stats``, the moments of the instance's bias law,
+    ``make_nonlinearity_stats(parse_bias_spec(instance.bias))``, so that a
+    sweep computes them once for all its cells.  The penalty comes from
     ``lambda_mode`` (see :func:`penalty_level`).
     """
-    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
     lam = penalty_level(lambda_mode, instance, stats)
     solution = solve_robust_lasso(
         instance.v, instance.A, LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
@@ -400,11 +403,15 @@ def recover_and_evaluate(
     return RecoveryOutcome(stats, lam, solution, error, bound)
 
 
-def _run_recovery_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
+def _run_recovery_cell(
+    config: ExperimentConfig, moments: Callable[[], NonlinearityStats],
+    d: int, k: int, s: int, seed: int,
+) -> ResultRecord:
+    """One recovery cell; ``moments()`` returns the sweep's bias moments."""
     instance = generate_recovery_instance(
         d, k, s, config.delta, config.outlier_magnitude, parse_bias_spec(config.bias), seed
     )
-    outcome = recover_and_evaluate(instance, config.lambda_mode)
+    outcome = recover_and_evaluate(instance, moments(), config.lambda_mode)
     return ResultRecord(
         task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias, delta=config.delta,
         lambda_mode=config.lambda_mode, recovery_error=outcome.error,
@@ -453,8 +460,12 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """Run every cell of the Cartesian product of dimensions and seeds.
 
     A failing cell records its error message instead of aborting the
-    sweep; cell order is deterministic.
+    sweep; cell order is deterministic.  The recovery cells share one
+    computation of the bias law's moments, made by the first cell that
+    gets that far; while it fails, each cell that needs it tries again and
+    records the failure.
     """
+    moments = functools.cache(lambda: make_nonlinearity_stats(parse_bias_spec(config.bias)))
     records: list[ResultRecord] = []
     for d in config.d:
         n_values = config.n.resolve(d) if config.n is not None else (None,)
@@ -468,7 +479,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                             if config.task == "rep_learning":
                                 record = _run_rep_cell(config, d, n, k, seed)
                             elif config.task == "robust_recovery":
-                                record = _run_recovery_cell(config, d, k, s, seed)
+                                record = _run_recovery_cell(config, moments, d, k, s, seed)
                             else:
                                 record = _run_diag_cell(config, d, k, s, seed)
                         except Exception as exc:  # noqa: BLE001 - cell isolation

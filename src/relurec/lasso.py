@@ -238,16 +238,16 @@ def _triangular_factor(A: np.ndarray) -> np.ndarray:
     For ``k <= 90`` each block of ``32768 // k`` rows (at most 256 KiB, at
     least ``4 k`` rows) gets a Householder QR that stays in cache, and one
     more QR of the stacked block factors gives ``R``.  A design within one
-    block gets one Householder QR of ``A`` bit for bit: the second QR of a
-    triangular factor leaves it as it is.  Wider designs get one
-    Householder QR of ``A``, because blocks shorter than ``4 k`` rows stack
-    into so many rows that the last QR costs more than the blocks save.
+    block runs one Householder QR of ``A``, with nothing to stack.  Wider
+    designs get one Householder QR of ``A`` too, because blocks shorter
+    than ``4 k`` rows stack into so many rows that the last QR costs more
+    than the blocks save.
     ``R`` is unique up to the signs of its rows, which ``R^T R = A^T A``
     does not see.
     """
     d, k = A.shape
     rows = 32768 // k
-    if rows < 4 * k:
+    if rows < 4 * k or d <= rows:
         return np.linalg.qr(A, mode="r")
     blocks = [np.linalg.qr(A[i : i + rows], mode="r") for i in range(0, d, rows)]
     return np.linalg.qr(np.vstack(blocks), mode="r")

@@ -156,6 +156,43 @@ class TestDistributionFunctionsAgainstScipy:
             assert model.cdf(-math.inf) == 0.0 and model.cdf(math.inf) == 1.0
 
 
+class TestExponentialEdgeValues:
+    """The shifted exponential treats out-of-range inputs as the other two laws do."""
+
+    MODEL = BiasModel.shifted_exponential(rate=2.0, shift=-1.0)
+
+    def test_edge_values_without_a_warning(self):
+        model = self.MODEL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = np.array([0.0, 1.0, np.nan, -0.5, 1.5])
+            # the quantile at q = 0 is the left end of the support
+            np.testing.assert_array_equal(model.ppf(q), [-1.0, np.inf, np.nan, np.nan, np.nan])
+            assert model.ppf(1.0) == math.inf
+            for value in (math.nan, -0.5, 1.5):
+                assert math.isnan(model.ppf(value))
+            np.testing.assert_array_equal(
+                model.cdf(np.array([-np.inf, np.inf, np.nan])), [0.0, 1.0, np.nan]
+            )
+            for fn in (model.cdf, model.log_density, model.density, model.density_derivative):
+                assert math.isnan(fn(math.nan))
+            assert model.log_density(-1.5) == -math.inf and model.density_derivative(-1.5) == 0.0
+
+    def test_in_range_values_keep_their_closed_forms(self):
+        # bit for bit the expressions the in-range values have always had
+        model, shift, scale = self.MODEL, -1.0, 0.5
+        rng = np.random.default_rng(0)
+        q = np.concatenate([[0.0, 1e-300, 0.5, 1.0 - 1e-16], rng.uniform(size=1000)])
+        np.testing.assert_array_equal(model.ppf(q), shift - scale * np.log1p(-q))
+        x = np.concatenate([[-1.0, -0.5, 0.0, 40.0], rng.normal(-1.0, 2.0, size=1000)])
+        y = (x - shift) / scale
+        above = y >= 0.0
+        np.testing.assert_array_equal(model.cdf(x), np.where(above, -np.expm1(-y), 0.0))
+        np.testing.assert_array_equal(
+            model.log_density(x), np.where(above, -y - math.log(scale), -np.inf)
+        )
+
+
 class TestSampling:
     def test_deterministic_given_seed(self):
         model = BiasModel.logistic(loc=0.5, scale=2.0)

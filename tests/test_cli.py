@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import relurec
+from relurec import cli
 from relurec.cli import cli_dispatch
 from relurec.generate import GenerativeInstance, RecoveryInstance, load_instance
 from relurec.harness import parse_config, run_sweep
@@ -395,3 +396,49 @@ class TestSweepAndDiag:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["min_ratio"] >= 1.0
+
+
+class TestParserReuse:
+    """One process builds the parser once; each later call parses as a fresh process would."""
+
+    CALLS = [
+        ["gen", "--bogus", "1"],  # usage error
+        ["--help"],
+        ["recover", "--input", "missing", "--out", "rec"],  # runtime failure
+        ["sweep", "--config", "sweep.cfg", "--out", "out"],
+    ]
+    CONFIG = "task = robust_recovery\nd = 60\nk = 2\ns = 1\nbias = const:value=0.0\nseeds = 1, 2\n"
+
+    @staticmethod
+    def _outputs(root: Path) -> dict:
+        return {
+            name: (root / "out" / name).read_bytes() if (root / "out" / name).exists() else None
+            for name in ("results.csv", "summary.json")
+        } | {"rec": (root / "rec").exists()}
+
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path, capsys, monkeypatch):
+        src = str(Path(relurec.__file__).resolve().parents[1])
+        env = dict(os.environ, COLUMNS="80")  # help text wraps to the terminal width
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        alone = []
+        for i, argv in enumerate(self.CALLS):
+            root = tmp_path / f"alone{i}"
+            root.mkdir()
+            (root / "sweep.cfg").write_text(self.CONFIG)
+            proc = subprocess.run(
+                [sys.executable, "-m", "relurec.cli", *argv],
+                capture_output=True, text=True, env=env, cwd=root, timeout=120,
+            )
+            alone.append((proc.returncode, proc.stdout, proc.stderr, self._outputs(root)))
+        assert [code for code, *_ in alone] == [1, 0, 2, 0]
+
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        (shared / "sweep.cfg").write_text(self.CONFIG)
+        monkeypatch.chdir(shared)
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv, expected in zip(self.CALLS, alone):
+            code = cli_dispatch(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err, self._outputs(shared)) == expected, argv
+        assert cli._build_parser() is cli._build_parser()

@@ -1,12 +1,15 @@
 """Tests for config parsing, sweeps, and result emission."""
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from relurec.bias import BiasModel
-from relurec.generate import generate_representation_instance
+from relurec import harness
+from relurec.bias import BiasModel, parse_bias_spec
+from relurec.generate import generate_recovery_instance, generate_representation_instance
 from relurec.harness import (
     RESULT_COLUMNS,
     DimensionRule,
@@ -14,9 +17,11 @@ from relurec.harness import (
     emit_results,
     parse_config,
     reconstruct_and_evaluate,
+    recover_and_evaluate,
     restricted_cone_check,
     run_sweep,
 )
+from relurec.lasso import make_nonlinearity_stats
 from relurec.subspace import procrustes_align, sin_theta_distance, truncated_svd
 
 REP_CONFIG = """
@@ -222,6 +227,68 @@ class TestRunSweep:
         records = run_sweep(config)
         assert len(records) == 1
         assert "distributional" in records[0].error
+
+
+class TestSweepMoments:
+    """A recovery sweep computes its bias law's moments once for all its cells."""
+
+    # the keys in another order and the numbers in another form than the
+    # instances store them, so each cell's spec takes a nontrivial round trip
+    CONFIG = RECOVERY_CONFIG.replace("const:value=0.0", "gauss:std=.5,mean=1e-1").replace(
+        "seeds = 4, 5", "seeds = 4, 5, 6, 7"
+    )
+
+    @staticmethod
+    def _counted(monkeypatch) -> list:
+        calls = []
+        original = harness.make_nonlinearity_stats
+
+        def counting(bias):
+            calls.append(bias)
+            return original(bias)
+
+        monkeypatch.setattr(harness, "make_nonlinearity_stats", counting)
+        return calls
+
+    def test_four_cells_compute_the_moments_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        records = run_sweep(parse_config(self.CONFIG))
+        assert len(records) == 4 and all(r.error is None for r in records)
+        assert calls == [BiasModel.gaussian(0.1, 0.5)]
+
+    def test_rows_match_cells_scored_on_their_own_instances(self, tmp_path):
+        config = parse_config(self.CONFIG)
+        records = run_sweep(config)
+        alone = []
+        for record in records:
+            instance = generate_recovery_instance(
+                record.d, record.k, record.s, config.delta, config.outlier_magnitude,
+                parse_bias_spec(config.bias), record.seed,
+            )
+            assert instance.bias == "gauss:mean=0.1,std=0.5"
+            stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
+            outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
+            alone.append(dataclasses.replace(
+                record, recovery_error=outcome.error, recovery_bound=outcome.bound,
+                mu=outcome.stats.mu, lambda_used=outcome.lam,
+                iterations=outcome.solution.iterations, converged=outcome.solution.converged,
+            ))
+        emit_results(records, tmp_path / "sweep")
+        emit_results(alone, tmp_path / "alone")
+        for name in ("results.csv", "summary.json"):
+            assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
+
+    def test_failing_moments_give_every_cell_its_row(self, monkeypatch):
+        # parse_config accepts the offset, but its moments overflow
+        config = parse_config(RECOVERY_CONFIG.replace("const:value=0.0", "const:value=1e200"))
+        calls = self._counted(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            records = run_sweep(config)
+        assert [r.seed for r in records] == [4, 5]
+        for record in records:
+            assert record.error == "RuntimeWarning: overflow encountered in multiply"
+        assert len(calls) == 2  # each cell tries again
 
 
 class TestReconstructAndEvaluate:

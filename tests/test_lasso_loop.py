@@ -204,3 +204,16 @@ def test_wide_design_gets_one_householder_qr(k):
     rng = np.random.default_rng(k)
     A = rng.standard_normal((2 * block_rows(k) + 7, k))
     np.testing.assert_array_equal(_triangular_factor(A), np.linalg.qr(A, mode="r"))
+
+
+def test_block_boundary_of_the_triangular_factor():
+    # one block up to 32768 // k rows, two blocks from one row more
+    k = 10
+    rng = np.random.default_rng(17)
+    rows = 32768 // k
+    one = rng.standard_normal((rows, k))
+    np.testing.assert_array_equal(_triangular_factor(one), np.linalg.qr(one, mode="r"))
+    two = rng.standard_normal((rows + 1, k))
+    R, ref = _triangular_factor(two), np.linalg.qr(two, mode="r")
+    signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
+    np.testing.assert_allclose(signs[:, None] * R, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
