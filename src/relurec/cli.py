@@ -253,8 +253,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    _, _, checked = restricted_cone_check(
-        args.d, args.k, args.s, args.delta, args.bias, args.samples, args.seed
+    stats = make_nonlinearity_stats(parse_bias_spec(args.bias))
+    _, checked = restricted_cone_check(
+        args.d, args.k, args.s, args.delta, stats, args.samples, args.seed
     )
     report = {
         "d": args.d,

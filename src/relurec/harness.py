@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 import time
@@ -71,6 +72,7 @@ __all__ = [
     "RecoveryOutcome",
     "RepOutcome",
     "ResultRecord",
+    "TASK_KEYS",
     "emit_results",
     "parse_config",
     "penalty_level",
@@ -80,7 +82,12 @@ __all__ = [
     "run_sweep",
 ]
 
-TASKS = ("rep_learning", "robust_recovery", "diagnostics")
+# the keys a task reads besides task, d, k, seeds, bias and output_dir, its grid dimension first
+TASK_KEYS = {
+    "rep_learning": ("n", "gamma", "nu", "fill_strategy"),
+    "robust_recovery": ("s", "delta", "outlier_magnitude", "lambda_mode"),
+    "diagnostics": ("s", "delta", "diag_samples"),
+}
 
 
 def _rule(parse, test, rule: str):
@@ -101,13 +108,14 @@ nonnegative_int = _rule(int, lambda x: x >= 0, "at least 0")
 bias_law = _rule(parse_bias_spec, lambda spec: isinstance(spec, BiasModel), "a bias law")
 
 
+def _choice(options: tuple[str, ...]):
+    """A parser that accepts only one of ``options``."""
+    return _rule(str, options.__contains__, f"one of {options}")
+
+
 def _int_list(item):
     """A parser of comma-separated integers, each checked by the rule ``item``."""
     return lambda text: tuple(item(part) for part in text.split(","))
-
-
-# the range rules of a dimension key's listed values and of its multiplier of d
-_DIMENSION_RANGES = {"n": (positive_int, positive_float), "s": (nonnegative_int, nonnegative_float)}
 
 
 @dataclass(frozen=True)
@@ -117,26 +125,29 @@ class DimensionRule:
     values: tuple[int, ...] | None = None
     multiplier: float | None = None
 
-    @classmethod
-    def parse(cls, text: str, key: str) -> "DimensionRule":
+    @staticmethod
+    def parse(text: str, key: str) -> "DimensionRule":
         """``n`` takes values of at least 1 or a positive multiplier, ``s`` nonnegative ones."""
-        count, scale = _DIMENSION_RANGES[key]
-        text = text.strip()
-        if text.endswith("d") and text != "d":
-            try:
-                return cls(multiplier=scale(text[:-1]))
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: bad rule {text!r}: {exc}") from exc
-        try:
-            return cls(values=_int_list(count)(text))
-        except ValueError as exc:
-            raise ValueError(f"config key {key!r}: bad list {text!r}: {exc}") from exc
+        return _parsed(key, text)
 
     def resolve(self, d: int) -> tuple[int, ...]:
         if self.multiplier is not None:
             return (int(math.ceil(self.multiplier * d)),)
         assert self.values is not None
         return self.values
+
+
+def _dimension(count, scale):
+    """A parser of a list checked by the rule ``count`` or a multiple of d checked by ``scale``."""
+    def parse(text: str) -> DimensionRule:
+        rule = text.endswith("d") and text != "d"
+        try:
+            if rule:
+                return DimensionRule(multiplier=scale(text[:-1]))
+            return DimensionRule(values=_int_list(count)(text))
+        except ValueError as exc:
+            raise ValueError(f"bad {'rule' if rule else 'list'} {text!r}: {exc}") from exc
+    return parse
 
 
 @dataclass(frozen=True)
@@ -162,19 +173,31 @@ class ExperimentConfig:
 
 _REQUIRED_KEYS = ("task", "d", "k", "seeds", "bias")
 
+# the parser of each key but bias, whose law depends on the task
 _VALUE_PARSERS = {
+    "task": _choice(tuple(TASK_KEYS)),
     "d": _int_list(positive_int),
     "k": _int_list(positive_int),
     "seeds": _int_list(nonnegative_int),  # default_rng rejects a negative seed
+    "n": _dimension(positive_int, positive_float),
+    "s": _dimension(nonnegative_int, nonnegative_float),
     "gamma": positive_float,
     "nu": nonnegative_float,
     "delta": nonnegative_float,
     "outlier_magnitude": _rule(float, math.isfinite, "finite"),
-    "lambda_mode": str,
-    "fill_strategy": str,
+    "lambda_mode": _choice(("oracle", "agnostic")),
+    "fill_strategy": _choice(FILL_STRATEGIES),
     "diag_samples": positive_int,
     "output_dir": str,
 }
+
+
+def _parsed(key: str, text: str):
+    """The value of config key ``key`` written as ``text``; ``ValueError`` names the key."""
+    try:
+        return _VALUE_PARSERS[key](text)
+    except ValueError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from exc
 
 
 def rep_settings_fault(
@@ -217,63 +240,49 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    known = set(_REQUIRED_KEYS) | set(_VALUE_PARSERS) | {"n", "s"}
-    unknown = sorted(set(raw) - known)
+    unknown = sorted(set(raw) - set(_VALUE_PARSERS) - {"bias"})
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise ValueError(f"config is missing required keys {missing}")
 
-    task = raw["task"]
-    if task not in TASKS:
-        raise ValueError(f"config key 'task': {task!r} is not one of {TASKS}")
+    task = _parsed("task", raw["task"])
+    reads = TASK_KEYS[task]
+    for key in raw:  # run_sweep would ignore the key, or repeat each cell once per n or s
+        if key not in (*_REQUIRED_KEYS, "output_dir", *reads):
+            raise ValueError(f"config key {key!r} is not used by task {task}")
+    if reads[0] not in raw:
+        raise ValueError(f"config key {reads[0]!r} is required for task {task}")
     try:
         model = (bias_law if task == "rep_learning" else parse_bias_spec)(raw["bias"])
     except ValueError as exc:
         raise ValueError(f"config key 'bias': {exc}") from exc
+    values = {key: _parsed(key, text) for key, text in raw.items() if key not in ("task", "bias")}
+    config = ExperimentConfig(task=task, bias=raw["bias"], **values)
 
-    kwargs: dict = {"task": task, "bias": raw["bias"]}
-    if "n" in raw:
-        kwargs["n"] = DimensionRule.parse(raw["n"], "n")
-    if "s" in raw:
-        kwargs["s"] = DimensionRule.parse(raw["s"], "s")
-    for key, cast in _VALUE_PARSERS.items():
-        if key in raw:
-            try:
-                kwargs[key] = cast(raw[key])
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from exc
-    config = ExperimentConfig(**kwargs)
-    if config.fill_strategy not in FILL_STRATEGIES:
-        raise ValueError(
-            f"config key 'fill_strategy': {config.fill_strategy!r} is not one of "
-            f"{FILL_STRATEGIES}"
-        )
-    if config.lambda_mode not in ("oracle", "agnostic"):
-        raise ValueError(
-            f"config key 'lambda_mode': {config.lambda_mode!r} is not one of "
-            "('oracle', 'agnostic')"
-        )
-    if config.task == "rep_learning":
-        if config.n is None:
-            raise ValueError("config key 'n' is required for task rep_learning")
-        rank = max(config.k)
-        for d in config.d:
+    # grid points on which every cell would fail
+    rank = max(config.k)
+    for d in config.d:
+        if task == "rep_learning":
             short = min(d, *config.n.resolve(d))
-            if rank > short:  # generate_representation_instance rejects it in every such cell
+            if rank > short:  # generate_representation_instance rejects it
                 raise ValueError(
                     f"config key 'k': rank k={rank} must be at most min(d, n) = {short} for d={d}"
                 )
+            continue
+        s = max(config.s.resolve(d))
+        if s > d:  # generate_recovery_instance and restricted_cone_check reject it
+            raise ValueError(f"config key 's': outlier count s={s} must lie in [0, d={d}]")
+        if task == "robust_recovery" and rank >= d:  # solve_robust_lasso rejects it
+            raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
+        if task == "diagnostics" and rank + s > d / 4:  # check_restricted_lower_bound rejects it
+            raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
+    if task == "rep_learning":
         fault = rep_settings_fault(model, config.gamma, config.nu)
         if fault is not None:
             key, exc = fault
             raise ValueError(f"config key {key!r}: {exc}") from exc
-    if config.task in ("robust_recovery", "diagnostics") and config.s is None:
-        raise ValueError(f"config key 's' is required for task {config.task}")
-    unused = "s" if config.task == "rep_learning" else "n"
-    if unused in raw:  # run_sweep would repeat each cell once per value of the key
-        raise ValueError(f"config key {unused!r} is not used by task {config.task}")
     return config
 
 
@@ -351,16 +360,17 @@ def reconstruct_and_evaluate(
     )
 
 
-def _run_rep_cell(config: ExperimentConfig, d: int, n: int, k: int, seed: int) -> ResultRecord:
-    model = parse_bias_spec(config.bias)
+def _run_rep_cell(
+    config: ExperimentConfig, model: BiasModel, d: int, n: int, k: int, seed: int
+) -> dict:
+    """The result fields of one rep cell under the sweep's bias law ``model``."""
     instance = generate_representation_instance(d, n, k, config.gamma, model, seed)
     nu = config.nu if config.nu is not None else instance.realized_nu
     outcome = reconstruct_and_evaluate(instance, model, config.gamma, nu, config.fill_strategy)
-    return ResultRecord(
-        task=config.task, d=d, n=n, k=k, seed=seed, bias=config.bias, gamma=config.gamma,
-        nu=nu, fill_strategy=config.fill_strategy, frob_err_sq=outcome.frob_err_sq,
-        rep_bound=outcome.rep_bound, sin_theta=outcome.sin_theta,
-        procrustes_err=outcome.procrustes_err,
+    return dict(
+        gamma=config.gamma, nu=nu, fill_strategy=config.fill_strategy,
+        frob_err_sq=outcome.frob_err_sq, rep_bound=outcome.rep_bound,
+        sin_theta=outcome.sin_theta, procrustes_err=outcome.procrustes_err,
     )
 
 
@@ -404,26 +414,25 @@ def recover_and_evaluate(
 
 
 def _run_recovery_cell(
-    config: ExperimentConfig, moments: Callable[[], NonlinearityStats],
+    config: ExperimentConfig, model: BiasModel | float, moments: Callable[[], NonlinearityStats],
     d: int, k: int, s: int, seed: int,
-) -> ResultRecord:
-    """One recovery cell; ``moments()`` returns the sweep's bias moments."""
+) -> dict:
+    """The result fields of one recovery cell; ``moments()`` returns the moments of ``model``."""
     instance = generate_recovery_instance(
-        d, k, s, config.delta, config.outlier_magnitude, parse_bias_spec(config.bias), seed
+        d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
     outcome = recover_and_evaluate(instance, moments(), config.lambda_mode)
-    return ResultRecord(
-        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias, delta=config.delta,
-        lambda_mode=config.lambda_mode, recovery_error=outcome.error,
+    return dict(
+        delta=config.delta, lambda_mode=config.lambda_mode, recovery_error=outcome.error,
         recovery_bound=outcome.bound, mu=outcome.stats.mu, lambda_used=outcome.lam,
         iterations=outcome.solution.iterations, converged=outcome.solution.converged,
     )
 
 
 def restricted_cone_check(
-    d: int, k: int, s: int, delta: float, bias: str, samples: int, seed: int
-) -> tuple[NonlinearityStats, float, RestrictedSetReport]:
-    """The bias law's moments, the agnostic penalty and a sampled restricted-cone check.
+    d: int, k: int, s: int, delta: float, stats: NonlinearityStats, samples: int, seed: int
+) -> tuple[float, RestrictedSetReport]:
+    """The agnostic penalty and a sampled restricted-cone check under the moments ``stats``.
 
     ``ValueError`` for an outlier count ``s`` outside ``[0, d]`` or a noise
     level ``delta`` that is not nonnegative and finite.
@@ -432,7 +441,6 @@ def restricted_cone_check(
         raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
     if not 0.0 <= delta < math.inf:
         raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
-    stats = make_nonlinearity_stats(parse_bias_spec(bias))
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     w = rng.uniform(-delta, delta, size=d) if delta > 0 else np.zeros(d)
@@ -442,17 +450,19 @@ def restricted_cone_check(
         A, samples, lam=lam, sigma=stats.sigma, eta=stats.eta, support=support,
         delta_norm=float(np.abs(A.T @ w).max()) if d else 0.0, seed=seed,
     )
-    return stats, lam, report
+    return lam, report
 
 
-def _run_diag_cell(config: ExperimentConfig, d: int, k: int, s: int, seed: int) -> ResultRecord:
-    stats, lam, report = restricted_cone_check(
-        d, k, s, config.delta, config.bias, config.diag_samples, seed
-    )
-    return ResultRecord(
-        task=config.task, d=d, k=k, s=s, seed=seed, bias=config.bias, delta=config.delta,
-        mu=stats.mu, lambda_used=lam, diag_violations=report.num_violations,
-        diag_min_ratio=report.min_ratio,
+def _run_diag_cell(
+    config: ExperimentConfig, moments: Callable[[], NonlinearityStats],
+    d: int, k: int, s: int, seed: int,
+) -> dict:
+    """The result fields of one diagnostics cell; ``moments()`` returns the sweep's moments."""
+    stats = moments()
+    lam, report = restricted_cone_check(d, k, s, config.delta, stats, config.diag_samples, seed)
+    return dict(
+        delta=config.delta, mu=stats.mu, lambda_used=lam,
+        diag_violations=report.num_violations, diag_min_ratio=report.min_ratio,
     )
 
 
@@ -460,35 +470,33 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     """Run every cell of the Cartesian product of dimensions and seeds.
 
     A failing cell records its error message instead of aborting the
-    sweep; cell order is deterministic.  The recovery cells share one
-    computation of the bias law's moments, made by the first cell that
-    gets that far; while it fails, each cell that needs it tries again and
-    records the failure.
+    sweep; cell order is deterministic.  The sweep parses its bias law
+    once.  The recovery and diagnostics cells share one computation of the
+    law's moments, made by the first cell that gets that far; while it
+    fails, each cell that needs it tries again and records the failure.
+    Each cell looks its runner up on the module, which a caller may rebind.
     """
-    moments = functools.cache(lambda: make_nonlinearity_stats(parse_bias_spec(config.bias)))
+    model = parse_bias_spec(config.bias)
+    moments = functools.cache(lambda: make_nonlinearity_stats(model))
     records: list[ResultRecord] = []
     for d in config.d:
         n_values = config.n.resolve(d) if config.n is not None else (None,)
         s_values = config.s.resolve(d) if config.s is not None else (None,)
-        for n in n_values:
-            for k in config.k:
-                for s in s_values:
-                    for seed in config.seeds:
-                        start = time.perf_counter()
-                        try:
-                            if config.task == "rep_learning":
-                                record = _run_rep_cell(config, d, n, k, seed)
-                            elif config.task == "robust_recovery":
-                                record = _run_recovery_cell(config, moments, d, k, s, seed)
-                            else:
-                                record = _run_diag_cell(config, d, k, s, seed)
-                        except Exception as exc:  # noqa: BLE001 - cell isolation
-                            record = ResultRecord(
-                                task=config.task, d=d, n=n, k=k, s=s, seed=seed,
-                                bias=config.bias, error=f"{type(exc).__name__}: {exc}",
-                            )
-                        record.wall_time_ms = (time.perf_counter() - start) * 1e3
-                        records.append(record)
+        for n, k, s, seed in itertools.product(n_values, config.k, s_values, config.seeds):
+            start = time.perf_counter()
+            try:
+                if config.task == "rep_learning":
+                    computed = _run_rep_cell(config, model, d, n, k, seed)
+                elif config.task == "robust_recovery":
+                    computed = _run_recovery_cell(config, model, moments, d, k, s, seed)
+                else:
+                    computed = _run_diag_cell(config, moments, d, k, s, seed)
+            except Exception as exc:  # noqa: BLE001 - cell isolation
+                computed = {"error": f"{type(exc).__name__}: {exc}"}
+            records.append(ResultRecord(
+                task=config.task, d=d, n=n, k=k, s=s, seed=seed, bias=config.bias, **computed,
+                wall_time_ms=(time.perf_counter() - start) * 1e3,
+            ))
     return records
 
 

@@ -53,12 +53,10 @@ __all__ = [
     "agnostic_lambda",
     "check_restricted_lower_bound",
     "kkt_residuals",
-    "lasso_objective",
     "make_nonlinearity_stats",
     "oracle_lambda",
     "recovery_error_and_bound",
     "restricted_pair_ratio",
-    "soft_threshold",
     "solve_robust_lasso",
 ]
 
@@ -100,31 +98,56 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
 
     A constant offset ``b0`` is the one-node rule ``([b0], [1.0])``; a
     random law weights the :func:`_tail_nodes` rule by its density.
+    ``ValueError`` names a law whose masses do not sum to 1 within 1e-6,
+    such as one whose spread is lost in rounding at its location.
     """
     if not isinstance(bias, BiasModel):
         return np.array([float(bias)]), np.array([1.0])
     nodes, weights = _tail_nodes(bias)
-    return nodes, weights * np.asarray(bias.density(nodes))
+    mass = weights * np.asarray(bias.density(nodes))
+    total = float(mass.sum())
+    if not abs(total - 1.0) <= 1e-6:  # NaN fails too
+        raise ValueError(
+            f"the quadrature masses of bias law {bias.to_config()} sum to {total}, not 1"
+        )
+    return nodes, mass
 
 
 def _residual_moments(b0, mu: float):
-    """``E[(ReLU(g+b0) - mu g)^2]`` and ``E[g^2 (ReLU(g+b0) - mu g)^2]``, elementwise in ``b0``.
+    """``E[(ReLU(g+b0) - mu g)^2]`` and ``E[g^2 (ReLU(g+b0) - mu g)^2]`` over ``4^e``, and ``e``.
 
     With ``a = -b0``, the truncated moments ``T_k = E[g^k; g > a]`` of a
     standard normal ``g`` are ``T0 = Phi(b0)``, ``T1 = phi(b0)``,
     ``T2 = T0 + a T1``, ``T3 = (a^2 + 2) T1`` and ``T4 = 3 T2 + a^3 T1``;
-    expanding the squares gives both moments in terms of them.
+    expanding the squares gives both moments, elementwise in ``b0``, in
+    terms of them.  Beyond ``|b0| = 40``, ``phi`` is 0 and ``Phi`` is 0
+    or 1 in floating point, so the ``T_k`` are taken at ``b0`` clipped to
+    ``[-40, 40]``, where no power of ``a`` overflows.  The moments grow like
+    ``b0^2``, so ``b0`` enters them divided by ``2^e``, the least power of
+    two with ``|b0| < 2^e`` for every node (``e >= 0``).  Scaling by a
+    power of two is exact, so the moments are those of the unscaled
+    expansion times ``4^-e`` unless a term falls below the normal range.
     """
     b0 = np.asarray(b0, dtype=float)
-    a = -b0
-    t0 = _STANDARD_NORMAL.cdf(b0)
-    t1 = _STANDARD_NORMAL.density(b0)
+    e = max(math.frexp(float(np.abs(b0).max()))[1], 0)
+    b = np.clip(b0, -40.0, 40.0)
+    a = -b
+    t0 = _STANDARD_NORMAL.cdf(b)
+    t1 = _STANDARD_NORMAL.density(b)
     t2 = t0 + a * t1
     t3 = (a * a + 2.0) * t1
     t4 = 3.0 * t2 + a**3 * t1
-    sig2 = t2 + 2.0 * b0 * t1 + b0 * b0 * t0 - 2.0 * mu * (t2 + b0 * t1) + mu * mu
-    eta2 = t4 + 2.0 * b0 * t3 + b0 * b0 * t2 - 2.0 * mu * (t4 + b0 * t3) + 3.0 * mu * mu
-    return sig2, eta2
+    s = math.ldexp(1.0, -e)
+    c, s2 = s * b0, s * s
+    sig2 = (
+        s2 * t2 + 2.0 * c * (s * t1) + c * c * t0
+        - 2.0 * mu * (s2 * t2 + c * (s * t1)) + mu * mu * s2
+    )
+    eta2 = (
+        s2 * t4 + 2.0 * c * (s * t3) + c * c * t2
+        - 2.0 * mu * (s2 * t4 + c * (s * t3)) + 3.0 * mu * mu * s2
+    )
+    return sig2, eta2, e
 
 
 def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
@@ -140,35 +163,14 @@ def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
     """
     nodes, mass = _offset_rule(bias)
     mu = float(np.sum(mass * _STANDARD_NORMAL.cdf(nodes)))
-    sig2, eta2 = (float(mass @ m) for m in _residual_moments(nodes, mu))
-    return NonlinearityStats(
-        mu=mu, sigma=math.sqrt(max(sig2, 0.0)), eta=math.sqrt(max(eta2, 0.0))
-    )
+    sig2, eta2, e = _residual_moments(nodes, mu)
+    sigma, eta = (math.ldexp(math.sqrt(max(float(mass @ m), 0.0)), e) for m in (sig2, eta2))
+    return NonlinearityStats(mu=mu, sigma=sigma, eta=eta)
 
 
 # ----------------------------------------------------------------------
 # the solver
 # ----------------------------------------------------------------------
-
-
-def soft_threshold(x, tau: float):
-    """Shrink ``x`` toward zero by ``tau``, clamping at zero."""
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
-def lasso_objective(v: np.ndarray, A: np.ndarray, c: np.ndarray, e: np.ndarray, lam: float) -> float:
-    """Penalised least-squares objective ``(1/2d)||v - Ac - e||^2 + lam ||e||_1``."""
-    v = np.asarray(v, dtype=float)
-    A = np.asarray(A, dtype=float)
-    c = np.asarray(c, dtype=float)
-    e = np.asarray(e, dtype=float)
-    d, k = A.shape
-    if v.shape != (d,) or e.shape != (d,) or c.shape != (k,):
-        raise ValueError(
-            f"shape mismatch: A is {A.shape}, v {v.shape}, c {c.shape}, e {e.shape}"
-        )
-    r = v - A @ c - e
-    return float(r @ r / (2.0 * d) + lam * np.abs(e).sum())
 
 
 @dataclass(frozen=True)
@@ -301,7 +303,7 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         c = c + np.linalg.solve(R, np.linalg.solve(R.T, g))
         u = v - A @ c
         e = u - np.clip(u, -threshold, threshold)
-        r = u - e  # the residual v - A c - e, rounded as lasso_objective rounds it
+        r = u - e  # the residual v - A c - e, rounded as (v - A c) - e
         g = A.T @ r
         grad_norm = float(np.abs(g).max()) / d
         current = float(r @ r / (2.0 * d) + config.lam * np.abs(e).sum())

@@ -27,7 +27,6 @@ from relurec.lasso import (
     LassoConfig,
     check_restricted_lower_bound,
     kkt_residuals,
-    lasso_objective,
     make_nonlinearity_stats,
     oracle_lambda,
     recovery_error_and_bound,
@@ -41,6 +40,7 @@ from relurec.subspace import (
     truncated_svd,
 )
 
+from lasso_oracles import lasso_objective
 from rectifier_sampling import sampled_moments
 
 

@@ -2,7 +2,8 @@
 
 import dataclasses
 import json
-import warnings
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from relurec.harness import (
     parse_config,
     reconstruct_and_evaluate,
     recover_and_evaluate,
+    TASK_KEYS,
     restricted_cone_check,
     run_sweep,
 )
@@ -110,13 +112,63 @@ BAD_VALUES = [
     (DIAG_CONFIG, "s", "-1"),
     (RECOVERY_CONFIG, "s", "-0.5d"),
     (RECOVERY_CONFIG, "s", "infd"),
+    (REP_CONFIG, "task", "rep"),
+    (REP_CONFIG, "fill_strategy", "middle"),
+    (RECOVERY_CONFIG, "lambda_mode", "auto"),
 ]
+
+
+def _without(config: str, key: str) -> str:
+    """``config`` with no line that sets ``key``."""
+    lines = [line for line in config.splitlines() if line.split("=")[0].strip() != key]
+    return "\n".join(lines) + "\n"
 
 
 def _with(config: str, key: str, value: str) -> str:
     """``config`` with ``key`` set to ``value``."""
-    lines = [line for line in config.splitlines() if line.split("=")[0].strip() != key]
-    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+    return _without(config, key) + f"{key} = {value}\n"
+
+
+TASK_CONFIGS = {
+    "rep_learning": REP_CONFIG, "robust_recovery": RECOVERY_CONFIG, "diagnostics": DIAG_CONFIG,
+}
+
+# a value each task-specific key accepts
+VALID_VALUES = {
+    "n": "2d", "s": "1", "gamma": "0.5", "nu": "0.5", "fill_strategy": "upper_boundary",
+    "delta": "0.01", "outlier_magnitude": "3", "lambda_mode": "agnostic", "diag_samples": "5",
+}
+
+# every (task, key) pair of a key that only other tasks read
+OTHER_TASK_KEYS = [
+    (task, key) for task in TASK_KEYS for key in VALID_VALUES if key not in TASK_KEYS[task]
+]
+
+
+# grid points on which every cell fails: the config, its d, k and s, the error
+# each cell records, and the message of parse_config
+FAILING_GRID_POINTS = [
+    (
+        RECOVERY_CONFIG, 100, 3, "2d",
+        "ValueError: outlier count s=200 must lie in [0, d=100]",
+        "config key 's': outlier count s=200 must lie in [0, d=100]",
+    ),
+    (
+        DIAG_CONFIG, 40, 2, "41",
+        "ValueError: outlier count s=41 must lie in [0, d=40]",
+        "config key 's': outlier count s=41 must lie in [0, d=40]",
+    ),
+    (
+        RECOVERY_CONFIG, 8, 10, "0",
+        "RankDeficiencyError: need more rows than columns, got 8 x 10",
+        "config key 'k': k=10 must be less than d=8",
+    ),
+    (
+        DIAG_CONFIG, 40, 8, "4",
+        "ValueError: regime violated: k + |S| = 12 exceeds d/4 = 10.0",
+        "config keys 'k' and 's': k + s = 12 exceeds d/4 = 10.0",
+    ),
+]
 
 
 class TestParseConfig:
@@ -155,15 +207,34 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "config, key",
-        [(REP_CONFIG, "s = 1, 2, 3"), (RECOVERY_CONFIG, "n = 100, 300"), (DIAG_CONFIG, "n = 2d")],
+        [(REP_CONFIG, "s = 1, 2, 3"), (RECOVERY_CONFIG, "n = 100, 300"), (DIAG_CONFIG, "n = 2d")]
+        + [
+            pytest.param(TASK_CONFIGS[task], f"{key} = {VALID_VALUES[key]}", id=f"{task}-{key}")
+            for task, key in OTHER_TASK_KEYS if key not in ("n", "s")
+        ],
     )
     def test_key_the_task_does_not_use_is_named(self, config, key):
         # run_sweep loops over n and s for every task, so such a key once
-        # wrote one identical row per value
+        # wrote one identical row per value; the other keys were once
+        # accepted and ignored, such as gamma by robust_recovery
         task = parse_config(config).task
-        message = f"config key '{key[0]}' is not used by task {task}"
-        with pytest.raises(ValueError, match=message):
+        name = key.split("=")[0].strip()
+        with pytest.raises(ValueError, match=f"^config key '{name}' is not used by task {task}$"):
             parse_config(config + key + "\n")
+
+    @pytest.mark.parametrize("task", TASK_KEYS)
+    def test_keys_of_the_task_are_accepted(self, task):
+        for key in TASK_KEYS[task]:
+            config = parse_config(_with(TASK_CONFIGS[task], key, VALID_VALUES[key]))
+            assert config.task == task
+
+    @pytest.mark.parametrize("task", TASK_KEYS)
+    def test_grid_dimension_is_required(self, task):
+        dimension = TASK_KEYS[task][0]
+        with pytest.raises(
+            ValueError, match=f"^config key '{dimension}' is required for task {task}$"
+        ):
+            parse_config(_without(TASK_CONFIGS[task], dimension))
 
     @pytest.mark.parametrize(
         "config, key, value", BAD_VALUES, ids=[f"{key}={value}" for _, key, value in BAD_VALUES]
@@ -179,6 +250,21 @@ class TestParseConfig:
             ValueError, match=r"^config key 'k': rank k=20 must be at most min\(d, n\) = 8 for d=8$"
         ):
             parse_config(config)
+
+    @pytest.mark.parametrize(
+        "base, d, k, s, cell_error, message", FAILING_GRID_POINTS,
+        ids=["s-above-d", "diag-s-above-d", "k-at-least-d", "k-plus-s-above-quarter-d"],
+    )
+    def test_grid_point_every_cell_fails_is_named(self, base, d, k, s, cell_error, message):
+        text = _with(_with(_with(base, "d", str(d)), "k", str(k)), "s", s)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(text)
+        # run_sweep records the failure in every cell of such a config
+        config = dataclasses.replace(
+            parse_config(base), d=(d,), k=(k,), s=DimensionRule.parse(s, "s")
+        )
+        records = run_sweep(config)
+        assert records and all(r.error == cell_error for r in records)
 
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):
@@ -215,6 +301,32 @@ class TestRunSweep:
         assert records[0].diag_violations == 0
         assert records[0].diag_min_ratio >= 1.0
 
+    @pytest.mark.parametrize("config", [REP_CONFIG, RECOVERY_CONFIG], ids=["rep", "recovery"])
+    def test_cell_runner_is_called_through_its_module_attribute(self, config, monkeypatch):
+        # the benchmark times its setup up to the first cell by rebinding these
+        # attributes, and puts the originals back within that cell
+        name = "_run_rep_cell" if "rep_learning" in config else "_run_recovery_cell"
+        original = getattr(harness, name)
+        calls = {"counting": 0, "restoring": 0}
+
+        def counting(*args):
+            calls["counting"] += 1
+            return original(*args)
+
+        def restoring(*args):
+            calls["restoring"] += 1
+            monkeypatch.setattr(harness, name, original)
+            return original(*args)
+
+        monkeypatch.setattr(harness, name, counting)
+        records = run_sweep(parse_config(config))
+        assert calls["counting"] == len(records) and all(r.error is None for r in records)
+        monkeypatch.setattr(harness, name, restoring)
+        assert run_sweep(parse_config(config)) == [
+            dataclasses.replace(r, wall_time_ms=mock.ANY) for r in records
+        ]
+        assert calls["restoring"] == 1
+
     def test_failing_cell_is_recorded_not_raised(self):
         config = ExperimentConfig(
             task="rep_learning",
@@ -230,7 +342,7 @@ class TestRunSweep:
 
 
 class TestSweepMoments:
-    """A recovery sweep computes its bias law's moments once for all its cells."""
+    """A recovery or diagnostics sweep computes its bias law's moments once for all its cells."""
 
     # the keys in another order and the numbers in another form than the
     # instances store them, so each cell's spec takes a nontrivial round trip
@@ -256,6 +368,14 @@ class TestSweepMoments:
         assert len(records) == 4 and all(r.error is None for r in records)
         assert calls == [BiasModel.gaussian(0.1, 0.5)]
 
+    def test_four_diagnostics_cells_compute_the_moments_once(self, monkeypatch):
+        calls = self._counted(monkeypatch)
+        config = _with(_with(DIAG_CONFIG, "seeds", "0, 1, 2, 3"), "bias", "gauss:mean=0,std=1")
+        records = run_sweep(parse_config(config))
+        assert len(records) == 4 and all(r.error is None for r in records)
+        assert calls == [BiasModel.gaussian()]
+        assert {r.mu for r in records} == {make_nonlinearity_stats(BiasModel.gaussian()).mu}
+
     def test_rows_match_cells_scored_on_their_own_instances(self, tmp_path):
         config = parse_config(self.CONFIG)
         records = run_sweep(config)
@@ -279,15 +399,16 @@ class TestSweepMoments:
             assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
     def test_failing_moments_give_every_cell_its_row(self, monkeypatch):
-        # parse_config accepts the offset, but its moments overflow
-        config = parse_config(RECOVERY_CONFIG.replace("const:value=0.0", "const:value=1e200"))
+        # parse_config accepts the law, but its spread is lost in rounding at its mean
+        config = parse_config(RECOVERY_CONFIG.replace("const:value=0.0", "gauss:mean=1e17,std=1"))
         calls = self._counted(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            records = run_sweep(config)
+        records = run_sweep(config)
         assert [r.seed for r in records] == [4, 5]
         for record in records:
-            assert record.error == "RuntimeWarning: overflow encountered in multiply"
+            assert record.error == (
+                "ValueError: the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
+                "sum to 0.0, not 1"
+            )
         assert len(calls) == 2  # each cell tries again
 
 
@@ -332,7 +453,7 @@ class TestReconstructAndEvaluate:
 def test_restricted_cone_check_rejects_bad_setting(s, delta, message):
     # a negative s once ran with an empty support, and a NaN delta made every budget test false
     with pytest.raises(ValueError, match=message):
-        restricted_cone_check(40, 2, s, delta, "const:value=0.0", 10, seed=0)
+        restricted_cone_check(40, 2, s, delta, make_nonlinearity_stats(0.0), 10, seed=0)
 
 
 class TestEmitResults:

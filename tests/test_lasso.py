@@ -10,6 +10,8 @@ Closed-form oracles used below (standard normal ``g``, offset ``b0``):
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,20 +22,20 @@ from relurec.generate import generate_recovery_instance
 from relurec.lasso import (
     LassoConfig,
     LassoSolution,
+    NonlinearityStats,
     RankDeficiencyError,
     agnostic_lambda,
     check_restricted_lower_bound,
     kkt_residuals,
-    lasso_objective,
     make_nonlinearity_stats,
     oracle_lambda,
     recovery_error_and_bound,
     restricted_pair_ratio,
-    soft_threshold,
     solve_robust_lasso,
 )
-from relurec.lasso import _tail_nodes
+from relurec.lasso import _offset_rule, _residual_moments, _tail_nodes
 
+from lasso_oracles import lasso_objective, soft_threshold
 from rectifier_sampling import sampled_moments
 
 
@@ -153,6 +155,68 @@ class TestMomentsMatchQuadrature:
         assert moments.mu == pytest.approx(slope, rel=1e-10)
         assert moments.sigma == pytest.approx(math.sqrt(sig2), rel=1e-10)
         assert moments.eta == pytest.approx(math.sqrt(eta2), rel=1e-10)
+
+
+def _unscaled_stats(bias) -> NonlinearityStats:
+    """The moments from the expansion in ``b0`` as written, with no power of two factored out."""
+    normal = BiasModel.gaussian()
+    b0, mass = _offset_rule(bias)
+    mu = float(np.sum(mass * normal.cdf(b0)))
+    a = -b0
+    t0 = normal.cdf(b0)
+    t1 = normal.density(b0)
+    t2 = t0 + a * t1
+    t3 = (a * a + 2.0) * t1
+    t4 = 3.0 * t2 + a**3 * t1
+    sig2 = t2 + 2.0 * b0 * t1 + b0 * b0 * t0 - 2.0 * mu * (t2 + b0 * t1) + mu * mu
+    eta2 = t4 + 2.0 * b0 * t3 + b0 * b0 * t2 - 2.0 * mu * (t4 + b0 * t3) + 3.0 * mu * mu
+    return NonlinearityStats(
+        mu=mu, sigma=math.sqrt(max(float(mass @ sig2), 0.0)),
+        eta=math.sqrt(max(float(mass @ eta2), 0.0)),
+    )
+
+
+class TestMomentsAtExtremeOffsets:
+    """Offsets far beyond the range where ``b0^2`` fits in a float."""
+
+    @pytest.mark.parametrize(
+        "bias, scaled",
+        [
+            (0.0, False),
+            (BiasModel.gaussian(), True),
+            (BiasModel.shifted_exponential(rate=1.0, shift=-2.0), True),
+        ],
+        ids=["const-0", "gauss-0-1", "exp-1-shift-2"],
+    )
+    def test_scaling_by_a_power_of_two_is_exact(self, bias, scaled):
+        nodes, mass = _offset_rule(bias)
+        *_, e = _residual_moments(nodes, 0.5)
+        assert (e > 0) == scaled
+        assert make_nonlinearity_stats(bias) == _unscaled_stats(bias)  # bit for bit
+
+    @pytest.mark.parametrize("b0", [1e150, 1e200, 1.7e308])
+    def test_large_positive_offset(self, b0):
+        # the rectifier never cuts, so the residual is b0 + (1 - mu) g with mu = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_nonlinearity_stats(b0) == NonlinearityStats(mu=1.0, sigma=b0, eta=b0)
+
+    @pytest.mark.parametrize("b0", [-1e150, -1e200, -1.7e308])
+    def test_large_negative_offset(self, b0):
+        # the rectifier always cuts, so the residual is -mu g with mu = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert make_nonlinearity_stats(b0) == NonlinearityStats(mu=0.0, sigma=0.0, eta=0.0)
+
+    @pytest.mark.parametrize(
+        "mean, total", [(1e17, "0.0"), (1e15, "1.0001253513065875")], ids=["1e17", "1e15"]
+    )
+    def test_spread_lost_in_rounding_is_named(self, mean, total):
+        # the law's nodes collapse onto few floats, and the masses no longer sum to 1
+        law = BiasModel.gaussian(mean=mean, std=1.0)
+        message = f"the quadrature masses of bias law {law.to_config()} sum to {total}, not 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_nonlinearity_stats(law)
 
 
 class TestSoftThreshold:

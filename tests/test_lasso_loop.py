@@ -27,10 +27,10 @@ from relurec.lasso import (
     RankDeficiencyError,
     _triangular_factor,
     kkt_residuals,
-    lasso_objective,
-    soft_threshold,
     solve_robust_lasso,
 )
+
+from lasso_oracles import lasso_objective, soft_threshold
 
 # ----------------------------------------------------------------------
 # reference loop

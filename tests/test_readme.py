@@ -5,6 +5,7 @@ in one fresh directory, as ``python -m relurec.cli`` with ``relurec``
 imported from ``src/`` and ``-W error::RuntimeWarning``.  The example
 config of the "Sweep configs" section is written there as ``sweep.cfg``
 first, so ``relurec sweep --config sweep.cfg`` runs the documented config.
+That section's line for each task lists the keys the task reads.
 """
 
 import os
@@ -14,6 +15,8 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+
+from relurec.harness import TASK_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,3 +57,9 @@ def test_readme_commands_run(tmp_path):
         assert done.returncode == 0, f"relurec {shlex.join(argv)}\n{done.stderr}"
     assert (tmp_path / "inst" / "instance.npz").exists()
     assert (tmp_path / "results" / "results.csv").exists()
+
+
+def test_readme_lists_the_keys_of_each_task():
+    lines = re.findall(r"^- `(\w+)`: (.*)$", _section("Sweep configs"), re.M)
+    listed = {task: tuple(re.findall(r"`(\w+)`", keys)) for task, keys in lines}
+    assert listed == TASK_KEYS
