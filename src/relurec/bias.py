@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,6 @@ __all__ = [
     "BiasModel",
     "BiasConstants",
     "InvalidIntervalError",
-    "VacuousBoundWarning",
     "bias_spec_to_config",
     "compute_bias_constants",
     "default_exponential",
@@ -72,10 +70,6 @@ _PARAM_NAMES = dict(_CONFIG_SCHEMA.values())
 
 class InvalidIntervalError(ValueError):
     """Raised when interval endpoints are ordered or sized inconsistently."""
-
-
-class VacuousBoundWarning(UserWarning):
-    """A computed constant is (numerically) zero, so bounds using it are vacuous."""
 
 
 @dataclass(frozen=True)
@@ -310,8 +304,8 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
 
     Zero when ``p'`` changes sign inside the interval (a Gaussian or
     logistic mode), else attained at an end of the part where ``p > 0``.
-    Returns 0.0 (with a :class:`VacuousBoundWarning`) when the infimum is
-    below ``1e-12``.
+    Returns 0.0 when the infimum is below ``1e-12``; the ``vacuous`` flag
+    of :class:`BiasConstants` reports what that does to the bounds.
     """
     if not 0.0 < gamma < math.inf:
         raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
@@ -327,14 +321,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
     else:
         # an end where p underflows has p'^2/(4p) below any double as well
         value = float(np.min(np.divide(dp**2, 4.0 * p, out=np.zeros(2), where=p > 0.0)))
-    if value < 1e-12:
-        warnings.warn(
-            "flatness constant is numerically zero; error bounds built on it are vacuous",
-            VacuousBoundWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return value
+    return 0.0 if value < 1e-12 else value
 
 
 def lipschitz_L(model: BiasModel, gamma: float) -> float:
@@ -393,11 +380,8 @@ class BiasConstants:
 
 def compute_bias_constants(model: BiasModel, gamma: float, nu: float) -> BiasConstants:
     """Evaluate all three interval constants at once."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", VacuousBoundWarning)
-        beta = flatness_beta(model, gamma)
     return BiasConstants(
-        beta=beta,
+        beta=flatness_beta(model, gamma),
         lipschitz=lipschitz_L(model, gamma),
         omega=omega_min_mass(model, gamma, nu),
         gamma=float(gamma),

@@ -227,9 +227,9 @@ def _cmd_recover(args) -> int:
     report = {
         "error": outcome.error,
         "bound": outcome.bound,
-        "mu": outcome.stats.mu,
-        "sigma": outcome.stats.sigma,
-        "eta": outcome.stats.eta,
+        "mu": stats.mu,
+        "sigma": stats.sigma,
+        "eta": stats.eta,
         "lambda_used": outcome.lam,
         "iterations": solution.iterations,
         "converged": solution.converged,

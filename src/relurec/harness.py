@@ -26,12 +26,10 @@ guarantee.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -60,7 +58,6 @@ from .lasso import (
 from .replearn import (
     FILL_STRATEGIES,
     EstimatedMatrix,
-    VacuousBoundError,
     reconstruct_matrix,
     theoretical_rep_bound,
 )
@@ -331,7 +328,7 @@ class RepOutcome:
     estimate: EstimatedMatrix
     u_hat: np.ndarray  # top-k left singular vectors of the estimate
     frob_err_sq: float
-    rep_bound: float | None  # None where the bound is vacuous
+    rep_bound: float | None  # None where the bound is vacuous or overflows
     sin_theta: float
     procrustes_err: float
 
@@ -347,16 +344,13 @@ def reconstruct_and_evaluate(
     """
     estimate = reconstruct_matrix(instance.Y, model, gamma, nu, fill=fill)
     frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
-    constants = compute_bias_constants(model, gamma, nu)
-    try:
-        bound = theoretical_rep_bound(constants, instance.Y.shape[0])
-    except VacuousBoundError:
-        bound = None
+    bound = theoretical_rep_bound(compute_bias_constants(model, gamma, nu), instance.Y.shape[0])
     U = np.linalg.qr(instance.A)[0]
     U_hat, _, _ = truncated_svd(estimate.m_hat, instance.A.shape[1])
     _, procrustes_err = procrustes_align(U, U_hat)
     return RepOutcome(
-        estimate, U_hat, frob_err_sq, bound, sin_theta_distance(U, U_hat), procrustes_err
+        estimate, U_hat, frob_err_sq, bound if math.isfinite(bound) else None,
+        sin_theta_distance(U, U_hat), procrustes_err,
     )
 
 
@@ -387,7 +381,6 @@ def penalty_level(mode: str | float, instance: RecoveryInstance, stats: Nonlinea
 class RecoveryOutcome:
     """A robust recovery of one vector instance and how far it lies from the truth."""
 
-    stats: NonlinearityStats
     lam: float
     solution: LassoSolution
     error: float
@@ -410,21 +403,21 @@ def recover_and_evaluate(
         instance.v, instance.A, LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
     )
     error, bound = recovery_error_and_bound(solution, instance, stats)
-    return RecoveryOutcome(stats, lam, solution, error, bound)
+    return RecoveryOutcome(lam, solution, error, bound)
 
 
 def _run_recovery_cell(
-    config: ExperimentConfig, model: BiasModel | float, moments: Callable[[], NonlinearityStats],
+    config: ExperimentConfig, model: BiasModel | float, stats: NonlinearityStats,
     d: int, k: int, s: int, seed: int,
 ) -> dict:
-    """The result fields of one recovery cell; ``moments()`` returns the moments of ``model``."""
+    """The result fields of one recovery cell; ``stats`` holds the moments of ``model``."""
     instance = generate_recovery_instance(
         d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
-    outcome = recover_and_evaluate(instance, moments(), config.lambda_mode)
+    outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
     return dict(
         delta=config.delta, lambda_mode=config.lambda_mode, recovery_error=outcome.error,
-        recovery_bound=outcome.bound, mu=outcome.stats.mu, lambda_used=outcome.lam,
+        recovery_bound=outcome.bound, mu=stats.mu, lambda_used=outcome.lam,
         iterations=outcome.solution.iterations, converged=outcome.solution.converged,
     )
 
@@ -454,11 +447,9 @@ def restricted_cone_check(
 
 
 def _run_diag_cell(
-    config: ExperimentConfig, moments: Callable[[], NonlinearityStats],
-    d: int, k: int, s: int, seed: int,
+    config: ExperimentConfig, stats: NonlinearityStats, d: int, k: int, s: int, seed: int
 ) -> dict:
-    """The result fields of one diagnostics cell; ``moments()`` returns the sweep's moments."""
-    stats = moments()
+    """The result fields of one diagnostics cell under the sweep's moments ``stats``."""
     lam, report = restricted_cone_check(d, k, s, config.delta, stats, config.diag_samples, seed)
     return dict(
         delta=config.delta, mu=stats.mu, lambda_used=lam,
@@ -471,13 +462,19 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
 
     A failing cell records its error message instead of aborting the
     sweep; cell order is deterministic.  The sweep parses its bias law
-    once.  The recovery and diagnostics cells share one computation of the
-    law's moments, made by the first cell that gets that far; while it
-    fails, each cell that needs it tries again and records the failure.
-    Each cell looks its runner up on the module, which a caller may rebind.
+    once, and a recovery or diagnostics sweep computes the law's moments
+    once, before its first cell; a law whose moments fail is a
+    ``ValueError`` naming the config key ``bias``, raised before any cell
+    runs.  Each cell looks its runner up on the module, which a caller may
+    rebind.
     """
     model = parse_bias_spec(config.bias)
-    moments = functools.cache(lambda: make_nonlinearity_stats(model))
+    stats = None
+    if config.task != "rep_learning":
+        try:
+            stats = make_nonlinearity_stats(model)
+        except ValueError as exc:
+            raise ValueError(f"config key 'bias': {exc}") from exc
     records: list[ResultRecord] = []
     for d in config.d:
         n_values = config.n.resolve(d) if config.n is not None else (None,)
@@ -488,9 +485,9 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                 if config.task == "rep_learning":
                     computed = _run_rep_cell(config, model, d, n, k, seed)
                 elif config.task == "robust_recovery":
-                    computed = _run_recovery_cell(config, model, moments, d, k, s, seed)
+                    computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
                 else:
-                    computed = _run_diag_cell(config, moments, d, k, s, seed)
+                    computed = _run_diag_cell(config, stats, d, k, s, seed)
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 computed = {"error": f"{type(exc).__name__}: {exc}"}
             records.append(ResultRecord(

@@ -231,6 +231,12 @@ def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
             index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), x.shape))
             at = index[0] if x.ndim == 1 else index
             raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
+    with np.errstate(over="ignore"):
+        square = float(v @ v)
+    if square == math.inf:  # the objective's squared residual would overflow as well
+        raise ValueError(
+            f"v is too large: its sum of squares overflows (largest entry {np.abs(v).max():.6g})"
+        )
     return v, A
 
 
@@ -277,7 +283,8 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     ------
     ValueError
         If ``A`` is not 2-D, ``v`` is not 1-D with one entry per row of
-        ``A``, or either holds a non-finite entry (the first one is named).
+        ``A``, or either holds a non-finite entry (the first one is named),
+        or the sum of squares of ``v`` overflows.
     RankDeficiencyError
         If the design has fewer rows than columns or a smallest singular
         value at or below 1e-10.

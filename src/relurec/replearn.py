@@ -43,7 +43,6 @@ __all__ = [
     "EstimatedMatrix",
     "InfeasibleRowError",
     "InfeasibilityError",
-    "VacuousBoundError",
     "log_likelihood_gap",
     "reconstruct_matrix",
     "theoretical_rep_bound",
@@ -58,10 +57,6 @@ class InfeasibleRowError(ValueError):
 
 class InfeasibilityError(ValueError):
     """A candidate matrix violates the feasible-set constraints."""
-
-
-class VacuousBoundError(ValueError):
-    """A requested theoretical bound is infinite for these constants."""
 
 
 def _checked_inputs(Y, model, gamma: float, nu: float) -> np.ndarray:
@@ -110,7 +105,7 @@ def _shift_logliks(beta, bottom, model: BiasModel) -> np.ndarray:
 
 
 def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: float):
-    """Per-row ``(lo, hi, beta, loglik, interior)``; ``index`` numbers the rows in errors."""
+    """Per-row ``(beta, loglik, interior)``; ``index`` numbers the rows in errors."""
     lo, hi = _shift_intervals(top, bottom, mixed, gamma, nu)
     empty = lo > hi + 1e-12
     if empty.any():
@@ -129,7 +124,7 @@ def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: flo
     beta = np.where(loglik == -np.inf, lo, beta)
     margin = 1e-9 * np.maximum(1.0, hi - lo)
     interior = (lo + margin < beta) & (beta < hi - margin)
-    return lo, hi, beta, loglik, interior
+    return beta, loglik, interior
 
 
 def _ceiling_loglik(x: float, model: BiasModel) -> float:
@@ -188,7 +183,7 @@ def reconstruct_matrix(
     top = Y.max(axis=1, initial=0.0)[rows]  # Y >= 0, so the row max is the support's
     bottom = np.min(Y, axis=1, where=on, initial=math.inf)[rows]
     mixed = ~on.all(axis=1)[rows]
-    lo, hi, beta, loglik, interior = _row_mles(top, bottom, mixed, rows, model, gamma, nu)
+    beta, loglik, interior = _row_mles(top, bottom, mixed, rows, model, gamma, nu)
 
     # one fill value per row: the row's ceiling m_min - nu on mixed rows
     # (moot on fully observed ones), -gamma on rows with empty support
@@ -289,19 +284,17 @@ def log_likelihood_gap(
 def theoretical_rep_bound(constants: BiasConstants, d: int) -> float:
     """Squared-Frobenius error bound ``2 L gamma d / (beta omega)`` of the bias constants.
 
-    The leading constant is fixed at 2.  Scales linearly in the number of rows; infinite (and rejected) when
-    the flatness or window-mass constant vanishes.  The bound has no
-    column count ``n``: the acceptance suite compares it with the total
-    error ``||M - M_hat||_F^2`` but gates the scaling in ``d`` on the
-    error per observation, ``||M - M_hat||_F^2 / n``, since rows clipped
-    to zero cost any estimator a total that grows with ``n``.  The
-    paper's abstract states the O(d) claim without saying how ``n``
-    enters, so this normalisation is not settled by it.
+    The leading constant is fixed at 2.  Scales linearly in the number of
+    rows; ``math.inf`` for vacuous constants, whose flatness or window mass
+    vanishes.  The bound has no column count ``n``: the acceptance suite
+    compares it with the total error ``||M - M_hat||_F^2`` but gates the
+    scaling in ``d`` on the error per observation, ``||M - M_hat||_F^2 / n``,
+    since rows clipped to zero cost any estimator a total that grows with
+    ``n``.  The paper's abstract states the O(d) claim without saying how
+    ``n`` enters, so this normalisation is not settled by it.
     """
     if d < 1:
         raise ValueError(f"row count must be positive, got {d}")
     if constants.vacuous:
-        raise VacuousBoundError(
-            f"bound is vacuous: flatness={constants.beta}, window mass={constants.omega}"
-        )
+        return math.inf
     return 2.0 * constants.lipschitz * constants.gamma * d / (constants.beta * constants.omega)

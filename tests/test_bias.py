@@ -17,7 +17,6 @@ from relurec.bias import (
     BiasConstants,
     BiasModel,
     InvalidIntervalError,
-    VacuousBoundWarning,
     bias_spec_to_config,
     compute_bias_constants,
     default_exponential,
@@ -226,8 +225,10 @@ class TestFlatness:
         assert flatness_beta(model, 1.0) == pytest.approx(0.03663127777746836, rel=1e-2)
 
     def test_gaussian_mode_inside_interval_is_vacuous(self):
+        # a vanishing flatness is a value, reported by the vacuous flag, not a warning
         model = BiasModel.gaussian(mean=0.0, std=1.0)
-        with pytest.warns(VacuousBoundWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert flatness_beta(model, 1.0) == 0.0
 
     def test_gaussian_mode_outside_interval_is_positive(self):
@@ -246,9 +247,10 @@ class TestFlatness:
         ],
     )
     def test_interior_mode_between_grid_points_is_vacuous(self, model, gamma):
-        with pytest.warns(VacuousBoundWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert flatness_beta(model, gamma) == 0.0
-        assert compute_bias_constants(model, gamma, 0.5).vacuous
+            assert compute_bias_constants(model, gamma, 0.5).vacuous
 
     def test_density_vanishing_everywhere_raises(self):
         model = BiasModel.shifted_exponential(rate=1.0, shift=10.0)
@@ -367,19 +369,17 @@ class TestScanOracle:
         for gamma, nu in SCAN_INTERVALS:
             beta, lipschitz, omega = _scan_constants(model, gamma, nu)
             label = f"gamma={gamma}, nu={nu}"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", VacuousBoundWarning)
-                if beta is None:
-                    with pytest.raises(ValueError):
-                        flatness_beta(model, gamma)
-                elif model.kind != "shifted_exponential" and -gamma < model.mode < gamma:
-                    # the scan only comes close to the zero at the interior mode
-                    assert flatness_beta(model, gamma) == 0.0, label
-                else:
-                    expected = beta if beta >= 1e-12 else 0.0
-                    assert flatness_beta(model, gamma) == pytest.approx(
-                        expected, rel=1e-6, abs=1e-300
-                    ), label
+            if beta is None:
+                with pytest.raises(ValueError):
+                    flatness_beta(model, gamma)
+            elif model.kind != "shifted_exponential" and -gamma < model.mode < gamma:
+                # the scan only comes close to the zero at the interior mode
+                assert flatness_beta(model, gamma) == 0.0, label
+            else:
+                expected = beta if beta >= 1e-12 else 0.0
+                assert flatness_beta(model, gamma) == pytest.approx(
+                    expected, rel=1e-6, abs=1e-300
+                ), label
             if lipschitz is None:
                 with pytest.raises(ValueError):
                     lipschitz_L(model, gamma)

@@ -142,6 +142,16 @@ class TestLearnRep:
         assert report["sin_theta"] == record.sin_theta
         assert report["procrustes_err"] == record.procrustes_err
 
+    def test_vacuous_bound_is_null(self, tmp_path):
+        # the centred Gaussian's flatness vanishes on [-1, 1], so the bound says nothing
+        inst, out = tmp_path / "inst", tmp_path / "fit"
+        assert run(
+            ["gen", "--task", "rep", "--d", 15, "--n", 30, "--k", 2, "--gamma", 1.0,
+             "--bias", "gauss:mean=0,std=1", "--seed", 5, "--out", inst]
+        ) == 0
+        assert run(["learn-rep", "--input", inst, "--out", out]) == 0
+        assert json.loads((out / "report.json").read_text())["bound"] is None
+
     def test_fill_flag_changes_unsupported_entries(self, tmp_path):
         inst = tmp_path / "inst"
         assert run(
@@ -386,6 +396,21 @@ class TestSweepAndDiag:
         config.write_text("task = diagnostics\ncolor = blue\n")
         assert run(["sweep", "--config", config, "--out", tmp_path / "o"]) == 1
         assert "color" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, dimensions", [
+        ("robust_recovery", "d = 150\nk = 3\ns = 3\n"),
+        ("diagnostics", "d = 200\nk = 5\ns = 10\n"),
+    ])
+    def test_failing_moments_are_usage_error(self, task, dimensions, tmp_path, capsys):
+        # the law parses, but its moments fail: the sweep stops before its first cell
+        config = tmp_path / "sweep.cfg"
+        config.write_text(f"task = {task}\n{dimensions}bias = gauss:mean=1e17,std=1\nseeds = 0, 1\n")
+        out = tmp_path / "results"
+        assert run(["sweep", "--config", config, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config key 'bias': the quadrature masses")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_diag_writes_file(self, tmp_path):
         target = tmp_path / "diag.json"

@@ -1,8 +1,8 @@
 """Each narrative script in ``demos/`` runs to completion.
 
 Every demo runs in a fresh interpreter with ``relurec`` imported from
-``src/`` and ``-W error::RuntimeWarning``, so a demo that crashes, prints
-nothing or trips a floating-point warning fails the suite.
+``src/`` and ``-W error``, so a demo that crashes, prints nothing or
+raises any warning fails the suite.
 """
 
 import os
@@ -32,7 +32,7 @@ def test_demo_runs_clean(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

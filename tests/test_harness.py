@@ -327,6 +327,18 @@ class TestRunSweep:
         ]
         assert calls["restoring"] == 1
 
+    @pytest.mark.parametrize("mode", ["oracle", "agnostic"])
+    def test_overflowing_observations_are_recorded(self, mode):
+        # the moments of this offset are finite, but squaring the observations overflows
+        config = _with(_with(RECOVERY_CONFIG, "bias", "const:value=1e200"), "lambda_mode", mode)
+        records = run_sweep(parse_config(config))
+        assert [r.seed for r in records] == [4, 5]
+        for record in records:
+            assert record.error.startswith(
+                "ValueError: v is too large: its sum of squares overflows"
+            ), record.error
+            assert record.recovery_error is None
+
     def test_failing_cell_is_recorded_not_raised(self):
         config = ExperimentConfig(
             task="rep_learning",
@@ -390,7 +402,7 @@ class TestSweepMoments:
             outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
             alone.append(dataclasses.replace(
                 record, recovery_error=outcome.error, recovery_bound=outcome.bound,
-                mu=outcome.stats.mu, lambda_used=outcome.lam,
+                mu=stats.mu, lambda_used=outcome.lam,
                 iterations=outcome.solution.iterations, converged=outcome.solution.converged,
             ))
         emit_results(records, tmp_path / "sweep")
@@ -398,18 +410,21 @@ class TestSweepMoments:
         for name in ("results.csv", "summary.json"):
             assert (tmp_path / "sweep" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
-    def test_failing_moments_give_every_cell_its_row(self, monkeypatch):
+    @pytest.mark.parametrize("base", [RECOVERY_CONFIG, DIAG_CONFIG], ids=["recovery", "diagnostics"])
+    def test_failing_moments_raise_before_any_cell(self, base, monkeypatch):
         # parse_config accepts the law, but its spread is lost in rounding at its mean
-        config = parse_config(RECOVERY_CONFIG.replace("const:value=0.0", "gauss:mean=1e17,std=1"))
+        config = parse_config(_with(base, "bias", "gauss:mean=1e17,std=1"))
         calls = self._counted(monkeypatch)
-        records = run_sweep(config)
-        assert [r.seed for r in records] == [4, 5]
-        for record in records:
-            assert record.error == (
-                "ValueError: the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
-                "sum to 0.0, not 1"
-            )
-        assert len(calls) == 2  # each cell tries again
+        runners = []
+        for name in ("_run_recovery_cell", "_run_diag_cell"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: runners.append(name))
+        with pytest.raises(ValueError) as caught:
+            run_sweep(config)
+        assert str(caught.value) == (
+            "config key 'bias': the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
+            "sum to 0.0, not 1"
+        )
+        assert len(calls) == 1 and runners == []
 
 
 class TestReconstructAndEvaluate:

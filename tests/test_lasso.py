@@ -343,6 +343,25 @@ class TestSolver:
         with pytest.raises(ValueError, match=r"^v has a non-finite entry .* at index 3$"):
             solve_robust_lasso(v, A, LassoConfig(lam=1.0))
 
+    @pytest.mark.parametrize("value", [1e200, -1e200, 6e153])
+    def test_observation_whose_square_overflows_is_named(self, value):
+        # 6 * (6e153)^2 exceeds the largest double; the check itself stays silent
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        v = np.zeros(6)
+        v[:] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^v is too large: its sum of squares overflows"):
+                solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+
+    def test_largest_observation_whose_square_fits_is_solved(self):
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        v = np.full(6, 5e153)  # 6 * (5e153)^2 = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+        assert np.isfinite(sol.c_hat).all() and math.isfinite(sol.objective_trace[-1])
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_design_entry_is_named(self, value):
         A = np.random.default_rng(0).standard_normal((6, 2))

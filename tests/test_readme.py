@@ -2,7 +2,7 @@
 
 Every ``relurec ...`` line of the "Command line" section runs, in order,
 in one fresh directory, as ``python -m relurec.cli`` with ``relurec``
-imported from ``src/`` and ``-W error::RuntimeWarning``.  The example
+imported from ``src/`` and ``-W error``.  The example
 config of the "Sweep configs" section is written there as ``sweep.cfg``
 first, so ``relurec sweep --config sweep.cfg`` runs the documented config.
 That section's line for each task lists the keys the task reads.
@@ -51,7 +51,7 @@ def test_readme_commands_run(tmp_path):
     )
     for argv in commands:
         done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "relurec.cli", *argv],
+            [sys.executable, "-W", "error", "-m", "relurec.cli", *argv],
             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, f"relurec {shlex.join(argv)}\n{done.stderr}"

@@ -23,7 +23,6 @@ from relurec.replearn import (
     FILL_STRATEGIES,
     InfeasibilityError,
     InfeasibleRowError,
-    VacuousBoundError,
     log_likelihood_gap,
     reconstruct_matrix,
     theoretical_rep_bound,
@@ -457,7 +456,7 @@ class TestTheoreticalBound:
             2.0 * theoretical_rep_bound(consts, 100), rel=1e-12
         )
 
-    def test_vacuous_constants_raise(self):
+    def test_vacuous_constants_give_inf(self):
         consts = compute_bias_constants(BiasModel.gaussian(), 1.0, 0.5)
-        with pytest.raises(VacuousBoundError):
-            theoretical_rep_bound(consts, 100)
+        assert consts.vacuous
+        assert theoretical_rep_bound(consts, 100) == math.inf
