@@ -59,13 +59,15 @@ def _normal_quantile(p: float) -> float:
 
 _NORMAL_QUANTILE = np.frompyfunc(_normal_quantile, 1, 1)
 
-# config-string tags and their parameter names, in storage order
+# config-string tags, each with its law's kind (None: a constant offset) and its
+# parameter names, in storage order
 _CONFIG_SCHEMA = {
+    "const": (None, ("value",)),
     "exp": ("shifted_exponential", ("rate", "shift")),
     "gauss": ("gaussian", ("mean", "std")),
     "logistic": ("logistic", ("loc", "scale")),
 }
-_PARAM_NAMES = dict(_CONFIG_SCHEMA.values())
+_PARAM_NAMES = {kind: names for kind, names in _CONFIG_SCHEMA.values() if kind is not None}
 
 
 class InvalidIntervalError(ValueError):
@@ -121,44 +123,19 @@ class BiasModel:
 
     @classmethod
     def from_config(cls, text: str) -> "BiasModel":
-        """Parse a config string such as ``"exp:rate=1,shift=-2"``.
+        """Parse a law's config string such as ``"exp:rate=1,shift=-2"``.
 
-        The grammar is ``tag:key=value,key=value`` with tags ``exp``
-        (keys ``rate``, ``shift``), ``gauss`` (``mean``, ``std``) and
-        ``logistic`` (``loc``, ``scale``).  Both keys are required; order
-        does not matter.
+        The grammar is that of :func:`parse_bias_spec`; a constant offset
+        is not a law.
         """
-        head, sep, body = text.strip().partition(":")
-        if not sep:
-            raise ValueError(f"bias config {text!r} is missing the ':' separator")
-        if head not in _CONFIG_SCHEMA:
-            raise ValueError(
-                f"unknown bias tag {head!r}; expected one of {sorted(_CONFIG_SCHEMA)}"
-            )
-        kind, keys = _CONFIG_SCHEMA[head]
-        values: dict[str, float] = {}
-        for part in body.split(","):
-            key, eq, raw = part.partition("=")
-            key = key.strip()
-            if not eq or key not in keys:
-                raise ValueError(f"bad bias parameter {part!r} in config {text!r}")
-            if key in values:
-                raise ValueError(f"duplicate bias parameter {key!r} in config {text!r}")
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise ValueError(f"bad numeric value {raw!r} for {key!r}") from exc
-        missing = [k for k in keys if k not in values]
-        if missing:
-            raise ValueError(f"bias config {text!r} is missing {missing}")
-        return cls(kind, (values[keys[0]], values[keys[1]]))
+        spec = parse_bias_spec(text)
+        if not isinstance(spec, BiasModel):
+            raise ValueError(f"bias config {text!r} is a constant, not a law")
+        return spec
 
     def to_config(self) -> str:
         """Inverse of :meth:`from_config`; values round-trip exactly."""
-        for tag, (kind, keys) in _CONFIG_SCHEMA.items():
-            if kind == self.kind:
-                return f"{tag}:{keys[0]}={self.params[0]!r},{keys[1]}={self.params[1]!r}"
-        raise AssertionError(f"unreachable kind {self.kind!r}")
+        return bias_spec_to_config(self)
 
     # ------------------------------------------------------------------
     # distribution functions
@@ -266,27 +243,49 @@ def default_exponential(gamma: float) -> BiasModel:
 
 
 def parse_bias_spec(text: str) -> BiasModel | float:
-    """Parse a bias configuration that may be a distribution or a constant.
+    """Parse a bias config string: a law, or a constant offset.
 
-    ``"const:value=0.5"`` yields the float ``0.5``; anything else is
-    delegated to :meth:`BiasModel.from_config`.
+    The grammar is ``tag:key=value,key=value`` with tags ``const`` (key
+    ``value``, which yields that float), ``exp`` (keys ``rate``,
+    ``shift``), ``gauss`` (``mean``, ``std``) and ``logistic`` (``loc``,
+    ``scale``).  Each key of the tag is required once; order does not
+    matter.
     """
-    stripped = text.strip()
-    if stripped.startswith("const:"):
-        key, eq, raw = stripped[len("const:"):].partition("=")
-        if key.strip() != "value" or not eq:
-            raise ValueError(f"constant bias config {text!r} must be 'const:value=<real>'")
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ValueError(f"constant bias value must be finite, got {raw.strip()!r}")
-        return value
-    return BiasModel.from_config(stripped)
+    head, sep, body = text.strip().partition(":")
+    if not sep:
+        raise ValueError(f"bias config {text!r} is missing the ':' separator")
+    if head not in _CONFIG_SCHEMA:
+        raise ValueError(f"unknown bias tag {head!r}; expected one of {sorted(_CONFIG_SCHEMA)}")
+    kind, keys = _CONFIG_SCHEMA[head]
+    values: dict[str, float] = {}
+    for part in body.split(","):
+        key, eq, raw = part.partition("=")
+        key = key.strip()
+        if not eq or key not in keys:
+            raise ValueError(f"bad bias parameter {part!r} in config {text!r}")
+        if key in values:
+            raise ValueError(f"duplicate bias parameter {key!r} in config {text!r}")
+        try:
+            values[key] = float(raw)
+        except ValueError as exc:
+            raise ValueError(f"bad numeric value {raw!r} for {key!r}") from exc
+    missing = [k for k in keys if k not in values]
+    if missing:
+        raise ValueError(f"bias config {text!r} is missing {missing}")
+    params = tuple(values[k] for k in keys)
+    if kind is not None:
+        return BiasModel(kind, params)
+    if not math.isfinite(params[0]):
+        raise ValueError(f"constant bias value must be finite, got {params[0]!r}")
+    return params[0]
 
 
 def bias_spec_to_config(spec: BiasModel | float) -> str:
-    if isinstance(spec, BiasModel):
-        return spec.to_config()
-    return f"const:value={float(spec)!r}"
+    """Inverse of :func:`parse_bias_spec`; values round-trip exactly."""
+    law = isinstance(spec, BiasModel)
+    kind, params = (spec.kind, spec.params) if law else (None, (float(spec),))
+    tag, keys = next((tag, keys) for tag, (k, keys) in _CONFIG_SCHEMA.items() if k == kind)
+    return f"{tag}:" + ",".join(f"{key}={value!r}" for key, value in zip(keys, params))
 
 
 # ----------------------------------------------------------------------

@@ -40,12 +40,10 @@ from .harness import (
     positive_int,
     reconstruct_and_evaluate,
     recover_and_evaluate,
-    rep_settings_fault,
     restricted_cone_check,
     run_sweep,
 )
 from .lasso import LassoConfig, make_nonlinearity_stats
-from .replearn import InfeasibleRowError
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -179,16 +177,10 @@ def _cmd_learn_rep(args) -> int:
     gamma = args.gamma if args.gamma is not None else instance.gamma
     nu = args.nu if args.nu is not None else instance.realized_nu
     spec = args.bias or parse_bias_spec(instance.bias)
-    fault = rep_settings_fault(spec, gamma, nu)
-    if fault is not None:  # a usage error when a flag set the value at fault or gamma
-        key, exc = fault
-        flag = next((name for name in (key, "gamma") if getattr(args, name) is not None), None)
-        if flag is not None:
-            raise _UsageError(f"argument --{flag}: {exc}") from exc
     try:
         outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
-    except InfeasibleRowError as exc:  # a usage error when a flag set gamma or nu
-        flags = [f"--{name}" for name in ("gamma", "nu") if getattr(args, name) is not None]
+    except ValueError as exc:  # a usage error when a flag set gamma, nu or the law
+        flags = [f"--{name}" for name in ("gamma", "nu", "bias") if getattr(args, name) is not None]
         if not flags:
             raise
         raise _UsageError(f"argument {'/'.join(flags)}: {exc}") from exc

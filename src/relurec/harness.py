@@ -30,7 +30,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -122,11 +122,6 @@ class DimensionRule:
     values: tuple[int, ...] | None = None
     multiplier: float | None = None
 
-    @staticmethod
-    def parse(text: str, key: str) -> "DimensionRule":
-        """``n`` takes values of at least 1 or a positive multiplier, ``s`` nonnegative ones."""
-        return _parsed(key, text)
-
     def resolve(self, d: int) -> tuple[int, ...]:
         if self.multiplier is not None:
             return (int(math.ceil(self.multiplier * d)),)
@@ -147,75 +142,42 @@ def _dimension(count, scale):
     return parse
 
 
+def _key(parse, default=MISSING):
+    """A config key read by ``parse``; a key without a ``default`` is required."""
+    return field(default=default, metadata={"parse": parse})
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed sweep description."""
+    """Parsed sweep description: each field is a config key, declared with its parser."""
 
-    task: str
-    d: tuple[int, ...]
-    k: tuple[int, ...]
-    seeds: tuple[int, ...]
-    bias: str
-    n: DimensionRule | None = None
-    s: DimensionRule | None = None
-    gamma: float = 1.0
-    nu: float | None = None  # None: use each instance's realized separation
-    delta: float = 0.0
-    outlier_magnitude: float = 5.0
-    lambda_mode: str = "oracle"
-    fill_strategy: str = "midpoint"
-    diag_samples: int = 100
-    output_dir: str = "results"
-
-
-_REQUIRED_KEYS = ("task", "d", "k", "seeds", "bias")
-
-# the parser of each key but bias, whose law depends on the task
-_VALUE_PARSERS = {
-    "task": _choice(tuple(TASK_KEYS)),
-    "d": _int_list(positive_int),
-    "k": _int_list(positive_int),
-    "seeds": _int_list(nonnegative_int),  # default_rng rejects a negative seed
-    "n": _dimension(positive_int, positive_float),
-    "s": _dimension(nonnegative_int, nonnegative_float),
-    "gamma": positive_float,
-    "nu": nonnegative_float,
-    "delta": nonnegative_float,
-    "outlier_magnitude": _rule(float, math.isfinite, "finite"),
-    "lambda_mode": _choice(("oracle", "agnostic")),
-    "fill_strategy": _choice(FILL_STRATEGIES),
-    "diag_samples": positive_int,
-    "output_dir": str,
-}
+    task: str = _key(_choice(tuple(TASK_KEYS)))
+    d: tuple[int, ...] = _key(_int_list(positive_int))
+    k: tuple[int, ...] = _key(_int_list(positive_int))
+    seeds: tuple[int, ...] = _key(_int_list(nonnegative_int))  # default_rng rejects a negative seed
+    bias: str = _key(parse_bias_spec)  # kept as written; rep_learning takes only a law
+    n: DimensionRule | None = _key(_dimension(positive_int, positive_float), None)
+    s: DimensionRule | None = _key(_dimension(nonnegative_int, nonnegative_float), None)
+    gamma: float = _key(positive_float, 1.0)
+    nu: float | None = _key(nonnegative_float, None)  # None: each instance's realized separation
+    delta: float = _key(nonnegative_float, 0.0)
+    outlier_magnitude: float = _key(_rule(float, math.isfinite, "finite"), 5.0)
+    lambda_mode: str = _key(_choice(("oracle", "agnostic")), "oracle")
+    fill_strategy: str = _key(_choice(FILL_STRATEGIES), "midpoint")
+    diag_samples: int = _key(positive_int, 100)
+    output_dir: str = _key(str, "results")
 
 
-def _parsed(key: str, text: str):
-    """The value of config key ``key`` written as ``text``; ``ValueError`` names the key."""
+_KEYS = {f.name: f for f in fields(ExperimentConfig)}
+_REQUIRED_KEYS = tuple(name for name, f in _KEYS.items() if f.default is MISSING)
+
+
+def _named(key: str, compute, *args):
+    """``compute(*args)``, its ``ValueError`` reported as one of config key ``key``."""
     try:
-        return _VALUE_PARSERS[key](text)
+        return compute(*args)
     except ValueError as exc:
         raise ValueError(f"config key {key!r}: {exc}") from exc
-
-
-def rep_settings_fault(
-    model: BiasModel, gamma: float, nu: float | None
-) -> tuple[str, ValueError] | None:
-    """The setting every rep cell would fail on, ``"bias"`` or ``"nu"``, with its error.
-
-    These are the checks ``compute_bias_constants`` makes in each cell:
-    the law's steepness on ``[-gamma, gamma]`` and, for a given ``nu``, a
-    window of length ``nu`` inside that interval.  ``None`` if both pass.
-    """
-    try:
-        lipschitz_L(model, gamma)
-    except ValueError as exc:
-        return "bias", exc
-    if nu is not None:
-        try:
-            omega_min_mass(model, gamma, nu)
-        except ValueError as exc:
-            return "nu", exc
-    return None
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -237,25 +199,25 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value.strip()
 
-    unknown = sorted(set(raw) - set(_VALUE_PARSERS) - {"bias"})
+    unknown = sorted(set(raw) - set(_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
     missing = [key for key in _REQUIRED_KEYS if key not in raw]
     if missing:
         raise ValueError(f"config is missing required keys {missing}")
 
-    task = _parsed("task", raw["task"])
+    task = _named("task", _KEYS["task"].metadata["parse"], raw["task"])
     reads = TASK_KEYS[task]
     for key in raw:  # run_sweep would ignore the key, or repeat each cell once per n or s
         if key not in (*_REQUIRED_KEYS, "output_dir", *reads):
             raise ValueError(f"config key {key!r} is not used by task {task}")
     if reads[0] not in raw:
         raise ValueError(f"config key {reads[0]!r} is required for task {task}")
-    try:
-        model = (bias_law if task == "rep_learning" else parse_bias_spec)(raw["bias"])
-    except ValueError as exc:
-        raise ValueError(f"config key 'bias': {exc}") from exc
-    values = {key: _parsed(key, text) for key, text in raw.items() if key not in ("task", "bias")}
+    model = _named("bias", bias_law if task == "rep_learning" else parse_bias_spec, raw["bias"])
+    values = {
+        key: _named(key, _KEYS[key].metadata["parse"], text)
+        for key, text in raw.items() if key not in ("task", "bias")
+    }
     config = ExperimentConfig(task=task, bias=raw["bias"], **values)
 
     # grid points on which every cell would fail
@@ -275,11 +237,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
         if task == "diagnostics" and rank + s > d / 4:  # check_restricted_lower_bound rejects it
             raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
-    if task == "rep_learning":
-        fault = rep_settings_fault(model, config.gamma, config.nu)
-        if fault is not None:
-            key, exc = fault
-            raise ValueError(f"config key {key!r}: {exc}") from exc
+    if task == "rep_learning":  # checks compute_bias_constants makes in every cell
+        _named("bias", lipschitz_L, model, config.gamma)
+        if config.nu is not None:
+            _named("nu", omega_min_mass, model, config.gamma, config.nu)
     return config
 
 
@@ -342,9 +303,10 @@ def reconstruct_and_evaluate(
     full row rank; both subspace scores depend only on spans, so the Q
     factor of ``A`` serves as the truth's basis.
     """
+    constants = compute_bias_constants(model, gamma, nu)  # rejects a bad setting before the work
     estimate = reconstruct_matrix(instance.Y, model, gamma, nu, fill=fill)
     frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
-    bound = theoretical_rep_bound(compute_bias_constants(model, gamma, nu), instance.Y.shape[0])
+    bound = theoretical_rep_bound(constants, instance.Y.shape[0])
     U = np.linalg.qr(instance.A)[0]
     U_hat, _, _ = truncated_svd(estimate.m_hat, instance.A.shape[1])
     _, procrustes_err = procrustes_align(U, U_hat)
@@ -463,18 +425,18 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
     A failing cell records its error message instead of aborting the
     sweep; cell order is deterministic.  The sweep parses its bias law
     once, and a recovery or diagnostics sweep computes the law's moments
-    once, before its first cell; a law whose moments fail is a
-    ``ValueError`` naming the config key ``bias``, raised before any cell
-    runs.  Each cell looks its runner up on the module, which a caller may
-    rebind.
+    once, before its first cell; a law whose moments fail, or whose
+    agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
+    naming the config key ``bias``, raised before any cell runs.  Each
+    cell looks its runner up on the module, which a caller may rebind.
     """
     model = parse_bias_spec(config.bias)
     stats = None
     if config.task != "rep_learning":
-        try:
-            stats = make_nonlinearity_stats(model)
-        except ValueError as exc:
-            raise ValueError(f"config key 'bias': {exc}") from exc
+        stats = _named("bias", make_nonlinearity_stats, model)
+        if config.task == "diagnostics" or config.lambda_mode == "agnostic":
+            for d in config.d:
+                _named("bias", agnostic_lambda, d, stats.sigma, config.delta)
     records: list[ResultRecord] = []
     for d in config.d:
         n_values = config.n.resolve(d) if config.n is not None else (None,)

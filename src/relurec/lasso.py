@@ -379,10 +379,21 @@ def oracle_lambda(instance: RecoveryInstance, stats: NonlinearityStats) -> float
 
 
 def agnostic_lambda(d: int, sigma: float, delta: float) -> float:
-    """Penalty rule using only the noise moments, not the realisation."""
+    """Penalty rule using only the noise moments, not the realisation.
+
+    ``ValueError`` for a penalty of 0, which no solve accepts: a bias far
+    enough below 0 makes the rectifier's output, and so ``sigma``, 0 in
+    floating point.
+    """
     if d < 1:
         raise ValueError(f"sample size must be positive, got {d}")
-    return 4.0 * (sigma * math.sqrt(2.0 * math.log(2.0 * d)) + delta) / d
+    lam = 4.0 * (sigma * math.sqrt(2.0 * math.log(2.0 * d)) + delta) / d
+    if lam == 0.0:
+        raise ValueError(
+            f"the agnostic penalty at d={d} is 0 in floating point, from the rectifier's "
+            f"noise moment sigma={sigma!r} and the noise level delta={delta!r}"
+        )
+    return lam
 
 
 def recovery_error_and_bound(

@@ -454,6 +454,26 @@ class TestConfigStrings:
         with pytest.raises(ValueError):
             parse_bias_spec(text)
 
+    # a constant is parsed by the grammar of the laws, so its errors name the fault
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("const:value=1,value=2",
+             "duplicate bias parameter 'value' in config 'const:value=1,value=2'"),
+            ("const:value=", "bad numeric value '' for 'value'"),
+            ("const:value=-inf", "constant bias value must be finite, got -inf"),
+        ],
+        ids=["duplicate", "empty", "infinite"],
+    )
+    def test_malformed_constant_is_named(self, text, message):
+        with pytest.raises(ValueError) as caught:
+            parse_bias_spec(text)
+        assert str(caught.value) == message
+
+    def test_constant_is_not_a_law(self):
+        with pytest.raises(ValueError, match="is a constant, not a law"):
+            BiasModel.from_config("const:value=0.5")
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             BiasModel.gaussian(std=0.0)

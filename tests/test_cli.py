@@ -122,6 +122,21 @@ class TestLearnRep:
         u_hat = np.loadtxt(out / "u_hat.csv", delimiter=",")
         assert u_hat.shape == (15, 2)
 
+    def test_saved_failing_law_is_a_runtime_error(self, tmp_path, capsys):
+        # the instance's own law fails, and no flag set a value: exit 2, naming no flag
+        inst = tmp_path / "inst"
+        assert run(
+            ["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--gamma", 1.0,
+             "--bias", "exp:rate=1.0,shift=-1.0", "--seed", 0, "--out", inst]
+        ) == 0
+        capsys.readouterr()
+        assert run(["learn-rep", "--input", inst, "--out", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err == (
+            "error: ValueError: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
+            "is unbounded\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_report_equals_the_sweep_cell(self, tmp_path):
         # learn-rep and a rep_learning sweep cell share one code path
         inst, out = tmp_path / "inst", tmp_path / "fit"
@@ -343,6 +358,12 @@ class TestBadFlagValue:
              "flag --min-margin is not used by task recover"),
             (["gen", "--task", "recover", "--d", 60, "--k", 3, "--gamma", 7],
              "flag --gamma is not used by task recover"),
+            (["learn-rep", "--input", "{inst}", "--nu", 5, "--bias", "exp:rate=1.0,shift=-2.0"],
+             "argument --nu/--bias: window length nu must satisfy 0 < nu <= 2*gamma, "
+             "got nu=5.0, gamma=1.0"),
+            (["diag", "--d", 40, "--k", 4, "--s", 4, "--bias", "const:value=-40"],
+             "the agnostic penalty at d=40 is 0 in floating point, from the rectifier's "
+             "noise moment sigma=0.0 and the noise level delta=0.0"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -354,6 +375,7 @@ class TestBadFlagValue:
             "diag-negative-seed", "gen-min-margin-nan", "gen-min-margin-inf",
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
+            "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):
@@ -410,6 +432,18 @@ class TestSweepAndDiag:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: config key 'bias': the quadrature masses")
         assert captured.out == ""
+        assert not out.exists()
+
+    def test_zero_agnostic_penalty_is_usage_error(self, tmp_path, capsys):
+        # each cell once recorded a ZeroDivisionError, and the sweep exited 0
+        config = tmp_path / "sweep.cfg"
+        config.write_text(
+            "task = diagnostics\nd = 200\nk = 5\ns = 10\nbias = const:value=-40\nseeds = 0\n"
+        )
+        out = tmp_path / "results"
+        assert run(["sweep", "--config", config, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config key 'bias': the agnostic penalty at d=200")
         assert not out.exists()
 
     def test_diag_writes_file(self, tmp_path):

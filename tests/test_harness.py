@@ -61,22 +61,50 @@ diag_samples = 20
 """
 
 
+def _key_parser(key: str):
+    """The parser declared with config key ``key`` on ``ExperimentConfig``."""
+    return next(f for f in dataclasses.fields(ExperimentConfig) if f.name == key).metadata["parse"]
+
+
+class TestKeyDeclarations:
+    """Each config key is declared once, as a field of ``ExperimentConfig``."""
+
+    def test_every_field_has_a_parser(self):
+        for f in dataclasses.fields(ExperimentConfig):
+            assert callable(f.metadata.get("parse")), f.name
+
+    def test_every_default_passes_its_parser(self):
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.default not in (dataclasses.MISSING, None):
+                assert f.metadata["parse"](str(f.default)) == f.default, f.name
+
+    def test_required_keys_are_the_fields_without_default(self):
+        assert harness._REQUIRED_KEYS == ("task", "d", "k", "seeds", "bias")
+
+    def test_every_task_key_is_a_field(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for task, keys in TASK_KEYS.items():
+            assert set(keys) <= names, task
+
+
 class TestDimensionRule:
+    """Dimension rules as ``parse_config`` reads them."""
+
     def test_explicit_list(self):
-        rule = DimensionRule.parse("10, 20", "n")
+        rule = parse_config(_with(REP_CONFIG, "n", "10, 20")).n
         assert rule.resolve(5) == (10, 20)
 
     def test_multiplier_rounds_up(self):
-        rule = DimensionRule.parse("0.02d", "s")
+        rule = parse_config(_with(RECOVERY_CONFIG, "s", "0.02d")).s
         assert rule.resolve(150) == (3,)
         assert rule.resolve(151) == (4,)
 
     def test_integer_multiplier(self):
-        assert DimensionRule.parse("2d", "n").resolve(25) == (50,)
+        assert parse_config(_with(REP_CONFIG, "n", "2d")).n.resolve(25) == (50,)
 
     def test_garbage_raises(self):
         with pytest.raises(ValueError, match="'n'"):
-            DimensionRule.parse("abc", "n")
+            parse_config(_with(REP_CONFIG, "n", "abc"))
 
 
 # values parse_config rejects, naming the key; each range case would fail every cell of a
@@ -260,9 +288,7 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_config(text)
         # run_sweep records the failure in every cell of such a config
-        config = dataclasses.replace(
-            parse_config(base), d=(d,), k=(k,), s=DimensionRule.parse(s, "s")
-        )
+        config = dataclasses.replace(parse_config(base), d=(d,), k=(k,), s=_key_parser("s")(s))
         records = run_sweep(config)
         assert records and all(r.error == cell_error for r in records)
 
@@ -425,6 +451,33 @@ class TestSweepMoments:
             "sum to 0.0, not 1"
         )
         assert len(calls) == 1 and runners == []
+
+    # the rectifier's output, and so sigma, is 0 in floating point under each law
+    ZERO_SIGMA_CONFIGS = [
+        _with(DIAG_CONFIG, "bias", "const:value=-40"),
+        _with(_with(_with(RECOVERY_CONFIG, "bias", "gauss:mean=-1000,std=1"), "delta", "0"),
+              "lambda_mode", "agnostic"),
+    ]
+
+    @pytest.mark.parametrize("text", ZERO_SIGMA_CONFIGS, ids=["diagnostics", "agnostic-recovery"])
+    def test_zero_agnostic_penalty_raises_before_any_cell(self, text, monkeypatch):
+        # each cell once recorded a ZeroDivisionError or a rejected lam of 0.0
+        runners = []
+        for name in ("_run_recovery_cell", "_run_diag_cell"):
+            monkeypatch.setattr(harness, name, lambda *args, name=name: runners.append(name))
+        config = parse_config(text)
+        with pytest.raises(ValueError) as caught:
+            run_sweep(config)
+        assert str(caught.value) == (
+            f"config key 'bias': the agnostic penalty at d={config.d[0]} is 0 in floating point, "
+            "from the rectifier's noise moment sigma=0.0 and the noise level delta=0.0"
+        )
+        assert runners == []
+
+    def test_oracle_sweep_runs_where_the_agnostic_penalty_is_zero(self):
+        text = _with(self.ZERO_SIGMA_CONFIGS[1], "lambda_mode", "oracle")
+        records = run_sweep(parse_config(text))
+        assert records and all(r.error is None for r in records)
 
 
 class TestReconstructAndEvaluate:

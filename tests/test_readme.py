@@ -1,11 +1,13 @@
-"""The command-line examples in ``README.md`` run as written.
+"""The examples in ``README.md`` run as written.
 
 Every ``relurec ...`` line of the "Command line" section runs, in order,
 in one fresh directory, as ``python -m relurec.cli`` with ``relurec``
 imported from ``src/`` and ``-W error``.  The example
 config of the "Sweep configs" section is written there as ``sweep.cfg``
 first, so ``relurec sweep --config sweep.cfg`` runs the documented config.
-That section's line for each task lists the keys the task reads.
+That section's line for each task lists the keys the task reads.  Each
+```` ```python ```` example runs in a fresh interpreter the same way and
+prints its result.
 """
 
 import os
@@ -16,14 +18,19 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from relurec.harness import TASK_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _readme() -> str:
+    return (ROOT / "README.md").read_text(encoding="utf-8")
+
+
 def _section(title: str) -> str:
-    text = (ROOT / "README.md").read_text(encoding="utf-8")
-    match = re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## |\Z)", text, re.M | re.S)
+    match = re.search(rf"^## {re.escape(title)}\n(.*?)(?=^## |\Z)", _readme(), re.M | re.S)
     assert match, f"README.md has no section {title!r}"
     return match.group(1)
 
@@ -39,21 +46,26 @@ def _sweep_config() -> str:
     return textwrap.dedent(block.group(1))
 
 
+def _python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``python -W error *args`` in a fresh interpreter that imports ``relurec`` from ``src/``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
 def test_readme_commands_run(tmp_path):
     commands = _commands()
     assert sorted({argv[0] for argv in commands}) == [
         "diag", "gen", "learn-rep", "recover", "sweep",
     ]
     (tmp_path / "sweep.cfg").write_text(_sweep_config(), encoding="utf-8")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
-    )
     for argv in commands:
-        done = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "relurec.cli", *argv],
-            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = _python(["-m", "relurec.cli", *argv], tmp_path)
         assert done.returncode == 0, f"relurec {shlex.join(argv)}\n{done.stderr}"
     assert (tmp_path / "inst" / "instance.npz").exists()
     assert (tmp_path / "results" / "results.csv").exists()
@@ -63,3 +75,12 @@ def test_readme_lists_the_keys_of_each_task():
     lines = re.findall(r"^- `(\w+)`: (.*)$", _section("Sweep configs"), re.M)
     listed = {task: tuple(re.findall(r"`(\w+)`", keys)) for task, keys in lines}
     assert listed == TASK_KEYS
+
+
+@pytest.mark.parametrize("index", [0, 1], ids=["reconstruction", "recovery"])
+def test_readme_python_example_runs(index, tmp_path):
+    examples = re.findall(r"^```python\n(.*?)^```", _readme(), re.M | re.S)
+    assert len(examples) == 2
+    done = _python(["-c", examples[index]], tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
