@@ -16,6 +16,7 @@ from relurec import (
     compute_bias_constants,
     default_exponential,
     generate_representation_instance,
+    log_likelihood,
     procrustes_align,
     reconstruct_matrix,
     sin_theta_distance,
@@ -39,7 +40,7 @@ err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
 constants = compute_bias_constants(model, gamma, instance.realized_nu)
 bound = theoretical_rep_bound(constants, d)
 print(f"\nsquared Frobenius error {err_sq:.1f} (theoretical bound {bound:.3g})")
-print(f"achieved log-likelihood {estimate.total_loglik:.2f}")
+print(f"achieved log-likelihood {log_likelihood(instance.Y, estimate, model):.2f}")
 
 # On observed entries the only unknown is the row bias, so the residual
 # is constant within each row: the bias estimation error.

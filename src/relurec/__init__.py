@@ -42,7 +42,7 @@ from .lasso import (
     make_nonlinearity_stats,
     solve_robust_lasso,
 )
-from .replearn import EstimatedMatrix, reconstruct_matrix, theoretical_rep_bound
+from .replearn import EstimatedMatrix, log_likelihood, reconstruct_matrix, theoretical_rep_bound
 from .subspace import procrustes_align, sin_theta_distance, truncated_svd
 
 __version__ = "0.1.0"
@@ -61,6 +61,7 @@ __all__ = [
     "generate_recovery_instance",
     "generate_representation_instance",
     "load_instance",
+    "log_likelihood",
     "make_nonlinearity_stats",
     "parse_bias_spec",
     "procrustes_align",

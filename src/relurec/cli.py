@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import default_exponential, parse_bias_spec
+from .bias import BiasModel, default_exponential, lipschitz_L, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -44,6 +44,7 @@ from .harness import (
     run_sweep,
 )
 from .lasso import LassoConfig, make_nonlinearity_stats
+from .replearn import log_likelihood
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -157,6 +158,11 @@ def _cmd_gen(args) -> int:
         if args.n is None:
             raise ValueError("--n is required for --task rep")
         spec = parse_bias_spec(args.bias) if args.bias else default_exponential(args.gamma)
+        if isinstance(spec, BiasModel):  # the check every learn-rep on the instance makes
+            try:
+                lipschitz_L(spec, args.gamma)
+            except ValueError as exc:
+                raise _UsageError(f"argument --bias/--gamma: {exc}") from exc
         instance = generate_representation_instance(
             args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
         )
@@ -194,7 +200,7 @@ def _cmd_learn_rep(args) -> int:
         "bound": outcome.rep_bound,
         "sin_theta": outcome.sin_theta,
         "procrustes_err": outcome.procrustes_err,
-        "total_loglik": outcome.estimate.total_loglik,
+        "total_loglik": log_likelihood(instance.Y, outcome.estimate, spec),
     }
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))

@@ -19,7 +19,9 @@ The feasible set for a candidate matrix ``X`` given ``Y``, a bound
 Under these constraints the row log-likelihood reduces to a
 one-dimensional function of the shared residual: the log-density of the
 shift.  Every bias law is log-concave, so its maximiser is the law's mode
-clipped to the interval.
+clipped to the interval, and the estimate reads nothing of the law but its
+mode and the start of its support.  :func:`log_likelihood` scores an
+estimate separately.
 
 A row's interval depends only on the largest and smallest entry of its
 support, so :func:`reconstruct_matrix` takes all rows at once: masked row
@@ -43,6 +45,7 @@ __all__ = [
     "EstimatedMatrix",
     "InfeasibleRowError",
     "InfeasibilityError",
+    "log_likelihood",
     "log_likelihood_gap",
     "reconstruct_matrix",
     "theoretical_rep_bound",
@@ -79,34 +82,16 @@ def _checked_inputs(Y, model, gamma: float, nu: float) -> np.ndarray:
     return Y
 
 
-# ----------------------------------------------------------------------
-# batched row functions over rows with support, each given by its largest
-# (top) and smallest (bottom) observation and whether it has clipped entries
-# ----------------------------------------------------------------------
-
-
-def _shift_intervals(top, bottom, mixed, gamma, nu):
-    """Feasible shift intervals ``(lo, hi)``.
-
-    The largest observation pins ``beta >= Y_max - gamma``; the smallest
-    pins ``beta <= Y_min + gamma`` and, when the row also has clipped
-    entries, the separation tightens this to ``Y_min + gamma - nu``.
-    """
-    return top - gamma, bottom + gamma - np.where(mixed, nu, 0.0)
-
-
-def _shift_logliks(beta, bottom, model: BiasModel) -> np.ndarray:
-    """``log p(beta) - log p(bottom)`` per row; ``-inf`` where ``p(beta)`` is zero."""
-    lp = model.log_density(beta)
-    out = np.full(lp.shape, -np.inf)
-    finite = np.isfinite(lp)
-    out[finite] = lp[finite] - model.log_density(bottom[finite])
-    return out
-
-
 def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: float):
-    """Per-row ``(beta, loglik, interior)``; ``index`` numbers the rows in errors."""
-    lo, hi = _shift_intervals(top, bottom, mixed, gamma, nu)
+    """Shift estimates of the rows with support; ``index`` numbers them in errors.
+
+    Each row is given by its largest (``top``) and smallest (``bottom``)
+    observation and whether it has clipped entries (``mixed``).  The largest
+    pins ``beta >= Y_max - gamma``; the smallest pins
+    ``beta <= Y_min + gamma``, tightened by the separation to
+    ``Y_min + gamma - nu`` on a mixed row.
+    """
+    lo, hi = top - gamma, bottom + gamma - np.where(mixed, nu, 0.0)
     empty = lo > hi + 1e-12
     if empty.any():
         i = int(np.argmax(empty))
@@ -116,36 +101,19 @@ def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: flo
         )
     hi = np.maximum(hi, lo)
     # a log-concave density rises up to its mode and falls after it, so the
-    # argmax is the clipped mode; where the density vanishes on the whole
-    # interval (an exponential law starting right of hi) all shifts tie at
-    # zero likelihood, and the tie goes to lo
+    # argmax is the clipped mode; where the support starts right of the whole
+    # interval (an exponential law) all shifts tie at zero likelihood, and
+    # the tie goes to lo
     beta = np.minimum(np.maximum(model.mode, lo), hi)
-    loglik = _shift_logliks(beta, bottom, model)
-    beta = np.where(loglik == -np.inf, lo, beta)
-    margin = 1e-9 * np.maximum(1.0, hi - lo)
-    interior = (lo + margin < beta) & (beta < hi - margin)
-    return beta, loglik, interior
-
-
-def _ceiling_loglik(x: float, model: BiasModel) -> float:
-    """``log P(B <= -x) - log P(B <= 0)``: an all-clipped row with ceiling ``x``."""
-    mass = float(model.cdf(-x))
-    base = float(model.cdf(0.0))
-    if mass <= 0.0:
-        return -math.inf
-    if base <= 0.0:
-        raise ValueError("baseline probability P(B <= 0) vanishes for this model")
-    return math.log(mass) - math.log(base)
+    return np.where(hi < model.support()[0], lo, beta)
 
 
 @dataclass(frozen=True)
 class EstimatedMatrix:
-    """Reconstructed matrix with per-row shift estimates and diagnostics."""
+    """Reconstructed matrix and its per-row shifts; :func:`log_likelihood` scores it."""
 
     m_hat: np.ndarray
     beta_hats: np.ndarray  # NaN for rows with empty support
-    row_statuses: tuple[str, ...]
-    total_loglik: float
 
 
 def reconstruct_matrix(
@@ -183,7 +151,8 @@ def reconstruct_matrix(
     top = Y.max(axis=1, initial=0.0)[rows]  # Y >= 0, so the row max is the support's
     bottom = np.min(Y, axis=1, where=on, initial=math.inf)[rows]
     mixed = ~on.all(axis=1)[rows]
-    beta, loglik, interior = _row_mles(top, bottom, mixed, rows, model, gamma, nu)
+    beta_hats = np.full(d, np.nan)
+    beta_hats[rows] = beta = _row_mles(top, bottom, mixed, rows, model, gamma, nu)
 
     # one fill value per row: the row's ceiling m_min - nu on mixed rows
     # (moot on fully observed ones), -gamma on rows with empty support
@@ -193,26 +162,54 @@ def reconstruct_matrix(
         fill_value[rows] = np.maximum(ceiling, -gamma)
     elif fill == "midpoint":
         fill_value[rows] = np.maximum((ceiling - gamma) / 2.0, -gamma)
-    shift = np.zeros(d)
-    shift[rows] = beta
     m_hat = np.repeat(fill_value[:, None], n, axis=1)
-    np.subtract(Y, shift[:, None], out=m_hat, where=on)
-
-    beta_hats = np.full(d, np.nan)
-    beta_hats[rows] = beta
-    statuses = np.full(d, "empty_support_row", dtype=object)
-    statuses[rows] = np.where(interior, "interior", "boundary")
-    total = sum(loglik.tolist(), 0.0)
-    if rows.size < d:
-        total += (d - rows.size) * _ceiling_loglik(-gamma, model)
-    return EstimatedMatrix(
-        m_hat=m_hat, beta_hats=beta_hats, row_statuses=tuple(statuses), total_loglik=total
-    )
+    np.subtract(Y, beta_hats[:, None], out=m_hat, where=on)
+    return EstimatedMatrix(m_hat=m_hat, beta_hats=beta_hats)
 
 
 # ----------------------------------------------------------------------
-# feasibility checking and likelihood comparison of candidate matrices
+# likelihoods of estimates and candidate matrices, and feasibility checking
 # ----------------------------------------------------------------------
+
+
+def _row_logliks(shifts, C: np.ndarray, rows, model: BiasModel) -> np.ndarray:
+    """Per-row log-likelihood of candidate ``C``, ``-inf`` where it is impossible.
+
+    ``log p(shift)`` on the rows with support, numbered by ``rows``, and
+    ``log P(B <= -max_j C_ij)`` on the all-clipped others.
+    """
+    mass = model.cdf(-C.max(axis=1, initial=-math.inf))
+    out = np.full(C.shape[0], -math.inf)
+    np.log(mass, out=out, where=mass > 0.0)
+    out[rows] = model.log_density(shifts)
+    return out
+
+
+def log_likelihood(Y: np.ndarray, estimate: EstimatedMatrix, model: BiasModel) -> float:
+    """Log-likelihood of a :func:`reconstruct_matrix` estimate, each row against a baseline.
+
+    A row with support scores ``log p(beta_hat) - log p(Y_min)``, or
+    ``-inf`` where ``p(beta_hat)`` is zero.  An all-clipped row, filled at
+    ``-gamma``, scores ``log P(B <= gamma) - log P(B <= 0)`` and raises
+    ``ValueError`` where ``P(B <= 0)`` vanishes.  The shifts are read from
+    ``beta_hats``: ``Y - m_hat`` can round below an exponential law's
+    support edge.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if estimate.m_hat.shape != Y.shape:
+        raise ValueError(f"estimate shape {estimate.m_hat.shape} does not match Y {Y.shape}")
+    on = Y > 0.0
+    clipped = ~on.any(axis=1)
+    rows = np.flatnonzero(~clipped)
+    lp = _row_logliks(estimate.beta_hats[rows], estimate.m_hat, rows, model)
+    # a row's baseline is its term at shift Y_min, or at ceiling 0 when all clipped
+    bottom = np.min(Y, axis=1, where=on, initial=math.inf)[rows]
+    base = _row_logliks(bottom, np.zeros((Y.shape[0], 1)), rows, model)
+    live = np.isfinite(lp)
+    if np.isneginf(base[clipped & live]).any():
+        raise ValueError("baseline probability P(B <= 0) vanishes for this model")
+    np.subtract(lp, base, out=lp, where=live)
+    return sum(lp.tolist(), 0.0)
 
 
 def _check_feasible(
@@ -266,17 +263,10 @@ def log_likelihood_gap(
     on = Y > 0.0
     rows = np.flatnonzero(on.any(axis=1))
     cols = np.argmin(np.where(on, Y, math.inf), axis=1)[rows]  # each row's smallest observation
-
-    def row_logliks(C: np.ndarray) -> np.ndarray:
-        # all-clipped rows: log P(B <= -max_j C_ij); the others: the shift's log-density
-        mass = model.cdf(-C.max(axis=1))
-        out = np.full(C.shape[0], -math.inf)
-        np.log(mass, out=out, where=mass > 0.0)
-        out[rows] = model.log_density(Y[rows, cols] - C[rows, cols])
-        return out
-
-    lp_m = row_logliks(np.asarray(M, dtype=float))
-    lp_x = row_logliks(np.asarray(X, dtype=float))
+    lp_m, lp_x = (
+        _row_logliks(Y[rows, cols] - C[rows, cols], C, rows, model)
+        for C in (np.asarray(M, dtype=float), np.asarray(X, dtype=float))
+    )
     differ = lp_m != lp_x  # equal terms cancel, also where both candidates are impossible
     return sum((lp_m[differ] - lp_x[differ]).tolist(), 0.0)
 

@@ -32,7 +32,12 @@ from relurec.lasso import (
     recovery_error_and_bound,
     solve_robust_lasso,
 )
-from relurec.replearn import log_likelihood_gap, reconstruct_matrix, theoretical_rep_bound
+from relurec.replearn import (
+    log_likelihood,
+    log_likelihood_gap,
+    reconstruct_matrix,
+    theoretical_rep_bound,
+)
 from relurec.subspace import (
     alignment_error_bound,
     procrustes_align,
@@ -422,7 +427,7 @@ def test_acceptance_10_row_mle_matches_grid_oracle():
         on = y > 0.0
         if not on.any():
             continue
-        loglik = reconstruct_matrix(y[None], model, gamma, nu).total_loglik
+        loglik = log_likelihood(y[None], reconstruct_matrix(y[None], model, gamma, nu), model)
         # the feasible shifts [Y_max - gamma, Y_min + gamma (- nu with clipped entries)]
         lo = float(y[on].max()) - gamma
         hi = float(y[on].min()) + gamma - (nu if not on.all() else 0.0)

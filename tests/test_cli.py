@@ -12,7 +12,14 @@ import pytest
 import relurec
 from relurec import cli
 from relurec.cli import cli_dispatch
-from relurec.generate import GenerativeInstance, RecoveryInstance, load_instance
+from relurec.bias import BiasModel
+from relurec.generate import (
+    GenerativeInstance,
+    RecoveryInstance,
+    generate_representation_instance,
+    load_instance,
+    save_instance,
+)
 from relurec.harness import parse_config, run_sweep
 
 
@@ -123,13 +130,11 @@ class TestLearnRep:
         assert u_hat.shape == (15, 2)
 
     def test_saved_failing_law_is_a_runtime_error(self, tmp_path, capsys):
-        # the instance's own law fails, and no flag set a value: exit 2, naming no flag
+        # the instance's own law fails, and no flag set a value: exit 2, naming no flag;
+        # gen refuses such a law, so the instance is saved through the library
         inst = tmp_path / "inst"
-        assert run(
-            ["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--gamma", 1.0,
-             "--bias", "exp:rate=1.0,shift=-1.0", "--seed", 0, "--out", inst]
-        ) == 0
-        capsys.readouterr()
+        law = BiasModel.shifted_exponential(rate=1.0, shift=-1.0)
+        save_instance(generate_representation_instance(8, 12, 2, 1.0, law, seed=0), inst)
         assert run(["learn-rep", "--input", inst, "--out", tmp_path / "o"]) == 2
         assert capsys.readouterr().err == (
             "error: ValueError: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
@@ -364,6 +369,10 @@ class TestBadFlagValue:
             (["diag", "--d", 40, "--k", 4, "--s", 4, "--bias", "const:value=-40"],
              "the agnostic penalty at d=40 is 0 in floating point, from the rectifier's "
              "noise moment sigma=0.0 and the noise level delta=0.0"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--gamma", 1.0,
+              "--bias", "exp:rate=1.0,shift=-1.0"],
+             "argument --bias/--gamma: CDF vanishes at -1.0; the hazard-type ratio "
+             "p/P(B<=x) is unbounded"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -375,7 +384,7 @@ class TestBadFlagValue:
             "diag-negative-seed", "gen-min-margin-nan", "gen-min-margin-inf",
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
-            "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty",
+            "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty", "gen-rep-law-starts-at-gamma",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

@@ -11,6 +11,7 @@ reconstructed support is ``[3, 2]``, and the clipped entry may range over
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from relurec.replearn import (
     FILL_STRATEGIES,
     InfeasibilityError,
     InfeasibleRowError,
+    log_likelihood,
     log_likelihood_gap,
     reconstruct_matrix,
     theoretical_rep_bound,
@@ -36,6 +38,12 @@ FAR_RIGHT = BiasModel.gaussian(10.0, 1.0)
 def one_row(y, model, gamma, nu):
     """``reconstruct_matrix`` of the single row ``y``: the one-row estimator."""
     return reconstruct_matrix(np.array([y], dtype=float), model, gamma, nu)
+
+
+def one_row_loglik(y, model, gamma, nu):
+    """``log_likelihood`` of the one-row estimate of ``y``."""
+    Y = np.array([y], dtype=float)
+    return log_likelihood(Y, reconstruct_matrix(Y, model, gamma, nu), model)
 
 
 def shift_interval(y, gamma, nu):
@@ -94,16 +102,16 @@ class TestFeasibleInterval:
 class TestRowLogLikelihood:
     def test_zero_shift_is_the_baseline(self):
         # a row scores log p(beta) - log p(Y_min): zero when the MLE is Y_min
-        est = one_row([2.0, 1.0, 0.0], BiasModel.gaussian(1.0, 1.0), 3.0, 0.1)
-        assert est.beta_hats[0] == 1.0
-        assert est.total_loglik == pytest.approx(0.0, abs=1e-12)
+        model = BiasModel.gaussian(1.0, 1.0)
+        assert one_row([2.0, 1.0, 0.0], model, 3.0, 0.1).beta_hats[0] == 1.0
+        assert one_row_loglik([2.0, 1.0, 0.0], model, 3.0, 0.1) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_worked_value(self):
         # [2, 1, 0]: beta = -1, (-3) - (-5) = 2; [3, 0.5, 0]: beta = 0, (-4) - (-4.5) = 0.5
         Y = np.array([[2.0, 1.0, 0.0], [3.0, 0.5, 0.0]])
         est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
         np.testing.assert_allclose(est.beta_hats, [-1.0, 0.0], atol=1e-12)
-        assert est.total_loglik == pytest.approx(2.5, abs=1e-12)
+        assert log_likelihood(Y, est, EXP4) == pytest.approx(2.5, abs=1e-12)
 
     def test_zero_density_shift_gives_minus_inf(self):
         # row 0's interval [-0.5, 1.15] lies left of the support [1.5, inf) of
@@ -111,30 +119,34 @@ class TestRowLogLikelihood:
         Y = np.array([[0.5, 0.2, 0.0], [3.0, 2.5, 0.0]])
         model = BiasModel.shifted_exponential(rate=1.0, shift=1.5)
         est = reconstruct_matrix(Y, model, 1.0, 0.05)
-        assert est.total_loglik == -math.inf
+        assert log_likelihood(Y, est, model) == -math.inf
         np.testing.assert_array_equal(est.beta_hats, [-0.5, 2.0])
 
     def test_empty_row_uses_ceiling(self):
         # an all-clipped row adds log P(B <= gamma) - log P(B <= 0) to the
         # row with support, which scores log p(0) - log p(0.8)
         model = BiasModel.gaussian()
-        est = reconstruct_matrix(np.array([[0.0, 0.0, 0.0], [1.0, 0.8, 0.0]]), model, 1.0, 0.1)
+        Y = np.array([[0.0, 0.0, 0.0], [1.0, 0.8, 0.0]])
+        est = reconstruct_matrix(Y, model, 1.0, 0.1)
         ceiling = math.log(model.cdf(1.0)) - math.log(model.cdf(0.0))
-        assert est.total_loglik == pytest.approx(ceiling + 0.32, abs=1e-12)
+        assert log_likelihood(Y, est, model) == pytest.approx(ceiling + 0.32, abs=1e-12)
+
+    def test_estimate_of_another_shape_is_rejected(self):
+        est = one_row([2.0, 1.0, 0.0], EXP4, 3.0, 0.1)
+        with pytest.raises(ValueError, match=r"estimate shape \(1, 3\) does not match Y \(1, 2\)"):
+            log_likelihood(np.array([[2.0, 1.0]]), est, EXP4)
 
 
 class TestEstimateRowBias:
     def test_boundary_maximum_for_decreasing_density(self):
         est = one_row([2.0, 1.0, 0.0], EXP4, 3.0, 0.1)
         assert est.beta_hats[0] == pytest.approx(-1.0, abs=1e-9)
-        assert est.row_statuses[0] == "boundary"
-        assert est.total_loglik == pytest.approx(2.0, abs=1e-8)
+        assert one_row_loglik([2.0, 1.0, 0.0], EXP4, 3.0, 0.1) == pytest.approx(2.0, abs=1e-8)
 
     def test_interior_maximum_at_gaussian_mode(self):
         est = one_row([1.0, 0.8, 0.0], BiasModel.gaussian(), 2.0, 0.1)
         # near a smooth maximum the argument is only determined to ~sqrt(eps)
         assert est.beta_hats[0] == pytest.approx(0.0, abs=1e-7)
-        assert est.row_statuses[0] == "interior"
 
     def test_support_edge_inside_interval(self):
         # density jumps at the support edge; the maximiser sits exactly there
@@ -145,7 +157,6 @@ class TestEstimateRowBias:
     def test_singleton_interval_collapses(self):
         est = one_row([1.0, 0.0], BiasModel.gaussian(), 0.5, 1.0)
         assert est.beta_hats[0] == pytest.approx(0.5)
-        assert est.row_statuses[0] == "boundary"
 
     def test_matches_dense_grid_search(self):
         rng = np.random.default_rng(0)
@@ -167,8 +178,32 @@ class TestEstimateRowBias:
         model = BiasModel.shifted_exponential(rate=1.0, shift=5.0)
         est = one_row([0.5, 0.2, 0.0], model, 1.0, 0.05)
         assert est.beta_hats[0] == -0.5
-        assert est.total_loglik == -math.inf
-        assert est.row_statuses[0] == "boundary"
+        assert one_row_loglik([0.5, 0.2, 0.0], model, 1.0, 0.05) == -math.inf
+
+    def test_mode_right_of_the_interval_with_a_tiny_scale(self):
+        # (hi - mode) / scale overflows; the estimate reads no density, so it
+        # gives hi without an overflow warning instead of a tie at lo
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = one_row([0.3, 0.2, 0.0], BiasModel.gaussian(5.0, 1e-200), 1.0, 0.05)
+        assert est.beta_hats[0] == 0.2 + 1.0 - 0.05
+
+    def test_estimate_evaluates_no_density_or_cdf(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the estimate evaluated the bias law")
+
+        for name in ("log_density", "density", "cdf"):
+            monkeypatch.setattr(BiasModel, name, refuse)
+        # mixed rows, an all-clipped row and a fully observed row
+        Y = np.array([[0.5, 0.2, 0.0], [3.0, 2.5, 0.0], [0.0, 0.0, 0.0], [0.3, 0.3, 0.3]])
+        expected = {
+            BiasModel.shifted_exponential(1.0, 1.5): [-0.5, 2.0, np.nan, -0.7],  # ties at lo
+            BiasModel.gaussian(1.0, 0.5): [1.0, 2.0, np.nan, 1.0],
+            BiasModel.logistic(-3.0, 2.0): [-0.5, 2.0, np.nan, -0.7],
+        }
+        for model, beta_hats in expected.items():
+            est = reconstruct_matrix(Y, model, 1.0, 0.05)
+            np.testing.assert_allclose(est.beta_hats, beta_hats, rtol=0.0, atol=1e-15)
 
     def test_empty_interval_raises_with_row_details(self):
         Y = np.zeros((5, 3))
@@ -191,7 +226,7 @@ class TestReconstructMatrix:
         np.testing.assert_array_equal(
             est.m_hat, reconstruct_matrix(Y, EXP4, 3.0, 0.1, fill="midpoint").m_hat
         )
-        assert est.total_loglik == pytest.approx(2.0, abs=1e-8)
+        assert log_likelihood(Y, est, EXP4) == pytest.approx(2.0, abs=1e-8)
 
     def test_gaussian_mode_keeps_support_values(self):
         # with the mode feasible, the estimated shift is 0 and support copies Y
@@ -205,14 +240,13 @@ class TestReconstructMatrix:
         est = reconstruct_matrix(Y, BiasModel.gaussian(), 1.0, 0.1)
         np.testing.assert_array_equal(est.m_hat[0], [-1.0, -1.0])
         assert math.isnan(est.beta_hats[0])
-        assert est.row_statuses[0] == "empty_support_row"
 
     def test_empty_row_contributes_ceiling_likelihood(self):
         model = BiasModel.gaussian()
         Y = np.zeros((1, 3))
         est = reconstruct_matrix(Y, model, 1.0, 0.1)
         expected = math.log(model.cdf(1.0)) - math.log(model.cdf(0.0))
-        assert est.total_loglik == pytest.approx(expected, abs=1e-12)
+        assert log_likelihood(Y, est, model) == pytest.approx(expected, abs=1e-12)
 
     def test_support_residuals_are_row_constant(self):
         model = default_exponential(1.0)
@@ -333,7 +367,6 @@ def test_each_row_is_estimated_from_that_row_alone(kind, location, scale, fill, 
         alone = reconstruct_matrix(inst.Y[i : i + 1], model, 1.0, nu, fill=fill)
         np.testing.assert_array_equal(alone.m_hat[0], full.m_hat[i])
         np.testing.assert_array_equal(alone.beta_hats[0], full.beta_hats[i])
-        assert alone.row_statuses[0] == full.row_statuses[i]
 
 
 @pytest.mark.parametrize("fill", FILL_STRATEGIES)
@@ -353,6 +386,43 @@ def test_reconstruction_is_feasible(kind, fill, location, scale, gamma, seed):
         assume(False)
     est = reconstruct_matrix(inst.Y, model, gamma, inst.realized_nu, fill=fill)
     assert_feasible(est, inst.Y, gamma, inst.realized_nu)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("gaussian", "logistic"),
+        ("logistic", "gaussian"),
+        ("gaussian", "gaussian"),
+        ("shifted_exponential", "shifted_exponential"),
+    ],
+)
+@given(
+    mode=st.floats(-3.0, 3.0),
+    scales=st.tuples(st.floats(0.05, 20.0), st.floats(0.05, 20.0)),
+    gamma=st.floats(0.2, 3.0),
+    nu_frac=st.floats(0.0, 1.0),
+    fill=st.sampled_from(FILL_STRATEGIES),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_estimate_reads_only_the_mode_and_the_support_edge(
+    first, second, mode, scales, gamma, nu_frac, fill, seed
+):
+    # two laws sharing their mode and support edge give the same bits for any Y
+    rng = np.random.default_rng(seed)
+    d, n = rng.integers(1, 10, size=2)
+    M = rng.uniform(-gamma, gamma, size=(d, n))
+    Y = np.maximum(M + rng.uniform(-2.0 * gamma, 2.0 * gamma, size=(d, 1)), 0.0)
+    outcomes = []
+    for kind, scale in ((first, scales[0]), (second, scales[1])):
+        params = (1.0 / scale, mode) if kind == "shifted_exponential" else (mode, scale)
+        try:
+            est = reconstruct_matrix(Y, LAWS[kind](*params), gamma, nu_frac * gamma, fill=fill)
+        except InfeasibleRowError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((est.m_hat.tobytes(), est.beta_hats.tobytes()))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestLikelihoodGap:

@@ -1,11 +1,11 @@
 """The batched row computations against the per-row loops they replaced.
 
-``reconstruct_matrix``, ``_check_feasible``, ``log_likelihood_gap`` and
-``row_margins`` compute every row at once with masked row reductions.  The
-loops below are the earlier one-row-at-a-time implementations, kept here
-as reference oracles: the batched results must equal them bit for bit
-(``total_loglik`` and the likelihood gap to 1e-12), and errors must name
-the same row and the same kind of violation.
+``reconstruct_matrix``, ``log_likelihood``, ``_check_feasible``,
+``log_likelihood_gap`` and ``row_margins`` compute every row at once with
+masked row reductions.  The loops below are the earlier one-row-at-a-time
+implementations, kept here as reference oracles: the batched results must
+equal them bit for bit (the two likelihoods to 1e-12), and errors must
+name the same row and the same kind of violation.
 """
 
 import math
@@ -23,6 +23,7 @@ from relurec.replearn import (
     InfeasibilityError,
     InfeasibleRowError,
     _check_feasible,
+    log_likelihood,
     log_likelihood_gap,
     reconstruct_matrix,
 )
@@ -37,8 +38,6 @@ def loop_reconstruct(Y, model, gamma, nu, fill):
     d, n = Y.shape
     m_hat = np.full((d, n), -gamma, dtype=float)
     beta_hats = np.full(d, np.nan)
-    statuses = ["empty_support_row"] * d
-    total = 0.0
     for i in range(d):
         on = Y[i] > 0.0
         if not on.any():
@@ -52,15 +51,8 @@ def loop_reconstruct(Y, model, gamma, nu, fill):
             raise InfeasibleRowError(f"row {i}: empty feasible interval")
         hi = max(hi, lo)
         beta = min(max(model.mode, lo), hi)
-        lp = float(model.log_density(beta))
-        if math.isfinite(lp):
-            loglik = lp - float(model.log_density(float(values[-1])))
-        else:
-            loglik = -math.inf
-        if loglik == -math.inf:
+        if not math.isfinite(float(model.log_density(beta))):
             beta = lo
-        margin = 1e-9 * max(1.0, hi - lo)
-        statuses[i] = "interior" if lo + margin < beta < hi - margin else "boundary"
         beta_hats[i] = beta
         m_hat[i, on] = Y[i, on] - beta
         if not on.all():
@@ -72,8 +64,21 @@ def loop_reconstruct(Y, model, gamma, nu, fill):
             else:
                 value = max((ceiling - gamma) / 2.0, -gamma)
             m_hat[i, ~on] = value
-        total += loglik
-    for i in range(d):
+    return m_hat, beta_hats
+
+
+def loop_log_likelihood(Y, beta_hats, model, gamma):
+    """Row by row: ``log p(beta) - log p(Y_min)``; ``log F(gamma) - log F(0)`` if all clipped."""
+    total = 0.0
+    for i in range(Y.shape[0]):
+        on = Y[i] > 0.0
+        if on.any():
+            lp = float(model.log_density(beta_hats[i]))
+            if math.isfinite(lp):
+                total += lp - float(model.log_density(float(Y[i, on].min())))
+            else:
+                total += -math.inf
+    for i in range(Y.shape[0]):
         if not (Y[i] > 0.0).any():
             mass, base = float(model.cdf(gamma)), float(model.cdf(0.0))
             if mass <= 0.0:
@@ -82,7 +87,7 @@ def loop_reconstruct(Y, model, gamma, nu, fill):
                 raise ValueError("baseline probability P(B <= 0) vanishes")
             else:
                 total += math.log(mass) - math.log(base)
-    return m_hat, beta_hats, tuple(statuses), total
+    return total
 
 
 def loop_check_feasible(X, Y, gamma, nu, label, tol=1e-8):
@@ -205,17 +210,22 @@ def test_reconstruct_matrix_matches_the_row_loop(kind, inst, loc, scale, nu_frac
     _, _, Y = _rectified(inst["seed"], inst["d"], inst["n"], gamma, reach)
     nu = nu_frac * gamma
     try:
-        expected = loop_reconstruct(Y, model, gamma, nu, fill)
-    except ValueError as exc:  # a row without feasible shift, or a law without mass below 0
-        with pytest.raises(type(exc), match="^" + re.escape(str(exc))):
+        m_hat, beta_hats = loop_reconstruct(Y, model, gamma, nu, fill)
+    except InfeasibleRowError as exc:
+        with pytest.raises(InfeasibleRowError, match="^" + re.escape(str(exc))):
             reconstruct_matrix(Y, model, gamma, nu, fill=fill)
         return
     est = reconstruct_matrix(Y, model, gamma, nu, fill=fill)
-    m_hat, beta_hats, statuses, total = expected
     np.testing.assert_array_equal(est.m_hat, m_hat)
     np.testing.assert_array_equal(est.beta_hats, beta_hats)
-    assert est.row_statuses == statuses
-    assert _same_total(est.total_loglik, total), (est.total_loglik, total)
+    try:
+        total = loop_log_likelihood(Y, beta_hats, model, gamma)
+    except ValueError as exc:  # an all-clipped row, and a law without mass below 0
+        with pytest.raises(ValueError, match="^" + re.escape(str(exc))):
+            log_likelihood(Y, est, model)
+        return
+    got = log_likelihood(Y, est, model)
+    assert _same_total(got, total), (got, total)
 
 
 def test_zero_density_tie_and_empty_rows_match_the_row_loop():
@@ -225,12 +235,12 @@ def test_zero_density_tie_and_empty_rows_match_the_row_loop():
     model = BiasModel.shifted_exponential(rate=1.0, shift=5.0)
     for fill in FILL_STRATEGIES:
         est = reconstruct_matrix(Y, model, 1.0, 0.05, fill=fill)
-        m_hat, beta_hats, statuses, total = loop_reconstruct(Y, model, 1.0, 0.05, fill)
+        m_hat, beta_hats = loop_reconstruct(Y, model, 1.0, 0.05, fill)
         np.testing.assert_array_equal(est.m_hat, m_hat)
         np.testing.assert_array_equal(est.beta_hats, beta_hats)
         np.testing.assert_array_equal(est.beta_hats[:2], [-0.5, -0.7])
-        assert est.row_statuses == statuses
-        assert est.total_loglik == total == -math.inf
+        total = loop_log_likelihood(Y, beta_hats, model, 1.0)
+        assert log_likelihood(Y, est, model) == total == -math.inf
 
 
 @given(inst=instances, nu_frac=st.floats(0.0, 0.3), share=st.floats(0.0, 1.0))
