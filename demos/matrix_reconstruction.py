@@ -57,7 +57,7 @@ print(f"largest within-row residual spread on observed entries: {max(spreads):.2
 # distance and by Procrustes alignment.
 U, _, _ = truncated_svd(instance.M, k)
 U_hat, _, _ = truncated_svd(estimate.m_hat, k)
-rotation, procrustes_err = procrustes_align(U, U_hat)
+_, procrustes_err = procrustes_align(U, U_hat)
 print(f"\nsubspace distance (sin-theta) {sin_theta_distance(U, U_hat):.3f}")
 print(f"aligned basis error (Procrustes) {procrustes_err:.3f}")
 print(f"worst case for k orthonormal columns would be {np.sqrt(2.0 * k):.3f}")

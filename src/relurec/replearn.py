@@ -21,15 +21,15 @@ one-dimensional function of the shared residual: the log-density of the
 shift.  Every bias law is log-concave, so its maximiser is the law's mode
 clipped to the interval, and the estimate reads nothing of the law but its
 mode and the start of its support.  :func:`log_likelihood` scores an
-estimate separately.
+estimate separately, and the likelihood gap between two candidates is the
+difference of their scores.
 
 A row's interval depends only on the largest and smallest entry of its
 support, so :func:`reconstruct_matrix` takes all rows at once: masked row
 reductions over ``Y > 0``, the clipped mode per row, one masked subtraction
 over a per-row fill.  Each row's estimate depends on that row alone, so
 ``reconstruct_matrix(Y[i:i+1], ...)`` is the one-row estimator.  The
-estimate is feasible by construction; the feasibility check guards the
-candidates passed to :func:`log_likelihood_gap`.
+estimate is feasible by construction and is not checked again.
 """
 
 from __future__ import annotations
@@ -44,9 +44,7 @@ from .bias import BiasConstants, BiasModel
 __all__ = [
     "EstimatedMatrix",
     "InfeasibleRowError",
-    "InfeasibilityError",
     "log_likelihood",
-    "log_likelihood_gap",
     "reconstruct_matrix",
     "theoretical_rep_bound",
 ]
@@ -58,18 +56,10 @@ class InfeasibleRowError(ValueError):
     """The feasible interval for a row's shift is empty."""
 
 
-class InfeasibilityError(ValueError):
-    """A candidate matrix violates the feasible-set constraints."""
-
-
-def _checked_inputs(Y, model, gamma: float, nu: float) -> np.ndarray:
+def _checked_inputs(Y, model) -> np.ndarray:
     """``Y`` as a float matrix, after the input checks both public entry points share."""
     if not isinstance(model, BiasModel):
         raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be a 2-D matrix, got shape {Y.shape}")
@@ -144,7 +134,11 @@ def reconstruct_matrix(
     """
     if fill not in FILL_STRATEGIES:
         raise ValueError(f"fill must be one of {FILL_STRATEGIES}, got {fill!r}")
-    Y = _checked_inputs(Y, model, gamma, nu)
+    Y = _checked_inputs(Y, model)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not 0.0 <= nu < math.inf:
+        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
     d, n = Y.shape
     on = Y > 0.0
     rows = np.flatnonzero(on.any(axis=1))
@@ -168,7 +162,7 @@ def reconstruct_matrix(
 
 
 # ----------------------------------------------------------------------
-# likelihoods of estimates and candidate matrices, and feasibility checking
+# the likelihood of an estimate or a candidate matrix
 # ----------------------------------------------------------------------
 
 
@@ -186,22 +180,42 @@ def _row_logliks(shifts, C: np.ndarray, rows, model: BiasModel) -> np.ndarray:
 
 
 def log_likelihood(Y: np.ndarray, estimate: EstimatedMatrix, model: BiasModel) -> float:
-    """Log-likelihood of a :func:`reconstruct_matrix` estimate, each row against a baseline.
+    """Log-likelihood of an estimate of ``Y``, each row against a baseline.
 
     A row with support scores ``log p(beta_hat) - log p(Y_min)``, or
-    ``-inf`` where ``p(beta_hat)`` is zero.  An all-clipped row, filled at
-    ``-gamma``, scores ``log P(B <= gamma) - log P(B <= 0)`` and raises
-    ``ValueError`` where ``P(B <= 0)`` vanishes.  The shifts are read from
-    ``beta_hats``: ``Y - m_hat`` can round below an exponential law's
-    support edge.
+    ``-inf`` where ``p(beta_hat)`` is zero.  An all-clipped row scores
+    ``log P(B <= -max_j m_hat_ij) - log P(B <= 0)`` (``-gamma`` fills give
+    ``log P(B <= gamma)``) and raises ``ValueError`` where ``P(B <= 0)``
+    vanishes.  The baselines depend on ``Y`` alone, so the likelihood gap
+    between two candidates is the difference of their scores.
+
+    ``Y`` and ``model`` are checked as in :func:`reconstruct_matrix`.  The
+    estimate must fit ``Y``, else ``ValueError`` names the first row that
+    does not: every ``m_hat`` entry finite, and on each row with support a
+    finite ``beta_hat`` from which every ``Y_ij - m_hat_ij`` differs by at
+    most ``4 eps`` times the largest magnitude in the row's ``Y``, ``m_hat``
+    and ``beta_hat`` (``eps`` the float64 machine epsilon).  The score reads
+    the shift from ``beta_hats``: ``Y - m_hat`` can round below an
+    exponential law's support edge.
     """
-    Y = np.asarray(Y, dtype=float)
-    if estimate.m_hat.shape != Y.shape:
-        raise ValueError(f"estimate shape {estimate.m_hat.shape} does not match Y {Y.shape}")
+    Y = _checked_inputs(Y, model)
+    m_hat, beta_hats = (np.asarray(a, dtype=float) for a in (estimate.m_hat, estimate.beta_hats))
+    if m_hat.shape != Y.shape:
+        raise ValueError(f"estimate shape {m_hat.shape} does not match Y {Y.shape}")
     on = Y > 0.0
     clipped = ~on.any(axis=1)
     rows = np.flatnonzero(~clipped)
-    lp = _row_logliks(estimate.beta_hats[rows], estimate.m_hat, rows, model)
+    shift = np.where(clipped, 0.0, beta_hats)  # an all-clipped row has no shift to fit
+    stray = np.max(np.abs(Y - m_hat - shift[:, None]), axis=1, where=on, initial=0.0)
+    scale = np.maximum(np.max(np.maximum(np.abs(m_hat), Y), axis=1, initial=0.0), np.abs(shift))
+    finite = np.isfinite(m_hat).all(axis=1)
+    unfit = ~(finite & np.isfinite(shift) & (stray <= 4.0 * np.finfo(float).eps * scale))
+    if unfit.any():
+        i = int(np.argmax(unfit))
+        if not finite[i]:
+            raise ValueError(f"estimate row {i}: m_hat holds {m_hat[i][~np.isfinite(m_hat[i])][0]}")
+        raise ValueError(f"estimate row {i}: Y - m_hat is {stray[i]:.3g} off beta_hat {shift[i]}")
+    lp = _row_logliks(beta_hats[rows], m_hat, rows, model)
     # a row's baseline is its term at shift Y_min, or at ceiling 0 when all clipped
     bottom = np.min(Y, axis=1, where=on, initial=math.inf)[rows]
     base = _row_logliks(bottom, np.zeros((Y.shape[0], 1)), rows, model)
@@ -210,65 +224,6 @@ def log_likelihood(Y: np.ndarray, estimate: EstimatedMatrix, model: BiasModel) -
         raise ValueError("baseline probability P(B <= 0) vanishes for this model")
     np.subtract(lp, base, out=lp, where=live)
     return sum(lp.tolist(), 0.0)
-
-
-def _check_feasible(
-    X: np.ndarray, Y: np.ndarray, gamma: float, nu: float, label: str, tol: float = 1e-8
-) -> None:
-    """Raise ``InfeasibilityError`` naming the first row where ``X`` leaves the feasible set."""
-    X = np.asarray(X, dtype=float)
-    if X.shape != Y.shape:
-        raise InfeasibilityError(f"{label}: shape {X.shape} does not match Y {Y.shape}")
-    over = max(X.max(initial=-math.inf), -X.min(initial=math.inf))
-    if not over <= gamma + tol:  # a NaN entry propagates through max/min and fails here
-        if not math.isfinite(over):
-            raise InfeasibilityError(f"{label}: an entry is not finite ({over})")
-        raise InfeasibilityError(f"{label}: entry magnitude {over:.6g} exceeds bound {gamma}")
-    on = Y > 0.0
-    resid = Y - X
-    # rows without support get spread -inf, rows without clipped entries gap +inf
-    spread = np.max(resid, axis=1, where=on, initial=-math.inf) - np.min(
-        resid, axis=1, where=on, initial=math.inf
-    )
-    gap = np.min(X, axis=1, where=on, initial=math.inf) - np.max(
-        X, axis=1, where=~on, initial=-math.inf
-    )
-    varies = spread > tol
-    bad = varies | (gap < nu - tol)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if varies[i]:
-            raise InfeasibilityError(f"{label}: row {i} support residuals vary by {spread[i]:.6g}")
-        raise InfeasibilityError(f"{label}: row {i} separation {gap[i]:.6g} below required {nu}")
-
-
-def log_likelihood_gap(
-    M: np.ndarray,
-    X: np.ndarray,
-    Y: np.ndarray,
-    model: BiasModel,
-    gamma: float,
-    nu: float,
-) -> float:
-    """Difference of normalised log-likelihoods of two feasible candidates.
-
-    The other inputs are checked as in :func:`reconstruct_matrix`, and
-    ``M`` and ``X`` must lie in the feasible set for ``Y`` (naming the
-    offending matrix and row otherwise).  Per-row normalisation cancels, so
-    only candidate shifts (and ceilings of all-clipped rows) enter.
-    """
-    Y = _checked_inputs(Y, model, gamma, nu)
-    _check_feasible(M, Y, gamma, nu, label="M")
-    _check_feasible(X, Y, gamma, nu, label="X")
-    on = Y > 0.0
-    rows = np.flatnonzero(on.any(axis=1))
-    cols = np.argmin(np.where(on, Y, math.inf), axis=1)[rows]  # each row's smallest observation
-    lp_m, lp_x = (
-        _row_logliks(Y[rows, cols] - C[rows, cols], C, rows, model)
-        for C in (np.asarray(M, dtype=float), np.asarray(X, dtype=float))
-    )
-    differ = lp_m != lp_x  # equal terms cancel, also where both candidates are impossible
-    return sum((lp_m[differ] - lp_x[differ]).tolist(), 0.0)
 
 
 def theoretical_rep_bound(constants: BiasConstants, d: int) -> float:

@@ -33,8 +33,8 @@ from relurec.lasso import (
     solve_robust_lasso,
 )
 from relurec.replearn import (
+    EstimatedMatrix,
     log_likelihood,
-    log_likelihood_gap,
     reconstruct_matrix,
     theoretical_rep_bound,
 )
@@ -252,7 +252,6 @@ def test_acceptance_04_likelihood_gap_lower_bound():
     perturbation dominates flatness * window-mass * squared distance."""
     model = BiasModel.shifted_exponential(1.0, -1.0)
     gamma, nu = 1.0, 0.3
-    # per-row consecutive gaps >= 0.35 > nu keep every redraw feasible
     M = np.array([
         [-0.6, -0.2, 0.25, 0.7],
         [0.65, 0.1, -0.35, -0.7],
@@ -265,6 +264,13 @@ def test_acceptance_04_likelihood_gap_lower_bound():
         np.array([0.25, 0.1, 0.05]),
         np.array([0.15, 0.2, 0.25]),
     ]
+    # the truth and each candidate M - t 1^T lie within gamma, and each row's
+    # consecutive gaps exceed nu, so every redraw keeps them feasible: the
+    # support of a row is its largest entries, and its separation one such gap
+    candidates = [M - t[:, None] for t in shifts]
+    for C in [M] + candidates:
+        assert np.abs(C).max() <= gamma, C
+        assert np.diff(np.sort(C, axis=1), axis=1).min() > nu, C
     beta = flatness_beta(model, gamma)
     omega = omega_min_mass(model, gamma, nu)
     n_draws = 10_000
@@ -273,8 +279,10 @@ def test_acceptance_04_likelihood_gap_lower_bound():
     for r in range(n_draws):
         b = model.sample(M.shape[0], rng=rng)
         Y = relu_map(M + b[:, None])
-        for j, t in enumerate(shifts):
-            gaps[j, r] = log_likelihood_gap(M, M - t[:, None], Y, model, gamma, nu)
+        # the gap is a difference of log-likelihoods; M - t 1^T has shifts b + t
+        truth = log_likelihood(Y, EstimatedMatrix(M, b), model)
+        for j, (t, C) in enumerate(zip(shifts, candidates)):
+            gaps[j, r] = truth - log_likelihood(Y, EstimatedMatrix(C, b + t), model)
     details = []
     ok = True
     for j, t in enumerate(shifts):

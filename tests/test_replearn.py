@@ -22,10 +22,9 @@ from relurec.bias import BiasModel, compute_bias_constants, default_exponential
 from relurec.generate import DegenerateInstanceError, generate_representation_instance
 from relurec.replearn import (
     FILL_STRATEGIES,
-    InfeasibilityError,
+    EstimatedMatrix,
     InfeasibleRowError,
     log_likelihood,
-    log_likelihood_gap,
     reconstruct_matrix,
     theoretical_rep_bound,
 )
@@ -426,24 +425,38 @@ def test_estimate_reads_only_the_mode_and_the_support_edge(
 
 
 class TestLikelihoodGap:
+    """The gap between two candidates is the difference of their ``log_likelihood``s."""
+
     def _instance(self, seed=3):
         model = default_exponential(1.0)
         inst = generate_representation_instance(8, 12, 2, 1.0, model, seed=seed)
         return inst, model
 
     def test_identical_candidates_gap_zero(self):
+        # a row with support is scored by its shift alone: moving the truth's
+        # clipped entries, even out of the feasible set, leaves its score
         inst, model = self._instance()
-        gap = log_likelihood_gap(inst.M, inst.M, inst.Y, model, 1.0, inst.realized_nu)
-        assert gap == 0.0
+        on = inst.Y > 0.0
+        moved = ~on & on.any(axis=1)[:, None]
+        assert moved.any()
+        X = np.where(moved, -5.0, inst.M)
+        truth = log_likelihood(inst.Y, EstimatedMatrix(inst.M, inst.b), model)
+        assert log_likelihood(inst.Y, EstimatedMatrix(X, inst.b), model) - truth == 0.0
 
     def test_antisymmetry(self):
         inst, model = self._instance()
-        nu = inst.realized_nu
-        # a uniform downward shift keeps residuals row-constant and margins intact
-        X = inst.M - 0.25 * nu
-        ab = log_likelihood_gap(inst.M, X, inst.Y, model, 1.0 + 0.25 * nu, nu * 0.5)
-        ba = log_likelihood_gap(X, inst.M, inst.Y, model, 1.0 + 0.25 * nu, nu * 0.5)
-        assert ab == pytest.approx(-ba, abs=1e-12)
+        # a uniform downward shift t keeps residuals row-constant; under the
+        # rate-1 exponential each row with support loses t to the truth, and
+        # each all-clipped row log P(B <= -max M_i) - log P(B <= t - max M_i)
+        t = 0.25 * inst.realized_nu
+        truth = log_likelihood(inst.Y, EstimatedMatrix(inst.M, inst.b), model)
+        lower = log_likelihood(inst.Y, EstimatedMatrix(inst.M - t, inst.b + t), model)
+        on = (inst.Y > 0.0).any(axis=1)
+        top = inst.M[~on].max(axis=1)
+        assert 0 < on.sum() < len(on)
+        expected = t * on.sum() + np.sum(np.log(model.cdf(-top)) - np.log(model.cdf(t - top)))
+        assert truth - lower == pytest.approx(expected, abs=1e-12)
+        assert lower - truth == pytest.approx(-expected, abs=1e-12)
 
     def test_true_matrix_beats_shifted_copy_in_expectation(self):
         # the expected likelihood gap between the truth and any fixed
@@ -452,33 +465,82 @@ class TestLikelihoodGap:
         model = BiasModel.gaussian(mean=2.0, std=0.5)
         M = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
         M *= 1.0 / np.abs(M).max()
-        X = M - 0.3
+        X = M - 0.3  # residuals b + 0.3
         gaps = []
         for _ in range(200):
             b = model.sample(6, rng=rng)
             Y = np.maximum(M + b[:, None], 0.0)
-            gaps.append(log_likelihood_gap(M, X, Y, model, 1.3, 1e-9))
+            gaps.append(
+                log_likelihood(Y, EstimatedMatrix(M, b), model)
+                - log_likelihood(Y, EstimatedMatrix(X, b + 0.3), model)
+            )
         mean = float(np.mean(gaps))
         se = float(np.std(gaps)) / math.sqrt(len(gaps))
         assert mean > 3.0 * se, f"mean gap {mean:.4f} not clearly positive (se {se:.4f})"
 
     def test_infeasible_candidate_is_named(self):
+        # a support entry moved off the row's shift
         inst, model = self._instance()
+        i, j = np.argwhere(inst.Y > 0.0)[0]
         bad = inst.M.copy()
-        bad[0, 0] = 5.0  # violates the magnitude bound (and row-constancy)
-        with pytest.raises(InfeasibilityError, match="X"):
-            log_likelihood_gap(inst.M, bad, inst.Y, model, 1.0, inst.realized_nu)
+        bad[i, j] = 5.0
+        with pytest.raises(ValueError, match=rf"^estimate row {i}: Y - m_hat is [\d.]+ off"):
+            log_likelihood(inst.Y, EstimatedMatrix(bad, inst.b), model)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_candidate_is_named(self, value):
         inst, model = self._instance()
         bad = inst.M.copy()
         bad[2] = value
-        with pytest.raises(InfeasibilityError, match=r"^X: an entry is not finite"):
-            log_likelihood_gap(inst.M, bad, inst.Y, model, 1.0, inst.realized_nu)
+        with pytest.raises(ValueError, match=rf"^estimate row 2: m_hat holds {value}$"):
+            log_likelihood(inst.Y, EstimatedMatrix(bad, inst.b), model)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_shift_on_a_row_with_support_is_named(self, value):
+        inst, model = self._instance()
+        i = int(np.flatnonzero((inst.Y > 0.0).any(axis=1))[1])
+        b = inst.b.copy()
+        b[i] = value
+        with pytest.raises(ValueError, match=rf"^estimate row {i}: .* off beta_hat {value}$"):
+            log_likelihood(inst.Y, EstimatedMatrix(inst.M, b), model)
+
+    def test_estimate_of_another_y_is_rejected(self):
+        # the same shape, but its support entries do not sit on its shifts
+        # for these observations: the first row with support is named
+        inst, model = self._instance()
+        other, _ = self._instance(seed=6)
+        est = reconstruct_matrix(other.Y, model, 1.0, other.realized_nu)
+        i = int(np.flatnonzero((inst.Y > 0.0).any(axis=1))[0])
+        with pytest.raises(ValueError, match=rf"^estimate row {i}: Y - m_hat is"):
+            log_likelihood(inst.Y, est, model)
+
+    def test_fit_tolerance_is_four_eps_of_the_row_magnitude(self):
+        # row [2, 1, 0] under EXP4: beta_hat -1, support [3, 2]; the row's
+        # largest magnitude is 3, so Y - m_hat may stray 4 eps * 3, 6 ulps of 2
+        Y = np.array([[2.0, 1.0, 0.0]])
+        est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
+        near, far = est.m_hat.copy(), est.m_hat.copy()
+        near[0, 1] += 6 * np.spacing(2.0)
+        far[0, 1] += 7 * np.spacing(2.0)
+        assert log_likelihood(Y, EstimatedMatrix(near, est.beta_hats), EXP4) == pytest.approx(2.0)
+        with pytest.raises(ValueError, match=r"^estimate row 0: Y - m_hat is 3.11e-15 off"):
+            log_likelihood(Y, EstimatedMatrix(far, est.beta_hats), EXP4)
+
+    def test_shift_on_the_support_edge_scores_finite(self):
+        # Y - m_hat rounds one ulp below the law's support edge, where beta_hat
+        # sits; the score reads beta_hat, so moving the shift 0.5 right costs
+        # exactly 0.5 under the rate-1 exponential, not +inf
+        Y = np.array([[1.0352998858896667, 0.0]])
+        model = BiasModel.shifted_exponential(rate=1.0, shift=-1.4916495109941257)
+        est = reconstruct_matrix(Y, model, 3.0, 0.1)
+        assert est.beta_hats[0] == model.support()[0]
+        assert Y[0, 0] - est.m_hat[0, 0] == np.nextafter(model.support()[0], -math.inf)
+        other = EstimatedMatrix(est.m_hat - 0.5, est.beta_hats + 0.5)
+        gap = log_likelihood(Y, other, model) - log_likelihood(Y, est, model)
+        assert gap == pytest.approx(-0.5, abs=1e-12)
 
 
-# a valid Y; each case below breaks Y, the law, gamma or nu
+# a valid Y; each case below breaks Y or the law
 GOOD_Y = np.array([[2.0, 1.0, 0.0], [3.0, 2.5, 0.0]])
 
 
@@ -489,26 +551,23 @@ def _with_entry(value):
 
 
 @pytest.mark.parametrize(
-    "Y, model, gamma, nu",
+    "Y, model",
     [
-        (_with_entry(math.nan), EXP4, 3.0, 0.1),
-        (_with_entry(-0.5), EXP4, 3.0, 0.1),
-        (GOOD_Y, EXP4, 3.0, math.nan),
-        (GOOD_Y[0], EXP4, 3.0, 0.1),
-        (GOOD_Y, EXP4, math.nan, 0.1),
-        (GOOD_Y, 0.0, 3.0, 0.1),
+        (_with_entry(math.nan), EXP4),
+        (_with_entry(-0.5), EXP4),
+        (GOOD_Y[0], EXP4),
+        (GOOD_Y, 0.0),
     ],
-    ids=["y-nan", "y-negative", "nu-nan", "y-1d", "gamma-nan", "constant-law"],
+    ids=["y-nan", "y-negative", "y-1d", "constant-law"],
 )
-def test_likelihood_gap_rejects_what_reconstruction_rejects(Y, model, gamma, nu):
-    # both entry points share one input check; the gap once returned 0.0 for
-    # the first three, raised AxisError, a magnitude error or AttributeError
+def test_log_likelihood_rejects_what_reconstruction_rejects(Y, model):
+    # both entry points share one input check: a NaN or a negative entry is
+    # not a clipped one
     with pytest.raises(ValueError) as expected:
-        reconstruct_matrix(Y, model, gamma, nu)
-    M = reconstruct_matrix(GOOD_Y, EXP4, 3.0, 0.1).m_hat
-    M = M[0] if np.ndim(Y) == 1 else M
+        reconstruct_matrix(Y, model, 3.0, 0.1)
+    est = reconstruct_matrix(GOOD_Y, EXP4, 3.0, 0.1)
     with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-        log_likelihood_gap(M, M, Y, model, gamma, nu)
+        log_likelihood(Y, est, model)
 
 
 class TestTheoreticalBound:
