@@ -18,7 +18,7 @@ from relurec import (
     parse_bias_spec,
     theoretical_rep_bound,
 )
-from relurec.bias import flatness_beta
+from relurec.bias import bias_spec_to_config, flatness_beta
 
 # The three families share one interface: density, log-density,
 # derivative, CDF, quantile, and sampling.  Each is built either from a
@@ -30,14 +30,14 @@ logistic = parse_bias_spec("logistic:loc=0.0,scale=0.7")
 print("families and supports")
 for model in (exponential, gaussian, logistic):
     lo, hi = model.support()
-    print(f"  {model.to_config():<28} support ({lo:.6g}, {hi:.6g})")
+    print(f"  {bias_spec_to_config(model):<28} support ({lo:.6g}, {hi:.6g})")
 
 # Densities integrate to one; a quick trapezoid check on a wide grid.
 grid = np.linspace(-30.0, 30.0, 200_001)
 print("\ndensity mass on [-30, 30]")
 for model in (exponential, gaussian, logistic):
     mass = np.trapezoid(model.density(grid), grid)
-    print(f"  {model.to_config():<28} {mass:.6f}")
+    print(f"  {bias_spec_to_config(model):<28} {mass:.6f}")
 
 # The constants depend on the clipping level gamma and the separation
 # nu of the feasible set.  Flatness is the infimum of p'^2 / (4p) over
@@ -50,7 +50,7 @@ print(f"\nconstants at gamma={gamma}, nu={nu}")
 for model in (exponential, gaussian, logistic):
     constants = compute_bias_constants(model, gamma, nu)
     print(
-        f"  {model.to_config():<28} flatness {constants.beta:.5f}  "
+        f"  {bias_spec_to_config(model):<28} flatness {constants.beta:.5f}  "
         f"steepness {constants.lipschitz:.5f}  window mass {constants.omega:.5f}"
     )
 
@@ -58,7 +58,7 @@ for model in (exponential, gaussian, logistic):
 # its support starts one unit below -gamma; the density is then
 # positive and monotone over the whole clipping range.
 model = default_exponential(gamma)
-print(f"\ndefault model for gamma={gamma}: {model.to_config()}")
+print(f"\ndefault model for gamma={gamma}: {bias_spec_to_config(model)}")
 
 # A Gaussian whose mode lies inside the clipping range has a vanishing
 # derivative there, so its flatness constant collapses to zero and the
@@ -74,5 +74,5 @@ print(
 
 # Config strings round-trip through repr-quality floats, so a model can
 # be stored as a string (an instance's `bias` field) and rebuilt bit for bit.
-rebuilt = parse_bias_spec(logistic.to_config())
-print(f"\nconfig round trip: {logistic.to_config()} -> equal={rebuilt == logistic}")
+rebuilt = parse_bias_spec(bias_spec_to_config(logistic))
+print(f"\nconfig round trip: {bias_spec_to_config(logistic)} -> equal={rebuilt == logistic}")

@@ -17,9 +17,8 @@ from relurec import (
     default_exponential,
     generate_representation_instance,
     log_likelihood,
-    procrustes_align,
     reconstruct_matrix,
-    sin_theta_distance,
+    subspace_distances,
     theoretical_rep_bound,
     truncated_svd,
 )
@@ -57,8 +56,8 @@ print(f"largest within-row residual spread on observed entries: {max(spreads):.2
 # distance and by Procrustes alignment.
 U, _, _ = truncated_svd(instance.M, k)
 U_hat, _, _ = truncated_svd(estimate.m_hat, k)
-_, procrustes_err = procrustes_align(U, U_hat)
-print(f"\nsubspace distance (sin-theta) {sin_theta_distance(U, U_hat):.3f}")
+sin_theta, procrustes_err = subspace_distances(U, U_hat)
+print(f"\nsubspace distance (sin-theta) {sin_theta:.3f}")
 print(f"aligned basis error (Procrustes) {procrustes_err:.3f}")
 print(f"worst case for k orthonormal columns would be {np.sqrt(2.0 * k):.3f}")
 

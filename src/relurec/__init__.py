@@ -9,8 +9,8 @@ The package has two estimation pipelines plus shared infrastructure:
 * :mod:`relurec.replearn` -- row-wise maximum-likelihood reconstruction
   of a bounded low-rank pre-activation matrix from rectified
   observations;
-* :mod:`relurec.subspace` -- truncated SVD, subspace distances, and an
-  alignment perturbation bound;
+* :mod:`relurec.subspace` -- truncated SVD and the sin-theta and
+  Procrustes distances between two bases;
 * :mod:`relurec.lasso` -- outlier-robust recovery of a latent
   coefficient vector behind the rectifier, via an exact alternating
   generalized-LASSO solver;
@@ -43,7 +43,7 @@ from .lasso import (
     solve_robust_lasso,
 )
 from .replearn import EstimatedMatrix, log_likelihood, reconstruct_matrix, theoretical_rep_bound
-from .subspace import procrustes_align, sin_theta_distance, truncated_svd
+from .subspace import subspace_distances, truncated_svd
 
 __version__ = "0.1.0"
 
@@ -64,12 +64,11 @@ __all__ = [
     "log_likelihood",
     "make_nonlinearity_stats",
     "parse_bias_spec",
-    "procrustes_align",
     "reconstruct_matrix",
     "relu_map",
     "save_instance",
-    "sin_theta_distance",
     "solve_robust_lasso",
+    "subspace_distances",
     "theoretical_rep_bound",
     "truncated_svd",
 ]

@@ -121,22 +121,6 @@ class BiasModel:
     def logistic(cls, loc: float = 0.0, scale: float = 1.0) -> "BiasModel":
         return cls("logistic", (float(loc), float(scale)))
 
-    @classmethod
-    def from_config(cls, text: str) -> "BiasModel":
-        """Parse a law's config string such as ``"exp:rate=1,shift=-2"``.
-
-        The grammar is that of :func:`parse_bias_spec`; a constant offset
-        is not a law.
-        """
-        spec = parse_bias_spec(text)
-        if not isinstance(spec, BiasModel):
-            raise ValueError(f"bias config {text!r} is a constant, not a law")
-        return spec
-
-    def to_config(self) -> str:
-        """Inverse of :meth:`from_config`; values round-trip exactly."""
-        return bias_spec_to_config(self)
-
     # ------------------------------------------------------------------
     # distribution functions
     # ------------------------------------------------------------------

@@ -167,6 +167,8 @@ def _cmd_gen(args) -> int:
             args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
         )
     else:
+        if args.k >= args.d:  # the check every recover on the instance makes
+            raise _UsageError(f"argument --k: k={args.k} must be less than d={args.d}")
         spec = parse_bias_spec(args.bias) if args.bias else 0.0
         instance = generate_recovery_instance(
             args.d, args.k, args.s, args.delta, args.magnitude, spec, args.seed

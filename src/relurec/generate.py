@@ -184,7 +184,7 @@ def generate_representation_instance(
         gamma=float(gamma),
         realized_nu=float(finite.min()),
         seed=int(seed),
-        bias=model.to_config(),
+        bias=bias_spec_to_config(model),
     )
 
 

@@ -61,7 +61,7 @@ from .replearn import (
     reconstruct_matrix,
     theoretical_rep_bound,
 )
-from .subspace import procrustes_align, sin_theta_distance, truncated_svd
+from .subspace import subspace_distances, truncated_svd
 
 __all__ = [
     "DimensionRule",
@@ -309,10 +309,9 @@ def reconstruct_and_evaluate(
     bound = theoretical_rep_bound(constants, instance.Y.shape[0])
     U = np.linalg.qr(instance.A)[0]
     U_hat, _, _ = truncated_svd(estimate.m_hat, instance.A.shape[1])
-    _, procrustes_err = procrustes_align(U, U_hat)
     return RepOutcome(
         estimate, U_hat, frob_err_sq, bound if math.isfinite(bound) else None,
-        sin_theta_distance(U, U_hat), procrustes_err,
+        *subspace_distances(U, U_hat),
     )
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.polynomial  # numpy loads it on first use, which would fall in the first cell
 
-from .bias import BiasModel
+from .bias import BiasModel, bias_spec_to_config
 from .generate import RecoveryInstance
 
 __all__ = [
@@ -108,7 +108,7 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
     total = float(mass.sum())
     if not abs(total - 1.0) <= 1e-6:  # NaN fails too
         raise ValueError(
-            f"the quadrature masses of bias law {bias.to_config()} sum to {total}, not 1"
+            f"the quadrature masses of bias law {bias_spec_to_config(bias)} sum to {total}, not 1"
         )
     return nodes, mass
 

@@ -190,18 +190,24 @@ def log_likelihood(Y: np.ndarray, estimate: EstimatedMatrix, model: BiasModel) -
     between two candidates is the difference of their scores.
 
     ``Y`` and ``model`` are checked as in :func:`reconstruct_matrix`.  The
-    estimate must fit ``Y``, else ``ValueError`` names the first row that
-    does not: every ``m_hat`` entry finite, and on each row with support a
-    finite ``beta_hat`` from which every ``Y_ij - m_hat_ij`` differs by at
-    most ``4 eps`` times the largest magnitude in the row's ``Y``, ``m_hat``
-    and ``beta_hat`` (``eps`` the float64 machine epsilon).  The score reads
-    the shift from ``beta_hats``: ``Y - m_hat`` can round below an
-    exponential law's support edge.
+    estimate must fit ``Y``, else ``ValueError`` names what does not: a
+    shape (``m_hat`` that of ``Y``, ``beta_hats`` one entry per row), or the
+    first row that breaks a rule.  Every ``m_hat`` entry is finite, and each
+    row with support has a finite ``beta_hat`` from which every
+    ``Y_ij - m_hat_ij`` differs by at most ``4 eps`` times the largest
+    magnitude in the row's ``Y``, ``m_hat`` and ``beta_hat`` (``eps`` the
+    float64 machine epsilon).  The score reads the shift from
+    ``beta_hats``: ``Y - m_hat`` can round below an exponential law's
+    support edge.
     """
     Y = _checked_inputs(Y, model)
     m_hat, beta_hats = (np.asarray(a, dtype=float) for a in (estimate.m_hat, estimate.beta_hats))
     if m_hat.shape != Y.shape:
         raise ValueError(f"estimate shape {m_hat.shape} does not match Y {Y.shape}")
+    if beta_hats.shape != Y.shape[:1]:
+        raise ValueError(
+            f"beta_hats shape {beta_hats.shape} is not {Y.shape[:1]}, one shift per row of Y"
+        )
     on = Y > 0.0
     clipped = ~on.any(axis=1)
     rows = np.flatnonzero(~clipped)

@@ -3,10 +3,10 @@
 The reconstruction error of a rank-``k`` matrix estimate is usually
 summarised through its leading left singular subspace: how far is the
 span of the top-``k`` left singular vectors of the estimate from that of
-the truth?  This module provides the truncated SVD, the principal-angle
-(sin-theta) distance, the best orthogonal alignment between two bases,
-and a perturbation bound that controls the alignment error in terms of
-the perturbation's Frobenius norm and the truth's spectral gap.
+the truth?  This module provides the truncated SVD and one function that
+scores two bases both ways: the principal-angle (sin-theta) distance and
+the residual of the best orthogonal alignment (Procrustes), from one
+``k x k`` SVD of their cross-product.
 
 The truncated SVD computes only the ``k`` triplets it returns: the top-``k``
 eigenvectors of the Gram matrix of the shorter side, followed by one
@@ -37,6 +37,7 @@ which costs at most about a quarter of the dense eigensolve.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -44,9 +45,7 @@ from numpy.linalg import eigh
 
 __all__ = [
     "RankDeficiencyWarning",
-    "alignment_error_bound",
-    "procrustes_align",
-    "sin_theta_distance",
+    "subspace_distances",
     "truncated_svd",
 ]
 
@@ -178,65 +177,24 @@ def _certified_lanczos(G: np.ndarray, k: int, p: int) -> np.ndarray | None:
     return None
 
 
-def sin_theta_distance(U: np.ndarray, U_hat: np.ndarray) -> float:
-    """Frobenius sin-theta distance between two k-dimensional subspaces.
+def subspace_distances(U: np.ndarray, U_hat: np.ndarray) -> tuple[float, float]:
+    """Sin-theta and Procrustes distances between two orthonormal ``k``-column bases.
 
-    Computed as ``||U_hat - U (U^T U_hat)||_F`` for orthonormal bases: zero
-    when the spans coincide, ``sqrt(k)`` when they are orthogonal.  The
-    equivalent ``sqrt(k - ||U^T U_hat||_F^2)`` loses small angles to
-    cancellation below about ``sqrt(eps)``; the projection residual does not.
+    Sin-theta is ``||U_hat - U (U^T U_hat)||_F``, the Frobenius norm of the
+    sines of the principal angles: zero when the spans coincide, ``sqrt(k)``
+    when they are orthogonal.  This projection residual keeps small angles
+    that ``sqrt(k - ||U^T U_hat||_F^2)`` loses to cancellation below about
+    ``sqrt(eps)``.  Procrustes is ``min_O ||U - U_hat O||_F`` over orthogonal
+    ``O``, which is ``sqrt(sum 2 - 2 cos theta_i)``; with the cosines from the
+    singular values of ``U^T U_hat`` and ``2 - 2 cos = sin^2 + (1 - cos)^2``
+    it is ``hypot(sin_theta, ||1 - cos||)``, exact at small angles too, and
+    the minimising rotation is never formed.
     """
     U = np.asarray(U, dtype=float)
     U_hat = np.asarray(U_hat, dtype=float)
     if U.shape != U_hat.shape:
         raise ValueError(f"basis shapes differ: {U.shape} vs {U_hat.shape}")
-    return float(np.linalg.norm(U_hat - U @ (U.T @ U_hat)))
-
-
-def procrustes_align(U: np.ndarray, U_hat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Best orthogonal map of ``U_hat`` onto ``U`` and the residual it leaves.
-
-    Returns the orthogonal ``O`` minimising ``||U - U_hat O||_F``
-    together with that minimum.  The minimiser is ``P Q^T`` from the SVD
-    ``U_hat^T U = P Sigma Q^T``.
-    """
-    U = np.asarray(U, dtype=float)
-    U_hat = np.asarray(U_hat, dtype=float)
-    if U.shape != U_hat.shape:
-        raise ValueError(f"basis shapes differ: {U.shape} vs {U_hat.shape}")
-    P, _, Qt = np.linalg.svd(U_hat.T @ U)
-    O = P @ Qt
-    residual = float(np.linalg.norm(U - U_hat @ O))
-    return O, residual
-
-
-def alignment_error_bound(M: np.ndarray, E: np.ndarray, k: int) -> float:
-    """Perturbation bound on the aligned basis error of ``M + E`` versus ``M``.
-
-    For a truth ``M`` with singular values ``s_1 >= s_2 >= ...`` and a
-    perturbation ``E``, the aligned top-``k`` basis error is at most::
-
-        2^{3/2} (2 s_1 + ||E||_F) ||E||_F / (s_k^2 - s_{k+1}^2)
-
-    This is the singular-vector form of the Davis-Kahan variant of Yu, Wang
-    and Samworth, "A useful variant of the Davis-Kahan theorem for
-    statisticians" (arXiv:1405.0680, Theorem 3), applied to ``M^T`` for the
-    left singular vectors with ``r = 1`` and ``s = k``, and with ``||E||_F``
-    in place of the smaller ``||E||_op`` and ``min(sqrt(k) ||E||_op, ||E||_F)``.
-    It needs only ``s_1``, ``s_k`` and ``s_{k+1}`` of the truth and no
-    condition on the spectrum of ``M + E``.
-
-    Raises when the spectral gap in the denominator is not positive.
-    """
-    M = np.asarray(M, dtype=float)
-    sv = np.linalg.svd(M, compute_uv=False)
-    if not 1 <= k <= sv.size:
-        raise ValueError(f"rank k={k} out of range for {sv.size} singular values")
-    tail = sv[k] if sv.size > k else 0.0
-    gap = sv[k - 1] ** 2 - tail**2
-    if gap <= 0.0:
-        raise ValueError(
-            f"spectral gap s_{k}^2 - s_{k + 1}^2 = {gap:.3g} is not positive"
-        )
-    fro = float(np.linalg.norm(E))
-    return float(2.0**1.5 * (2.0 * sv[0] + fro) * fro / gap)
+    G = U.T @ U_hat
+    sin_theta = float(np.linalg.norm(U_hat - U @ G))
+    cos = np.linalg.svd(G, compute_uv=False)
+    return sin_theta, math.hypot(sin_theta, float(np.linalg.norm(1.0 - np.minimum(cos, 1.0))))

@@ -38,15 +38,11 @@ from relurec.replearn import (
     reconstruct_matrix,
     theoretical_rep_bound,
 )
-from relurec.subspace import (
-    alignment_error_bound,
-    procrustes_align,
-    sin_theta_distance,
-    truncated_svd,
-)
+from relurec.subspace import subspace_distances, truncated_svd
 
 from lasso_oracles import lasso_objective
 from rectifier_sampling import sampled_moments
+from subspace_oracles import alignment_error_bound
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -110,8 +106,7 @@ def matrix_sweep() -> MatrixSweep:
             if d == MATRIX_DIMS[-1]:
                 U, _, _ = truncated_svd(inst.M, MATRIX_RANK)
                 U_hat, _, _ = truncated_svd(est.m_hat, MATRIX_RANK)
-                run.sin_theta = sin_theta_distance(U, U_hat)
-                _, run.procrustes = procrustes_align(U, U_hat)
+                run.sin_theta, run.procrustes = subspace_distances(U, U_hat)
                 run.alignment_bound = alignment_error_bound(inst.M, resid, MATRIX_RANK)
             sweep.runs.append(run)
     sweep.elapsed = time.perf_counter() - start

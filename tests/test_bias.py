@@ -25,6 +25,7 @@ from relurec.bias import (
     omega_min_mass,
     parse_bias_spec,
 )
+from relurec.harness import bias_law
 
 ALL_MODELS = [
     BiasModel.shifted_exponential(rate=1.0, shift=-2.0),
@@ -422,13 +423,13 @@ class TestConfigStrings:
         ],
     )
     def test_parse(self, text, kind, params):
-        model = BiasModel.from_config(text)
+        model = bias_law(text)
         assert model.kind == kind
         assert model.params == params
 
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_round_trip(self, model):
-        assert BiasModel.from_config(model.to_config()) == model
+        assert parse_bias_spec(bias_spec_to_config(model)) == model
 
     def test_constant_spec(self):
         assert parse_bias_spec("const:value=0.5") == 0.5
@@ -471,8 +472,8 @@ class TestConfigStrings:
         assert str(caught.value) == message
 
     def test_constant_is_not_a_law(self):
-        with pytest.raises(ValueError, match="is a constant, not a law"):
-            BiasModel.from_config("const:value=0.5")
+        with pytest.raises(ValueError, match="^must be a bias law, got 0.5$"):
+            bias_law("const:value=0.5")
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -491,7 +492,7 @@ class TestConfigStrings:
                 "shifted_exponential parameter rate must be finite",
             ),
             (
-                lambda: BiasModel.from_config("gauss:mean=nan,std=1"),
+                lambda: bias_law("gauss:mean=nan,std=1"),
                 "gaussian parameter mean must be finite",
             ),
             (lambda: parse_bias_spec("const:value=nan"), "constant bias value must be finite"),

@@ -373,6 +373,8 @@ class TestBadFlagValue:
               "--bias", "exp:rate=1.0,shift=-1.0"],
              "argument --bias/--gamma: CDF vanishes at -1.0; the hazard-type ratio "
              "p/P(B<=x) is unbounded"),
+            (["gen", "--task", "recover", "--d", 10, "--k", 10],
+             "argument --k: k=10 must be less than d=10"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -385,6 +387,7 @@ class TestBadFlagValue:
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
             "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty", "gen-rep-law-starts-at-gamma",
+            "gen-recover-rank-not-below-d",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

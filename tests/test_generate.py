@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from relurec.bias import BiasModel, default_exponential
+from relurec.bias import BiasModel, bias_spec_to_config, default_exponential
 from relurec.generate import (
     DegenerateInstanceError,
     GenerativeInstance,
@@ -173,7 +173,7 @@ class TestRecoveryInstance:
         model = BiasModel.gaussian(mean=0.0, std=0.5)
         inst = generate_recovery_instance(1000, 2, 0, 0.0, 5.0, bias=model, seed=1)
         assert inst.b.std() > 0.1
-        assert inst.bias == model.to_config()
+        assert inst.bias == bias_spec_to_config(model)
 
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg import subspace_angles
 
 from relurec import harness
 from relurec.bias import BiasModel, parse_bias_spec
@@ -24,7 +25,7 @@ from relurec.harness import (
     run_sweep,
 )
 from relurec.lasso import make_nonlinearity_stats
-from relurec.subspace import procrustes_align, sin_theta_distance, truncated_svd
+from relurec.subspace import truncated_svd
 
 REP_CONFIG = """
 # small representation-learning sweep
@@ -480,6 +481,12 @@ class TestSweepMoments:
         assert records and all(r.error is None for r in records)
 
 
+def _distances_from_angles(U, W):
+    """Sin-theta and Procrustes distances from the principal angles, ``2 sin(theta/2)`` each."""
+    angles = subspace_angles(U, W)
+    return np.linalg.norm(np.sin(angles)), np.linalg.norm(2.0 * np.sin(angles / 2.0))
+
+
 class TestReconstructAndEvaluate:
     def test_basis_of_a_scores_like_the_svd_of_m(self):
         # colspace(M) = colspace(A); the scores depend only on the spans
@@ -487,8 +494,8 @@ class TestReconstructAndEvaluate:
         inst = generate_representation_instance(40, 80, 3, 1.0, model, seed=7)
         outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
         U, _, _ = truncated_svd(inst.M, 3)
-        assert outcome.sin_theta == pytest.approx(sin_theta_distance(U, outcome.u_hat), rel=1e-10)
-        _, procrustes_err = procrustes_align(U, outcome.u_hat)
+        sin_theta, procrustes_err = _distances_from_angles(U, outcome.u_hat)
+        assert outcome.sin_theta == pytest.approx(sin_theta, rel=1e-10)
         assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-10)
         m_hat = outcome.estimate.m_hat
         assert outcome.frob_err_sq == float(np.linalg.norm(inst.M - m_hat) ** 2)
@@ -498,13 +505,13 @@ class TestReconstructAndEvaluate:
     @pytest.mark.parametrize("bias", ["exp:rate=1.0,shift=-2.0", "gauss:mean=0.0,std=1.0"])
     def test_scores_match_a_full_svd_oracle(self, bias, d):
         # the many constant -gamma rows of m_hat are merged inside truncated_svd
-        model = BiasModel.from_config(bias)
+        model = parse_bias_spec(bias)
         inst = generate_representation_instance(d, 2 * d, 5, 1.0, model, seed=d + 1)
         outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
         U = np.linalg.qr(inst.A)[0]
         U_hat = np.linalg.svd(outcome.estimate.m_hat, full_matrices=False)[0][:, :5]
-        _, procrustes_err = procrustes_align(U, U_hat)
-        assert outcome.sin_theta == pytest.approx(sin_theta_distance(U, U_hat), rel=1e-12)
+        sin_theta, procrustes_err = _distances_from_angles(U, U_hat)
+        assert outcome.sin_theta == pytest.approx(sin_theta, rel=1e-12)
         assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-12)
 
 

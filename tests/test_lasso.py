@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from relurec.bias import BiasModel
+from relurec.bias import BiasModel, bias_spec_to_config
 from relurec.generate import generate_recovery_instance
 from relurec.lasso import (
     LassoConfig,
@@ -214,7 +214,7 @@ class TestMomentsAtExtremeOffsets:
     def test_spread_lost_in_rounding_is_named(self, mean, total):
         # the law's nodes collapse onto few floats, and the masses no longer sum to 1
         law = BiasModel.gaussian(mean=mean, std=1.0)
-        message = f"the quadrature masses of bias law {law.to_config()} sum to {total}, not 1"
+        message = f"the quadrature masses of bias law {bias_spec_to_config(law)} sum to {total}, not 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_nonlinearity_stats(law)
 

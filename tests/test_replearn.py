@@ -135,6 +135,25 @@ class TestRowLogLikelihood:
         with pytest.raises(ValueError, match=r"estimate shape \(1, 3\) does not match Y \(1, 2\)"):
             log_likelihood(np.array([[2.0, 1.0]]), est, EXP4)
 
+    @pytest.mark.parametrize(
+        "Y, size",
+        [
+            ([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]], 1),
+            ([[2.0, 1.0, 0.0], [3.0, 2.5, 0.0]], 1),
+            ([[2.0, 1.0, 0.0], [3.0, 2.5, 0.0]], 3),
+        ],
+        ids=["short-broadcast", "short-misfit", "long"],
+    )
+    def test_shifts_of_another_length_are_rejected(self, Y, size):
+        # a one-entry beta_hats once broadcast over every row: the first Y
+        # scored as if the shape were right, the second named row 1 a misfit
+        Y = np.array(Y)
+        est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
+        short = EstimatedMatrix(est.m_hat, np.resize(est.beta_hats, size))
+        message = rf"^beta_hats shape \({size},\) is not \(2,\), one shift per row of Y$"
+        with pytest.raises(ValueError, match=message):
+            log_likelihood(Y, short, EXP4)
+
 
 class TestEstimateRowBias:
     def test_boundary_maximum_for_decreasing_density(self):

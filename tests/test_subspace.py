@@ -1,4 +1,4 @@
-"""Tests for subspace extraction, alignment, and the perturbation bound."""
+"""Tests for subspace extraction, the two subspace distances, and the perturbation bound."""
 
 import warnings
 from unittest import mock
@@ -9,13 +9,17 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
-from relurec.subspace import (
-    RankDeficiencyWarning,
-    alignment_error_bound,
-    procrustes_align,
-    sin_theta_distance,
-    truncated_svd,
-)
+from relurec.subspace import RankDeficiencyWarning, subspace_distances, truncated_svd
+
+from subspace_oracles import alignment_error_bound
+
+
+def sin_theta(U, W):
+    return subspace_distances(U, W)[0]
+
+
+def procrustes(U, W):
+    return subspace_distances(U, W)[1]
 
 
 def random_orthonormal(d, k, rng):
@@ -108,8 +112,8 @@ def assert_matches_full_svd(M: np.ndarray, rank: int, ks=None) -> None:
         np.testing.assert_allclose(S[:r], S_full[:r], rtol=1e-10)
         np.testing.assert_allclose(S[r:], S_full[r:k], rtol=0.0, atol=1e-13 * S_full[0])
         if k <= rank and tail[k - 1] > 1.01 * tail[k]:
-            assert sin_theta_distance(U_full[:, :k], U) <= 1e-8
-            assert sin_theta_distance(Vt_full[:k].T, V) <= 1e-8
+            assert sin_theta(U_full[:, :k], U) <= 1e-8
+            assert sin_theta(Vt_full[:k].T, V) <= 1e-8
         np.testing.assert_allclose(U.T @ U, np.eye(k), atol=1e-10)
         np.testing.assert_allclose(V.T @ V, np.eye(k), atol=1e-10)
         np.testing.assert_allclose(M @ V, U * S, atol=1e-10 * S_full[0])
@@ -296,7 +300,7 @@ class TestSinTheta:
         U = random_orthonormal(10, 3, rng)
         # any rotation of the basis spans the same subspace
         O = random_orthonormal(3, 3, rng)
-        assert sin_theta_distance(U, U @ O) == pytest.approx(0.0, abs=1e-12)
+        assert sin_theta(U, U @ O) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("angle", np.logspace(-9, -3, 7))
     def test_small_angles_match_scipy(self, rng, angle):
@@ -306,55 +310,62 @@ class TestSinTheta:
         U = axes[:, :k]
         thetas = angle * np.array([1.0, 0.6, 0.3])
         W = U * np.cos(thetas) + axes[:, k:] * np.sin(thetas)
-        expected = np.linalg.norm(np.sin(subspace_angles(U, W)))
+        angles = subspace_angles(U, W)
+        expected = np.linalg.norm(np.sin(angles))
+        # ||U - W O*|| over the best rotation is the norm of 2 sin(theta / 2)
+        aligned = np.linalg.norm(2.0 * np.sin(angles / 2.0))
         O = random_orthonormal(k, k, rng)
-        assert sin_theta_distance(U, W) == pytest.approx(expected, rel=1e-10)
-        assert sin_theta_distance(U, W @ O) == pytest.approx(expected, rel=1e-10)
+        for basis in (W, W @ O):
+            assert sin_theta(U, basis) == pytest.approx(expected, rel=1e-10)
+            assert procrustes(U, basis) == pytest.approx(aligned, rel=1e-10)
 
     def test_orthogonal_subspaces_reach_sqrt_k(self):
         U = np.eye(10)[:, :2]
         W = np.eye(10)[:, 4:6]
-        assert sin_theta_distance(U, W) == pytest.approx(np.sqrt(2.0))
+        assert sin_theta(U, W) == pytest.approx(np.sqrt(2.0))
 
     def test_symmetry(self, rng):
         U = random_orthonormal(12, 4, rng)
         W = random_orthonormal(12, 4, rng)
-        assert sin_theta_distance(U, W) == pytest.approx(sin_theta_distance(W, U), abs=1e-12)
+        assert sin_theta(U, W) == pytest.approx(sin_theta(W, U), abs=1e-12)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
-            sin_theta_distance(np.eye(4)[:, :2], np.eye(4)[:, :3])
+            subspace_distances(np.eye(4)[:, :2], np.eye(4)[:, :3])
 
 
 class TestProcrustes:
     def test_identity_alignment(self, rng):
         U = random_orthonormal(9, 3, rng)
-        O, err = procrustes_align(U, U)
-        np.testing.assert_allclose(O, np.eye(3), atol=1e-10)
-        assert err == pytest.approx(0.0, abs=1e-10)
+        assert procrustes(U, U) == pytest.approx(0.0, abs=1e-10)
 
     def test_undoes_a_rotation(self, rng):
         U = random_orthonormal(9, 3, rng)
         R = random_orthonormal(3, 3, rng)
-        O, err = procrustes_align(U, U @ R)
-        assert err == pytest.approx(0.0, abs=1e-10)
-        np.testing.assert_allclose((U @ R) @ O, U, atol=1e-10)
+        assert procrustes(U, U @ R) == pytest.approx(0.0, abs=1e-10)
 
     def test_beats_random_orthogonal_maps(self, rng):
         U = random_orthonormal(20, 4, rng)
         W = random_orthonormal(20, 4, rng)
-        O, err = procrustes_align(U, W)
-        np.testing.assert_allclose(O.T @ O, np.eye(4), atol=1e-10)
+        err = procrustes(U, W)
         for _ in range(100):
             other = random_orthonormal(4, 4, rng)
             assert err <= np.linalg.norm(U - W @ other) + 1e-12
+
+    def test_matches_the_explicit_rotation(self, rng):
+        # the minimiser is P Q^T from the SVD U_hat^T U = P Sigma Q^T
+        for _ in range(100):
+            U = random_orthonormal(15, 3, rng)
+            W = random_orthonormal(15, 3, rng)
+            P, _, Qt = np.linalg.svd(W.T @ U)
+            assert procrustes(U, W) == pytest.approx(np.linalg.norm(U - W @ P @ Qt), rel=1e-12)
 
     def test_sin_theta_never_exceeds_procrustes_error(self, rng):
         for _ in range(100):
             U = random_orthonormal(15, 3, rng)
             W = random_orthonormal(15, 3, rng)
-            _, err = procrustes_align(U, W)
-            assert sin_theta_distance(U, W) <= err + 1e-10
+            sin_theta_err, err = subspace_distances(U, W)
+            assert sin_theta_err <= err + 1e-10
 
 
 class TestAlignmentErrorBound:
@@ -374,8 +385,7 @@ class TestAlignmentErrorBound:
             E = scale * rng.standard_normal((40, 60))
             U, _, _ = truncated_svd(M, 3)
             U_hat, _, _ = truncated_svd(M + E, 3)
-            _, err = procrustes_align(U, U_hat)
-            assert err <= alignment_error_bound(M, E, 3) + 1e-12
+            assert procrustes(U, U_hat) <= alignment_error_bound(M, E, 3) + 1e-12
 
     @given(
         k=st.integers(1, 4),
@@ -391,8 +401,7 @@ class TestAlignmentErrorBound:
         E = 10.0**log_scale * gen.standard_normal((d, n))
         U, _, _ = truncated_svd(M, k)
         U_hat, _, _ = truncated_svd(M + E, k)
-        _, err = procrustes_align(U, U_hat)
-        assert err <= alignment_error_bound(M, E, k) + 1e-12
+        assert procrustes(U, U_hat) <= alignment_error_bound(M, E, k) + 1e-12
 
     def test_no_spectral_gap_raises(self):
         M = np.eye(3)  # s_1 = s_2, so the k=1 gap vanishes
