@@ -170,6 +170,10 @@ def _cmd_gen(args) -> int:
         if args.k >= args.d:  # the check every recover on the instance makes
             raise _UsageError(f"argument --k: k={args.k} must be less than d={args.d}")
         spec = parse_bias_spec(args.bias) if args.bias else 0.0
+        try:  # the first step of every recover on the instance
+            make_nonlinearity_stats(spec)
+        except ValueError as exc:
+            raise _UsageError(f"argument --bias: {exc}") from exc
         instance = generate_recovery_instance(
             args.d, args.k, args.s, args.delta, args.magnitude, spec, args.seed
         )

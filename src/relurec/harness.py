@@ -111,8 +111,14 @@ def _choice(options: tuple[str, ...]):
 
 
 def _int_list(item):
-    """A parser of comma-separated integers, each checked by the rule ``item``."""
-    return lambda text: tuple(item(part) for part in text.split(","))
+    """A parser of comma-separated distinct integers, each checked by the rule ``item``."""
+    def parse(text: str) -> tuple[int, ...]:
+        values = tuple(item(part) for part in text.split(","))
+        for i, value in enumerate(values):
+            if value in values[:i]:  # it would run the same cells twice
+                raise ValueError(f"value {value} is repeated")
+        return values
+    return parse
 
 
 @dataclass(frozen=True)

@@ -98,10 +98,13 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
 
     A constant offset ``b0`` is the one-node rule ``([b0], [1.0])``; a
     random law weights the :func:`_tail_nodes` rule by its density.
-    ``ValueError`` names a law whose masses do not sum to 1 within 1e-6,
-    such as one whose spread is lost in rounding at its location.
+    ``ValueError`` names a constant offset that is NaN or infinite, and a
+    law whose masses do not sum to 1 within 1e-6, such as one whose spread
+    is lost in rounding at its location.
     """
     if not isinstance(bias, BiasModel):
+        if not math.isfinite(bias):
+            raise ValueError(f"constant bias value must be finite, got {bias!r}")
         return np.array([float(bias)]), np.array([1.0])
     nodes, weights = _tail_nodes(bias)
     mass = weights * np.asarray(bias.density(nodes))
@@ -222,6 +225,8 @@ def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a 2-D design matrix, got shape {A.shape}")
+    if A.shape[1] == 0:
+        raise ValueError(f"A must have at least one column, got shape {A.shape}")
     v = np.asarray(v, dtype=float)
     if v.shape != (A.shape[0],):
         raise ValueError(f"v must be 1-D of length {A.shape[0]} (the rows of A), got shape {v.shape}")
@@ -282,9 +287,9 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     Raises
     ------
     ValueError
-        If ``A`` is not 2-D, ``v`` is not 1-D with one entry per row of
-        ``A``, or either holds a non-finite entry (the first one is named),
-        or the sum of squares of ``v`` overflows.
+        If ``A`` is not 2-D or has no column, ``v`` is not 1-D with one
+        entry per row of ``A``, or either holds a non-finite entry (the
+        first one is named), or the sum of squares of ``v`` overflows.
     RankDeficiencyError
         If the design has fewer rows than columns or a smallest singular
         value at or below 1e-10.

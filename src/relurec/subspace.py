@@ -8,31 +8,12 @@ scores two bases both ways: the principal-angle (sin-theta) distance and
 the residual of the best orthogonal alignment (Procrustes), from one
 ``k x k`` SVD of their cross-product.
 
-The truncated SVD computes only the ``k`` triplets it returns: the top-``k``
-eigenvectors of the Gram matrix of the shorter side, followed by one
-Rayleigh-Ritz step, an SVD of the ``k``-row projection.  For a ``d x n``
-matrix with ``d <= n`` that costs one ``d x d`` Gram product and a
-symmetric eigensolve of it instead of a full thin SVD.  Constant rows
-``c_i 1^T``, such as the rows a reconstruction fills without support,
-first merge into one row ``||c|| 1^T``, which leaves ``M^T M`` unchanged.
-The singular values are accurate to about ``eps * s_1`` and
-the bases to about ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
-
-The eigensolve is dense (``numpy.linalg.eigh``, all ``m`` eigenpairs) on a
-short side of fewer than ``8 p`` rows, ``p = max(2k + 1, 20)``.  From
-there, where its ``O(m^3)`` cost dominates, single-vector Lanczos with
-full reorthogonalisation builds a basis of ``p`` vectors (``2 p`` at most)
-from a fixed seeded start, and Rayleigh-Ritz on it gives the top-``k``
-vectors.  They are used only when certified: every top-``k`` residual
-``||G x - theta x||`` is at most ``1e-13 theta_max``, and the Frobenius
-norm of ``G`` outside the certified Ritz pairs is below ``theta_k``, so
-no eigenvalue was missed.  Otherwise, and on a breakdown, the dense
-eigensolve runs.  The certificate bounds the basis error by
-``1e-13 s_1^2 / (s_k^2 - s_{k+1}^2)``; on reconstructions the certified
-bases match the dense ones to about ``1e-14`` and the singular values to
-``1e-15`` relative, so the accuracy is that of the dense path.  A matrix
-with no spectral gap at ``k`` pays for a failed basis of ``p`` vectors,
-which costs at most about a quarter of the dense eigensolve.
+The truncated SVD computes only the ``k`` triplets it returns, from the
+Gram matrix of the shorter side and one Rayleigh-Ritz step, never a thin
+SVD (``truncated_svd`` states the cost and the accuracy).  The Gram
+matrix's eigenvectors come from one certified Lanczos basis when it is
+large and otherwise from the dense ``numpy.linalg.eigh``, as
+``_certified_lanczos`` states.
 """
 
 from __future__ import annotations
@@ -66,10 +47,9 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     projection ``Q^T M = P S W^T`` give ``U = Q P``, ``S`` and ``V = W``
     (a tall matrix is handled as its transpose), at the cost of the Gram
     product, ``O(m^2 max(d, n))``, and an ``m x m`` eigensolve, never a thin
-    SVD of ``M``.  The eigensolve is dense below ``m = 8 max(2k + 1, 20)``
-    and certified Lanczos from there, with the dense one as its fallback
-    (module docstring); the result is deterministic either way.  ``S`` is
-    accurate to about ``eps * s_1``, and ``U`` and ``V`` to about
+    SVD of ``M``.  The eigensolve is certified Lanczos or dense, as
+    ``_certified_lanczos`` states; either way the result is deterministic,
+    ``S`` is accurate to about ``eps * s_1``, and ``U`` and ``V`` to about
     ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 
     Raises ``ValueError`` naming the first NaN or infinite entry.  Warns
@@ -93,7 +73,11 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
         X[-1] = norm
     tall = X.shape[0] > X.shape[1]
     short = X.T if tall else X
-    Q = _top_eigenvectors(short @ short.T, k)
+    G = short @ short.T
+    m, p = G.shape[0], max(2 * k + 1, 20)
+    Q = _certified_lanczos(G, k, p) if m >= _CROSSOVER * p else None
+    if Q is None:
+        Q = eigh(G)[1][:, m - k :]
     P, S, Wt = np.linalg.svd(Q.T @ short, full_matrices=False)
     U, V = (Wt.T, Q @ P) if tall else (Q @ P, Wt.T)
     if merge:
@@ -110,70 +94,56 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return U, S, V
 
 
-# Lanczos with a first basis of p vectors replaces the dense eigensolve on a
-# short side of at least _CROSSOVER * p rows, where a failed attempt is cheap
+# the crossover, in basis sizes, and the residual bound of _certified_lanczos
 _CROSSOVER = 8
-# a Ritz pair is certified when ||G x - theta x|| <= _RESIDUAL * theta_max
 _RESIDUAL = 1e-13
-# the basis doubles once when the top-k residual at p is below _RETRY * theta_max
-_RETRY = 1e-6
-
-
-def _top_eigenvectors(G: np.ndarray, k: int) -> np.ndarray:
-    """Top-``k`` eigenvectors of the symmetric ``G``, as the columns of an m x k array."""
-    m = G.shape[0]
-    p = max(2 * k + 1, 20)
-    if m >= _CROSSOVER * p:
-        Q = _certified_lanczos(G, k, p)
-        if Q is not None:
-            return Q
-    return eigh(G)[1][:, m - k :]
 
 
 def _certified_lanczos(G: np.ndarray, k: int, p: int) -> np.ndarray | None:
-    """Top-``k`` eigenvectors of the PSD ``G`` from a certified Lanczos basis, or ``None``.
+    """Top-``k`` eigenvectors of the PSD ``G`` from one certified Lanczos basis, or ``None``.
 
+    ``truncated_svd`` calls it on an ``m x m`` Gram matrix with ``m >= 8 p``,
+    ``p = max(2k + 1, 20)``, where the dense ``O(m^3)`` eigensolve dominates
+    and a basis that fails costs at most about a quarter of it; below that
+    size, and whenever this returns ``None``, the dense eigensolve runs.
     Single-vector Lanczos from a fixed seeded start, with full
-    reorthogonalisation, then Rayleigh-Ritz on the basis of ``p`` vectors.
-    The top-``k`` Ritz vectors are returned when two checks hold.  Each has
-    a residual ``||G x - theta x||`` of at most ``_RESIDUAL * theta_max``,
-    so each is an eigenpair.  And the Frobenius norm of ``G`` left outside
-    all the certified pairs, plus a bound on its rounding, is below
-    ``theta_k``, so no eigenvalue the basis missed exceeds ``theta_k``:
-    one start vector cannot see a second copy of a repeated eigenvalue.
-    Otherwise the basis doubles once, when the top-``k`` residual is below
-    ``_RETRY * theta_max``, since it about squares when the basis doubles.
-    ``None`` when neither basis certifies, or on a breakdown.
+    reorthogonalisation, builds a basis of ``p`` vectors, and one
+    Rayleigh-Ritz step on it gives Ritz pairs ``(theta, x)``.  The top-``k``
+    Ritz vectors are returned when two checks hold.  Each has a residual
+    ``||G x - theta x||`` of at most ``1e-13 theta_max``, so each is an
+    eigenpair.  And the Frobenius norm of ``G`` left outside all the
+    certified pairs, plus a bound on its rounding, is below ``theta_k``, so
+    no eigenvalue the basis missed exceeds ``theta_k``: one start vector
+    cannot see a second copy of a repeated eigenvalue.  The certificate
+    bounds the basis error by ``1e-13 s_1^2 / (s_k^2 - s_{k+1}^2)``, so the
+    accuracy is that of the dense path.  ``None`` when the checks fail, or
+    on a breakdown, when the basis spans an invariant subspace early.
     """
     m = G.shape[0]
-    basis = np.empty((2 * p, m))
-    images = np.empty((2 * p, m))  # G times each basis vector
+    basis = np.empty((p, m))
+    images = np.empty((p, m))  # G times each basis vector
     start = np.random.default_rng(0).standard_normal(m)
     basis[0] = start / np.linalg.norm(start)
     trace = np.trace(G)
-    for j in range(2 * p):
-        B = basis[: j + 1]
-        w = np.matmul(G, basis[j], out=images[j])
+    for j in range(1, p):
+        B = basis[:j]
+        w = np.matmul(G, B[-1], out=images[j - 1])
         w = w - (B @ w) @ B
         w -= (B @ w) @ B  # a second pass restores orthogonality to working precision
-        if j + 1 in (p, 2 * p):
-            theta, S = np.linalg.eigh(B @ images[: j + 1].T)
-            X = S.T @ B
-            residual = np.linalg.norm(S.T @ images[: j + 1] - theta[:, None] * X, axis=1)
-            residual /= theta[-1]
-            certified = residual <= _RESIDUAL
-            if certified[-k:].all():
-                outside = np.vdot(G, G) - np.sum(theta[certified] ** 2)
-                # bounds, with room, the rounding of ``outside`` and the Ritz values' error
-                slack = (j + 1) * m * _RESIDUAL * theta[-1] ** 2
-                if outside + slack < theta[-k] ** 2:
-                    return X[-k:].T
-            if j + 1 == 2 * p or residual[-k:].max() > _RETRY:
-                return None
         beta = np.linalg.norm(w)
-        if beta <= _RESIDUAL * trace:  # breakdown: the basis spans an invariant subspace
+        if beta <= _RESIDUAL * trace:
             return None
-        np.divide(w, beta, out=basis[j + 1])
+        np.divide(w, beta, out=basis[j])
+    np.matmul(G, basis[-1], out=images[-1])
+    theta, S = np.linalg.eigh(basis @ images.T)
+    X = S.T @ basis
+    residual = np.linalg.norm(S.T @ images - theta[:, None] * X, axis=1) / theta[-1]
+    certified = residual <= _RESIDUAL
+    outside = np.vdot(G, G) - np.sum(theta[certified] ** 2)
+    # bounds, with room, the rounding of ``outside`` and the Ritz values' error
+    slack = p * m * _RESIDUAL * theta[-1] ** 2
+    if certified[-k:].all() and outside + slack < theta[-k] ** 2:
+        return X[-k:].T
     return None
 
 
@@ -188,10 +158,17 @@ def subspace_distances(U: np.ndarray, U_hat: np.ndarray) -> tuple[float, float]:
     ``O``, which is ``sqrt(sum 2 - 2 cos theta_i)``; with the cosines from the
     singular values of ``U^T U_hat`` and ``2 - 2 cos = sin^2 + (1 - cos)^2``
     it is ``hypot(sin_theta, ||1 - cos||)``, exact at small angles too, and
-    the minimising rotation is never formed.
+    the minimising rotation is never formed.  Raises ``ValueError`` naming a
+    basis that is not 2-D, or its first NaN or infinite entry.
     """
     U = np.asarray(U, dtype=float)
     U_hat = np.asarray(U_hat, dtype=float)
+    for name, A in (("U", U), ("U_hat", U_hat)):
+        if A.ndim != 2:
+            raise ValueError(f"{name} has shape {A.shape}; a basis is a 2-D array")
+        if not np.isfinite(A).all():
+            i, j = np.argwhere(~np.isfinite(A))[0]
+            raise ValueError(f"{name} row {i} holds {A[i, j]} at column {j}; bases must be finite")
     if U.shape != U_hat.shape:
         raise ValueError(f"basis shapes differ: {U.shape} vs {U_hat.shape}")
     G = U.T @ U_hat

@@ -375,6 +375,9 @@ class TestBadFlagValue:
              "p/P(B<=x) is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 10],
              "argument --k: k=10 must be less than d=10"),
+            (["gen", "--task", "recover", "--d", 50, "--k", 3, "--bias", "gauss:mean=1e17,std=1"],
+             "argument --bias: the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
+             "sum to 0.0, not 1"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -387,7 +390,7 @@ class TestBadFlagValue:
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
             "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty", "gen-rep-law-starts-at-gamma",
-            "gen-recover-rank-not-below-d",
+            "gen-recover-rank-not-below-d", "gen-recover-law-lost-in-rounding",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

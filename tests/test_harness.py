@@ -251,6 +251,21 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^config key '{name}' is not used by task {task}$"):
             parse_config(config + key + "\n")
 
+    @pytest.mark.parametrize(
+        "task, key, value",
+        [("robust_recovery", "seeds", "4, 4"), ("robust_recovery", "d", "150, 160, 150"),
+         ("robust_recovery", "k", "3, 03"), ("rep_learning", "n", "60, 60"),
+         ("robust_recovery", "s", "2, 2")],
+        ids=["seeds", "d", "k", "n", "s"],
+    )
+    def test_repeated_value_is_named(self, task, key, value):
+        # a repeat would run the same cells again, and summary.json would count each row
+        repeated = int(value.split(",")[0])
+        with pytest.raises(
+            ValueError, match=f"^config key '{key}': (bad list .*: )?value {repeated} is repeated$"
+        ):
+            parse_config(_with(TASK_CONFIGS[task], key, value))
+
     @pytest.mark.parametrize("task", TASK_KEYS)
     def test_keys_of_the_task_are_accepted(self, task):
         for key in TASK_KEYS[task]:

@@ -218,6 +218,12 @@ class TestMomentsAtExtremeOffsets:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_nonlinearity_stats(law)
 
+    @pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_offset_is_named(self, b0):
+        # the closed forms would give NaN moments, or warn on an infinite offset
+        with pytest.raises(ValueError, match=f"^constant bias value must be finite, got {b0}$"):
+            make_nonlinearity_stats(b0)
+
 
 class TestSoftThreshold:
     def test_shrinks_toward_zero(self):
@@ -328,6 +334,12 @@ class TestSolver:
     def test_design_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match=r"^A must be a 2-D design matrix, got shape \(6,\)"):
             solve_robust_lasso(np.zeros(6), np.ones(6), LassoConfig(lam=1.0))
+
+    def test_design_must_have_a_column(self):
+        # the blocked QR would divide by the column count
+        message = r"^A must have at least one column, got shape \(10, 0\)$"
+        with pytest.raises(ValueError, match=message):
+            solve_robust_lasso(np.ones(10), np.zeros((10, 0)), LassoConfig(lam=0.1))
 
     @pytest.mark.parametrize("shape", [(7,), (5,), (6, 1)])
     def test_observations_must_match_the_rows(self, shape):

@@ -239,7 +239,7 @@ def test_repeated_top_singular_values(tail, seed):
     assert_matches_full_svd(M, 5, ks=(1, 2, 3, 5))
 
 
-def test_unseen_copy_of_a_repeated_value_is_not_certified():
+def test_unseen_copy_of_a_repeated_value_is_not_certified(dense_calls):
     # one start vector sees one copy of 9 in exact arithmetic; the first basis
     # holds Ritz pairs 9, 9, 9, 7.5 and 5.5 with residuals that certify each as
     # an eigenpair, and only the Frobenius norm left outside them shows the
@@ -248,6 +248,7 @@ def test_unseen_copy_of_a_repeated_value_is_not_certified():
     squares = np.concatenate([[9.0] * 4, [7.5, 5.5, 2.0], 0.01 * gen.uniform(0.0, 1.0, 300)])
     M = spectrum_matrix(squares, LANCZOS_SHAPE, 20)
     assert_matches_full_svd(M, 307, ks=(5,))
+    assert dense_calls.call_count == 1
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -293,6 +294,26 @@ def test_truncated_svd_names_the_first_non_finite_entry(bad):
     M[3, 1] = bad
     with pytest.raises(ValueError, match=f"M row 2 holds {bad} at column 3"):
         truncated_svd(M, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["U", "U_hat"])
+def test_subspace_distances_names_the_first_non_finite_entry(name, bad):
+    # the SVD of U^T U_hat would fail on a NaN with an unnamed LinAlgError
+    bases = {"U": np.eye(5, 2), "U_hat": np.eye(5, 2)}
+    bases[name][3, 1] = bad
+    bases[name][4, 0] = bad
+    message = f"^{name} row 3 holds {bad} at column 1; bases must be finite$"
+    with pytest.raises(ValueError, match=message):
+        subspace_distances(**bases)
+
+
+@pytest.mark.parametrize("name", ["U", "U_hat"])
+def test_subspace_distances_names_a_basis_that_is_not_2d(name):
+    bases = {"U": np.eye(5, 1), "U_hat": np.eye(5, 1)}
+    bases[name] = bases[name][:, 0]
+    with pytest.raises(ValueError, match=rf"^{name} has shape \(5,\); a basis is a 2-D array$"):
+        subspace_distances(**bases)
 
 
 class TestSinTheta:
