@@ -6,7 +6,7 @@ Subcommands::
     learn-rep  reconstruct the pre-activation matrix of a saved instance
     recover    solve the robust recovery program on a saved instance
     sweep      run a config-driven experiment sweep
-    diag       sample-check the restricted-cone lower bound
+    diag       sample-check the restricted-cone lower bound on a saved vector instance
 
 Exit codes: 0 on success, 1 for a bad flag or config value, 2 on runtime failures.
 """
@@ -36,6 +36,7 @@ from .harness import (
     nonnegative_float,
     nonnegative_int,
     parse_config,
+    penalty_level,
     positive_float,
     positive_int,
     reconstruct_and_evaluate,
@@ -43,7 +44,7 @@ from .harness import (
     restricted_cone_check,
     run_sweep,
 )
-from .lasso import LassoConfig, make_nonlinearity_stats
+from .lasso import LassoConfig, NonlinearityStats, make_nonlinearity_stats
 from .replearn import log_likelihood
 
 __all__ = ["cli_dispatch", "main"]
@@ -118,14 +119,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--out", help="override the config's output_dir")
     sweep.add_argument("--force", action="store_true")
 
-    diag = sub.add_parser("diag", help="restricted-cone sampling check")
-    diag.add_argument("--d", type=_flag(positive_int), required=True)
-    diag.add_argument("--k", type=_flag(positive_int), required=True)
-    diag.add_argument("--s", type=int, required=True)
+    diag = sub.add_parser("diag", help="restricted-cone check of a saved vector instance")
+    diag.add_argument("--input", required=True)
     diag.add_argument("--samples", type=_flag(positive_int), default=100)
-    diag.add_argument("--delta", type=_flag(nonnegative_float), default=0.0)
-    diag.add_argument("--bias", default="const:value=0.0")
-    diag.add_argument("--seed", type=_flag(nonnegative_int), default=0)
     diag.add_argument("--out", help="also write the report JSON here")
     return parser
 
@@ -213,12 +209,21 @@ def _cmd_learn_rep(args) -> int:
     return 0
 
 
-def _cmd_recover(args) -> int:
-    instance = load_instance(args.input)
+def _load_recovery(path: str) -> tuple[RecoveryInstance, NonlinearityStats]:
+    """The vector instance saved in ``path`` and the moments of its bias law."""
+    instance = load_instance(path)
     if not isinstance(instance, RecoveryInstance):
-        raise ValueError(f"{args.input} does not contain a vector instance")
-    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
-    outcome = recover_and_evaluate(instance, stats, args.lam, args.tol, args.max_iter)
+        raise ValueError(f"{path} does not contain a vector instance")
+    return instance, make_nonlinearity_stats(parse_bias_spec(instance.bias))
+
+
+def _cmd_recover(args) -> int:
+    instance, stats = _load_recovery(args.input)
+    try:  # only the agnostic rule can fail, and the flag chose it
+        lam = penalty_level(args.lam, instance, stats)
+    except ValueError as exc:
+        raise _UsageError(f"argument --lambda: {exc}") from exc
+    outcome = recover_and_evaluate(instance, stats, lam, args.tol, args.max_iter)
     solution = outcome.solution
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -257,14 +262,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_diag(args) -> int:
-    stats = make_nonlinearity_stats(parse_bias_spec(args.bias))
-    _, checked = restricted_cone_check(
-        args.d, args.k, args.s, args.delta, stats, args.samples, args.seed
-    )
+    instance, stats = _load_recovery(args.input)
+    _, checked = restricted_cone_check(instance, stats, args.samples)
     report = {
-        "d": args.d,
-        "k": args.k,
-        "s": args.s,
+        "d": instance.A.shape[0],
+        "k": instance.A.shape[1],
+        "s": int(np.count_nonzero(instance.e_star)),
         "num_checked": checked.num_checked,
         "num_violations": checked.num_violations,
         "min_ratio": checked.min_ratio,
@@ -301,9 +304,9 @@ def cli_dispatch(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - boundary of the process
-        # gen, sweep and diag read no instance, so their ValueErrors come from a flag or the config
+        # gen and sweep read no instance, so their ValueErrors come from a flag or the config
         if isinstance(exc, _UsageError) or (
-            isinstance(exc, ValueError) and args.command in ("gen", "sweep", "diag")
+            isinstance(exc, ValueError) and args.command in ("gen", "sweep")
         ):
             print(f"error: {exc}", file=sys.stderr)
             return 1

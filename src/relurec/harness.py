@@ -10,7 +10,7 @@ comment) describing one of three tasks:
     generate vector instances, solve the robust recovery program, and
     record error, bound, and solver diagnostics;
 ``diagnostics``
-    sample the restricted cone and record violation counts.
+    sample the restricted cone of each vector instance; record violations.
 
 Dimension keys take either explicit comma-separated lists or rules of
 the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
@@ -237,7 +237,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
             continue
         s = max(config.s.resolve(d))
-        if s > d:  # generate_recovery_instance and restricted_cone_check reject it
+        if s > d:  # generate_recovery_instance rejects it
             raise ValueError(f"config key 's': outlier count s={s} must lie in [0, d={d}]")
         if task == "robust_recovery" and rank >= d:  # solve_robust_lasso rejects it
             raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
@@ -390,34 +390,31 @@ def _run_recovery_cell(
 
 
 def restricted_cone_check(
-    d: int, k: int, s: int, delta: float, stats: NonlinearityStats, samples: int, seed: int
+    instance: RecoveryInstance, stats: NonlinearityStats, samples: int
 ) -> tuple[float, RestrictedSetReport]:
-    """The agnostic penalty and a sampled restricted-cone check under the moments ``stats``.
+    """The agnostic penalty and a restricted-cone check of ``instance`` under its moments ``stats``.
 
-    ``ValueError`` for an outlier count ``s`` outside ``[0, d]`` or a noise
-    level ``delta`` that is not nonnegative and finite.
+    The cone's support is that of ``e_star``, its noise bound ``||A^T w||_inf``,
+    and the instance's seed seeds the samples.
     """
-    if not 0 <= s <= d:
-        raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((d, k))
-    w = rng.uniform(-delta, delta, size=d) if delta > 0 else np.zeros(d)
-    support = rng.choice(d, size=s, replace=False) if s > 0 else np.empty(0, dtype=int)
-    lam = agnostic_lambda(d, stats.sigma, delta)
+    lam = penalty_level("agnostic", instance, stats)
     report = check_restricted_lower_bound(
-        A, samples, lam=lam, sigma=stats.sigma, eta=stats.eta, support=support,
-        delta_norm=float(np.abs(A.T @ w).max()) if d else 0.0, seed=seed,
+        instance.A, samples, lam=lam, sigma=stats.sigma, eta=stats.eta,
+        support=np.flatnonzero(instance.e_star),
+        delta_norm=float(np.abs(instance.A.T @ instance.w).max()), seed=instance.seed,
     )
     return lam, report
 
 
 def _run_diag_cell(
-    config: ExperimentConfig, stats: NonlinearityStats, d: int, k: int, s: int, seed: int
+    config: ExperimentConfig, model: BiasModel | float, stats: NonlinearityStats,
+    d: int, k: int, s: int, seed: int,
 ) -> dict:
-    """The result fields of one diagnostics cell under the sweep's moments ``stats``."""
-    lam, report = restricted_cone_check(d, k, s, config.delta, stats, config.diag_samples, seed)
+    """The result fields of one diagnostics cell; ``stats`` holds the moments of ``model``."""
+    instance = generate_recovery_instance(
+        d, k, s, config.delta, config.outlier_magnitude, model, seed
+    )
+    lam, report = restricted_cone_check(instance, stats, config.diag_samples)
     return dict(
         delta=config.delta, mu=stats.mu, lambda_used=lam,
         diag_violations=report.num_violations, diag_min_ratio=report.min_ratio,
@@ -454,7 +451,7 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                 elif config.task == "robust_recovery":
                     computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
                 else:
-                    computed = _run_diag_cell(config, stats, d, k, s, seed)
+                    computed = _run_diag_cell(config, model, stats, d, k, s, seed)
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 computed = {"error": f"{type(exc).__name__}: {exc}"}
             records.append(ResultRecord(

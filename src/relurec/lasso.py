@@ -220,6 +220,22 @@ class LassoSolution:
     grad_norm: float
 
 
+def _check_finite(name: str, x: np.ndarray) -> None:
+    """``ValueError`` naming the first non-finite entry of the array ``x``, called ``name``."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), x.shape))
+        at = index[0] if x.ndim == 1 else index
+        raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
+
+
+def _check_nonnegative(**values: float) -> None:
+    """``ValueError`` naming the first of ``values`` that is negative or not finite."""
+    for name, value in values.items():
+        if not 0.0 <= value < math.inf:  # NaN fails too
+            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
 def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
     """``v`` and ``A`` as float arrays, or a ``ValueError`` naming the bad argument."""
     A = np.asarray(A, dtype=float)
@@ -230,12 +246,8 @@ def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(v, dtype=float)
     if v.shape != (A.shape[0],):
         raise ValueError(f"v must be 1-D of length {A.shape[0]} (the rows of A), got shape {v.shape}")
-    for name, x in (("v", v), ("A", A)):
-        finite = np.isfinite(x)
-        if not finite.all():
-            index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), x.shape))
-            at = index[0] if x.ndim == 1 else index
-            raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
+    _check_finite("v", v)
+    _check_finite("A", A)
     with np.errstate(over="ignore"):
         square = float(v @ v)
     if square == math.inf:  # the objective's squared residual would overflow as well
@@ -386,12 +398,14 @@ def oracle_lambda(instance: RecoveryInstance, stats: NonlinearityStats) -> float
 def agnostic_lambda(d: int, sigma: float, delta: float) -> float:
     """Penalty rule using only the noise moments, not the realisation.
 
-    ``ValueError`` for a penalty of 0, which no solve accepts: a bias far
+    ``ValueError`` names a ``sigma`` or ``delta`` that is negative or not
+    finite, and rejects a penalty of 0, which no solve accepts: a bias far
     enough below 0 makes the rectifier's output, and so ``sigma``, 0 in
     floating point.
     """
     if d < 1:
         raise ValueError(f"sample size must be positive, got {d}")
+    _check_nonnegative(sigma=sigma, delta=delta)
     lam = 4.0 * (sigma * math.sqrt(2.0 * math.log(2.0 * d)) + delta) / d
     if lam == 0.0:
         raise ValueError(
@@ -467,13 +481,28 @@ def check_restricted_lower_bound(
     Gaussian with varied scales, and the off-support part of ``f`` spreads
     a random fraction of its allowed L1 budget over a few random
     coordinates.  ``ValueError`` rejects ``samples < 1``, which checks
-    nothing, and ``k + |S| > d / 4``, outside the bound's regime.
+    nothing, a ``lam`` that is not positive and finite, a ``sigma``,
+    ``eta`` or ``delta_norm`` that is negative or not finite, a non-finite
+    entry of ``A``, a support entry outside ``[0, d)`` or repeated (each
+    named with its first bad entry), and ``k + |S| > d / 4``, outside the
+    bound's regime.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if not 0.0 < lam < math.inf:  # NaN fails too
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _check_nonnegative(sigma=sigma, eta=eta, delta_norm=delta_norm)
     A = np.asarray(A, dtype=float)
+    _check_finite("A", A)
     d, k = A.shape
     S = np.asarray(support, dtype=int)
+    seen = set()
+    for i, j in enumerate(S.tolist()):
+        if not 0 <= j < d:
+            raise ValueError(f"support entry {j} at index {i} lies outside [0, d={d})")
+        if j in seen:
+            raise ValueError(f"support entry {j} at index {i} is repeated")
+        seen.add(j)
     if k + S.size > d / 4:
         raise ValueError(
             f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}"

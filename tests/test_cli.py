@@ -193,19 +193,21 @@ class TestLearnRep:
         assert np.all(results["mid"][off] >= results["lower"][off] - 1e-12)
 
 
-class TestRecover:
-    def make_instance(self, tmp_path, **overrides):
-        inst = tmp_path / "inst"
-        args = {"d": 80, "k": 2, "s": 3, "delta": 0.005, "seed": 2}
-        args.update(overrides)
-        argv = ["gen", "--task", "recover", "--out", inst]
-        for key, value in args.items():
-            argv += [f"--{key}", value]
-        assert run(argv) == 0
-        return inst
+def make_vector_instance(tmp_path, **overrides):
+    """``gen --task recover`` into ``tmp_path/inst``, with these flags unless overridden."""
+    inst = tmp_path / "inst"
+    args = {"d": 80, "k": 2, "s": 3, "delta": 0.005, "seed": 2}
+    args.update(overrides)
+    argv = ["gen", "--task", "recover", "--out", inst]
+    for key, value in args.items():
+        argv += [f"--{key}", value]
+    assert run(argv) == 0
+    return inst
 
+
+class TestRecover:
     def test_oracle_lambda(self, tmp_path):
-        inst = self.make_instance(tmp_path)
+        inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         assert run(["recover", "--input", inst, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -229,7 +231,7 @@ class TestRecover:
         assert len(trace) == report["iterations"] + 1
 
     def test_numeric_lambda(self, tmp_path):
-        inst = self.make_instance(tmp_path)
+        inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         code = run(
             ["recover", "--input", inst, "--out", out, "--lambda", 0.05]
@@ -239,7 +241,7 @@ class TestRecover:
         assert report["lambda_used"] == pytest.approx(0.05)
 
     def test_agnostic_lambda(self, tmp_path):
-        inst = self.make_instance(tmp_path)
+        inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         code = run(
             ["recover", "--input", inst, "--out", out, "--lambda", "agnostic"]
@@ -250,7 +252,7 @@ class TestRecover:
 
     def test_report_equals_the_sweep_cell(self, tmp_path):
         # recover and a robust_recovery sweep cell share one code path
-        inst = self.make_instance(tmp_path)
+        inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         assert run(["recover", "--input", inst, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
@@ -277,10 +279,26 @@ class TestRecover:
         ids=["lambda-inf", "lambda-foo", "tol-inf", "max-iter-0"],
     )
     def test_bad_solver_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
-        inst = self.make_instance(tmp_path)
+        inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         assert run(["recover", "--input", inst, "--out", out, flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}\nusage: relurec")
+        assert not out.exists()
+
+    def test_zero_agnostic_penalty_is_usage_error(self, tmp_path, capsys):
+        # sigma is 0 under this bias: the oracle rule solves the instance, and
+        # --lambda agnostic chose the rule that fails, so the flag is at fault
+        inst = make_vector_instance(tmp_path, d=50, k=3, s=0, delta=0, bias="const:value=-40")
+        assert run(["recover", "--input", inst, "--out", tmp_path / "oracle"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "fit"
+        assert run(["recover", "--input", inst, "--out", out, "--lambda", "agnostic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: argument --lambda: the agnostic penalty at d=50 is 0 in floating point, "
+            "from the rectifier's noise moment sigma=0.0 and the noise level delta=0.0\n"
+        )
+        assert captured.out == ""
         assert not out.exists()
 
     def test_wrong_instance_type_fails(self, tmp_path):
@@ -307,13 +325,11 @@ class TestBadFlagValue:
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--bias", "const:value=0.0"],
              "the bias law must be a distributional BiasModel, got 0.0"),
             (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--bias", "nope"],
+            (["gen", "--task", "recover", "--d", 100, "--k", 3, "--bias", "nope"],
              "bias config 'nope' is missing the ':' separator"),
-            (["diag", "--d", 40, "--k", 4, "--s", 30],
-             "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", 0],
+            (["diag", "--input", "{inst}", "--samples", 0],
              "argument --samples: must be at least 1, got 0"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--samples", -5],
+            (["diag", "--input", "{inst}", "--samples", -5],
              "argument --samples: must be at least 1, got -5"),
             (["learn-rep", "--input", "{inst}", "--nu", 0],
              "argument --nu: window length nu must satisfy 0 < nu <= 2*gamma, "
@@ -324,15 +340,12 @@ class TestBadFlagValue:
             (["learn-rep", "--input", "{inst}", "--bias", "exp:rate=1.0,shift=-1.0"],
              "argument --bias: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
              "is unbounded"),
-            (["diag", "--d", 10, "--k", 1, "--s", 20], "outlier count s=20 must lie in [0, d=10]"),
-            (["diag", "--d", 100, "--k", 3, "--s", -1],
+            (["gen", "--task", "recover", "--d", 10, "--k", 1, "--s", 20],
+             "outlier count s=20 must lie in [0, d=10]"),
+            (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", -1],
              "outlier count s=-1 must lie in [0, d=100]"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
-             "argument --delta: must be nonnegative and finite, got -1.0"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--delta", "nan"],
-             "argument --delta: must be nonnegative and finite, got nan"),
-            (["diag", "--d", 100, "--k", 0, "--s", 5], "argument --k: must be at least 1, got 0"),
-            (["diag", "--d", 0, "--k", 1, "--s", 0], "argument --d: must be at least 1, got 0"),
+            (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
+             "noise level delta must be nonnegative and finite, got -1.0"),
             (["learn-rep", "--input", "{inst}", "--gamma", 0.1, "--nu", 0.05],
              "argument --gamma/--nu: row 2: empty feasible interval "
              "[0.11174730013446474, 0.07973209912665659] "
@@ -342,8 +355,6 @@ class TestBadFlagValue:
              "[0.11674730013446474, 0.068626558863551] "
              "(spread 0.182015 vs bound 0.095, separation 0.05610554026310559)"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--seed", -1],
-             "argument --seed: must be at least 0, got -1"),
-            (["diag", "--d", 100, "--k", 3, "--s", 5, "--seed", -1],
              "argument --seed: must be at least 0, got -1"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "nan"],
              "argument --min-margin: must be nonnegative and finite, got nan"),
@@ -366,9 +377,6 @@ class TestBadFlagValue:
             (["learn-rep", "--input", "{inst}", "--nu", 5, "--bias", "exp:rate=1.0,shift=-2.0"],
              "argument --nu/--bias: window length nu must satisfy 0 < nu <= 2*gamma, "
              "got nu=5.0, gamma=1.0"),
-            (["diag", "--d", 40, "--k", 4, "--s", 4, "--bias", "const:value=-40"],
-             "the agnostic penalty at d=40 is 0 in floating point, from the rectifier's "
-             "noise moment sigma=0.0 and the noise level delta=0.0"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--gamma", 1.0,
               "--bias", "exp:rate=1.0,shift=-1.0"],
              "argument --bias/--gamma: CDF vanishes at -1.0; the hazard-type ratio "
@@ -381,15 +389,15 @@ class TestBadFlagValue:
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
-            "gen-rep-const-bias", "gen-rep-without-n", "diag-bad-bias", "diag-regime",
+            "gen-rep-const-bias", "gen-rep-without-n", "gen-recover-bad-bias",
             "diag-no-samples", "diag-negative-samples", "learn-rep-nu-0", "learn-rep-nu-5",
-            "learn-rep-law-starts-at-gamma", "diag-s-above-d", "diag-negative-s",
-            "diag-negative-delta", "diag-delta-nan", "diag-k-0", "diag-d-0",
+            "learn-rep-law-starts-at-gamma", "gen-recover-s-above-d", "gen-recover-negative-s",
+            "gen-recover-negative-delta",
             "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
-            "diag-negative-seed", "gen-min-margin-nan", "gen-min-margin-inf",
+            "gen-min-margin-nan", "gen-min-margin-inf",
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
-            "learn-rep-nu-and-bias", "diag-zero-agnostic-penalty", "gen-rep-law-starts-at-gamma",
+            "learn-rep-nu-and-bias", "gen-rep-law-starts-at-gamma",
             "gen-recover-rank-not-below-d", "gen-recover-law-lost-in-rounding",
         ],
     )
@@ -419,14 +427,54 @@ class TestSweepAndDiag:
         assert (out / "summary.json").exists()
 
     def test_diag_prints_json(self, tmp_path, capsys):
-        code = run(
-            ["diag", "--d", 100, "--k", 3, "--s", 5, "--seed", 1,
-             "--samples", 10]
-        )
-        assert code == 0
+        inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
+        capsys.readouterr()
+        assert run(["diag", "--input", inst, "--samples", 10]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["d"] == 100 and payload["k"] == 3 and payload["s"] == 5
         assert payload["num_violations"] == 0
         assert payload["num_checked"] == 10
+
+    def test_diag_report_equals_the_sweep_cell(self, tmp_path, capsys):
+        # diag and a diagnostics sweep cell share one code path
+        inst = make_vector_instance(tmp_path)
+        capsys.readouterr()
+        assert run(["diag", "--input", inst, "--samples", 10]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        config = parse_config(
+            "task = diagnostics\nd = 80\nk = 2\ns = 3\nseeds = 2\n"
+            "delta = 0.005\nbias = const:value=0.0\ndiag_samples = 10\n"
+        )
+        [record] = run_sweep(config)
+        assert record.error is None, record.error
+        assert payload["num_violations"] == record.diag_violations
+        assert payload["min_ratio"] == record.diag_min_ratio
+
+    @pytest.mark.parametrize(
+        "task, flags, message",
+        [
+            ("recover", {"d": 40, "k": 4, "s": 30}, "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
+            ("recover", {"d": 50, "k": 3, "s": 0, "delta": 0, "bias": "const:value=-40"},
+             "the agnostic penalty at d=50 is 0 in floating point, from the rectifier's "
+             "noise moment sigma=0.0 and the noise level delta=0.0"),
+            ("rep", {"d": 8, "n": 12, "k": 2}, "{inst} does not contain a vector instance"),
+        ],
+        ids=["regime", "zero-agnostic-penalty", "matrix-instance"],
+    )
+    def test_diag_rejected_instance_exits_two(self, tmp_path, capsys, task, flags, message):
+        # no flag chose what fails: the saved instance is at fault
+        inst = tmp_path / "inst"
+        argv = ["gen", "--task", task, "--out", inst]
+        for key, value in flags.items():
+            argv += [f"--{key}", value]
+        assert run(argv) == 0
+        capsys.readouterr()
+        out = tmp_path / "diag.json"
+        assert run(["diag", "--input", inst, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: ValueError: {message.format(inst=inst)}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -462,12 +510,9 @@ class TestSweepAndDiag:
         assert not out.exists()
 
     def test_diag_writes_file(self, tmp_path):
+        inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
         target = tmp_path / "diag.json"
-        code = run(
-            ["diag", "--d", 100, "--k", 3, "--s", 5, "--seed", 1,
-             "--samples", 10, "--out", target]
-        )
-        assert code == 0
+        assert run(["diag", "--input", inst, "--samples", 10, "--out", target]) == 0
         payload = json.loads(target.read_text())
         assert payload["min_ratio"] >= 1.0
 

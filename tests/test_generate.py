@@ -181,6 +181,21 @@ class TestRecoveryInstance:
         with pytest.raises(ValueError):
             generate_recovery_instance(10, 2, 0, -0.1, 5.0, bias=0.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "s, delta, message",
+        [
+            (-1, 0.0, r"outlier count s=-1 must lie in \[0, d=40\]"),
+            (41, 0.0, r"outlier count s=41 must lie in \[0, d=40\]"),
+            (2, -1.0, "noise level delta must be nonnegative and finite, got -1.0"),
+            (2, math.nan, "noise level delta must be nonnegative and finite, got nan"),
+        ],
+        ids=["s-negative", "s-above-d", "delta-negative", "delta-nan"],
+    )
+    def test_bad_setting_is_named(self, s, delta, message):
+        # the one check of s and delta behind recovery and diagnostics cells and `gen`
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_recovery_instance(40, 2, s, delta, 5.0, bias=0.0, seed=0)
+
     # a NaN delta once gave noiseless w = 0 while recording delta = nan, an
     # infinite one an OverflowError, and the others a non-finite v
     @pytest.mark.parametrize(

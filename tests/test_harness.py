@@ -21,10 +21,9 @@ from relurec.harness import (
     reconstruct_and_evaluate,
     recover_and_evaluate,
     TASK_KEYS,
-    restricted_cone_check,
     run_sweep,
 )
-from relurec.lasso import make_nonlinearity_stats
+from relurec.lasso import agnostic_lambda, check_restricted_lower_bound, make_nonlinearity_stats
 from relurec.subspace import truncated_svd
 
 REP_CONFIG = """
@@ -343,6 +342,43 @@ class TestRunSweep:
         assert records[0].diag_violations == 0
         assert records[0].diag_min_ratio >= 1.0
 
+    def test_diag_cell_checks_the_design_of_the_recovery_cell(self, monkeypatch):
+        # the diagnostics cell scores the A, w and outlier support that the
+        # robust_recovery cell with the same d, k, s, delta and seed solves
+        made = []
+
+        def recording(*args):
+            made.append(generate_recovery_instance(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "generate_recovery_instance", recording)
+        law = "gauss:mean=0.0,std=1.0"
+        diag = parse_config(_with(_with(DIAG_CONFIG, "bias", law), "delta", "0.01"))
+        [record] = run_sweep(diag)
+        recovery = parse_config(
+            f"task = robust_recovery\nd = 200\nk = 5\ns = 10\ndelta = 0.01\nbias = {law}\n"
+            "outlier_magnitude = 2.0\nseeds = 0\n"
+        )
+        assert run_sweep(recovery)[0].error is None
+        cell, solved = made
+        stats = make_nonlinearity_stats(parse_bias_spec(law))
+        lam = agnostic_lambda(200, stats.sigma, 0.01)
+        support = np.flatnonzero(cell.e_star)
+        report = check_restricted_lower_bound(
+            cell.A, diag.diag_samples, lam=lam, sigma=stats.sigma, eta=stats.eta,
+            support=support, delta_norm=float(np.abs(cell.A.T @ cell.w).max()), seed=0,
+        )
+        assert record.error is None, record.error
+        assert (record.lambda_used, record.diag_violations, record.diag_min_ratio) == (
+            lam, report.num_violations, report.min_ratio
+        )
+        assert (record.s, support.size) == (10, 10)
+        np.testing.assert_array_equal(solved.A, cell.A)
+        np.testing.assert_array_equal(solved.w, cell.w)
+        np.testing.assert_array_equal(np.flatnonzero(solved.e_star), support)
+        assert np.abs(solved.e_star[support]).tolist() == [2.0] * 10
+        assert np.abs(cell.e_star[support]).tolist() == [5.0] * 10
+
     @pytest.mark.parametrize("config", [REP_CONFIG, RECOVERY_CONFIG], ids=["rep", "recovery"])
     def test_cell_runner_is_called_through_its_module_attribute(self, config, monkeypatch):
         # the benchmark times its setup up to the first cell by rebinding these
@@ -528,22 +564,6 @@ class TestReconstructAndEvaluate:
         sin_theta, procrustes_err = _distances_from_angles(U, U_hat)
         assert outcome.sin_theta == pytest.approx(sin_theta, rel=1e-12)
         assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "s, delta, message",
-    [
-        (-1, 0.0, r"outlier count s=-1 must lie in \[0, d=40\]"),
-        (41, 0.0, r"outlier count s=41 must lie in \[0, d=40\]"),
-        (2, -1.0, "noise level delta must be nonnegative and finite, got -1.0"),
-        (2, float("nan"), "noise level delta must be nonnegative and finite, got nan"),
-    ],
-    ids=["s-negative", "s-above-d", "delta-negative", "delta-nan"],
-)
-def test_restricted_cone_check_rejects_bad_setting(s, delta, message):
-    # a negative s once ran with an empty support, and a NaN delta made every budget test false
-    with pytest.raises(ValueError, match=message):
-        restricted_cone_check(40, 2, s, delta, make_nonlinearity_stats(0.0), 10, seed=0)
 
 
 class TestEmitResults:

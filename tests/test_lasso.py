@@ -484,6 +484,21 @@ class TestPenaltyRules:
         expected = 4.0 * (0.5 * math.sqrt(2.0 * math.log(2000.0)) + 0.01) / 1000.0
         assert agnostic_lambda(1000, 0.5, 0.01) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "sigma, delta, message",
+        [
+            (math.nan, 0.0, "sigma must be nonnegative and finite, got nan"),
+            (-0.5, 0.0, "sigma must be nonnegative and finite, got -0.5"),
+            (0.5, math.inf, "delta must be nonnegative and finite, got inf"),
+            (0.5, -0.01, "delta must be nonnegative and finite, got -0.01"),
+        ],
+        ids=["sigma-nan", "sigma-negative", "delta-inf", "delta-negative"],
+    )
+    def test_agnostic_rule_names_a_bad_moment_or_noise_level(self, sigma, delta, message):
+        # a NaN sigma once gave a NaN penalty, and a negative one a negative penalty
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            agnostic_lambda(10, sigma, delta)
+
 
 class TestErrorAndBound:
     def _fake_solution(self, c_hat, e_hat):
@@ -563,6 +578,32 @@ class TestRestrictedSet:
             check_restricted_lower_bound(
                 A, samples=10, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(20)
             )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"support": [-1]}, r"support entry -1 at index 0 lies outside \[0, d=100\)"),
+            ({"support": [4, 150]}, r"support entry 150 at index 1 lies outside \[0, d=100\)"),
+            ({"support": [1, 2, 1]}, "support entry 1 at index 2 is repeated"),
+            ({"A": np.full((100, 3), np.nan)}, r"A has a non-finite entry nan at index \(0, 0\)"),
+            ({"lam": 0.0}, "lam must be positive and finite, got 0.0"),
+            ({"lam": math.nan}, "lam must be positive and finite, got nan"),
+            ({"sigma": -1.0}, "sigma must be nonnegative and finite, got -1.0"),
+            ({"eta": math.inf}, "eta must be nonnegative and finite, got inf"),
+            ({"delta_norm": math.nan}, "delta_norm must be nonnegative and finite, got nan"),
+        ],
+        ids=["support-negative", "support-above-d", "support-repeated", "A-nan", "lam-zero",
+             "lam-nan", "sigma-negative", "eta-inf", "delta-norm-nan"],
+    )
+    def test_bad_input_is_named(self, change, message):
+        # these once ran as row 99, as |S| = 3, or with min_ratio = nan, or
+        # raised a bare IndexError or ZeroDivisionError
+        args = {
+            "A": np.random.default_rng(8).standard_normal((100, 3)), "lam": 0.01, "sigma": 0.5,
+            "eta": 0.8, "support": [1, 2], "delta_norm": 0.0,
+        } | change
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_restricted_lower_bound(args.pop("A"), 10, **args)
 
     @pytest.mark.parametrize("samples", [0, -5])
     def test_a_check_of_no_samples_is_rejected(self, samples):
