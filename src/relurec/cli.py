@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
 
     gen = sub.add_parser("gen", help="sample a synthetic instance", add_help=True)
     gen.add_argument("--task", choices=["rep", "recover"], required=True)
-    gen.add_argument("--d", type=int, required=True)
+    gen.add_argument("--d", type=_flag(positive_int), required=True)
     gen.add_argument("--n", type=int, help="columns (rep task)")
     gen.add_argument("--k", type=int, required=True)
     gen.add_argument("--s", type=int, help="outlier count (recover task; default 0)")

@@ -34,7 +34,13 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import numpy.ma  # np.percentile loads it on its first call, which would fall in the first sweep
+# np.percentile loads numpy.ma on its first call, which would fall in the first sweep.  Keep
+# the import even where the quartiles need no np.percentile: on the rep_small benchmark
+# (2 shared vCPUs), a round without it took about 3 500 minor page faults after its set-up
+# instead of 1 850, and 1-5% fewer cells/s.  The allocator hands the freed cell arrays back
+# to the kernel, and the next cell faults them in again; with glibc's mmap and trim
+# thresholds raised the same round took about 1 000.
+import numpy.ma
 
 from .bias import BiasModel, compute_bias_constants, lipschitz_L, omega_min_mass, parse_bias_spec
 from .generate import (

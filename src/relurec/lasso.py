@@ -27,8 +27,9 @@ sampling check of the restricted-cone lower bound that underlies the
 recovery analysis; the check takes the cone's penalty, moments, outlier
 support and noise level as keywords.  One function,
 :func:`make_nonlinearity_stats`, computes the moments: at a constant
-offset they have truncated-normal closed forms, which a fixed
-Gauss-Legendre rule averages over a random offset's law.
+offset and under a Gaussian law they have truncated-normal closed forms,
+and a fixed Gauss-Legendre rule averages the constant-offset forms over a
+shifted-exponential or logistic law.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.polynomial  # numpy loads it on first use, which would fall in the first cell
+# numpy loads it on first use, which would fall in the first exp or logistic cell
+import numpy.polynomial
 
 from .bias import BiasModel, bias_spec_to_config
 from .generate import RecoveryInstance
@@ -116,24 +118,31 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, mass
 
 
-def _residual_moments(b0, mu: float):
-    """``E[(ReLU(g+b0) - mu g)^2]`` and ``E[g^2 (ReLU(g+b0) - mu g)^2]`` over ``4^e``, and ``e``.
+def _residual_moments(b0, mu: float, std: float = 0.0):
+    """``E[(ReLU(g+b) - mu g)^2]`` and ``E[g^2 (ReLU(g+b) - mu g)^2]`` over ``4^e``, and ``e``.
 
-    With ``a = -b0``, the truncated moments ``T_k = E[g^k; g > a]`` of a
-    standard normal ``g`` are ``T0 = Phi(b0)``, ``T1 = phi(b0)``,
+    The offset ``b`` is ``N(b0, std^2)``, and the constant ``b0`` at
+    ``std = 0``.  Then ``X = g + b = b0 + tau Z`` with ``tau^2 = 1 + std^2``
+    and ``Z`` standard normal, ``ReLU(X) = tau (Z + z)`` on ``Z > a``, with
+    ``z = b0 / tau = -a``, and given ``Z`` the input ``g`` is Gaussian with
+    mean ``Z / tau`` and variance ``w^2 = std^2 / tau^2``.  The truncated
+    moments ``T_k = E[Z^k; Z > a]`` are ``T0 = Phi(z)``, ``T1 = phi(z)``,
     ``T2 = T0 + a T1``, ``T3 = (a^2 + 2) T1`` and ``T4 = 3 T2 + a^3 T1``;
-    expanding the squares gives both moments, elementwise in ``b0``, in
-    terms of them.  Beyond ``|b0| = 40``, ``phi`` is 0 and ``Phi`` is 0
-    or 1 in floating point, so the ``T_k`` are taken at ``b0`` clipped to
-    ``[-40, 40]``, where no power of ``a`` overflows.  The moments grow like
-    ``b0^2``, so ``b0`` enters them divided by ``2^e``, the least power of
-    two with ``|b0| < 2^e`` for every node (``e >= 0``).  Scaling by a
-    power of two is exact, so the moments are those of the unscaled
-    expansion times ``4^-e`` unless a term falls below the normal range.
+    with ``E[g^2 | Z] = Z^2/tau^2 + w^2`` and ``E[g^3 | Z] = Z^3/tau^3 +
+    3 w^2 Z/tau``, expanding the squares gives both moments, elementwise in
+    ``b0``, in terms of them.  Beyond ``|z| = 40``, ``phi`` is 0 and
+    ``Phi`` is 0 or 1 in floating point, so the ``T_k`` are taken at ``z``
+    clipped to ``[-40, 40]``, where no power of ``a`` overflows.  The
+    moments grow like ``b0^2 + std^2``, so ``b0`` and ``std`` enter them
+    divided by ``2^e``, the least power of two above ``std`` and every
+    ``|b0|`` (``e >= 0``).  Scaling by a power of two is exact, so the
+    moments are those of the unscaled expansion times ``4^-e`` unless a
+    term falls below the normal range.
     """
     b0 = np.asarray(b0, dtype=float)
-    e = max(math.frexp(float(np.abs(b0).max()))[1], 0)
-    b = np.clip(b0, -40.0, 40.0)
+    e = max(math.frexp(max(float(np.abs(b0).max()), std))[1], 0)
+    tau = math.hypot(1.0, std)
+    b = np.clip(b0 / tau, -40.0, 40.0)
     a = -b
     t0 = _STANDARD_NORMAL.cdf(b)
     t1 = _STANDARD_NORMAL.density(b)
@@ -141,14 +150,16 @@ def _residual_moments(b0, mu: float):
     t3 = (a * a + 2.0) * t1
     t4 = 3.0 * t2 + a**3 * t1
     s = math.ldexp(1.0, -e)
-    c, s2 = s * b0, s * s
-    sig2 = (
-        s2 * t2 + 2.0 * c * (s * t1) + c * c * t0
-        - 2.0 * mu * (s2 * t2 + c * (s * t1)) + mu * mu * s2
-    )
+    c, s2, st, w = s * b0, s * s, s * tau, std / tau
+    cz, sw = c / tau, s * std
+    cw = cz * std  # s z std: like s z and s std it stays below 1 where z std could overflow
+    slope = s2 * t2 + cz * (s * t1)  # E[g ReLU(X)] over 4^e, which is mu over 4^e
+    sig2 = st * st * t2 + 2.0 * c * (st * t1) + c * c * t0 - 2.0 * mu * slope + mu * mu * s2
     eta2 = (
-        s2 * t4 + 2.0 * c * (s * t3) + c * c * t2
-        - 2.0 * mu * (s2 * t4 + c * (s * t3)) + 3.0 * mu * mu * s2
+        s2 * t4 + 2.0 * cz * (s * t3) + cz * cz * t2
+        + (sw * sw * t2 + 2.0 * sw * cw * t1 + cw * cw * t0)
+        - 2.0 * mu * ((s2 * t4 + cz * (s * t3)) / tau / tau + 3.0 * w * w * slope)
+        + 3.0 * mu * mu * s2
     )
     return sig2, eta2, e
 
@@ -158,16 +169,28 @@ def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
 
     ``bias`` is either a constant offset or a :class:`BiasModel` whose
     draw is independent of the Gaussian input ``g``.  The slope is
-    ``mu = E[g ReLU(g + b)]``, which is ``Phi(b0)`` at a constant offset
-    ``b0`` (Stein's lemma).  ``sigma^2 = E[(ReLU(g+b) - mu g)^2]`` measures
-    the residual size and ``eta^2 = E[g^2 (ReLU(g+b) - mu g)^2]`` its
-    correlation with the design direction.  All three average the
-    constant-offset closed forms over the nodes of :func:`_offset_rule`.
+    ``mu = E[g ReLU(g + b)]``, which is ``Phi(b0 / tau)`` for an offset
+    drawn from ``N(b0, std^2)``, with ``tau^2 = 1 + std^2`` (Stein's lemma;
+    a constant offset ``b0`` is ``std = 0``).
+    ``sigma^2 = E[(ReLU(g+b) - mu g)^2]`` measures the residual size and
+    ``eta^2 = E[g^2 (ReLU(g+b) - mu g)^2]`` its correlation with the design
+    direction.  At a constant offset and under a Gaussian law all three are
+    closed forms; under a shifted-exponential or logistic law they average
+    the constant-offset closed forms over the nodes of :func:`_offset_rule`.
+    ``ValueError`` names a law whose ``sigma`` or ``eta`` exceeds the largest
+    float, and the faults :func:`_offset_rule` names.
     """
-    nodes, mass = _offset_rule(bias)
-    mu = float(np.sum(mass * _STANDARD_NORMAL.cdf(nodes)))
-    sig2, eta2, e = _residual_moments(nodes, mu)
-    sigma, eta = (math.ldexp(math.sqrt(max(float(mass @ m), 0.0)), e) for m in (sig2, eta2))
+    if isinstance(bias, BiasModel) and bias.kind == "gaussian":
+        (mean, std), mass = bias.params, np.array([1.0])
+        nodes = np.array([mean])
+    else:
+        (nodes, mass), std = _offset_rule(bias), 0.0
+    mu = float(np.sum(mass * _STANDARD_NORMAL.cdf(nodes / math.hypot(1.0, std))))
+    sig2, eta2, e = _residual_moments(nodes, mu, std)
+    try:
+        sigma, eta = (math.ldexp(math.sqrt(max(float(mass @ m), 0.0)), e) for m in (sig2, eta2))
+    except OverflowError:  # a Gaussian law's spread can carry them past the largest float
+        raise ValueError(f"the moments of bias law {bias_spec_to_config(bias)} overflow") from None
     return NonlinearityStats(mu=mu, sigma=sigma, eta=eta)
 
 

@@ -1,11 +1,44 @@
-"""Reference forms of the robust lasso's e-step and objective.
+"""Reference forms of the robust lasso's e-step and objective, and of the Gaussian-bias moments.
 
 ``solve_robust_lasso`` clips the residual and sums the objective inline.
 These direct transcriptions of the definitions drive the tests' reference
 solver loop and their checks that a solution is a local minimum.
+``make_nonlinearity_stats`` gives the moments under a Gaussian bias law in
+closed form; :func:`gaussian_bias_moments` integrates the constant-offset
+forms over the law instead.
 """
 
+import math
+
 import numpy as np
+from scipy import integrate, stats
+
+
+def gaussian_bias_moments(mean: float, std: float) -> tuple[float, float, float]:
+    """``(mu, sigma, eta)`` under a ``N(mean, std^2)`` bias, by adaptive quadrature over the bias.
+
+    At a constant offset ``b``, with ``Phi = Phi(b)`` and ``phi = phi(b)``,
+    ``E[g ReLU(g+b)] = Phi``, ``E[ReLU(g+b)^2] = (1 + b^2) Phi + b phi``,
+    ``E[g^2 ReLU(g+b)^2] = (3 + b^2) Phi + b phi`` and
+    ``E[g^3 ReLU(g+b)] = 3 Phi - b phi``.  Each is averaged over
+    ``b = mean + std t`` for standard normal ``t`` cut at ``|t| = 40``, and
+    ``sigma^2 = E[ReLU^2] - mu^2`` and
+    ``eta^2 = E[g^2 ReLU^2] - 2 mu E[g^3 ReLU] + 3 mu^2``.
+    """
+
+    def average(f):
+        def integrand(t):
+            b = mean + std * t
+            return f(b, stats.norm.cdf(b), stats.norm.pdf(b)) * stats.norm.pdf(t)
+
+        rule = {"points": [0.0], "epsabs": 0.0, "epsrel": 1e-13, "limit": 500}
+        return integrate.quad(integrand, -40.0, 40.0, **rule)[0]
+
+    mu = average(lambda b, cdf, pdf: cdf)
+    relu2 = average(lambda b, cdf, pdf: (1.0 + b * b) * cdf + b * pdf)
+    g2_relu2 = average(lambda b, cdf, pdf: (3.0 + b * b) * cdf + b * pdf)
+    g3_relu = average(lambda b, cdf, pdf: 3.0 * cdf - b * pdf)
+    return mu, math.sqrt(relu2 - mu * mu), math.sqrt(g2_relu2 - 2.0 * mu * g3_relu + 3.0 * mu * mu)
 
 
 def soft_threshold(x, tau: float):

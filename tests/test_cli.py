@@ -383,9 +383,11 @@ class TestBadFlagValue:
              "p/P(B<=x) is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 10],
              "argument --k: k=10 must be less than d=10"),
-            (["gen", "--task", "recover", "--d", 50, "--k", 3, "--bias", "gauss:mean=1e17,std=1"],
-             "argument --bias: the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
-             "sum to 0.0, not 1"),
+            (["gen", "--task", "recover", "--d", 0, "--k", 1], "argument --d: must be at least 1, got 0"),
+            (["gen", "--task", "recover", "--d", 50, "--k", 3, "--bias",
+              "logistic:loc=1e17,scale=1"],
+             "argument --bias: the quadrature masses of bias law logistic:loc=1e+17,scale=1.0 "
+             "sum to 3.954713149884052, not 1"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -398,7 +400,7 @@ class TestBadFlagValue:
             "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
             "learn-rep-nu-and-bias", "gen-rep-law-starts-at-gamma",
-            "gen-recover-rank-not-below-d", "gen-recover-law-lost-in-rounding",
+            "gen-recover-rank-not-below-d", "gen-recover-d-0", "gen-recover-law-lost-in-rounding",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):
@@ -489,7 +491,7 @@ class TestSweepAndDiag:
     def test_failing_moments_are_usage_error(self, task, dimensions, tmp_path, capsys):
         # the law parses, but its moments fail: the sweep stops before its first cell
         config = tmp_path / "sweep.cfg"
-        config.write_text(f"task = {task}\n{dimensions}bias = gauss:mean=1e17,std=1\nseeds = 0, 1\n")
+        config.write_text(f"task = {task}\n{dimensions}bias = logistic:loc=1e17,scale=1\nseeds = 0, 1\n")
         out = tmp_path / "results"
         assert run(["sweep", "--config", config, "--out", out]) == 1
         captured = capsys.readouterr()

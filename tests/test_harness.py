@@ -491,7 +491,7 @@ class TestSweepMoments:
     @pytest.mark.parametrize("base", [RECOVERY_CONFIG, DIAG_CONFIG], ids=["recovery", "diagnostics"])
     def test_failing_moments_raise_before_any_cell(self, base, monkeypatch):
         # parse_config accepts the law, but its spread is lost in rounding at its mean
-        config = parse_config(_with(base, "bias", "gauss:mean=1e17,std=1"))
+        config = parse_config(_with(base, "bias", "logistic:loc=1e17,scale=1"))
         calls = self._counted(monkeypatch)
         runners = []
         for name in ("_run_recovery_cell", "_run_diag_cell"):
@@ -499,8 +499,8 @@ class TestSweepMoments:
         with pytest.raises(ValueError) as caught:
             run_sweep(config)
         assert str(caught.value) == (
-            "config key 'bias': the quadrature masses of bias law gauss:mean=1e+17,std=1.0 "
-            "sum to 0.0, not 1"
+            "config key 'bias': the quadrature masses of bias law logistic:loc=1e+17,scale=1.0 "
+            "sum to 3.954713149884052, not 1"
         )
         assert len(calls) == 1 and runners == []
 

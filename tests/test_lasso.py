@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from relurec import lasso
 from relurec.bias import BiasModel, bias_spec_to_config
 from relurec.generate import generate_recovery_instance
 from relurec.lasso import (
@@ -35,7 +36,7 @@ from relurec.lasso import (
 )
 from relurec.lasso import _offset_rule, _residual_moments, _tail_nodes
 
-from lasso_oracles import lasso_objective, soft_threshold
+from lasso_oracles import gaussian_bias_moments, lasso_objective, soft_threshold
 from rectifier_sampling import sampled_moments
 
 
@@ -141,7 +142,7 @@ class TestMomentsMatchQuadrature:
         "model",
         [
             BiasModel.shifted_exponential(rate=1.5, shift=-1.0),
-            BiasModel.gaussian(mean=0.3, std=0.8),
+            BiasModel.shifted_exponential(rate=3.0, shift=0.5),
             BiasModel.logistic(loc=-0.2, scale=0.5),
         ],
     )
@@ -183,10 +184,10 @@ class TestMomentsAtExtremeOffsets:
         "bias, scaled",
         [
             (0.0, False),
-            (BiasModel.gaussian(), True),
+            (BiasModel.logistic(), True),
             (BiasModel.shifted_exponential(rate=1.0, shift=-2.0), True),
         ],
-        ids=["const-0", "gauss-0-1", "exp-1-shift-2"],
+        ids=["const-0", "logistic-0-1", "exp-1-shift-2"],
     )
     def test_scaling_by_a_power_of_two_is_exact(self, bias, scaled):
         nodes, mass = _offset_rule(bias)
@@ -209,11 +210,12 @@ class TestMomentsAtExtremeOffsets:
             assert make_nonlinearity_stats(b0) == NonlinearityStats(mu=0.0, sigma=0.0, eta=0.0)
 
     @pytest.mark.parametrize(
-        "mean, total", [(1e17, "0.0"), (1e15, "1.0001253513065875")], ids=["1e17", "1e15"]
+        "loc, total", [(1e17, "3.954713149884052"), (1e15, "1.002047598365992")],
+        ids=["1e17", "1e15"],
     )
-    def test_spread_lost_in_rounding_is_named(self, mean, total):
+    def test_spread_lost_in_rounding_is_named(self, loc, total):
         # the law's nodes collapse onto few floats, and the masses no longer sum to 1
-        law = BiasModel.gaussian(mean=mean, std=1.0)
+        law = BiasModel.logistic(loc=loc, scale=1.0)
         message = f"the quadrature masses of bias law {bias_spec_to_config(law)} sum to {total}, not 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_nonlinearity_stats(law)
@@ -223,6 +225,69 @@ class TestMomentsAtExtremeOffsets:
         # the closed forms would give NaN moments, or warn on an infinite offset
         with pytest.raises(ValueError, match=f"^constant bias value must be finite, got {b0}$"):
             make_nonlinearity_stats(b0)
+
+
+class TestGaussianBiasMoments:
+    """A Gaussian bias law's moments are closed forms, with no rule over the law."""
+
+    @pytest.mark.parametrize(
+        "mean, std", [(0.0, 1.0), (0.3, 0.8), (-2.0, 0.5), (3.0, 2.0), (0.0, 0.05), (-5.0, 1.0)]
+    )
+    def test_match_quadrature_over_the_law(self, mean, std):
+        moments = make_nonlinearity_stats(BiasModel.gaussian(mean=mean, std=std))
+        mu, sigma, eta = gaussian_bias_moments(mean, std)
+        assert moments.mu == pytest.approx(mu, rel=1e-12)
+        assert moments.sigma == pytest.approx(sigma, rel=1e-12)
+        assert moments.eta == pytest.approx(eta, rel=1e-12)
+
+    @pytest.mark.parametrize("std", [1e-3, 0.5, 1.0, 3.0, 1e6])
+    def test_zero_mean_slope_is_one_half(self, std):
+        # the law is symmetric about 0, so Phi(0) = 1/2 exactly
+        assert make_nonlinearity_stats(BiasModel.gaussian(mean=0.0, std=std)).mu == 0.5
+
+    @pytest.mark.parametrize("mean, std", [(1e150, 1.0), (1e200, 1e150), (1e300, 1e298)])
+    def test_large_positive_mean(self, mean, std):
+        # the rectifier never cuts, so the residual is b + (1 - mu) g with mu = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = make_nonlinearity_stats(BiasModel.gaussian(mean=mean, std=std))
+        assert moments.mu == 1.0
+        assert moments.sigma == pytest.approx(math.hypot(mean, std), rel=1e-14)
+        assert moments.eta == pytest.approx(math.hypot(mean, std), rel=1e-14)
+
+    @pytest.mark.parametrize("mean, std", [(-1e150, 1.0), (-1e200, 1e150), (-1e300, 1e298)])
+    def test_large_negative_mean(self, mean, std):
+        # the rectifier always cuts, so the residual is -mu g with mu = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = make_nonlinearity_stats(BiasModel.gaussian(mean=mean, std=std))
+        assert moments == NonlinearityStats(mu=0.0, sigma=0.0, eta=0.0)
+
+    @pytest.mark.parametrize("std", [1e150, 1e200, 1e300])
+    def test_large_spread_about_zero(self, std):
+        # g is negligible next to b, so both moments are about E[ReLU(b)^2]^(1/2) = std/sqrt(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = make_nonlinearity_stats(BiasModel.gaussian(mean=0.0, std=std))
+        assert moments.mu == 0.5
+        assert moments.sigma == pytest.approx(std / math.sqrt(2.0), rel=1e-14)
+        assert moments.eta == pytest.approx(std / math.sqrt(2.0), rel=1e-14)
+
+    def test_moments_beyond_the_largest_float_are_named(self):
+        # sigma is about 1.39 * 1.7e308 at z = 1
+        law = BiasModel.gaussian(mean=1.7e308, std=1.7e308)
+        message = f"the moments of bias law {bias_spec_to_config(law)} overflow"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_nonlinearity_stats(law)
+
+    def test_never_builds_the_rule(self, monkeypatch):
+        def no_rule():
+            raise AssertionError("a Gaussian law built the Gauss-Legendre rule")
+
+        monkeypatch.setattr(lasso, "_legendre_rule", no_rule)
+        make_nonlinearity_stats(BiasModel.gaussian(mean=0.3, std=0.8))
+        with pytest.raises(AssertionError, match="built the Gauss-Legendre rule"):
+            make_nonlinearity_stats(BiasModel.logistic())
 
 
 class TestSoftThreshold:
