@@ -4,16 +4,17 @@ Config-driven experiment sweeps
 
 A sweep is described by a flat key=value text file: a task, dimension
 lists (or rules tied to d), a bias config, and seeds.  Running it
-produces one record per (configuration x seed) cell, a stable CSV, and
-a JSON summary of medians against the theoretical rates.  Identical
-configs produce byte-identical result files.
+produces one row per (configuration x seed) cell, a stable CSV holding
+the columns of its task only, and a JSON summary of medians against the
+theoretical rates.  Identical configs produce byte-identical result
+files.
 """
 
 import json
 import tempfile
 from pathlib import Path
 
-from relurec.harness import emit_results, parse_config, run_sweep
+from relurec.harness import RESULT_COLUMNS, emit_results, parse_config, run_sweep
 
 CONFIG = """
 # robust recovery across three sizes; outlier count tracks d
@@ -31,13 +32,14 @@ config = parse_config(CONFIG)
 print(f"task {config.task}: d in {config.d}, {len(config.seeds)} seeds per size")
 
 records = run_sweep(config)
-failures = [r for r in records if r.error is not None]
+failures = [r for r in records if r["error"] is not None]
 print(f"{len(records)} cells run, {len(failures)} failed")
 
 with tempfile.TemporaryDirectory() as tmp:
     out = Path(tmp) / "results"
     target = emit_results(records, out)
     print(f"\nwrote {target.name}, timings.csv, summary.json under {out.name}/")
+    print(f"the columns of a {config.task} row: {', '.join(RESULT_COLUMNS[config.task])}")
 
     summary = json.loads((out / "summary.json").read_text())
     print("\nmedian recovery error and error-to-bound ratio by configuration")

@@ -184,9 +184,10 @@ def _cmd_learn_rep(args) -> int:
         raise ValueError(f"{args.input} does not contain a matrix instance")
     gamma = args.gamma if args.gamma is not None else instance.gamma
     nu = args.nu if args.nu is not None else instance.realized_nu
+    fill = _FILL_BY_FLAG[args.fill]
     spec = args.bias or parse_bias_spec(instance.bias)
     try:
-        outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, _FILL_BY_FLAG[args.fill])
+        outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, fill)
     except ValueError as exc:  # a usage error when a flag set gamma, nu or the law
         flags = [f"--{name}" for name in ("gamma", "nu", "bias") if getattr(args, name) is not None]
         if not flags:
@@ -197,13 +198,10 @@ def _cmd_learn_rep(args) -> int:
     np.savetxt(out / "m_hat.csv", outcome.estimate.m_hat, delimiter=",")
     np.savetxt(out / "beta_hat.csv", outcome.estimate.beta_hats, fmt="%s")
     np.savetxt(out / "u_hat.csv", outcome.u_hat, delimiter=",")
-    report = {
-        "frob_err_sq": outcome.frob_err_sq,
-        "bound": outcome.rep_bound,
-        "sin_theta": outcome.sin_theta,
-        "procrustes_err": outcome.procrustes_err,
-        "total_loglik": log_likelihood(instance.Y, outcome.estimate, spec),
-    }
+    report = dict(
+        gamma=gamma, nu=nu, fill_strategy=fill, **outcome.metrics(),
+        total_loglik=log_likelihood(instance.Y, outcome.estimate, spec),
+    )
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -233,19 +231,10 @@ def _cmd_recover(args) -> int:
         fh.write("iteration,objective\n")
         for i, value in enumerate(solution.objective_trace, start=1):
             fh.write(f"{i},{repr(float(value))}\n")
-    report = {
-        "error": outcome.error,
-        "bound": outcome.bound,
-        "mu": stats.mu,
-        "sigma": stats.sigma,
-        "eta": stats.eta,
-        "lambda_used": outcome.lam,
-        "iterations": solution.iterations,
-        "converged": solution.converged,
-        "stop_reason": solution.stop_reason,
-        "grad_norm": solution.grad_norm,
-        "flagged": int(np.count_nonzero(solution.e_hat)),
-    }
+    report = dict(
+        **outcome.metrics(), sigma=stats.sigma, eta=stats.eta, stop_reason=solution.stop_reason,
+        grad_norm=solution.grad_norm, flagged=int(np.count_nonzero(solution.e_hat)),
+    )
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -256,22 +245,18 @@ def _cmd_sweep(args) -> int:
     records = run_sweep(config)
     out_dir = args.out if args.out else config.output_dir
     target = emit_results(records, out_dir, force=args.force)
-    failures = sum(1 for r in records if r.error is not None)
+    failures = sum(1 for row in records if row["error"] is not None)
     print(f"wrote {len(records)} records to {target} ({failures} failed cells)")
     return 0
 
 
 def _cmd_diag(args) -> int:
     instance, stats = _load_recovery(args.input)
-    _, checked = restricted_cone_check(instance, stats, args.samples)
-    report = {
-        "d": instance.A.shape[0],
-        "k": instance.A.shape[1],
-        "s": int(np.count_nonzero(instance.e_star)),
-        "num_checked": checked.num_checked,
-        "num_violations": checked.num_violations,
-        "min_ratio": checked.min_ratio,
-    }
+    outcome = restricted_cone_check(instance, stats, args.samples)
+    report = dict(
+        **outcome.metrics(), d=instance.A.shape[0], k=instance.A.shape[1],
+        s=int(np.count_nonzero(instance.e_star)), num_checked=outcome.report.num_checked,
+    )
     print(json.dumps(report, sort_keys=True))
     if args.out:
         _write_report(Path(args.out), report)

@@ -15,7 +15,7 @@ comment) describing one of three tasks:
 Dimension keys take either explicit comma-separated lists or rules of
 the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
 ``n = 2d`` and ``s = 0.02d`` track the row count.  Results go to
-``results.csv`` (fixed column order, RFC-4180 quoting, shortest
+``results.csv`` (a column order per task, RFC-4180 quoting, shortest
 round-trip decimals) plus ``summary.json`` with per-configuration
 medians and interquartile ranges.  Rerunning an identical config
 produces byte-identical ``results.csv`` and ``summary.json``; wall-clock
@@ -70,11 +70,12 @@ from .replearn import (
 from .subspace import subspace_distances, truncated_svd
 
 __all__ = [
+    "DiagOutcome",
     "DimensionRule",
     "ExperimentConfig",
+    "RESULT_COLUMNS",
     "RecoveryOutcome",
     "RepOutcome",
-    "ResultRecord",
     "TASK_KEYS",
     "emit_results",
     "parse_config",
@@ -256,54 +257,34 @@ def parse_config(text: str) -> ExperimentConfig:
     return config
 
 
-@dataclass
-class ResultRecord:
-    """One sweep cell; unused fields stay None and serialise as empty."""
-
-    task: str
-    d: int
-    seed: int
-    bias: str
-    n: int | None = None
-    k: int | None = None
-    s: int | None = None
-    gamma: float | None = None
-    nu: float | None = None
-    delta: float | None = None
-    lambda_mode: str | None = None
-    fill_strategy: str | None = None
-    frob_err_sq: float | None = None
-    rep_bound: float | None = None
-    sin_theta: float | None = None
-    procrustes_err: float | None = None
-    recovery_error: float | None = None
-    recovery_bound: float | None = None
-    mu: float | None = None
-    lambda_used: float | None = None
-    iterations: int | None = None
-    converged: bool | None = None
-    diag_violations: int | None = None
-    diag_min_ratio: float | None = None
-    error: str | None = None
-    wall_time_ms: float | None = None  # excluded from results.csv; see timings.csv
+def _column():
+    """Declare a field of an outcome as a metric: a ``results.csv`` column of its task."""
+    return field(metadata={"column": True})
 
 
-# column order is part of the output contract; wall time is kept separate
-RESULT_COLUMNS = tuple(
-    f.name for f in fields(ResultRecord) if f.name != "wall_time_ms"
-)
+class _Scored:
+    """An outcome whose fields declared with ``_column`` are its metrics."""
+
+    @classmethod
+    def metric_names(cls) -> tuple[str, ...]:
+        """The names of the metrics, in column order."""
+        return tuple(f.name for f in fields(cls) if f.metadata.get("column"))
+
+    def metrics(self) -> dict:
+        """The metrics under their ``results.csv`` names, in column order."""
+        return {name: getattr(self, name) for name in self.metric_names()}
 
 
 @dataclass(frozen=True)
-class RepOutcome:
+class RepOutcome(_Scored):
     """A reconstruction of one matrix instance and how far it lies from the truth."""
 
     estimate: EstimatedMatrix
     u_hat: np.ndarray  # top-k left singular vectors of the estimate
-    frob_err_sq: float
-    rep_bound: float | None  # None where the bound is vacuous or overflows
-    sin_theta: float
-    procrustes_err: float
+    frob_err_sq: float = _column()
+    rep_bound: float | None = _column()  # None where the bound is vacuous or overflows
+    sin_theta: float = _column()
+    procrustes_err: float = _column()
 
 
 def reconstruct_and_evaluate(
@@ -334,11 +315,7 @@ def _run_rep_cell(
     instance = generate_representation_instance(d, n, k, config.gamma, model, seed)
     nu = config.nu if config.nu is not None else instance.realized_nu
     outcome = reconstruct_and_evaluate(instance, model, config.gamma, nu, config.fill_strategy)
-    return dict(
-        gamma=config.gamma, nu=nu, fill_strategy=config.fill_strategy,
-        frob_err_sq=outcome.frob_err_sq, rep_bound=outcome.rep_bound,
-        sin_theta=outcome.sin_theta, procrustes_err=outcome.procrustes_err,
-    )
+    return dict(gamma=config.gamma, nu=nu, fill_strategy=config.fill_strategy, **outcome.metrics())
 
 
 def penalty_level(mode: str | float, instance: RecoveryInstance, stats: NonlinearityStats) -> float:
@@ -351,13 +328,16 @@ def penalty_level(mode: str | float, instance: RecoveryInstance, stats: Nonlinea
 
 
 @dataclass(frozen=True)
-class RecoveryOutcome:
+class RecoveryOutcome(_Scored):
     """A robust recovery of one vector instance and how far it lies from the truth."""
 
-    lam: float
     solution: LassoSolution
-    error: float
-    bound: float
+    recovery_error: float = _column()
+    recovery_bound: float = _column()
+    mu: float = _column()
+    lambda_used: float = _column()
+    iterations: int = _column()
+    converged: bool = _column()
 
 
 def recover_and_evaluate(
@@ -376,7 +356,9 @@ def recover_and_evaluate(
         instance.v, instance.A, LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
     )
     error, bound = recovery_error_and_bound(solution, instance, stats)
-    return RecoveryOutcome(lam, solution, error, bound)
+    return RecoveryOutcome(
+        solution, error, bound, stats.mu, lam, solution.iterations, solution.converged
+    )
 
 
 def _run_recovery_cell(
@@ -388,17 +370,24 @@ def _run_recovery_cell(
         d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
     outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
-    return dict(
-        delta=config.delta, lambda_mode=config.lambda_mode, recovery_error=outcome.error,
-        recovery_bound=outcome.bound, mu=stats.mu, lambda_used=outcome.lam,
-        iterations=outcome.solution.iterations, converged=outcome.solution.converged,
-    )
+    return dict(delta=config.delta, lambda_mode=config.lambda_mode, **outcome.metrics())
+
+
+@dataclass(frozen=True)
+class DiagOutcome(_Scored):
+    """A restricted-cone check of one vector instance under the agnostic penalty."""
+
+    report: RestrictedSetReport
+    mu: float = _column()
+    lambda_used: float = _column()
+    diag_violations: int = _column()
+    diag_min_ratio: float = _column()
 
 
 def restricted_cone_check(
     instance: RecoveryInstance, stats: NonlinearityStats, samples: int
-) -> tuple[float, RestrictedSetReport]:
-    """The agnostic penalty and a restricted-cone check of ``instance`` under its moments ``stats``.
+) -> DiagOutcome:
+    """A restricted-cone check of ``instance`` under its moments ``stats`` and the agnostic penalty.
 
     The cone's support is that of ``e_star``, its noise bound ``||A^T w||_inf``,
     and the instance's seed seeds the samples.
@@ -409,7 +398,7 @@ def restricted_cone_check(
         support=np.flatnonzero(instance.e_star),
         delta_norm=float(np.abs(instance.A.T @ instance.w).max()), seed=instance.seed,
     )
-    return lam, report
+    return DiagOutcome(report, stats.mu, lam, report.num_violations, report.min_ratio)
 
 
 def _run_diag_cell(
@@ -420,18 +409,33 @@ def _run_diag_cell(
     instance = generate_recovery_instance(
         d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
-    lam, report = restricted_cone_check(instance, stats, config.diag_samples)
-    return dict(
-        delta=config.delta, mu=stats.mu, lambda_used=lam,
-        diag_violations=report.num_violations, diag_min_ratio=report.min_ratio,
-    )
+    outcome = restricted_cone_check(instance, stats, config.diag_samples)
+    return dict(delta=config.delta, **outcome.metrics())
 
 
-def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
+# the columns of each task's results.csv, in order
+RESULT_COLUMNS = {
+    "rep_learning": (
+        "task", "d", "seed", "bias", "n", "k", "gamma", "nu", "fill_strategy",
+        *RepOutcome.metric_names(), "error",
+    ),
+    "robust_recovery": (
+        "task", "d", "seed", "bias", "k", "s", "delta", "lambda_mode",
+        *RecoveryOutcome.metric_names(), "error",
+    ),
+    "diagnostics": (
+        "task", "d", "seed", "bias", "k", "s", "delta", *DiagOutcome.metric_names(), "error",
+    ),
+}
+
+
+def run_sweep(config: ExperimentConfig) -> list[dict]:
     """Run every cell of the Cartesian product of dimensions and seeds.
 
-    A failing cell records its error message instead of aborting the
-    sweep; cell order is deterministic.  The sweep parses its bias law
+    Each row maps the task's ``RESULT_COLUMNS``, in order, to the cell's
+    values, and then ``wall_time_ms`` to its wall time.  A failing cell
+    records its error message instead of aborting the sweep, and its
+    metrics stay None; cell order is deterministic.  The sweep parses its bias law
     once, and a recovery or diagnostics sweep computes the law's moments
     once, before its first cell; a law whose moments fail, or whose
     agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
@@ -445,7 +449,8 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
         if config.task == "diagnostics" or config.lambda_mode == "agnostic":
             for d in config.d:
                 _named("bias", agnostic_lambda, d, stats.sigma, config.delta)
-    records: list[ResultRecord] = []
+    columns = RESULT_COLUMNS[config.task]
+    records: list[dict] = []
     for d in config.d:
         n_values = config.n.resolve(d) if config.n is not None else (None,)
         s_values = config.s.resolve(d) if config.s is not None else (None,)
@@ -460,10 +465,10 @@ def run_sweep(config: ExperimentConfig) -> list[ResultRecord]:
                     computed = _run_diag_cell(config, model, stats, d, k, s, seed)
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 computed = {"error": f"{type(exc).__name__}: {exc}"}
-            records.append(ResultRecord(
-                task=config.task, d=d, n=n, k=k, s=s, seed=seed, bias=config.bias, **computed,
-                wall_time_ms=(time.perf_counter() - start) * 1e3,
-            ))
+            cell = dict(task=config.task, d=d, seed=seed, bias=config.bias, n=n, k=k, s=s)
+            row = {name: cell.get(name) for name in columns} | computed
+            row["wall_time_ms"] = (time.perf_counter() - start) * 1e3
+            records.append(row)
     return records
 
 
@@ -488,27 +493,31 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": float(q2), "iqr": float(q3 - q1), "count": int(arr.size)}
 
 
-def _summarise(records: list[ResultRecord]) -> dict:
+# the metric summary.json summarises for each task, and the bound it is divided by
+_SUMMARISED = {
+    "rep_learning": ("frob_err_sq", "rep_bound"),
+    "robust_recovery": ("recovery_error", "recovery_bound"),
+    "diagnostics": ("diag_min_ratio", None),
+}
+
+
+def _summarise(records: list[dict]) -> dict:
     groups: dict[str, dict] = {}
-    for record in records:
-        key = f"d={record.d},n={record.n},k={record.k},s={record.s}"
+    for row in records:
+        key = f"d={row['d']},n={row.get('n')},k={row['k']},s={row.get('s')}"
         bucket = groups.setdefault(key, {})
-        if record.error is not None:
+        if row["error"] is not None:
             bucket.setdefault("errors", 0)
             bucket["errors"] += 1
             continue
-        for name, bound_name in (
-            ("frob_err_sq", "rep_bound"),
-            ("recovery_error", "recovery_bound"),
-            ("diag_min_ratio", None),
-        ):
-            value = getattr(record, name)
-            if value is None:
-                continue
-            bucket.setdefault(name, []).append(value)
-            bound = getattr(record, bound_name) if bound_name else None
-            if bound:
-                bucket.setdefault(f"{name}_over_bound", []).append(value / bound)
+        name, bound_name = _SUMMARISED[row["task"]]
+        value = row[name]
+        if value is None:
+            continue
+        bucket.setdefault(name, []).append(value)
+        bound = row.get(bound_name)
+        if bound:
+            bucket.setdefault(f"{name}_over_bound", []).append(value / bound)
     summary = {}
     for key, bucket in sorted(groups.items()):
         entry = {}
@@ -518,8 +527,9 @@ def _summarise(records: list[ResultRecord]) -> dict:
     return summary
 
 
-def emit_results(records: list[ResultRecord], output_dir, force: bool = False) -> Path:
-    """Write ``results.csv``, ``summary.json``, and ``timings.csv``.
+def emit_results(records: list[dict], output_dir, force: bool = False) -> Path:
+    """Write the rows of one :func:`run_sweep` to ``results.csv``, ``summary.json`` and
+    ``timings.csv``.
 
     Refuses to overwrite an existing ``results.csv`` unless ``force`` is
     set.
@@ -531,16 +541,17 @@ def emit_results(records: list[ResultRecord], output_dir, force: bool = False) -
             f"{target} already exists; pass force=True (or --force) to overwrite"
         )
     out.mkdir(parents=True, exist_ok=True)
+    columns = RESULT_COLUMNS[records[0]["task"]]
     with target.open("w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RESULT_COLUMNS)
-        for record in records:
-            writer.writerow([_format_cell(getattr(record, col)) for col in RESULT_COLUMNS])
+        writer.writerow(columns)
+        for row in records:
+            writer.writerow([_format_cell(row[col]) for col in columns])
     with (out / "timings.csv").open("w", encoding="ascii", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "wall_time_ms"])
-        for i, record in enumerate(records):
-            writer.writerow([i, _format_cell(record.wall_time_ms)])
+        for i, row in enumerate(records):
+            writer.writerow([i, _format_cell(row["wall_time_ms"])])
     with (out / "summary.json").open("w", encoding="ascii") as fh:
         json.dump(_summarise(records), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -20,7 +20,14 @@ from relurec.generate import (
     load_instance,
     save_instance,
 )
-from relurec.harness import parse_config, run_sweep
+from relurec.harness import (
+    RESULT_COLUMNS,
+    DiagOutcome,
+    RecoveryOutcome,
+    RepOutcome,
+    parse_config,
+    run_sweep,
+)
 
 
 def run(argv):
@@ -120,7 +127,8 @@ class TestLearnRep:
             assert (out / name).exists()
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {
-            "frob_err_sq", "bound", "sin_theta", "procrustes_err", "total_loglik",
+            "gamma", "nu", "fill_strategy", "frob_err_sq", "rep_bound", "sin_theta",
+            "procrustes_err", "total_loglik",
         }
         assert report["frob_err_sq"] >= 0.0
         assert 0.0 <= report["sin_theta"] <= np.sqrt(2.0) + 1e-9
@@ -142,26 +150,6 @@ class TestLearnRep:
         )
         assert not (tmp_path / "o").exists()
 
-    def test_report_equals_the_sweep_cell(self, tmp_path):
-        # learn-rep and a rep_learning sweep cell share one code path
-        inst, out = tmp_path / "inst", tmp_path / "fit"
-        assert run(
-            ["gen", "--task", "rep", "--d", 15, "--n", 30, "--k", 2,
-             "--gamma", 1.0, "--seed", 5, "--out", inst]
-        ) == 0
-        assert run(["learn-rep", "--input", inst, "--out", out]) == 0
-        report = json.loads((out / "report.json").read_text())
-        config = parse_config(
-            "task = rep_learning\nd = 15\nn = 2d\nk = 2\nseeds = 5\n"
-            "bias = exp:rate=1.0,shift=-2.0\n"
-        )
-        [record] = run_sweep(config)
-        assert record.error is None, record.error
-        assert report["frob_err_sq"] == record.frob_err_sq
-        assert report["bound"] == record.rep_bound
-        assert report["sin_theta"] == record.sin_theta
-        assert report["procrustes_err"] == record.procrustes_err
-
     def test_vacuous_bound_is_null(self, tmp_path):
         # the centred Gaussian's flatness vanishes on [-1, 1], so the bound says nothing
         inst, out = tmp_path / "inst", tmp_path / "fit"
@@ -170,7 +158,7 @@ class TestLearnRep:
              "--bias", "gauss:mean=0,std=1", "--seed", 5, "--out", inst]
         ) == 0
         assert run(["learn-rep", "--input", inst, "--out", out]) == 0
-        assert json.loads((out / "report.json").read_text())["bound"] is None
+        assert json.loads((out / "report.json").read_text())["rep_bound"] is None
 
     def test_fill_flag_changes_unsupported_entries(self, tmp_path):
         inst = tmp_path / "inst"
@@ -212,7 +200,7 @@ class TestRecover:
         assert run(["recover", "--input", inst, "--out", out]) == 0
         report = json.loads((out / "report.json").read_text())
         assert set(report) == {
-            "error", "bound", "mu", "sigma", "eta",
+            "recovery_error", "recovery_bound", "mu", "sigma", "eta",
             "lambda_used", "iterations", "converged", "stop_reason", "grad_norm",
             "flagged",
         }
@@ -249,24 +237,6 @@ class TestRecover:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["lambda_used"] > 0.0
-
-    def test_report_equals_the_sweep_cell(self, tmp_path):
-        # recover and a robust_recovery sweep cell share one code path
-        inst = make_vector_instance(tmp_path)
-        out = tmp_path / "fit"
-        assert run(["recover", "--input", inst, "--out", out]) == 0
-        report = json.loads((out / "report.json").read_text())
-        config = parse_config(
-            "task = robust_recovery\nd = 80\nk = 2\ns = 3\nseeds = 2\n"
-            "delta = 0.005\nbias = const:value=0.0\nlambda_mode = oracle\n"
-        )
-        [record] = run_sweep(config)
-        assert record.error is None, record.error
-        assert report["error"] == record.recovery_error
-        assert report["lambda_used"] == record.lambda_used
-        assert report["mu"] == record.mu
-        assert report["iterations"] == record.iterations
-        assert report["converged"] == record.converged
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -308,6 +278,49 @@ class TestRecover:
              "--seed", 0, "--out", inst]
         ) == 0
         assert run(["recover", "--input", inst, "--out", tmp_path / "o"]) == 2
+
+
+# for each command that scores a saved instance: the gen call that saves it, the
+# command, the file it writes its report to, the sweep config of the same cell and
+# the outcome whose metrics both report
+REPORT_CELLS = {
+    "learn-rep": (
+        ["gen", "--task", "rep", "--d", 15, "--n", 30, "--k", 2, "--gamma", 1.0, "--seed", 5],
+        ["learn-rep", "--input", "inst", "--out", "fit"], "fit/report.json",
+        "task = rep_learning\nd = 15\nn = 2d\nk = 2\nseeds = 5\nbias = exp:rate=1.0,shift=-2.0\n",
+        RepOutcome,
+    ),
+    "recover": (
+        ["gen", "--task", "recover", "--d", 80, "--k", 2, "--s", 3, "--delta", 0.005, "--seed", 2],
+        ["recover", "--input", "inst", "--out", "fit"], "fit/report.json",
+        "task = robust_recovery\nd = 80\nk = 2\ns = 3\nseeds = 2\ndelta = 0.005\n"
+        "bias = const:value=0.0\nlambda_mode = oracle\n",
+        RecoveryOutcome,
+    ),
+    "diag": (
+        ["gen", "--task", "recover", "--d", 80, "--k", 2, "--s", 3, "--delta", 0.005, "--seed", 2],
+        ["diag", "--input", "inst", "--samples", 10, "--out", "diag.json"], "diag.json",
+        "task = diagnostics\nd = 80\nk = 2\ns = 3\nseeds = 2\ndelta = 0.005\n"
+        "bias = const:value=0.0\ndiag_samples = 10\n",
+        DiagOutcome,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", REPORT_CELLS)
+def test_report_equals_the_sweep_cell(command, tmp_path, monkeypatch):
+    # the command and the sweep cell share one code path, and each value one name
+    gen, argv, report_path, text, outcome = REPORT_CELLS[command]
+    monkeypatch.chdir(tmp_path)
+    assert run([*gen, "--out", "inst"]) == 0
+    assert run(argv) == 0
+    report = json.loads(Path(report_path).read_text())
+    config = parse_config(text)
+    [row] = run_sweep(config)
+    assert row["error"] is None, row["error"]
+    shared = set(report) & set(RESULT_COLUMNS[config.task])
+    assert {key: report[key] for key in shared} == {key: row[key] for key in shared}
+    assert set(outcome.metric_names()) <= shared
 
 
 class TestBadFlagValue:
@@ -434,23 +447,8 @@ class TestSweepAndDiag:
         assert run(["diag", "--input", inst, "--samples", 10]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["d"] == 100 and payload["k"] == 3 and payload["s"] == 5
-        assert payload["num_violations"] == 0
+        assert payload["diag_violations"] == 0
         assert payload["num_checked"] == 10
-
-    def test_diag_report_equals_the_sweep_cell(self, tmp_path, capsys):
-        # diag and a diagnostics sweep cell share one code path
-        inst = make_vector_instance(tmp_path)
-        capsys.readouterr()
-        assert run(["diag", "--input", inst, "--samples", 10]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        config = parse_config(
-            "task = diagnostics\nd = 80\nk = 2\ns = 3\nseeds = 2\n"
-            "delta = 0.005\nbias = const:value=0.0\ndiag_samples = 10\n"
-        )
-        [record] = run_sweep(config)
-        assert record.error is None, record.error
-        assert payload["num_violations"] == record.diag_violations
-        assert payload["min_ratio"] == record.diag_min_ratio
 
     @pytest.mark.parametrize(
         "task, flags, message",
@@ -516,7 +514,7 @@ class TestSweepAndDiag:
         target = tmp_path / "diag.json"
         assert run(["diag", "--input", inst, "--samples", 10, "--out", target]) == 0
         payload = json.loads(target.read_text())
-        assert payload["min_ratio"] >= 1.0
+        assert payload["diag_min_ratio"] >= 1.0
 
 
 class TestParserReuse:

@@ -1,5 +1,6 @@
 """Tests for config parsing, sweeps, and result emission."""
 
+import csv
 import dataclasses
 import json
 import re
@@ -305,7 +306,7 @@ class TestParseConfig:
         # run_sweep records the failure in every cell of such a config
         config = dataclasses.replace(parse_config(base), d=(d,), k=(k,), s=_key_parser("s")(s))
         records = run_sweep(config)
-        assert records and all(r.error == cell_error for r in records)
+        assert records and all(r["error"] == cell_error for r in records)
 
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):
@@ -319,28 +320,28 @@ class TestRunSweep:
         records = run_sweep(parse_config(REP_CONFIG))
         assert len(records) == 4  # 2 dims x 2 seeds
         for record in records:
-            assert record.error is None, record.error
-            assert record.n == 2 * record.d
-            assert record.frob_err_sq > 0.0
-            assert record.rep_bound > 0.0
-            assert record.sin_theta <= record.procrustes_err + 1e-10
-            assert record.wall_time_ms > 0.0
+            assert record["error"] is None, record["error"]
+            assert record["n"] == 2 * record["d"]
+            assert record["frob_err_sq"] > 0.0
+            assert record["rep_bound"] > 0.0
+            assert record["sin_theta"] <= record["procrustes_err"] + 1e-10
+            assert record["wall_time_ms"] > 0.0
 
     def test_recovery_sweep(self):
         records = run_sweep(parse_config(RECOVERY_CONFIG))
         assert len(records) == 2
         for record in records:
-            assert record.error is None, record.error
-            assert record.s == 3
-            assert record.converged
-            assert record.mu == pytest.approx(0.5, abs=1e-6)
-            assert record.recovery_error < 1.0
+            assert record["error"] is None, record["error"]
+            assert record["s"] == 3
+            assert record["converged"]
+            assert record["mu"] == pytest.approx(0.5, abs=1e-6)
+            assert record["recovery_error"] < 1.0
 
     def test_diag_sweep(self):
         records = run_sweep(parse_config(DIAG_CONFIG))
         assert len(records) == 1
-        assert records[0].diag_violations == 0
-        assert records[0].diag_min_ratio >= 1.0
+        assert records[0]["diag_violations"] == 0
+        assert records[0]["diag_min_ratio"] >= 1.0
 
     def test_diag_cell_checks_the_design_of_the_recovery_cell(self, monkeypatch):
         # the diagnostics cell scores the A, w and outlier support that the
@@ -359,7 +360,7 @@ class TestRunSweep:
             f"task = robust_recovery\nd = 200\nk = 5\ns = 10\ndelta = 0.01\nbias = {law}\n"
             "outlier_magnitude = 2.0\nseeds = 0\n"
         )
-        assert run_sweep(recovery)[0].error is None
+        assert run_sweep(recovery)[0]["error"] is None
         cell, solved = made
         stats = make_nonlinearity_stats(parse_bias_spec(law))
         lam = agnostic_lambda(200, stats.sigma, 0.01)
@@ -368,11 +369,11 @@ class TestRunSweep:
             cell.A, diag.diag_samples, lam=lam, sigma=stats.sigma, eta=stats.eta,
             support=support, delta_norm=float(np.abs(cell.A.T @ cell.w).max()), seed=0,
         )
-        assert record.error is None, record.error
-        assert (record.lambda_used, record.diag_violations, record.diag_min_ratio) == (
+        assert record["error"] is None, record["error"]
+        assert (record["lambda_used"], record["diag_violations"], record["diag_min_ratio"]) == (
             lam, report.num_violations, report.min_ratio
         )
-        assert (record.s, support.size) == (10, 10)
+        assert (record["s"], support.size) == (10, 10)
         np.testing.assert_array_equal(solved.A, cell.A)
         np.testing.assert_array_equal(solved.w, cell.w)
         np.testing.assert_array_equal(np.flatnonzero(solved.e_star), support)
@@ -398,11 +399,9 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, name, counting)
         records = run_sweep(parse_config(config))
-        assert calls["counting"] == len(records) and all(r.error is None for r in records)
+        assert calls["counting"] == len(records) and all(r["error"] is None for r in records)
         monkeypatch.setattr(harness, name, restoring)
-        assert run_sweep(parse_config(config)) == [
-            dataclasses.replace(r, wall_time_ms=mock.ANY) for r in records
-        ]
+        assert run_sweep(parse_config(config)) == [r | {"wall_time_ms": mock.ANY} for r in records]
         assert calls["restoring"] == 1
 
     @pytest.mark.parametrize("mode", ["oracle", "agnostic"])
@@ -410,12 +409,12 @@ class TestRunSweep:
         # the moments of this offset are finite, but squaring the observations overflows
         config = _with(_with(RECOVERY_CONFIG, "bias", "const:value=1e200"), "lambda_mode", mode)
         records = run_sweep(parse_config(config))
-        assert [r.seed for r in records] == [4, 5]
+        assert [r["seed"] for r in records] == [4, 5]
         for record in records:
-            assert record.error.startswith(
+            assert record["error"].startswith(
                 "ValueError: v is too large: its sum of squares overflows"
-            ), record.error
-            assert record.recovery_error is None
+            ), record["error"]
+            assert record["recovery_error"] is None
 
     def test_failing_cell_is_recorded_not_raised(self):
         config = ExperimentConfig(
@@ -428,7 +427,7 @@ class TestRunSweep:
         )
         records = run_sweep(config)
         assert len(records) == 1
-        assert "distributional" in records[0].error
+        assert "distributional" in records[0]["error"]
 
 
 class TestSweepMoments:
@@ -455,16 +454,16 @@ class TestSweepMoments:
     def test_four_cells_compute_the_moments_once(self, monkeypatch):
         calls = self._counted(monkeypatch)
         records = run_sweep(parse_config(self.CONFIG))
-        assert len(records) == 4 and all(r.error is None for r in records)
+        assert len(records) == 4 and all(r["error"] is None for r in records)
         assert calls == [BiasModel.gaussian(0.1, 0.5)]
 
     def test_four_diagnostics_cells_compute_the_moments_once(self, monkeypatch):
         calls = self._counted(monkeypatch)
         config = _with(_with(DIAG_CONFIG, "seeds", "0, 1, 2, 3"), "bias", "gauss:mean=0,std=1")
         records = run_sweep(parse_config(config))
-        assert len(records) == 4 and all(r.error is None for r in records)
+        assert len(records) == 4 and all(r["error"] is None for r in records)
         assert calls == [BiasModel.gaussian()]
-        assert {r.mu for r in records} == {make_nonlinearity_stats(BiasModel.gaussian()).mu}
+        assert {r["mu"] for r in records} == {make_nonlinearity_stats(BiasModel.gaussian()).mu}
 
     def test_rows_match_cells_scored_on_their_own_instances(self, tmp_path):
         config = parse_config(self.CONFIG)
@@ -472,17 +471,13 @@ class TestSweepMoments:
         alone = []
         for record in records:
             instance = generate_recovery_instance(
-                record.d, record.k, record.s, config.delta, config.outlier_magnitude,
-                parse_bias_spec(config.bias), record.seed,
+                record["d"], record["k"], record["s"], config.delta, config.outlier_magnitude,
+                parse_bias_spec(config.bias), record["seed"],
             )
             assert instance.bias == "gauss:mean=0.1,std=0.5"
             stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
             outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
-            alone.append(dataclasses.replace(
-                record, recovery_error=outcome.error, recovery_bound=outcome.bound,
-                mu=stats.mu, lambda_used=outcome.lam,
-                iterations=outcome.solution.iterations, converged=outcome.solution.converged,
-            ))
+            alone.append(record | outcome.metrics())
         emit_results(records, tmp_path / "sweep")
         emit_results(alone, tmp_path / "alone")
         for name in ("results.csv", "summary.json"):
@@ -529,7 +524,7 @@ class TestSweepMoments:
     def test_oracle_sweep_runs_where_the_agnostic_penalty_is_zero(self):
         text = _with(self.ZERO_SIGMA_CONFIGS[1], "lambda_mode", "oracle")
         records = run_sweep(parse_config(text))
-        assert records and all(r.error is None for r in records)
+        assert records and all(r["error"] is None for r in records)
 
 
 def _distances_from_angles(U, W):
@@ -571,7 +566,7 @@ class TestEmitResults:
         records = run_sweep(parse_config(REP_CONFIG))
         target = emit_results(records, tmp_path / "out")
         lines = target.read_text().splitlines()
-        assert lines[0] == ",".join(RESULT_COLUMNS)
+        assert lines[0] == ",".join(RESULT_COLUMNS["rep_learning"])
         assert len(lines) == 5
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         key = "d=20,n=40,k=2,s=None"
@@ -598,4 +593,21 @@ class TestEmitResults:
             assert first == second, f"{name} differs between identical runs"
 
     def test_wall_time_stays_out_of_results(self):
-        assert "wall_time_ms" not in RESULT_COLUMNS
+        for columns in RESULT_COLUMNS.values():
+            assert "wall_time_ms" not in columns
+
+    @pytest.mark.parametrize("task", TASK_CONFIGS)
+    def test_each_task_writes_and_fills_only_its_own_columns(self, task, tmp_path):
+        # each row once held the columns of all three tasks, most of them empty
+        records = run_sweep(parse_config(TASK_CONFIGS[task]))
+        assert {tuple(row) for row in records} == {(*RESULT_COLUMNS[task], "wall_time_ms")}
+        target = emit_results(records, tmp_path / "out")
+        with target.open(newline="") as fh:
+            reader = csv.reader(fh)
+            assert tuple(next(reader)) == RESULT_COLUMNS[task]
+            rows = list(reader)
+        assert rows
+        for row in rows:
+            cells = dict(zip(RESULT_COLUMNS[task], row, strict=True))
+            assert cells.pop("error") == ""
+            assert all(cells.values()), cells

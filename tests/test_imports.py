@@ -70,7 +70,7 @@ def test_first_sweep_loads_no_module_of_numpy_or_relurec(tmp_path, config):
         records = run_sweep(parse_config({config + "seeds = 0, 1"!r}))
         emit_results(records, "out")
         print(json.dumps({{
-            "errors": [r.error for r in records if r.error is not None],
+            "errors": [r["error"] for r in records if r["error"] is not None],
             "loaded": sorted(set(sys.modules) - before),
         }}))
         """,

@@ -5,7 +5,8 @@ in one fresh directory, as ``python -m relurec.cli`` with ``relurec``
 imported from ``src/`` and ``-W error``.  The example
 config of the "Sweep configs" section is written there as ``sweep.cfg``
 first, so ``relurec sweep --config sweep.cfg`` runs the documented config.
-That section's line for each task lists the keys the task reads.  Each
+That section's lines for each task list the keys the task reads and the
+columns of its ``results.csv``.  Each
 ```` ```python ```` example runs in a fresh interpreter the same way and
 prints its result.
 """
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from relurec.harness import TASK_KEYS
+from relurec.harness import RESULT_COLUMNS, TASK_KEYS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,6 +76,12 @@ def test_readme_lists_the_keys_of_each_task():
     lines = re.findall(r"^- `(\w+)`: (.*)$", _section("Sweep configs"), re.M)
     listed = {task: tuple(re.findall(r"`(\w+)`", keys)) for task, keys in lines}
     assert listed == TASK_KEYS
+
+
+def test_readme_lists_the_columns_of_each_task():
+    lines = re.findall(r"^- `(\w+)` writes (.*)$", _section("Sweep configs"), re.M)
+    listed = {task: tuple(re.findall(r"`(\w+)`", columns)) for task, columns in lines}
+    assert listed == RESULT_COLUMNS
 
 
 @pytest.mark.parametrize("index", [0, 1], ids=["reconstruction", "recovery"])
