@@ -97,7 +97,10 @@ class BiasModel:
     def __post_init__(self) -> None:
         if self.kind not in _PARAM_NAMES:
             raise ValueError(f"unknown bias kind {self.kind!r}")
-        for name, value in zip(_PARAM_NAMES[self.kind], self.params):
+        names = _PARAM_NAMES[self.kind]
+        if len(self.params) != len(names):
+            raise ValueError(f"{self.kind} takes the pair ({', '.join(names)}), got {self.params}")
+        for name, value in zip(names, self.params):
             if not math.isfinite(value):
                 raise ValueError(f"{self.kind} parameter {name} must be finite, got {value!r}")
         spread = self.params[0] if self.kind == "shifted_exponential" else self.params[1]

@@ -6,7 +6,7 @@ Subcommands::
     learn-rep  reconstruct the pre-activation matrix of a saved instance
     recover    solve the robust recovery program on a saved instance
     sweep      run a config-driven experiment sweep
-    diag       sample-check the restricted-cone lower bound on a saved vector instance
+    diag       search a saved vector instance's restricted cone for violations of the lower bound
 
 Exit codes: 0 on success, 1 for a bad flag or config value, 2 on runtime failures.
 """
@@ -121,7 +121,6 @@ def _build_parser() -> _Parser:
 
     diag = sub.add_parser("diag", help="restricted-cone check of a saved vector instance")
     diag.add_argument("--input", required=True)
-    diag.add_argument("--samples", type=_flag(positive_int), default=100)
     diag.add_argument("--out", help="also write the report JSON here")
     return parser
 
@@ -252,7 +251,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_diag(args) -> int:
     instance, stats = _load_recovery(args.input)
-    outcome = restricted_cone_check(instance, stats, args.samples)
+    outcome = restricted_cone_check(instance, stats)
     report = dict(
         **outcome.metrics(), d=instance.A.shape[0], k=instance.A.shape[1],
         s=int(np.count_nonzero(instance.e_star)), num_checked=outcome.report.num_checked,

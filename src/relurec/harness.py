@@ -10,7 +10,7 @@ comment) describing one of three tasks:
     generate vector instances, solve the robust recovery program, and
     record error, bound, and solver diagnostics;
 ``diagnostics``
-    sample the restricted cone of each vector instance; record violations.
+    search the restricted cone of each vector instance for violations.
 
 Dimension keys take either explicit comma-separated lists or rules of
 the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
@@ -90,7 +90,7 @@ __all__ = [
 TASK_KEYS = {
     "rep_learning": ("n", "gamma", "nu", "fill_strategy"),
     "robust_recovery": ("s", "delta", "outlier_magnitude", "lambda_mode"),
-    "diagnostics": ("s", "delta", "diag_samples"),
+    "diagnostics": ("s", "delta"),
 }
 
 
@@ -177,7 +177,6 @@ class ExperimentConfig:
     outlier_magnitude: float = _key(_rule(float, math.isfinite, "finite"), 5.0)
     lambda_mode: str = _key(_choice(("oracle", "agnostic")), "oracle")
     fill_strategy: str = _key(_choice(FILL_STRATEGIES), "midpoint")
-    diag_samples: int = _key(positive_int, 100)
     output_dir: str = _key(str, "results")
 
 
@@ -384,19 +383,16 @@ class DiagOutcome(_Scored):
     diag_min_ratio: float = _column()
 
 
-def restricted_cone_check(
-    instance: RecoveryInstance, stats: NonlinearityStats, samples: int
-) -> DiagOutcome:
+def restricted_cone_check(instance: RecoveryInstance, stats: NonlinearityStats) -> DiagOutcome:
     """A restricted-cone check of ``instance`` under its moments ``stats`` and the agnostic penalty.
 
-    The cone's support is that of ``e_star``, its noise bound ``||A^T w||_inf``,
-    and the instance's seed seeds the samples.
+    The cone's support is that of ``e_star``, and its noise bound ``||A^T w||_inf``.
     """
     lam = penalty_level("agnostic", instance, stats)
     report = check_restricted_lower_bound(
-        instance.A, samples, lam=lam, sigma=stats.sigma, eta=stats.eta,
+        instance.A, lam=lam, sigma=stats.sigma, eta=stats.eta,
         support=np.flatnonzero(instance.e_star),
-        delta_norm=float(np.abs(instance.A.T @ instance.w).max()), seed=instance.seed,
+        delta_norm=float(np.abs(instance.A.T @ instance.w).max()),
     )
     return DiagOutcome(report, stats.mu, lam, report.num_violations, report.min_ratio)
 
@@ -409,7 +405,7 @@ def _run_diag_cell(
     instance = generate_recovery_instance(
         d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
-    outcome = restricted_cone_check(instance, stats, config.diag_samples)
+    outcome = restricted_cone_check(instance, stats)
     return dict(delta=config.delta, **outcome.metrics())
 
 
@@ -493,24 +489,24 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     return {"median": float(q2), "iqr": float(q3 - q1), "count": int(arr.size)}
 
 
-# the metric summary.json summarises for each task, and the bound it is divided by
+# per task: the grid dimensions that name a summary.json group, its metric and the metric's bound
 _SUMMARISED = {
-    "rep_learning": ("frob_err_sq", "rep_bound"),
-    "robust_recovery": ("recovery_error", "recovery_bound"),
-    "diagnostics": ("diag_min_ratio", None),
+    "rep_learning": (("d", "n", "k"), "frob_err_sq", "rep_bound"),
+    "robust_recovery": (("d", "k", "s"), "recovery_error", "recovery_bound"),
+    "diagnostics": (("d", "k", "s"), "diag_min_ratio", None),
 }
 
 
 def _summarise(records: list[dict]) -> dict:
     groups: dict[str, dict] = {}
     for row in records:
-        key = f"d={row['d']},n={row.get('n')},k={row['k']},s={row.get('s')}"
+        dims, name, bound_name = _SUMMARISED[row["task"]]
+        key = ",".join(f"{dim}={row[dim]}" for dim in dims)
         bucket = groups.setdefault(key, {})
         if row["error"] is not None:
             bucket.setdefault("errors", 0)
             bucket["errors"] += 1
             continue
-        name, bound_name = _SUMMARISED[row["task"]]
         value = row[name]
         if value is None:
             continue

@@ -21,15 +21,13 @@ stacked ``k x k`` factors.  It is as backward stable as one Householder
 QR of ``A``, and a design that fits in one block gets exactly that QR, as
 does every design with more than 90 columns.
 
-The module also provides the rectifier's moments, penalty-level rules,
-the recovery error with its rate bound (leading constant 1), and a
-sampling check of the restricted-cone lower bound that underlies the
-recovery analysis; the check takes the cone's penalty, moments, outlier
-support and noise level as keywords.  One function,
-:func:`make_nonlinearity_stats`, computes the moments: at a constant
-offset and under a Gaussian law they have truncated-normal closed forms,
-and a fixed Gauss-Legendre rule averages the constant-offset forms over a
-shifted-exponential or logistic law.
+The module also provides the rectifier's moments, penalty-level rules, the
+recovery error with its rate bound (leading constant 1), and a search of the
+restricted cone for pairs that violate the lower bound underlying the recovery
+analysis.  One function, :func:`make_nonlinearity_stats`, computes the
+moments: at a constant offset and under a Gaussian law they have
+truncated-normal closed forms, and a fixed Gauss-Legendre rule averages the
+constant-offset forms over a shifted-exponential or logistic law.
 """
 
 from __future__ import annotations
@@ -460,7 +458,7 @@ def recovery_error_and_bound(
 
 
 # ----------------------------------------------------------------------
-# sampling check of the restricted-cone lower bound
+# search of the restricted cone for the worst pair
 # ----------------------------------------------------------------------
 
 
@@ -475,43 +473,68 @@ def restricted_pair_ratio(A: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
     """Ratio of ``(1/2d)||A h + f||^2`` to ``(1/128)(||h|| + ||f||/sqrt(d))^2``.
 
     Values at or above 1 satisfy the restricted lower bound; the zero
-    pair gives ``inf`` by convention.
+    pair gives ``inf`` by convention.  ``ValueError`` names an ``h`` not
+    of shape ``(k,)`` or an ``f`` not of shape ``(d,)``.
     """
-    d = A.shape[0]
+    d, k = A.shape
+    for name, x, n in (("h", h, k), ("f", f, d)):
+        if np.shape(x) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {np.shape(x)}")
     lhs = float(np.linalg.norm(A @ h + f) ** 2) / (2.0 * d)
     size = float(np.linalg.norm(h)) + float(np.linalg.norm(f)) / math.sqrt(d)
-    if size == 0.0:
-        return math.inf
-    return lhs / (size * size / 128.0)
+    return lhs / (size * size / 128.0) if size else math.inf
+
+
+def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
+    """The pairs ``(h, f)`` that :func:`check_restricted_lower_bound` scores, each in the cone.
+
+    ``h`` runs over the top three generalized eigenvectors of ``(A_S^T A_S, A^T A)``, whose
+    ``A h`` is heaviest on ``S``; for each ``t`` in ``0, 0.1, ..., 3``, ``f_S = -t (A h)_S``,
+    and ``f_{S^c} = -clip(x, -tau, tau)`` with ``sum min(|x_i|, tau) = B`` (or ``-x`` if
+    ``B >= ||x||_1``) spends the cone's L1 budget ``B`` on cancelling ``x = (A h)_{S^c}``.
+    """
+    d, k = A.shape
+    slope = 2.0 * ((math.sqrt(k) * sigma + eta) / math.sqrt(d) + math.sqrt(k) / d * delta_norm)
+    try:
+        L = np.linalg.cholesky(A.T @ A)
+    except np.linalg.LinAlgError:
+        raise RankDeficiencyError("A^T A is not positive definite") from None
+    on = np.isin(np.arange(d), S)
+    # the eigenvectors y of L^-1 A_S^T A_S L^-T give h = L^-T y, with ||A h|| = 1
+    _, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A[on].T @ A[on]).T))
+    H = np.linalg.solve(L.T, Y[:, :-4:-1])
+    for h, Ah in zip(H.T, (A @ H).T):
+        x = Ah[~on]
+        a = np.r_[0.0, np.sort(np.abs(x))]
+        spent = np.cumsum(a) + (a.size - 1 - np.arange(a.size)) * a  # sum min(|x_i|, a[j])
+        for t in np.arange(31) / 10:
+            f = np.where(on, -t * Ah, 0.0)
+            budget = slope * float(np.linalg.norm(h)) / lam + 3.0 * float(np.abs(f).sum())
+            tau = np.interp(budget, spent, a)  # spends the budget, or all of x when it cannot
+            f[~on] = -np.clip(x, -tau, tau)
+            yield h, f
 
 
 def check_restricted_lower_bound(
-    A: np.ndarray, samples: int, *, lam: float, sigma: float, eta: float,
-    support: np.ndarray, delta_norm: float = 0.0, seed: int = 0,
+    A: np.ndarray, *, lam: float, sigma: float, eta: float,
+    support: np.ndarray, delta_norm: float = 0.0,
 ) -> RestrictedSetReport:
-    """Sample cone members and check the quadratic lower bound on each.
+    """Search the restricted cone for pairs that violate the quadratic lower bound.
 
     A pair ``(h, f)`` lies in the restricted cone when the penalised mass
     of ``f`` off the outlier support ``S = support`` is controlled by
 
-        lam ||f_{S^c}||_1 <= 2 (C (sqrt(k) sigma + eta) / sqrt(d)
-                                + sqrt(k)/d * delta_norm) ||h||_2
+        lam ||f_{S^c}||_1 <= 2 (C (sqrt(k) sigma + eta) / sqrt(d) + sqrt(k)/d * delta_norm) ||h||_2
                              + 3 lam ||f_S||_1
 
-    where ``delta_norm`` bounds ``||A^T w||_inf`` and the absolute
-    constant ``C`` is fixed at 1.  Members are built to satisfy this
-    inequality by construction: ``h`` and the on-support part of ``f`` are
-    Gaussian with varied scales, and the off-support part of ``f`` spreads
-    a random fraction of its allowed L1 budget over a few random
-    coordinates.  ``ValueError`` rejects ``samples < 1``, which checks
-    nothing, a ``lam`` that is not positive and finite, a ``sigma``,
-    ``eta`` or ``delta_norm`` that is negative or not finite, a non-finite
-    entry of ``A``, a support entry outside ``[0, d)`` or repeated (each
-    named with its first bad entry), and ``k + |S| > d / 4``, outside the
-    bound's regime.
+    where ``delta_norm`` bounds ``||A^T w||_inf`` and ``C`` is fixed at 1.  Every pair of
+    :func:`_cone_pairs` lies in the cone, so each of the ``num_violations`` scored ratios
+    below 1 certifies a violation, while a ``min_ratio`` at or above 1 proves nothing.
+    ``ValueError`` rejects a ``lam`` that is not positive and finite, a ``sigma``, ``eta``
+    or ``delta_norm`` that is negative or not finite, a non-finite entry of ``A``, a support
+    entry outside ``[0, d)`` or repeated (each named with its first bad entry),
+    ``k + |S| > d / 4``, outside the bound's regime, and an ``A`` of deficient rank.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
     if not 0.0 < lam < math.inf:  # NaN fails too
         raise ValueError(f"lam must be positive and finite, got {lam}")
     _check_nonnegative(sigma=sigma, eta=eta, delta_norm=delta_norm)
@@ -527,28 +550,7 @@ def check_restricted_lower_bound(
             raise ValueError(f"support entry {j} at index {i} is repeated")
         seen.add(j)
     if k + S.size > d / 4:
-        raise ValueError(
-            f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}"
-        )
-    off = np.setdiff1d(np.arange(d), S)
-    slope = 2.0 * ((math.sqrt(k) * sigma + eta) / math.sqrt(d) + math.sqrt(k) / d * delta_norm)
-    rng = np.random.default_rng(seed)
-    ratios = []
-    for _ in range(samples):
-        scale = 10.0 ** rng.uniform(-1.0, 1.0)
-        h = rng.standard_normal(k) * scale
-        f = np.zeros(d)
-        if S.size:
-            f[S] = rng.standard_normal(S.size) * scale * rng.uniform(0.0, 3.0)
-        # the L1 mass the cone allows off the support
-        budget = (slope * float(np.linalg.norm(h)) + 3.0 * lam * float(np.abs(f[S]).sum())) / lam
-        if off.size and budget > 0.0:
-            m = min(3 * max(S.size, 1), off.size)
-            coords = rng.choice(off, size=m, replace=False)
-            raw = rng.standard_normal(m)
-            raw *= rng.uniform(0.0, 1.0) * budget / np.abs(raw).sum()
-            f[coords] = raw
-        ratios.append(restricted_pair_ratio(A, h, f))
-    return RestrictedSetReport(
-        num_checked=samples, num_violations=sum(r < 1.0 for r in ratios), min_ratio=min(ratios)
-    )
+        raise ValueError(f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}")
+    pairs = _cone_pairs(A, S, lam=lam, sigma=sigma, eta=eta, delta_norm=delta_norm)
+    ratios = [restricted_pair_ratio(A, h, f) for h, f in pairs]
+    return RestrictedSetReport(len(ratios), sum(r < 1.0 for r in ratios), min(ratios))

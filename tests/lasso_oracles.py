@@ -1,11 +1,14 @@
-"""Reference forms of the robust lasso's e-step and objective, and of the Gaussian-bias moments.
+"""Reference forms of the robust lasso's e-step and objective, of the Gaussian-bias moments,
+and of the restricted cone.
 
 ``solve_robust_lasso`` clips the residual and sums the objective inline.
 These direct transcriptions of the definitions drive the tests' reference
 solver loop and their checks that a solution is a local minimum.
 ``make_nonlinearity_stats`` gives the moments under a Gaussian bias law in
 closed form; :func:`gaussian_bias_moments` integrates the constant-offset
-forms over the law instead.
+forms over the law instead.  :func:`in_restricted_cone` writes out the
+cone inequality that ``check_restricted_lower_bound`` builds its pairs to
+satisfy.
 """
 
 import math
@@ -59,3 +62,23 @@ def lasso_objective(v: np.ndarray, A: np.ndarray, c: np.ndarray, e: np.ndarray, 
         )
     r = v - A @ c - e
     return float(r @ r / (2.0 * d) + lam * np.abs(e).sum())
+
+
+def in_restricted_cone(
+    h, f, support, *, lam: float, sigma: float, eta: float, delta_norm: float, rtol: float = 1e-9
+) -> bool:
+    """Whether ``(h, f)`` satisfies the restricted cone's inequality, up to rounding.
+
+    With ``d = len(f)``, ``k = len(h)`` and ``S = support`` the cone is
+    ``lam ||f_{S^c}||_1 <= 2 ((sqrt(k) sigma + eta) / sqrt(d) + sqrt(k) delta_norm / d) ||h||_2
+    + 3 lam ||f_S||_1``; the right side is allowed a relative excess of ``rtol``.
+    """
+    h = np.asarray(h, dtype=float)
+    f = np.asarray(f, dtype=float)
+    d, k = f.size, h.size
+    on = np.zeros(d, dtype=bool)
+    on[np.asarray(support, dtype=int)] = True
+    off_mass = lam * float(np.sum(np.abs(f[~on])))
+    rate = (math.sqrt(k) * sigma + eta) / math.sqrt(d) + math.sqrt(k) * delta_norm / d
+    allowed = 2.0 * rate * float(np.sqrt(np.sum(h * h))) + 3.0 * lam * float(np.sum(np.abs(f[on])))
+    return off_mass <= allowed * (1.0 + rtol)

@@ -393,17 +393,15 @@ def test_acceptance_08_solver_properties(recovery_sweep, clean_runs, zero_bias_s
 
 
 def test_acceptance_09_restricted_set_lower_bound():
-    """Sampled members of the restricted error cone never violate the
-    quadratic lower bound on the design."""
+    """The search of the restricted error cone finds no pair that violates
+    the quadratic lower bound on a design well inside the regime."""
     rng = np.random.default_rng(11)
     A = rng.standard_normal((500, 10))
     support = rng.choice(500, size=25, replace=False)
-    # the samples come from a child stream: seed 11 itself would replay the stream of A
     report = check_restricted_lower_bound(
-        A, 100, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=support, delta_norm=0.5,
-        seed=np.random.SeedSequence(11).spawn(1)[0],
+        A, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=support, delta_norm=0.5,
     )
-    ok = report.num_checked == 100 and report.num_violations == 0
+    ok = report.num_checked == 93 and report.num_violations == 0
     _report(
         9, ok,
         f"{report.num_violations}/{report.num_checked} violations, "

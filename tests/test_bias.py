@@ -481,6 +481,20 @@ class TestConfigStrings:
         with pytest.raises(ValueError):
             BiasModel.shifted_exponential(rate=-1.0)
 
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("gaussian", (0.0, 1.0, 5.0), r"gaussian takes the pair \(mean, std\), got \(0.0, 1.0, 5.0\)"),
+            ("gaussian", (0.0,), r"gaussian takes the pair \(mean, std\), got \(0.0,\)"),
+            ("logistic", (), r"logistic takes the pair \(loc, scale\), got \(\)"),
+        ],
+        ids=["three", "one", "none"],
+    )
+    def test_params_that_are_not_a_pair_are_named(self, kind, params, message):
+        # three once built a law whose mode failed to unpack, and one raised a bare IndexError
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BiasModel(kind, params)
+
     # each was once accepted, and its moments in make_nonlinearity_stats were all NaN
     @pytest.mark.parametrize(
         "build, message",

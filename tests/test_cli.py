@@ -299,9 +299,9 @@ REPORT_CELLS = {
     ),
     "diag": (
         ["gen", "--task", "recover", "--d", 80, "--k", 2, "--s", 3, "--delta", 0.005, "--seed", 2],
-        ["diag", "--input", "inst", "--samples", 10, "--out", "diag.json"], "diag.json",
+        ["diag", "--input", "inst", "--out", "diag.json"], "diag.json",
         "task = diagnostics\nd = 80\nk = 2\ns = 3\nseeds = 2\ndelta = 0.005\n"
-        "bias = const:value=0.0\ndiag_samples = 10\n",
+        "bias = const:value=0.0\n",
         DiagOutcome,
     ),
 }
@@ -340,10 +340,8 @@ class TestBadFlagValue:
             (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--bias", "nope"],
              "bias config 'nope' is missing the ':' separator"),
-            (["diag", "--input", "{inst}", "--samples", 0],
-             "argument --samples: must be at least 1, got 0"),
-            (["diag", "--input", "{inst}", "--samples", -5],
-             "argument --samples: must be at least 1, got -5"),
+            (["diag", "--input", "{inst}", "--samples", 10],
+             "unrecognized arguments: --samples 10"),
             (["learn-rep", "--input", "{inst}", "--nu", 0],
              "argument --nu: window length nu must satisfy 0 < nu <= 2*gamma, "
              "got nu=0.0, gamma=1.0"),
@@ -405,7 +403,7 @@ class TestBadFlagValue:
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
             "gen-rep-const-bias", "gen-rep-without-n", "gen-recover-bad-bias",
-            "diag-no-samples", "diag-negative-samples", "learn-rep-nu-0", "learn-rep-nu-5",
+            "diag-samples-flag-is-gone", "learn-rep-nu-0", "learn-rep-nu-5",
             "learn-rep-law-starts-at-gamma", "gen-recover-s-above-d", "gen-recover-negative-s",
             "gen-recover-negative-delta",
             "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
@@ -434,7 +432,7 @@ class TestSweepAndDiag:
         config = tmp_path / "sweep.cfg"
         config.write_text(
             "task = diagnostics\nd = 120\nk = 4\ns = 6\n"
-            "bias = const:value=0.0\nseeds = 0, 1\ndiag_samples = 10\n"
+            "bias = const:value=0.0\nseeds = 0, 1\n"
         )
         out = tmp_path / "results"
         assert run(["sweep", "--config", config, "--out", out]) == 0
@@ -444,11 +442,11 @@ class TestSweepAndDiag:
     def test_diag_prints_json(self, tmp_path, capsys):
         inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
         capsys.readouterr()
-        assert run(["diag", "--input", inst, "--samples", 10]) == 0
+        assert run(["diag", "--input", inst]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["d"] == 100 and payload["k"] == 3 and payload["s"] == 5
         assert payload["diag_violations"] == 0
-        assert payload["num_checked"] == 10
+        assert payload["num_checked"] == 93  # 31 pairs along each of 3 directions
 
     @pytest.mark.parametrize(
         "task, flags, message",
@@ -512,7 +510,7 @@ class TestSweepAndDiag:
     def test_diag_writes_file(self, tmp_path):
         inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
         target = tmp_path / "diag.json"
-        assert run(["diag", "--input", inst, "--samples", 10, "--out", target]) == 0
+        assert run(["diag", "--input", inst, "--out", target]) == 0
         payload = json.loads(target.read_text())
         assert payload["diag_min_ratio"] >= 1.0
 

@@ -58,7 +58,6 @@ k = 5
 s = 10
 bias = const:value=0.0
 seeds = 0
-diag_samples = 20
 """
 
 
@@ -122,8 +121,6 @@ BAD_VALUES = [
     (RECOVERY_CONFIG, "delta", "-0.1"),
     (RECOVERY_CONFIG, "outlier_magnitude", "inf"),
     (RECOVERY_CONFIG, "outlier_magnitude", "nan"),
-    (DIAG_CONFIG, "diag_samples", "0"),
-    (DIAG_CONFIG, "diag_samples", "-1"),
     (REP_CONFIG, "d", "20, x"),
     (REP_CONFIG, "k", "2.5"),
     (REP_CONFIG, "seeds", "a"),
@@ -165,7 +162,7 @@ TASK_CONFIGS = {
 # a value each task-specific key accepts
 VALID_VALUES = {
     "n": "2d", "s": "1", "gamma": "0.5", "nu": "0.5", "fill_strategy": "upper_boundary",
-    "delta": "0.01", "outlier_magnitude": "3", "lambda_mode": "agnostic", "diag_samples": "5",
+    "delta": "0.01", "outlier_magnitude": "3", "lambda_mode": "agnostic",
 }
 
 # every (task, key) pair of a key that only other tasks read
@@ -223,6 +220,12 @@ class TestParseConfig:
         bad = REP_CONFIG + "\ncolor = blue\n"
         with pytest.raises(ValueError, match="color"):
             parse_config(bad)
+
+    @pytest.mark.parametrize("task", TASK_KEYS)
+    def test_a_sample_count_is_an_unknown_key(self, task):
+        # the cone check searches for its worst pair, so it takes no sample count
+        with pytest.raises(ValueError, match=r"^unknown config keys \['diag_samples'\]$"):
+            parse_config(TASK_CONFIGS[task] + "diag_samples = 20\n")
 
     def test_duplicate_key_raises(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -366,8 +369,8 @@ class TestRunSweep:
         lam = agnostic_lambda(200, stats.sigma, 0.01)
         support = np.flatnonzero(cell.e_star)
         report = check_restricted_lower_bound(
-            cell.A, diag.diag_samples, lam=lam, sigma=stats.sigma, eta=stats.eta,
-            support=support, delta_norm=float(np.abs(cell.A.T @ cell.w).max()), seed=0,
+            cell.A, lam=lam, sigma=stats.sigma, eta=stats.eta,
+            support=support, delta_norm=float(np.abs(cell.A.T @ cell.w).max()),
         )
         assert record["error"] is None, record["error"]
         assert (record["lambda_used"], record["diag_violations"], record["diag_min_ratio"]) == (
@@ -569,7 +572,7 @@ class TestEmitResults:
         assert lines[0] == ",".join(RESULT_COLUMNS["rep_learning"])
         assert len(lines) == 5
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        key = "d=20,n=40,k=2,s=None"
+        key = "d=20,n=40,k=2"
         assert key in summary
         assert summary[key]["frob_err_sq"]["count"] == 2
         assert "frob_err_sq_over_bound" in summary[key]

@@ -53,7 +53,7 @@ SWEEPS = {
         "bias = gauss:mean=0.0,std=1.0\n"
     ),
     "diagnostics": (
-        "task = diagnostics\nd = 40\nk = 2\ns = 1\ndiag_samples = 5\nbias = const:value=0.0\n"
+        "task = diagnostics\nd = 40\nk = 2\ns = 1\nbias = const:value=0.0\n"
     ),
 }
 

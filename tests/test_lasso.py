@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from relurec import lasso
@@ -34,9 +36,9 @@ from relurec.lasso import (
     restricted_pair_ratio,
     solve_robust_lasso,
 )
-from relurec.lasso import _offset_rule, _residual_moments, _tail_nodes
+from relurec.lasso import _cone_pairs, _offset_rule, _residual_moments, _tail_nodes
 
-from lasso_oracles import gaussian_bias_moments, lasso_objective, soft_threshold
+from lasso_oracles import gaussian_bias_moments, in_restricted_cone, lasso_objective, soft_threshold
 from rectifier_sampling import sampled_moments
 
 
@@ -625,23 +627,81 @@ class TestRestrictedSet:
         ratio = restricted_pair_ratio(A, h, np.zeros(500))
         assert 20.0 < ratio < 150.0
 
-    def test_sampling_check_reports_no_violations(self):
+    def test_search_reports_no_violations_on_a_sound_design(self):
         rng = np.random.default_rng(7)
         d, k, s = 500, 10, 25
         A = rng.standard_normal((d, k))
         report = check_restricted_lower_bound(
-            A, samples=100, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=np.arange(s),
-            delta_norm=0.5, seed=11,
+            A, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=np.arange(s), delta_norm=0.5,
         )
-        assert report.num_checked == 100
+        assert report.num_checked == 93  # 3 directions x 31 steps of t
         assert report.num_violations == 0
         assert report.min_ratio >= 1.0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_search_certifies_violations_near_the_regime_edge(self, seed):
+        # k + s = 170 <= d/4 = 200, so the check accepts the setting, yet pairs of the
+        # cone break the bound; 100 sampled members once reported a smallest ratio near 30
+        inst = generate_recovery_instance(800, 10, 160, 0.01, 5.0, BiasModel.gaussian(), seed)
+        stats_obj = make_nonlinearity_stats(BiasModel.gaussian())
+        cone = {
+            "lam": agnostic_lambda(800, stats_obj.sigma, 0.01), "sigma": stats_obj.sigma,
+            "eta": stats_obj.eta, "delta_norm": float(np.abs(inst.A.T @ inst.w).max()),
+        }
+        support = np.flatnonzero(inst.e_star)
+        report = check_restricted_lower_bound(inst.A, support=support, **cone)
+        assert report.num_violations >= 1
+        assert report.min_ratio < 1.0
+        ratios = []
+        for h, f in _cone_pairs(inst.A, support, **cone):
+            assert in_restricted_cone(h, f, support, **cone)
+            ratios.append(restricted_pair_ratio(inst.A, h, f))
+        assert (len(ratios), min(ratios)) == (report.num_checked, report.min_ratio)
+        assert sum(r < 1.0 for r in ratios) == report.num_violations
+
+    @given(
+        d=st.integers(8, 200),
+        data=st.data(),
+        lam=st.floats(1e-4, 1.0),
+        sigma=st.floats(0.0, 2.0),
+        eta=st.floats(0.0, 2.0),
+        delta_norm=st.floats(0.0, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_pair_lies_in_the_cone(self, d, data, lam, sigma, eta, delta_norm, seed):
+        k = data.draw(st.integers(1, d // 8), label="k")
+        s = data.draw(st.integers(0, d // 4 - k), label="s")
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((d, k)) * 10.0 ** rng.uniform(-3.0, 3.0, size=k)
+        support = rng.choice(d, size=s, replace=False)
+        cone = {"lam": lam, "sigma": sigma, "eta": eta, "delta_norm": delta_norm}
+        pairs = list(_cone_pairs(A, support, **cone))
+        assert len(pairs) == 31 * min(k, 3)
+        for h, f in pairs:
+            assert in_restricted_cone(h, f, support, **cone)
+
+    @pytest.mark.parametrize(
+        "h, f, message",
+        [
+            (np.ones(3), np.array([2.0]), r"f must have shape \(50,\), got \(1,\)"),
+            (np.ones(3), np.zeros((50, 1)), r"f must have shape \(50,\), got \(50, 1\)"),
+            (np.ones(1), np.zeros(50), r"h must have shape \(3,\), got \(1,\)"),
+            (np.ones((3, 1)), np.zeros(50), r"h must have shape \(3,\), got \(3, 1\)"),
+        ],
+        ids=["f-one-entry", "f-column", "h-one-entry", "h-column"],
+    )
+    def test_pair_of_the_wrong_shape_is_named(self, h, f, message):
+        # an f of [2.0] was once added to every row but counted once in ||f||, giving
+        # 124.08, and a (50, 1) f made a 50 x 50 residual, giving 3322.6
+        A = np.random.default_rng(0).standard_normal((50, 3))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            restricted_pair_ratio(A, h, f)
 
     def test_regime_guard(self):
         A = np.random.default_rng(8).standard_normal((40, 10))
         with pytest.raises(ValueError):
             check_restricted_lower_bound(
-                A, samples=10, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(20)
+                A, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(20)
             )
 
     @pytest.mark.parametrize(
@@ -656,25 +716,18 @@ class TestRestrictedSet:
             ({"sigma": -1.0}, "sigma must be nonnegative and finite, got -1.0"),
             ({"eta": math.inf}, "eta must be nonnegative and finite, got inf"),
             ({"delta_norm": math.nan}, "delta_norm must be nonnegative and finite, got nan"),
+            ({"A": np.zeros((100, 3))}, r"A\^T A is not positive definite"),
         ],
         ids=["support-negative", "support-above-d", "support-repeated", "A-nan", "lam-zero",
-             "lam-nan", "sigma-negative", "eta-inf", "delta-norm-nan"],
+             "lam-nan", "sigma-negative", "eta-inf", "delta-norm-nan", "A-rank-deficient"],
     )
     def test_bad_input_is_named(self, change, message):
         # these once ran as row 99, as |S| = 3, or with min_ratio = nan, or
-        # raised a bare IndexError or ZeroDivisionError
+        # raised a bare IndexError or ZeroDivisionError; a design of deficient
+        # rank has no Cholesky factor of A^T A for the search to start from
         args = {
             "A": np.random.default_rng(8).standard_normal((100, 3)), "lam": 0.01, "sigma": 0.5,
             "eta": 0.8, "support": [1, 2], "delta_norm": 0.0,
         } | change
         with pytest.raises(ValueError, match=f"^{message}$"):
-            check_restricted_lower_bound(args.pop("A"), 10, **args)
-
-    @pytest.mark.parametrize("samples", [0, -5])
-    def test_a_check_of_no_samples_is_rejected(self, samples):
-        # it once reported num_checked = samples and min_ratio = inf, a vacuous pass
-        A = np.random.default_rng(8).standard_normal((100, 3))
-        with pytest.raises(ValueError, match=f"^samples must be at least 1, got {samples}$"):
-            check_restricted_lower_bound(
-                A, samples=samples, lam=0.01, sigma=0.5, eta=0.8, support=np.arange(5)
-            )
+            check_restricted_lower_bound(args.pop("A"), **args)
