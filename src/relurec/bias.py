@@ -22,6 +22,9 @@ of the interval: ``(log p)'`` and the hazard ``p / P(B <= x)`` decrease,
 ``p'^2/(4p)`` rises and then falls on either side of the mode (it is zero
 where ``p'`` changes sign), and the window mass is log-concave in the
 window's start (Prekopa).  All three are exact evaluations at the ends.
+Each raises ``ValueError`` for a ``model`` that is not a :class:`BiasModel`,
+such as a constant offset, and :class:`InvalidIntervalError` for a
+``gamma`` that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -280,6 +283,19 @@ def bias_spec_to_config(spec: BiasModel | float) -> str:
 # ----------------------------------------------------------------------
 
 
+def _check_law(model) -> None:
+    """Reject a ``model`` that is not a law, such as a constant offset."""
+    if not isinstance(model, BiasModel):
+        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
+
+
+def _check_interval(model, gamma: float) -> None:
+    """The checks of each interval constant: ``model`` is a law, ``gamma`` positive and finite."""
+    _check_law(model)
+    if not 0.0 < gamma < math.inf:
+        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
+
+
 def _interval_ends(gamma: float, length: float) -> np.ndarray:
     """The two ends of ``[-gamma, -gamma + length]``."""
     return np.array([-gamma, -gamma + length])
@@ -293,8 +309,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
     Returns 0.0 when the infimum is below ``1e-12``; the ``vacuous`` flag
     of :class:`BiasConstants` reports what that does to the bounds.
     """
-    if not 0.0 < gamma < math.inf:
-        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
+    _check_interval(model, gamma)
     ends = _interval_ends(gamma, 2.0 * gamma)
     ends[0] = max(ends[0], model.support()[0])
     if ends[0] > ends[1]:
@@ -312,8 +327,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
 
 def lipschitz_L(model: BiasModel, gamma: float) -> float:
     """Steepness constant ``max(sup p/P(B<=x), sup |p'|/p)`` over ``[-gamma, gamma]``."""
-    if not 0.0 < gamma < math.inf:
-        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
+    _check_interval(model, gamma)
     ends = _interval_ends(gamma, 2.0 * gamma)
     p, dp = model.density(ends), model.density_derivative(ends)
     cdf = np.asarray(model.cdf(ends))
@@ -329,8 +343,7 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
 
 def omega_min_mass(model: BiasModel, gamma: float, nu: float) -> float:
     """Smallest mass of a length-``nu`` window contained in ``[-gamma, gamma]``."""
-    if not 0.0 < gamma < math.inf:
-        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
+    _check_interval(model, gamma)
     if not 0.0 < nu <= 2.0 * gamma:  # gamma is finite, so nu is too
         raise InvalidIntervalError(
             f"window length nu must satisfy 0 < nu <= 2*gamma, got nu={nu}, gamma={gamma}"

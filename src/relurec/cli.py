@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, default_exponential, lipschitz_L, parse_bias_spec
+from .bias import BiasModel, default_exponential, flatness_beta, lipschitz_L, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -186,7 +186,8 @@ def _cmd_learn_rep(args) -> int:
     fill = _FILL_BY_FLAG[args.fill]
     spec = args.bias or parse_bias_spec(instance.bias)
     try:
-        outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, fill)
+        beta, lipschitz = flatness_beta(spec, gamma), lipschitz_L(spec, gamma)
+        outcome = reconstruct_and_evaluate(instance, spec, gamma, nu, fill, beta, lipschitz)
     except ValueError as exc:  # a usage error when a flag set gamma, nu or the law
         flags = [f"--{name}" for name in ("gamma", "nu", "bias") if getattr(args, name) is not None]
         if not flags:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # numpy loads it on first use, which would fall in the first cell
 
-from .bias import BiasModel, bias_spec_to_config
+from .bias import BiasModel, _check_law, bias_spec_to_config
 
 __all__ = [
     "DegenerateInstanceError",
@@ -142,8 +142,7 @@ def generate_representation_instance(
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if min_margin is not None and not 0.0 <= min_margin < math.inf:
         raise ValueError(f"min_margin must be nonnegative and finite, got {min_margin}")
-    if not isinstance(model, BiasModel):
-        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
+    _check_law(model)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     C = rng.standard_normal((k, n))

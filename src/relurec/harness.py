@@ -42,7 +42,14 @@ import numpy as np
 # thresholds raised the same round took about 1 000.
 import numpy.ma
 
-from .bias import BiasModel, compute_bias_constants, lipschitz_L, omega_min_mass, parse_bias_spec
+from .bias import (
+    BiasConstants,
+    BiasModel,
+    flatness_beta,
+    lipschitz_L,
+    omega_min_mass,
+    parse_bias_spec,
+)
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -249,7 +256,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
         if task == "diagnostics" and rank + s > d / 4:  # check_restricted_lower_bound rejects it
             raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
-    if task == "rep_learning":  # checks compute_bias_constants makes in every cell
+    if task == "rep_learning":  # checks run_sweep and every cell make
         _named("bias", lipschitz_L, model, config.gamma)
         if config.nu is not None:
             _named("nu", omega_min_mass, model, config.gamma, config.nu)
@@ -287,15 +294,21 @@ class RepOutcome(_Scored):
 
 
 def reconstruct_and_evaluate(
-    instance: GenerativeInstance, model: BiasModel, gamma: float, nu: float, fill: str
+    instance: GenerativeInstance, model: BiasModel, gamma: float, nu: float, fill: str,
+    beta: float, lipschitz: float,
 ) -> RepOutcome:
     """Reconstruct ``instance.M`` from ``instance.Y`` and score the estimate.
 
+    The caller supplies the constants of ``model`` that do not depend on
+    ``nu``, ``beta = flatness_beta(model, gamma)`` and ``lipschitz =
+    lipschitz_L(model, gamma)``, so that a sweep evaluates them once for all
+    its cells; the cell evaluates only the window mass of ``nu`` and the bound.
     The true column space is that of ``A``, since ``M = A C`` with ``C`` of
     full row rank; both subspace scores depend only on spans, so the Q
     factor of ``A`` serves as the truth's basis.
     """
-    constants = compute_bias_constants(model, gamma, nu)  # rejects a bad setting before the work
+    omega = omega_min_mass(model, gamma, nu)  # rejects a bad nu before the work
+    constants = BiasConstants(beta, lipschitz, omega, float(gamma), float(nu))
     estimate = reconstruct_matrix(instance.Y, model, gamma, nu, fill=fill)
     frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
     bound = theoretical_rep_bound(constants, instance.Y.shape[0])
@@ -308,12 +321,15 @@ def reconstruct_and_evaluate(
 
 
 def _run_rep_cell(
-    config: ExperimentConfig, model: BiasModel, d: int, n: int, k: int, seed: int
+    config: ExperimentConfig, model: BiasModel, beta: float, lipschitz: float,
+    d: int, n: int, k: int, seed: int,
 ) -> dict:
-    """The result fields of one rep cell under the sweep's bias law ``model``."""
+    """The result fields of one rep cell; ``beta`` and ``lipschitz`` are constants of ``model``."""
     instance = generate_representation_instance(d, n, k, config.gamma, model, seed)
     nu = config.nu if config.nu is not None else instance.realized_nu
-    outcome = reconstruct_and_evaluate(instance, model, config.gamma, nu, config.fill_strategy)
+    outcome = reconstruct_and_evaluate(
+        instance, model, config.gamma, nu, config.fill_strategy, beta, lipschitz
+    )
     return dict(gamma=config.gamma, nu=nu, fill_strategy=config.fill_strategy, **outcome.metrics())
 
 
@@ -432,15 +448,19 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     values, and then ``wall_time_ms`` to its wall time.  A failing cell
     records its error message instead of aborting the sweep, and its
     metrics stay None; cell order is deterministic.  The sweep parses its bias law
-    once, and a recovery or diagnostics sweep computes the law's moments
-    once, before its first cell; a law whose moments fail, or whose
+    once, before its first cell.  A rep sweep then evaluates the law's
+    flatness and steepness at ``gamma`` once, and each cell only the window
+    mass of its ``nu``; a recovery or diagnostics sweep computes the law's
+    moments once.  A law whose constants or moments fail, or whose
     agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
     naming the config key ``bias``, raised before any cell runs.  Each
     cell looks its runner up on the module, which a caller may rebind.
     """
     model = parse_bias_spec(config.bias)
-    stats = None
-    if config.task != "rep_learning":
+    if config.task == "rep_learning":
+        beta = _named("bias", flatness_beta, model, config.gamma)
+        lipschitz = _named("bias", lipschitz_L, model, config.gamma)
+    else:
         stats = _named("bias", make_nonlinearity_stats, model)
         if config.task == "diagnostics" or config.lambda_mode == "agnostic":
             for d in config.d:
@@ -454,7 +474,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             start = time.perf_counter()
             try:
                 if config.task == "rep_learning":
-                    computed = _run_rep_cell(config, model, d, n, k, seed)
+                    computed = _run_rep_cell(config, model, beta, lipschitz, d, n, k, seed)
                 elif config.task == "robust_recovery":
                     computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
                 else:

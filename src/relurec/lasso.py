@@ -250,6 +250,13 @@ def _check_finite(name: str, x: np.ndarray) -> None:
         raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
 
 
+def _check_shapes(**vectors: tuple[np.ndarray, int]) -> None:
+    """Each ``name=(x, n)``: ``ValueError`` naming ``x`` unless it has shape ``(n,)``."""
+    for name, (x, n) in vectors.items():
+        if np.shape(x) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {np.shape(x)}")
+
+
 def _check_nonnegative(**values: float) -> None:
     """``ValueError`` naming the first of ``values`` that is negative or not finite."""
     for name, value in values.items():
@@ -446,9 +453,11 @@ def recovery_error_and_bound(
     The error is ``||mu c* - c_hat||_2 + ||e* - e_hat||_2 / sqrt(d)``;
     the bound is the rate ``max(sqrt(k log k / d), sqrt(s log d / d))``
     with its leading constant fixed at 1 and the degenerate ``k = 1``
-    factor ``k log k`` replaced by ``k``.
+    factor ``k log k`` replaced by ``k``.  ``ValueError`` names a ``c_hat``
+    not of shape ``(k,)`` or an ``e_hat`` not of shape ``(d,)``.
     """
     d, k = instance.A.shape
+    _check_shapes(c_hat=(solution.c_hat, k), e_hat=(solution.e_hat, d))
     err_c = float(np.linalg.norm(stats.mu * instance.c_star - solution.c_hat))
     err_e = float(np.linalg.norm(instance.e_star - solution.e_hat)) / math.sqrt(d)
     latent = k * math.log(k) if k > 1 else float(k)
@@ -477,16 +486,22 @@ def restricted_pair_ratio(A: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
     of shape ``(k,)`` or an ``f`` not of shape ``(d,)``.
     """
     d, k = A.shape
-    for name, x, n in (("h", h, k), ("f", f, d)):
-        if np.shape(x) != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {np.shape(x)}")
-    lhs = float(np.linalg.norm(A @ h + f) ** 2) / (2.0 * d)
+    _check_shapes(h=(h, k), f=(f, d))
+    return _pair_ratio(A @ h, h, f)
+
+
+def _pair_ratio(Ah: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
+    """:func:`restricted_pair_ratio` of ``(h, f)``, given the product ``Ah = A @ h``."""
+    d = Ah.size
+    lhs = float(np.linalg.norm(Ah + f) ** 2) / (2.0 * d)
     size = float(np.linalg.norm(h)) + float(np.linalg.norm(f)) / math.sqrt(d)
     return lhs / (size * size / 128.0) if size else math.inf
 
 
 def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
-    """The pairs ``(h, f)`` that :func:`check_restricted_lower_bound` scores, each in the cone.
+    """The pairs ``(h, f)`` that :func:`check_restricted_lower_bound` scores, each in the cone,
+    as triples ``(h, A @ h, f)``: ``A @ h`` is formed once per ``h``, as
+    :func:`restricted_pair_ratio` forms it.
 
     ``h`` runs over the top three generalized eigenvectors of ``(A_S^T A_S, A^T A)``, whose
     ``A h`` is heaviest on ``S``; for each ``t`` in ``0, 0.1, ..., 3``, ``f_S = -t (A h)_S``,
@@ -504,6 +519,7 @@ def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
     _, Y = np.linalg.eigh(np.linalg.solve(L, np.linalg.solve(L, A[on].T @ A[on]).T))
     H = np.linalg.solve(L.T, Y[:, :-4:-1])
     for h, Ah in zip(H.T, (A @ H).T):
+        product = A @ h  # the column Ah of A @ H, which builds f, differs in the last bits
         x = Ah[~on]
         a = np.r_[0.0, np.sort(np.abs(x))]
         spent = np.cumsum(a) + (a.size - 1 - np.arange(a.size)) * a  # sum min(|x_i|, a[j])
@@ -512,7 +528,7 @@ def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
             budget = slope * float(np.linalg.norm(h)) / lam + 3.0 * float(np.abs(f).sum())
             tau = np.interp(budget, spent, a)  # spends the budget, or all of x when it cannot
             f[~on] = -np.clip(x, -tau, tau)
-            yield h, f
+            yield h, product, f
 
 
 def check_restricted_lower_bound(
@@ -552,5 +568,5 @@ def check_restricted_lower_bound(
     if k + S.size > d / 4:
         raise ValueError(f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}")
     pairs = _cone_pairs(A, S, lam=lam, sigma=sigma, eta=eta, delta_norm=delta_norm)
-    ratios = [restricted_pair_ratio(A, h, f) for h, f in pairs]
+    ratios = [_pair_ratio(Ah, h, f) for h, Ah, f in pairs]
     return RestrictedSetReport(len(ratios), sum(r < 1.0 for r in ratios), min(ratios))

@@ -35,11 +35,12 @@ estimate is feasible by construction and is not checked again.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import BiasConstants, BiasModel
+from .bias import BiasConstants, BiasModel, _check_law
 
 __all__ = [
     "EstimatedMatrix",
@@ -58,8 +59,7 @@ class InfeasibleRowError(ValueError):
 
 def _checked_inputs(Y, model) -> np.ndarray:
     """``Y`` as a float matrix, after the input checks both public entry points share."""
-    if not isinstance(model, BiasModel):
-        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
+    _check_law(model)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError(f"Y must be a 2-D matrix, got shape {Y.shape}")
@@ -242,10 +242,11 @@ def theoretical_rep_bound(constants: BiasConstants, d: int) -> float:
     scaling in ``d`` on the error per observation, ``||M - M_hat||_F^2 / n``,
     since rows clipped to zero cost any estimator a total that grows with
     ``n``.  The paper's abstract states the O(d) claim without saying how
-    ``n`` enters, so this normalisation is not settled by it.
+    ``n`` enters, so this normalisation is not settled by it.  ``ValueError``
+    names a ``d`` that is not an integer of at least 1.
     """
-    if d < 1:
-        raise ValueError(f"row count must be positive, got {d}")
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"row count d must be an integer of at least 1, got {d!r}")
     if constants.vacuous:
         return math.inf
     return 2.0 * constants.lipschitz * constants.gamma * d / (constants.beta * constants.omega)

@@ -411,6 +411,24 @@ class TestConstantsBundle:
         with pytest.raises(ValueError):
             BiasConstants(beta=0.1, lipschitz=1.0, omega=1.5, gamma=1.0, nu=0.1)
 
+    @pytest.mark.parametrize(
+        "constant",
+        [
+            lambda model: flatness_beta(model, 1.0),
+            lambda model: lipschitz_L(model, 1.0),
+            lambda model: omega_min_mass(model, 1.0, 0.5),
+            lambda model: compute_bias_constants(model, 1.0, 0.5),
+        ],
+        ids=["flatness", "lipschitz", "omega", "bundle"],
+    )
+    @pytest.mark.parametrize("model", [0.0, -2, None, "exp:rate=1,shift=-2"], ids=repr)
+    def test_a_non_law_is_named(self, constant, model):
+        # each once raised AttributeError: 'float' object has no attribute 'support' (or 'cdf')
+        message = f"the bias law must be a distributional BiasModel, got {model!r}"
+        with pytest.raises(ValueError) as caught:
+            constant(model)
+        assert str(caught.value) == message
+
 
 class TestConfigStrings:
     @pytest.mark.parametrize(

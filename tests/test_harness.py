@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 from unittest import mock
 
@@ -11,7 +12,14 @@ import pytest
 from scipy.linalg import subspace_angles
 
 from relurec import harness
-from relurec.bias import BiasModel, parse_bias_spec
+from relurec import bias as bias_module
+from relurec.bias import (
+    BiasModel,
+    compute_bias_constants,
+    flatness_beta,
+    lipschitz_L,
+    parse_bias_spec,
+)
 from relurec.generate import generate_recovery_instance, generate_representation_instance
 from relurec.harness import (
     RESULT_COLUMNS,
@@ -25,6 +33,7 @@ from relurec.harness import (
     run_sweep,
 )
 from relurec.lasso import agnostic_lambda, check_restricted_lower_bound, make_nonlinearity_stats
+from relurec.replearn import theoretical_rep_bound
 from relurec.subspace import truncated_svd
 
 REP_CONFIG = """
@@ -425,12 +434,13 @@ class TestRunSweep:
             d=(10,),
             k=(2,),
             seeds=(0,),
-            bias="const:value=0.0",  # invalid for this task
+            bias="exp:rate=1,shift=-2",
             n=DimensionRule(multiplier=2.0),
+            nu=5.0,  # parse_config rejects it; each cell's window mass does too
         )
         records = run_sweep(config)
         assert len(records) == 1
-        assert "distributional" in records[0]["error"]
+        assert records[0]["error"].startswith("InvalidIntervalError: window length nu must")
 
 
 class TestSweepMoments:
@@ -530,10 +540,86 @@ class TestSweepMoments:
         assert records and all(r["error"] is None for r in records)
 
 
+class TestRepSweepConstants:
+    """A rep sweep evaluates its law's flatness and steepness once; each cell, its window mass."""
+
+    # a law of each family; the Gaussian's mode lies inside [-1, 1], so its flatness is 0
+    LAWS = ["exp:rate=1,shift=-2", "logistic:loc=-1.5,scale=0.5", "gauss:mean=0.2,std=1.5"]
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("nu", [None, "0.05"], ids=["realized-nu", "fixed-nu"])
+    def test_rep_bound_is_that_of_the_cells_constants(self, law, nu, tmp_path):
+        text = _with(REP_CONFIG, "bias", law)
+        config = parse_config(text if nu is None else f"{text}nu = {nu}\n")
+        records = run_sweep(config)
+        assert len(records) == 4 and all(r["error"] is None for r in records)
+        model = parse_bias_spec(law)
+        for record in records:
+            constants = compute_bias_constants(model, config.gamma, record["nu"])
+            bound = theoretical_rep_bound(constants, record["d"])
+            assert record["rep_bound"] == (bound if math.isfinite(bound) else None)
+            assert constants.vacuous == law.startswith("gauss")
+        if law.startswith("gauss"):
+            emit_results(records, tmp_path)
+            with (tmp_path / "results.csv").open(newline="") as fh:
+                assert {row["rep_bound"] for row in csv.DictReader(fh)} == {""}
+
+    def test_flatness_and_steepness_do_not_grow_with_the_seeds(self, monkeypatch):
+        calls = {"flatness_beta": 0, "lipschitz_L": 0, "omega_min_mass": 0}
+
+        def counted(name, original):
+            def counting(*args):
+                calls[name] += 1
+                return original(*args)
+            return counting
+
+        configs = [parse_config(_with(REP_CONFIG, "seeds", seeds)) for seeds in ("1", "1, 2, 3")]
+        for name in calls:
+            wrapper = counted(name, getattr(bias_module, name))
+            monkeypatch.setattr(bias_module, name, wrapper)
+            monkeypatch.setattr(harness, name, wrapper, raising=False)
+        counts = []
+        for config in configs:
+            calls.update(dict.fromkeys(calls, 0))
+            records = run_sweep(config)
+            assert all(r["error"] is None for r in records)
+            counts.append((calls["flatness_beta"], calls["lipschitz_L"], calls["omega_min_mass"]))
+        # two d values: 2 and 6 cells, each evaluating the window mass of its realized nu
+        assert counts == [(1, 1, 2), (1, 1, 6)]
+
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ("const:value=0.0", "the bias law must be a distributional BiasModel, got 0.0"),
+            ("exp:rate=1,shift=2", "density vanishes on all of [-1.0, 1.0]; flatness is undefined"),
+            ("exp:rate=1,shift=-1",
+             "CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) is unbounded"),
+        ],
+        ids=["constant", "no-mass", "no-cdf"],
+    )
+    def test_failing_constants_raise_before_any_cell(self, law, message, monkeypatch):
+        # parse_config rejects each law, so the config is built around it
+        config = dataclasses.replace(parse_config(REP_CONFIG), bias=law)
+        runners = []
+        monkeypatch.setattr(harness, "_run_rep_cell", lambda *args: runners.append(args))
+        with pytest.raises(ValueError) as caught:
+            run_sweep(config)
+        assert str(caught.value) == f"config key 'bias': {message}"
+        assert runners == []
+
+
 def _distances_from_angles(U, W):
     """Sin-theta and Procrustes distances from the principal angles, ``2 sin(theta/2)`` each."""
     angles = subspace_angles(U, W)
     return np.linalg.norm(np.sin(angles)), np.linalg.norm(2.0 * np.sin(angles / 2.0))
+
+
+def _evaluate(instance, model):
+    """``reconstruct_and_evaluate`` at gamma 1, the realized separation and the midpoint fill."""
+    return reconstruct_and_evaluate(
+        instance, model, 1.0, instance.realized_nu, "midpoint",
+        flatness_beta(model, 1.0), lipschitz_L(model, 1.0),
+    )
 
 
 class TestReconstructAndEvaluate:
@@ -541,7 +627,7 @@ class TestReconstructAndEvaluate:
         # colspace(M) = colspace(A); the scores depend only on the spans
         model = BiasModel.gaussian()
         inst = generate_representation_instance(40, 80, 3, 1.0, model, seed=7)
-        outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
+        outcome = _evaluate(inst, model)
         U, _, _ = truncated_svd(inst.M, 3)
         sin_theta, procrustes_err = _distances_from_angles(U, outcome.u_hat)
         assert outcome.sin_theta == pytest.approx(sin_theta, rel=1e-10)
@@ -556,7 +642,7 @@ class TestReconstructAndEvaluate:
         # the many constant -gamma rows of m_hat are merged inside truncated_svd
         model = parse_bias_spec(bias)
         inst = generate_representation_instance(d, 2 * d, 5, 1.0, model, seed=d + 1)
-        outcome = reconstruct_and_evaluate(inst, model, 1.0, inst.realized_nu, "midpoint")
+        outcome = _evaluate(inst, model)
         U = np.linalg.qr(inst.A)[0]
         U_hat = np.linalg.svd(outcome.estimate.m_hat, full_matrices=False)[0][:, :5]
         sin_theta, procrustes_err = _distances_from_angles(U, U_hat)

@@ -603,6 +603,23 @@ class TestErrorAndBound:
         _, bound = recovery_error_and_bound(sol, inst, stats_obj)
         assert bound == pytest.approx(math.sqrt(1.0 / 100.0), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "c_hat, e_hat, message",
+        [
+            (np.zeros(1), np.zeros(50), r"c_hat must have shape \(3,\), got \(1,\)"),
+            (np.zeros((3, 3)), np.zeros(50), r"c_hat must have shape \(3,\), got \(3, 3\)"),
+            (np.zeros(3), np.zeros(1), r"e_hat must have shape \(50,\), got \(1,\)"),
+            (np.zeros(3), np.zeros((50, 1)), r"e_hat must have shape \(50,\), got \(50, 1\)"),
+        ],
+        ids=["c-one-entry", "c-square", "e-one-entry", "e-column"],
+    )
+    def test_solution_of_the_wrong_shape_is_named(self, c_hat, e_hat, message):
+        # a (1,) c_hat once broadcast to an error of 1.5, and a (3, 3) one to 1.866
+        inst = generate_recovery_instance(50, 3, 3, 0.0, 5.0, bias=0.0, seed=1)
+        sol = self._fake_solution(c_hat, e_hat)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recovery_error_and_bound(sol, inst, make_nonlinearity_stats(0.0))
+
     def test_bound_halves_when_d_quadruples(self):
         stats_obj = make_nonlinearity_stats(0.0)
         bounds = []
@@ -653,8 +670,9 @@ class TestRestrictedSet:
         assert report.num_violations >= 1
         assert report.min_ratio < 1.0
         ratios = []
-        for h, f in _cone_pairs(inst.A, support, **cone):
+        for h, Ah, f in _cone_pairs(inst.A, support, **cone):
             assert in_restricted_cone(h, f, support, **cone)
+            assert np.array_equal(Ah, inst.A @ h)
             ratios.append(restricted_pair_ratio(inst.A, h, f))
         assert (len(ratios), min(ratios)) == (report.num_checked, report.min_ratio)
         assert sum(r < 1.0 for r in ratios) == report.num_violations
@@ -677,7 +695,7 @@ class TestRestrictedSet:
         cone = {"lam": lam, "sigma": sigma, "eta": eta, "delta_norm": delta_norm}
         pairs = list(_cone_pairs(A, support, **cone))
         assert len(pairs) == 31 * min(k, 3)
-        for h, f in pairs:
+        for h, _, f in pairs:
             assert in_restricted_cone(h, f, support, **cone)
 
     @pytest.mark.parametrize(

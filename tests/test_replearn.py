@@ -608,3 +608,16 @@ class TestTheoreticalBound:
         consts = compute_bias_constants(BiasModel.gaussian(), 1.0, 0.5)
         assert consts.vacuous
         assert theoretical_rep_bound(consts, 100) == math.inf
+
+    @pytest.mark.parametrize("d", [2.5, 100.0, True, math.nan, math.inf, 0, -3, "100"], ids=repr)
+    def test_row_count_must_be_an_integer_of_at_least_1(self, d):
+        # a float, a bool, NaN and inf once gave a number, NaN or inf
+        consts = compute_bias_constants(default_exponential(1.0), 1.0, 0.5)
+        with pytest.raises(ValueError) as caught:
+            theoretical_rep_bound(consts, d)
+        assert str(caught.value) == f"row count d must be an integer of at least 1, got {d!r}"
+
+    @pytest.mark.parametrize("d", [1, np.int64(100)], ids=repr)
+    def test_integer_row_counts_are_accepted(self, d):
+        consts = compute_bias_constants(default_exponential(1.0), 1.0, 0.5)
+        assert theoretical_rep_bound(consts, d) == theoretical_rep_bound(consts, 1) * int(d)
