@@ -12,8 +12,8 @@ The package has two estimation pipelines plus shared infrastructure:
 * :mod:`relurec.subspace` -- truncated SVD and the sin-theta and
   Procrustes distances between two bases;
 * :mod:`relurec.lasso` -- outlier-robust recovery of a latent
-  coefficient vector behind the rectifier, via an exact alternating
-  generalized-LASSO solver;
+  coefficient vector behind the rectifier, via a generalized-LASSO
+  solver that takes Newton steps on the observations it does not flag;
 * :mod:`relurec.harness` -- config-driven experiment sweeps with stable
   CSV/JSON outputs;
 * :mod:`relurec.cli` -- the ``relurec`` command-line entry point.

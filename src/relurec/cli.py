@@ -110,7 +110,6 @@ def _build_parser() -> _Parser:
         type=_flag(lambda text: text if text in ("oracle", "agnostic") else positive_float(text)),
         help="penalty level: a number, 'oracle', or 'agnostic'",
     )
-    rec.add_argument("--tol", type=_flag(positive_float), default=LassoConfig.tol)
     rec.add_argument("--max-iter", type=_flag(positive_int), default=LassoConfig.max_iter)
     rec.add_argument("--out", required=True)
 
@@ -221,7 +220,7 @@ def _cmd_recover(args) -> int:
         lam = penalty_level(args.lam, instance, stats)
     except ValueError as exc:
         raise _UsageError(f"argument --lambda: {exc}") from exc
-    outcome = recover_and_evaluate(instance, stats, lam, args.tol, args.max_iter)
+    outcome = recover_and_evaluate(instance, stats, lam, args.max_iter)
     solution = outcome.solution
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

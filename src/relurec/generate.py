@@ -15,6 +15,7 @@ field plus its class name, so it loads back bit for bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -202,14 +203,18 @@ def generate_recovery_instance(
     ``e*`` places ``+/- outlier_magnitude`` on ``s`` uniformly chosen
     coordinates, and ``w`` is i.i.d. uniform on ``[-delta, delta]``.  The
     bias is either a shared constant (float) or drawn i.i.d. per
-    coordinate from a :class:`BiasModel`.  ``ValueError`` names a bad
-    dimension or ``s``, a negative ``delta``, and a ``delta``,
-    ``outlier_magnitude`` or constant ``bias`` that is not finite.
+    coordinate from a :class:`BiasModel`.  ``ValueError`` names a ``d``,
+    ``k`` or ``s`` that is not an integer (a bool is none) or out of
+    range, a negative ``delta``, a ``delta`` or ``outlier_magnitude`` that
+    is not finite, and a constant ``bias`` that is not a finite real number.
 
     The design, outlier, noise, and bias draws come from independent
     child streams of the seed, so e.g. changing ``s`` leaves ``A`` and
     ``c*`` untouched.
     """
+    for name, value in (("d", d), ("k", k), ("s", s)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if not 0 <= s <= d:
         raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
     if k < 1 or d <= 0:
@@ -218,8 +223,11 @@ def generate_recovery_instance(
         raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
     if not math.isfinite(outlier_magnitude):
         raise ValueError(f"outlier_magnitude must be finite, got {outlier_magnitude}")
-    if not isinstance(bias, BiasModel) and not math.isfinite(bias):
-        raise ValueError(f"constant bias must be finite, got {bias}")
+    if not isinstance(bias, BiasModel):
+        if isinstance(bias, bool) or not isinstance(bias, numbers.Real):
+            raise ValueError(f"constant bias must be a real number, got {bias!r}")
+        if not math.isfinite(bias):
+            raise ValueError(f"constant bias must be finite, got {bias}")
     stream_main, stream_out, stream_noise, stream_bias = [
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
     ]

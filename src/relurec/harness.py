@@ -357,19 +357,18 @@ class RecoveryOutcome(_Scored):
 
 def recover_and_evaluate(
     instance: RecoveryInstance, stats: NonlinearityStats, lambda_mode: str | float,
-    tol: float = LassoConfig.tol, max_iter: int = LassoConfig.max_iter,
+    max_iter: int = LassoConfig.max_iter,
 ) -> RecoveryOutcome:
     """Solve the robust lasso on ``instance`` and score the solution.
 
     The caller supplies ``stats``, the moments of the instance's bias law,
     ``make_nonlinearity_stats(parse_bias_spec(instance.bias))``, so that a
     sweep computes them once for all its cells.  The penalty comes from
-    ``lambda_mode`` (see :func:`penalty_level`).
+    ``lambda_mode`` (see :func:`penalty_level`), and ``max_iter`` bounds the
+    solver's steps.
     """
     lam = penalty_level(lambda_mode, instance, stats)
-    solution = solve_robust_lasso(
-        instance.v, instance.A, LassoConfig(lam=lam, tol=tol, max_iter=max_iter)
-    )
+    solution = solve_robust_lasso(instance.v, instance.A, LassoConfig(lam=lam, max_iter=max_iter))
     error, bound = recovery_error_and_bound(solution, instance, stats)
     return RecoveryOutcome(
         solution, error, bound, stats.mu, lam, solution.iterations, solution.converged

@@ -8,13 +8,20 @@ LASSO
 
     min_{c, e}  (1/2d) ||v - A c - e||_2^2  +  lambda ||e||_1
 
-by exact alternating minimisation: the ``c``-step is a least-squares
-solve, the ``e``-step a soft threshold.  Each step solves its block
-exactly, so the objective never increases.  The ``c``-step needs only the
-triangular factor ``R`` of a QR of ``A`` (``Q`` is never formed): it
-corrects the previous ``c`` by ``R^-1 R^-T A^T r`` from the residual ``r``
-the last sweep left, the corrected seminormal equations.  ``R`` comes from
-a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
+as Huber regression: the best ``e`` for a given ``c`` soft thresholds the
+residual ``v - A c`` at ``d lambda``, which leaves the Huber loss of that
+residual, piecewise quadratic in ``c`` (She & Owen, arXiv:1006.2592).  Each
+step corrects ``c`` by ``H^-1 A^T r`` from the residual ``r`` the last step
+left, where ``H`` is the Gram of the rows that step did not flag as
+outliers: a Newton step, exact once the flagged rows and their signs stop
+changing (Madsen & Nielsen, BIT 30, 1990), so a solve takes a few steps.
+Where that step would raise the objective, or the unflagged rows lack
+full rank, ``H`` is ``A^T A`` and the step is one sweep of exact
+alternating minimisation; so the objective never increases.  The step
+needs only the triangular factor ``R`` of a QR of ``A`` (``Q`` is never
+formed): ``H = R^T (I - B B^T) R`` with ``B = R^-T A_O^T`` for the flagged
+rows ``A_O``, so the condition number of ``A`` is never squared.  ``R``
+comes from a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
 arXiv:0808.2664): for ``k <= 90`` a Householder QR of each block of
 ``32768 // k`` rows (at most 256 KiB of ``A``), then one more of the
 stacked ``k x k`` factors.  It is as backward stable as one Householder
@@ -52,7 +59,6 @@ __all__ = [
     "RestrictedSetReport",
     "agnostic_lambda",
     "check_restricted_lower_bound",
-    "kkt_residuals",
     "make_nonlinearity_stats",
     "oracle_lambda",
     "recovery_error_and_bound",
@@ -98,11 +104,14 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
 
     A constant offset ``b0`` is the one-node rule ``([b0], [1.0])``; a
     random law weights the :func:`_tail_nodes` rule by its density.
-    ``ValueError`` names a constant offset that is NaN or infinite, and a
-    law whose masses do not sum to 1 within 1e-6, such as one whose spread
-    is lost in rounding at its location.
+    ``ValueError`` names a constant offset that is not a real number (a
+    bool is none), NaN or infinite, and a law whose masses do not sum to 1
+    within 1e-6, such as one whose spread is lost in rounding at its
+    location.
     """
     if not isinstance(bias, BiasModel):
+        if isinstance(bias, bool) or not isinstance(bias, numbers.Real):
+            raise ValueError(f"constant bias value must be a real number, got {bias!r}")
         if not math.isfinite(bias):
             raise ValueError(f"constant bias value must be finite, got {bias!r}")
         return np.array([float(bias)]), np.array([1.0])
@@ -199,23 +208,23 @@ def make_nonlinearity_stats(bias: BiasModel | float) -> NonlinearityStats:
 
 @dataclass(frozen=True)
 class LassoConfig:
-    """Penalty level and stopping rule for the alternating solver.
+    """Penalty level and step budget of :func:`solve_robust_lasso`.
 
-    ``ValueError`` names the field of a ``lam`` or ``tol`` that is not
-    positive and finite, or of a ``max_iter`` that is not an integer of at
-    least 1.
+    The solver stops by itself once it is stationary, so the budget
+    ``max_iter`` is its only stopping knob.  ``ValueError`` names a ``lam``
+    that is not a positive finite real number (``True`` is no penalty), or
+    a ``max_iter`` that is not an integer of at least 1.
     """
 
     lam: float
-    tol: float = 1e-10
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        for name in ("lam", "tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        # bool is an int subclass, but True is no sweep count
+        # bool is an int subclass, but True is neither a penalty nor a step count
+        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
+            raise ValueError(f"lam must be a real number, got {self.lam!r}")
+        if not 0.0 < self.lam < math.inf:  # NaN fails too
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -226,10 +235,16 @@ class LassoConfig:
 class LassoSolution:
     """A solver result and why the solver stopped.
 
-    ``stop_reason`` is ``"tol"`` when the objective flattened out and the
-    pair was first-order stationary in ``c``, or ``"max_iter"`` when the
-    sweep budget ran out first.  ``grad_norm`` is ``||A^T r||_inf / d``
-    at the returned pair, with ``r = v - A c_hat - e_hat``.
+    ``stop_reason`` is ``"tol"`` when the last step left the flagged rows
+    (the nonzero entries of ``e_hat``) as the step before it had left them
+    and the pair was stationary: ``grad_norm`` at most
+    ``1e-8 max(1, ||v||_inf)``; a solve that stops at its first step also
+    needs the next step's decrease to be at most 1e-12 of the objective
+    (see :func:`solve_robust_lasso`).  It is ``"max_iter"`` when the step budget
+    ran out first.  ``iterations`` counts the steps taken, one entry of
+    ``objective_trace`` each.  ``grad_norm`` is ``||A^T r||_inf / d`` at
+    the returned pair, with ``r = v - A c_hat - e_hat``; the ``e``-step is
+    exact, so it is the whole first-order residual.
     """
 
     c_hat: np.ndarray
@@ -306,23 +321,55 @@ def _triangular_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
-def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> LassoSolution:
-    """Alternating exact minimisation of the robust recovery objective.
+def _gram_step(
+    R_inv: np.ndarray, g: np.ndarray, flagged_rows: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """``H^-1 g`` for the Gram ``H`` of the rows of ``A = Q R`` outside ``flagged_rows``.
 
-    Starting from ``c = 0`` and ``e = 0``, each sweep first minimises over
-    ``c``: with the triangular factor ``R`` of a QR of ``A`` (computed
-    once, ``Q`` never formed) and ``g = A^T r`` for the residual
-    ``r = v - A c - e`` of the previous sweep, the step
-    ``c <- c + R^-1 R^-T g``, two ``k x k`` solves with ``R^T`` and then
-    ``R``, solves ``A^T A c = A^T (v - e)``, and in
-    floating point it refines the previous ``c`` rather than solving
-    afresh.  ``R`` is the TSQR factor: for ``k <= 90``, Householder QRs
-    of blocks of ``32768 // k`` rows, then one of their stacked factors; a
-    design of at most that many rows, or of more than 90 columns, gets one
-    Householder QR.  It then soft thresholds ``u = v - A c`` at
-    ``d * lam`` to update ``e``.  Stops with ``stop_reason="tol"`` once the relative
-    objective decrease falls below ``config.tol`` and ``||g||_inf / d`` is
-    at most ``1e-8 max(1, ||v||_inf)``, or with ``"max_iter"``.
+    ``R_inv`` is the inverse of ``R``.  With ``B = R^-T A_O^T`` for the flagged rows
+    ``A_O``, ``H = A^T A - A_O^T A_O`` is ``R^T (I - B B^T) R``: one ``k x k`` Cholesky
+    factor ``L`` of ``I - B B^T`` and two ``k x k`` solves give the step, and the condition
+    number of ``A`` is never squared.  When no row is flagged, or ``I - B B^T`` has no
+    Cholesky factor (the unflagged rows lack full rank), ``H`` is ``R^T R = A^T A``.  The
+    flag says whether ``H`` left rows out.
+    """
+    y = R_inv.T @ g
+    if flagged_rows.size:
+        Bt = flagged_rows @ R_inv
+        try:
+            L = np.linalg.cholesky(np.eye(y.size) - Bt.T @ Bt)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return R_inv @ np.linalg.solve(L.T, np.linalg.solve(L, y)), True
+    return R_inv @ y, False
+
+
+def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> LassoSolution:
+    """Minimise the robust recovery objective by steps on the rows it does not flag.
+
+    At fixed ``c`` the best ``e`` soft thresholds ``u = v - A c`` at
+    ``T = d * lam``, which leaves the Huber loss of ``u``, piecewise
+    quadratic in ``c``.  From ``c = 0`` and ``e = 0``, each step corrects
+    ``c`` by ``H^-1 g``, with ``g = A^T r`` for the residual
+    ``r = v - A c - e`` of the previous step, and then soft thresholds the
+    new ``u``.  ``H`` is the Gram of the rows that the previous step left
+    unflagged (``e_i = 0``): a Newton step, which lands on the minimum once
+    the flagged rows keep their signs.  ``H`` is ``A^T A``, and the step one
+    sweep of exact alternating minimisation, where :func:`_gram_step` finds
+    no Cholesky factor and on flagged rows on which the other step would
+    have raised the objective; so the objective never rises.  The factor
+    ``R`` of :func:`_triangular_factor` is computed once.
+
+    A step is stationary when it leaves the same rows flagged as the step
+    before it and ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``.
+    The solve stops with ``stop_reason="tol"`` after a stationary step,
+    but after the first one only if the next step would lower the objective
+    by at most 1e-12 of it: the first step, from ``c = 0``, solves the
+    seminormal equations, whose error on an ill-conditioned design can
+    leave a stationary pair off the minimum.  Otherwise it stops with
+    ``"max_iter"`` after ``config.max_iter`` steps.  ``u``, ``e`` and ``r``
+    live in three ``d``-vectors allocated once per solve.
 
     Raises
     ------
@@ -344,32 +391,52 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     if smallest <= 1e-10:
         raise RankDeficiencyError(f"smallest singular value {smallest:.3g} is numerically zero")
 
+    R_inv = np.linalg.inv(R)
     threshold = d * config.lam
-    grad_tol = 1e-8 * max(1.0, float(np.abs(v).max()))
+    grad_tol = 1e-8 * max(1.0, float(v.max()), -float(v.min()))  # ||v||_inf without |v|
+    u, e, r = np.empty(d), np.empty(d), np.empty(d)
+
+    def objective_at(c: np.ndarray) -> float:
+        """Fill ``e`` and ``r`` at ``c`` and return the objective there."""
+        np.subtract(v, np.matmul(A, c, out=u), out=u)
+        np.clip(u, -threshold, threshold, out=r)
+        np.subtract(u, r, out=e)  # the soft threshold of u
+        np.subtract(u, e, out=r)  # the residual v - A c - e, rounded as (v - A c) - e
+        return float(r @ r / (2.0 * d) + config.lam * np.abs(e, out=u).sum())
+
+    no_rows = np.zeros((0, k))
     c = np.zeros(k)
     g = A.T @ v  # A^T r at c = 0, e = 0
+    flagged = refused = np.zeros(0, dtype=np.intp)  # e = 0 flags no row
     trace: list[float] = []
     stop_reason = "max_iter"
-    prev = math.inf
-    for _ in range(config.max_iter):
-        c = c + np.linalg.solve(R, np.linalg.solve(R.T, g))
-        u = v - A @ c
-        e = u - np.clip(u, -threshold, threshold)
-        r = u - e  # the residual v - A c - e, rounded as (v - A c) - e
+    while True:
+        if trace:
+            # a stationary first step flags no row, and the next step would still take
+            # g^T (R^T R)^-1 g / 2d off the objective
+            if (
+                grad_norm <= grad_tol
+                and np.array_equal(flagged, previous)
+                and (len(trace) > 1 or np.square(R_inv.T @ g).sum() <= 2e-12 * d * trace[-1])
+            ):
+                stop_reason = "tol"
+                break
+            if len(trace) == config.max_iter:
+                break
+        rows = no_rows
+        if flagged.size and not np.array_equal(flagged, refused):
+            rows = A.take(flagged, axis=0)
+        step, inlier = _gram_step(R_inv, g, rows)
+        current = objective_at(c + step)
+        if inlier and not current <= trace[-1]:  # NaN is refused too
+            refused = flagged
+            step, _ = _gram_step(R_inv, g, no_rows)
+            current = objective_at(c + step)
+        c = c + step
+        trace.append(current)
         g = A.T @ r
         grad_norm = float(np.abs(g).max()) / d
-        current = float(r @ r / (2.0 * d) + config.lam * np.abs(e).sum())
-        trace.append(current)
-        # the objective flattens out quadratically in the gradient, so
-        # polish until the pair is first-order stationary as well
-        if (
-            math.isfinite(prev)
-            and abs(prev - current) <= config.tol * max(abs(prev), 1e-12)
-            and grad_norm <= grad_tol
-        ):
-            stop_reason = "tol"
-            break
-        prev = current
+        previous, flagged = flagged, np.flatnonzero(e != 0.0)
     return LassoSolution(
         c_hat=c,
         e_hat=e,
@@ -379,29 +446,6 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         stop_reason=stop_reason,
         grad_norm=grad_norm,
     )
-
-
-def kkt_residuals(
-    v: np.ndarray, A: np.ndarray, solution: LassoSolution, lam: float
-) -> tuple[float, float]:
-    """First-order optimality residuals at a candidate solution.
-
-    Returns the infinity norm of the smooth gradient in ``c`` and the
-    largest violation of the subgradient condition for ``e`` (distance of
-    ``r_i = (v - Ac - e)_i / d`` from ``lam * sign(e_i)`` on the active
-    set, and the excess of ``|r_i|`` over ``lam`` off it).
-    """
-    d = A.shape[0]
-    r = v - A @ solution.c_hat - solution.e_hat
-    grad_c = float(np.abs(A.T @ r).max()) / d
-    r = r / d
-    active = solution.e_hat != 0.0
-    sub = 0.0
-    if active.any():
-        sub = float(np.abs(r[active] - lam * np.sign(solution.e_hat[active])).max())
-    if (~active).any():
-        sub = max(sub, float(np.maximum(np.abs(r[~active]) - lam, 0.0).max()))
-    return grad_c, sub
 
 
 # ----------------------------------------------------------------------
@@ -426,13 +470,14 @@ def oracle_lambda(instance: RecoveryInstance, stats: NonlinearityStats) -> float
 def agnostic_lambda(d: int, sigma: float, delta: float) -> float:
     """Penalty rule using only the noise moments, not the realisation.
 
-    ``ValueError`` names a ``sigma`` or ``delta`` that is negative or not
-    finite, and rejects a penalty of 0, which no solve accepts: a bias far
-    enough below 0 makes the rectifier's output, and so ``sigma``, 0 in
-    floating point.
+    ``ValueError`` names a sample size ``d`` that is not an integer of at
+    least 1, a ``sigma`` or ``delta`` that is negative or not finite, and
+    rejects a penalty of 0, which no solve accepts: a bias far enough below
+    0 makes the rectifier's output, and so ``sigma``, 0 in floating point.
     """
-    if d < 1:
-        raise ValueError(f"sample size must be positive, got {d}")
+    # bool is an int subclass, but True is no sample size
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"sample size d must be an integer of at least 1, got {d!r}")
     _check_nonnegative(sigma=sigma, delta=delta)
     lam = 4.0 * (sigma * math.sqrt(2.0 * math.log(2.0 * d)) + delta) / d
     if lam == 0.0:

@@ -1,9 +1,12 @@
-"""Reference forms of the robust lasso's e-step and objective, of the Gaussian-bias moments,
-and of the restricted cone.
+"""Reference forms of the robust lasso's e-step, objective and first-order conditions, of the
+Gaussian-bias moments, and of the restricted cone.
 
 ``solve_robust_lasso`` clips the residual and sums the objective inline.
 These direct transcriptions of the definitions drive the tests' reference
 solver loop and their checks that a solution is a local minimum.
+:func:`kkt_residuals` writes out both first-order conditions; on the
+solver's own output its ``e``-part is 0 by construction and its ``c``-part
+is ``LassoSolution.grad_norm``.
 ``make_nonlinearity_stats`` gives the moments under a Gaussian bias law in
 closed form; :func:`gaussian_bias_moments` integrates the constant-offset
 forms over the law instead.  :func:`in_restricted_cone` writes out the
@@ -62,6 +65,27 @@ def lasso_objective(v: np.ndarray, A: np.ndarray, c: np.ndarray, e: np.ndarray, 
         )
     r = v - A @ c - e
     return float(r @ r / (2.0 * d) + lam * np.abs(e).sum())
+
+
+def kkt_residuals(v: np.ndarray, A: np.ndarray, solution, lam: float) -> tuple[float, float]:
+    """First-order optimality residuals at a candidate solution.
+
+    Returns the infinity norm of the smooth gradient in ``c`` and the
+    largest violation of the subgradient condition for ``e`` (distance of
+    ``r_i = (v - Ac - e)_i / d`` from ``lam * sign(e_i)`` on the active
+    set, and the excess of ``|r_i|`` over ``lam`` off it).
+    """
+    d = A.shape[0]
+    r = v - A @ solution.c_hat - solution.e_hat
+    grad_c = float(np.abs(A.T @ r).max()) / d
+    r = r / d
+    active = solution.e_hat != 0.0
+    sub = 0.0
+    if active.any():
+        sub = float(np.abs(r[active] - lam * np.sign(solution.e_hat[active])).max())
+    if (~active).any():
+        sub = max(sub, float(np.maximum(np.abs(r[~active]) - lam, 0.0).max()))
+    return grad_c, sub
 
 
 def in_restricted_cone(

@@ -26,7 +26,6 @@ from relurec.generate import generate_recovery_instance, generate_representation
 from relurec.lasso import (
     LassoConfig,
     check_restricted_lower_bound,
-    kkt_residuals,
     make_nonlinearity_stats,
     oracle_lambda,
     recovery_error_and_bound,
@@ -40,7 +39,7 @@ from relurec.replearn import (
 )
 from relurec.subspace import subspace_distances, truncated_svd
 
-from lasso_oracles import lasso_objective
+from lasso_oracles import kkt_residuals, lasso_objective
 from rectifier_sampling import sampled_moments
 from subspace_oracles import alignment_error_bound
 

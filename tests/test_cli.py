@@ -243,16 +243,25 @@ class TestRecover:
         [
             ("--lambda", "inf", "argument --lambda: must be positive and finite, got inf"),
             ("--lambda", "foo", "argument --lambda: could not convert string to float: 'foo'"),
-            ("--tol", "inf", "argument --tol: must be positive and finite, got inf"),
             ("--max-iter", "0", "argument --max-iter: must be at least 1, got 0"),
         ],
-        ids=["lambda-inf", "lambda-foo", "tol-inf", "max-iter-0"],
+        ids=["lambda-inf", "lambda-foo", "max-iter-0"],
     )
     def test_bad_solver_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
         inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
         assert run(["recover", "--input", inst, "--out", out, flag, value]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}\nusage: relurec")
+        assert not out.exists()
+
+    def test_tolerance_flag_is_gone(self, tmp_path, capsys):
+        # the solver stops once it is stationary; --max-iter is its only knob
+        inst = make_vector_instance(tmp_path)
+        out = tmp_path / "fit"
+        assert run(["recover", "--input", inst, "--out", out, "--tol", "1e-9"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unrecognized arguments: --tol 1e-9\nusage: relurec"
+        )
         assert not out.exists()
 
     def test_zero_agnostic_penalty_is_usage_error(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for the synthetic instance generators and their on-disk format."""
 
 import math
+import re
 import tempfile
 from dataclasses import fields
 
@@ -195,6 +196,28 @@ class TestRecoveryInstance:
         # the one check of s and delta behind recovery and diagnostics cells and `gen`
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate_recovery_instance(40, 2, s, delta, 5.0, bias=0.0, seed=0)
+
+    @pytest.mark.parametrize(
+        "d, k, s, message",
+        [
+            (20.0, 2, 2, "d must be an integer, got 20.0"),
+            (20, 2.0, 2, "k must be an integer, got 2.0"),
+            (20, 2, True, "s must be an integer, got True"),
+            (True, 2, 0, "d must be an integer, got True"),
+        ],
+        ids=["d-float", "k-float", "s-true", "d-true"],
+    )
+    def test_dimension_that_is_no_integer_is_named(self, d, k, s, message):
+        # numpy once raised an unnamed TypeError on these, or took True as 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_recovery_instance(d, k, s, 0.0, 5.0, bias=0.0, seed=0)
+
+    @pytest.mark.parametrize("bias", [True, False, "0.0"], ids=["true", "false", "string"])
+    def test_constant_bias_that_is_no_real_number_is_named(self, bias):
+        # True was taken as the offset 1.0 and recorded as const:value=1.0
+        message = f"^constant bias must be a real number, got {re.escape(repr(bias))}$"
+        with pytest.raises(ValueError, match=message):
+            generate_recovery_instance(20, 2, 2, 0.0, 5.0, bias, 0)
 
     # a NaN delta once gave noiseless w = 0 while recording delta = nan, an
     # infinite one an OverflowError, and the others a non-finite v

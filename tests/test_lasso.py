@@ -29,7 +29,6 @@ from relurec.lasso import (
     RankDeficiencyError,
     agnostic_lambda,
     check_restricted_lower_bound,
-    kkt_residuals,
     make_nonlinearity_stats,
     oracle_lambda,
     recovery_error_and_bound,
@@ -38,7 +37,9 @@ from relurec.lasso import (
 )
 from relurec.lasso import _cone_pairs, _offset_rule, _residual_moments, _tail_nodes
 
-from lasso_oracles import gaussian_bias_moments, in_restricted_cone, lasso_objective, soft_threshold
+from lasso_oracles import (
+    gaussian_bias_moments, in_restricted_cone, kkt_residuals, lasso_objective, soft_threshold,
+)
 from rectifier_sampling import sampled_moments
 
 
@@ -221,6 +222,13 @@ class TestMomentsAtExtremeOffsets:
         message = f"the quadrature masses of bias law {bias_spec_to_config(law)} sum to {total}, not 1"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make_nonlinearity_stats(law)
+
+    @pytest.mark.parametrize("b0", [True, False, "0.5"], ids=["true", "false", "string"])
+    def test_constant_offset_that_is_no_real_number_is_named(self, b0):
+        # True was taken as the offset 1.0
+        message = f"^constant bias value must be a real number, got {re.escape(repr(b0))}$"
+        with pytest.raises(ValueError, match=message):
+            make_nonlinearity_stats(b0)
 
     @pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
     def test_non_finite_constant_offset_is_named(self, b0):
@@ -459,6 +467,45 @@ class TestSolver:
         assert sol.stop_reason == "max_iter"
         assert not sol.converged
 
+    def test_nothing_flagged_stops_after_one_step_at_least_squares(self):
+        # no residual reaches the threshold d * lam = 200, so the least-squares fit is the minimum
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((200, 5))
+        v = A @ rng.standard_normal(5) + 0.1 * rng.standard_normal(200)
+        sol = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+        assert sol.iterations == 1 and sol.converged
+        assert not sol.e_hat.any()
+        c_ls = np.linalg.lstsq(A, v, rcond=None)[0]
+        np.testing.assert_allclose(sol.c_hat, c_ls, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constant_bias_instance_takes_at_most_three_steps(self, seed):
+        # the alternating sweeps took 4 or 5 here; steps on the unflagged rows land on the
+        # minimum once the flagged rows stop changing
+        inst = generate_recovery_instance(4000, 10, 80, 0.01, 5.0, bias=0.0, seed=seed)
+        lam = oracle_lambda(inst, make_nonlinearity_stats(0.0))
+        sol = solve_robust_lasso(inst.v, inst.A, LassoConfig(lam=lam))
+        assert sol.converged
+        assert sol.iterations <= 3
+        assert np.count_nonzero(sol.e_hat) > 0
+
+    def test_ill_conditioned_first_step_takes_one_more_step(self):
+        # at condition number 1e9 the first step from c = 0 is stationary, yet its seminormal
+        # error leaves the objective 2e-10 (relative) above the minimum; one more step removes it
+        rng = np.random.default_rng(0)
+        d, k = 32771, 2
+        U = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        A = (U * (math.sqrt(d) * np.array([1.0, 1e-9]))) @ V.T
+        v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
+        sol = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+        assert sol.iterations == 2 and sol.converged
+        assert not sol.e_hat.any()
+        c_ls = np.linalg.lstsq(A, v, rcond=None)[0]
+        minimum = lasso_objective(v, A, c_ls, np.zeros(d), 1.0)
+        assert sol.objective_trace[0] > minimum * (1.0 + 1e-10)
+        assert sol.objective_trace[-1] <= minimum * (1.0 + 1e-11)
+
     def test_stop_reason_and_gradient_norm(self):
         rng = np.random.default_rng(6)
         for lam in (1e-3, 1e-2, 1e-1):
@@ -484,10 +531,12 @@ class TestSolver:
         with pytest.raises(ValueError, match=r"^lam must be positive and finite, got (inf|nan)$"):
             LassoConfig(lam=lam)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_non_finite_tolerance_is_named(self, tol):
-        with pytest.raises(ValueError, match=r"^tol must be positive and finite, got (inf|nan)$"):
-            LassoConfig(lam=1.0, tol=tol)
+    @pytest.mark.parametrize("lam", [True, "0.1", None], ids=["true", "string", "none"])
+    def test_penalty_that_is_no_real_number_is_named(self, lam):
+        # True was taken as lam = 1
+        message = f"^lam must be a real number, got {re.escape(repr(lam))}$"
+        with pytest.raises(ValueError, match=message):
+            LassoConfig(lam=lam)
 
     def test_fractional_budget_is_named(self):
         with pytest.raises(ValueError, match=r"^max_iter must be an integer, got 1\.5$"):
@@ -550,6 +599,15 @@ class TestPenaltyRules:
         # 4 (0.5 sqrt(2 log 2000) + 0.01) / 1000
         expected = 4.0 * (0.5 * math.sqrt(2.0 * math.log(2000.0)) + 0.01) / 1000.0
         assert agnostic_lambda(1000, 0.5, 0.01) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "d", [True, 2.5, 0, -3, 1000.0], ids=["true", "fraction", "zero", "negative", "float"]
+    )
+    def test_agnostic_rule_names_a_sample_size_that_is_no_count(self, d):
+        # True and 2.5 once gave a penalty
+        message = f"^sample size d must be an integer of at least 1, got {d!r}$"
+        with pytest.raises(ValueError, match=message):
+            agnostic_lambda(d, 1.0, 0.0)
 
     @pytest.mark.parametrize(
         "sigma, delta, message",

@@ -1,17 +1,17 @@
-"""The R-only robust lasso solver against the QR loop it replaced.
+"""The robust lasso solver against a plain alternating-minimisation loop.
 
-``solve_robust_lasso`` never forms ``Q``: each ``c``-step corrects the
-previous ``c`` by ``R^-1 R^-T A^T r`` from the residual of the last sweep.
-The loop below is the earlier implementation, kept here as a reference
-oracle: each sweep solves ``R c = Q^T (v - e)`` afresh from the reduced QR.
-In exact arithmetic both produce the same iterates, so on random designs
-with condition number up to 1e6 the solver must stop after the same number
-of sweeps with the same verdict, and its ``c_hat`` must agree to rounding
-amplified by the condition number.  Independently of the oracle, the
-objective trace must never rise and the KKT conditions must hold at
-convergence.  Designs taller than one row block (condition number up to
-1e9) take ``R`` from the blocked factor, which must agree with one
-Householder QR of the whole design and keep the solver on the oracle.
+``solve_robust_lasso`` steps ``c`` with the Gram of the rows it did not
+flag as outliers, and falls back to the Gram of all rows where that step
+would raise the objective.  The loop below is exact alternating
+minimisation with the reduced QR, the solver's earlier form, kept here as
+a reference oracle: each sweep solves ``R c = Q^T (v - e)`` afresh.  The
+two take different paths to the same minimum, so the oracles are on the
+solution: the objective trace never rises, the KKT conditions hold at
+convergence, the solver converges whenever the loop does within the same
+budget, and then its objective is at most that of the loop run to
+convergence, plus rounding.  Designs taller than one row block (condition
+number up to 1e9) take ``R`` from the blocked factor, which must agree
+with one Householder QR of the whole design.
 """
 
 import math
@@ -22,36 +22,36 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from relurec.lasso import (
-    LassoConfig,
-    RankDeficiencyError,
-    _triangular_factor,
-    kkt_residuals,
-    solve_robust_lasso,
-)
+from relurec.lasso import LassoConfig, RankDeficiencyError, _triangular_factor, solve_robust_lasso
 
-from lasso_oracles import lasso_objective, soft_threshold
+from lasso_oracles import kkt_residuals, lasso_objective, soft_threshold
 
 # ----------------------------------------------------------------------
 # reference loop
 # ----------------------------------------------------------------------
 
 
-def qr_loop(v, A, config):
-    """Alternating minimisation with the reduced QR: ``c = R^-1 Q^T (v - e)`` each sweep."""
+def qr_loop(v, A, lam, max_iter, tol=1e-10):
+    """Alternating minimisation with the reduced QR: ``c = R^-1 Q^T (v - e)`` each sweep.
+
+    Stops once the objective changes by at most ``tol`` relative and the
+    gradient in ``c`` is at most ``1e-8 max(1, ||v||_inf)``, or after
+    ``max_iter`` sweeps; returns ``c``, ``e``, the objective trace and
+    whether it stopped by the first rule.
+    """
     d, _ = A.shape
     Q, R = np.linalg.qr(A)
     e = np.zeros(d)
-    threshold = d * config.lam
+    threshold = d * lam
     trace = []
     converged = False
     prev = math.inf
-    for _ in range(config.max_iter):
+    for _ in range(max_iter):
         c = solve_triangular(R, Q.T @ (v - e))
         e = soft_threshold(v - A @ c, threshold)
-        current = lasso_objective(v, A, c, e, config.lam)
+        current = lasso_objective(v, A, c, e, lam)
         trace.append(current)
-        if math.isfinite(prev) and abs(prev - current) <= config.tol * max(abs(prev), 1e-12):
+        if math.isfinite(prev) and abs(prev - current) <= tol * max(abs(prev), 1e-12):
             r = (v - A @ c - e) / d
             grad = float(np.abs(A.T @ r).max())
             if grad <= 1e-8 * max(1.0, float(np.abs(v).max())):
@@ -59,6 +59,10 @@ def qr_loop(v, A, config):
                 break
         prev = current
     return c, e, np.asarray(trace), converged
+
+
+# the loop's budget when it stands for the minimum: ten times the solver's
+REFERENCE_SWEEPS = 10 * LassoConfig.max_iter
 
 
 # ----------------------------------------------------------------------
@@ -116,22 +120,33 @@ def tall_problems(draw):
 # ----------------------------------------------------------------------
 
 
+def assert_reaches_the_qr_loop_minimum(v, A, config, sol):
+    """The solver converges where the loop does within the same budget, and then to no higher
+    an objective than the loop run to convergence, plus 1e-10 relative."""
+    _, _, trace, converged = qr_loop(v, A, config.lam, config.max_iter)
+    assert sol.converged or not converged
+    if not converged:
+        _, _, trace, _ = qr_loop(v, A, config.lam, REFERENCE_SWEEPS)
+    if sol.converged:
+        reference = float(trace[-1])
+        assert sol.objective_trace[-1] <= reference + 1e-10 * abs(reference)
+
+
 @given(problems())
-def test_same_sweeps_and_verdict_as_qr_loop(problem):
+def test_reaches_the_qr_loop_minimum(problem):
     v, A, config, _ = problem
     sol = solve_robust_lasso(v, A, config)
-    _, _, trace, converged = qr_loop(v, A, config)
-    assert sol.iterations == trace.size
-    assert sol.converged == converged
+    assert sol.iterations == sol.objective_trace.size <= config.max_iter
+    assert_reaches_the_qr_loop_minimum(v, A, config, sol)
 
 
 @given(problems())
-def test_c_hat_matches_qr_loop(problem):
-    v, A, config, kappa = problem
+def test_e_hat_is_the_soft_threshold_of_the_residual(problem):
+    # the e-step is exact, so grad_norm is the whole first-order residual
+    v, A, config, _ = problem
     sol = solve_robust_lasso(v, A, config)
-    c_ref, _, _, _ = qr_loop(v, A, config)
-    tol = 1e-12 * kappa * (1.0 + float(np.abs(c_ref).max()))
-    assert float(np.abs(sol.c_hat - c_ref).max()) <= tol
+    threshold = A.shape[0] * config.lam
+    np.testing.assert_array_equal(sol.e_hat, soft_threshold(v - A @ sol.c_hat, threshold))
 
 
 @given(problems())
@@ -171,14 +186,16 @@ def test_blocked_factor_matches_one_householder_qr(problem):
 
 
 @given(tall_problems())
-def test_tall_designs_match_qr_loop(problem):
-    v, A, config, kappa = problem
+def test_tall_designs_reach_the_qr_loop_minimum(problem):
+    v, A, config, _ = problem
     sol = solve_robust_lasso(v, A, config)
-    c_ref, _, trace, converged = qr_loop(v, A, config)
-    assert sol.iterations == trace.size
-    assert sol.converged == converged
-    tol = 1e-12 * kappa * (1.0 + float(np.abs(c_ref).max()))
-    assert float(np.abs(sol.c_hat - c_ref).max()) <= tol
+    trace = sol.objective_trace
+    assert (np.diff(trace) <= 1e-12 * np.abs(trace[:-1])).all()
+    if sol.converged:
+        grad_c, sub_e = kkt_residuals(v, A, sol, config.lam)
+        assert grad_c <= 1e-6
+        assert sub_e <= 1e-6
+    assert_reaches_the_qr_loop_minimum(v, A, config, sol)
 
 
 def test_tall_duplicated_column_is_rank_deficient():
