@@ -238,13 +238,15 @@ class LassoSolution:
     ``stop_reason`` is ``"tol"`` when the last step left the flagged rows
     (the nonzero entries of ``e_hat``) as the step before it had left them
     and the pair was stationary: ``grad_norm`` at most
-    ``1e-8 max(1, ||v||_inf)``; a solve that stops at its first step also
-    needs the next step's decrease to be at most 1e-12 of the objective
-    (see :func:`solve_robust_lasso`).  It is ``"max_iter"`` when the step budget
-    ran out first.  ``iterations`` counts the steps taken, one entry of
-    ``objective_trace`` each.  ``grad_norm`` is ``||A^T r||_inf / d`` at
-    the returned pair, with ``r = v - A c_hat - e_hat``; the ``e``-step is
-    exact, so it is the whole first-order residual.
+    ``1e-8 max(1, ||v||_inf)``; a stop after the first step, or after a
+    sweep of alternating minimisation, also needs the next sweep to take at
+    most 1e-12 of the objective, and after the first step to move ``c`` by
+    at most ``1e-12 (1 + ||c||_inf)`` (see :func:`solve_robust_lasso`).
+    It is ``"max_iter"`` when the step budget ran out first.
+    ``iterations`` counts the steps taken, one entry of ``objective_trace``
+    each.  ``grad_norm`` is ``||A^T r||_inf / d`` at the returned pair, with
+    ``r = v - A c_hat - e_hat``; the ``e``-step is exact, so it is the whole
+    first-order residual.
     """
 
     c_hat: np.ndarray
@@ -363,13 +365,18 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
 
     A step is stationary when it leaves the same rows flagged as the step
     before it and ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``.
-    The solve stops with ``stop_reason="tol"`` after a stationary step,
-    but after the first one only if the next step would lower the objective
-    by at most 1e-12 of it: the first step, from ``c = 0``, solves the
-    seminormal equations, whose error on an ill-conditioned design can
-    leave a stationary pair off the minimum.  Otherwise it stops with
-    ``"max_iter"`` after ``config.max_iter`` steps.  ``u``, ``e`` and ``r``
-    live in three ``d``-vectors allocated once per solve.
+    The solve stops with ``stop_reason="tol"`` after a stationary Newton
+    step.  After the first step, or after a sweep of alternating
+    minimisation on flagged rows, it stops only if, besides, the next sweep
+    would lower the objective by at most 1e-12 of it: sweeps that crawl
+    along a nearly flat valley of the Huber loss shrink the gradient long
+    before the objective stops falling.  The first step, from ``c = 0``,
+    solves the seminormal equations, whose error on an ill-conditioned
+    design grows with the square of its condition number; it stops only if
+    the next step, one step of refinement, would also move no entry of
+    ``c`` by more than ``1e-12 (1 + ||c||_inf)``.  Otherwise it
+    stops with ``"max_iter"`` after ``config.max_iter`` steps.  ``u``,
+    ``e`` and ``r`` live in three ``d``-vectors allocated once per solve.
 
     Raises
     ------
@@ -412,13 +419,15 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     stop_reason = "max_iter"
     while True:
         if trace:
-            # a stationary first step flags no row, and the next step would still take
-            # g^T (R^T R)^-1 g / 2d off the objective
-            if (
-                grad_norm <= grad_tol
-                and np.array_equal(flagged, previous)
-                and (len(trace) > 1 or np.square(R_inv.T @ g).sum() <= 2e-12 * d * trace[-1])
-            ):
+            stationary = grad_norm <= grad_tol and np.array_equal(flagged, previous)
+            if stationary and not newton:
+                # the next sweep would move c by R^-1 y and take ||y||^2 / 2d off the
+                # objective, with y = R^-T g
+                y = R_inv.T @ g
+                stationary = y @ y <= 2e-12 * d * trace[-1] and (
+                    len(trace) > 1 or np.abs(R_inv @ y).max() <= 1e-12 * (1.0 + np.abs(c).max())
+                )
+            if stationary:
                 stop_reason = "tol"
                 break
             if len(trace) == config.max_iter:
@@ -430,8 +439,10 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         current = objective_at(c + step)
         if inlier and not current <= trace[-1]:  # NaN is refused too
             refused = flagged
-            step, _ = _gram_step(R_inv, g, no_rows)
+            step, inlier = _gram_step(R_inv, g, no_rows)
             current = objective_at(c + step)
+        # H was the Gram of the unflagged rows, and the step not the first one, from c = 0
+        newton = inlier or (not flagged.size and bool(trace))
         c = c + step
         trace.append(current)
         g = A.T @ r

@@ -506,6 +506,22 @@ class TestSolver:
         assert sol.objective_trace[0] > minimum * (1.0 + 1e-10)
         assert sol.objective_trace[-1] <= minimum * (1.0 + 1e-11)
 
+    def test_ill_conditioned_first_step_is_refined_to_least_squares(self):
+        # at condition number 1e6 the first step from c = 0 is stationary and the next step
+        # would take less than 1e-12 of the objective, yet the seminormal error leaves c 1.3e-6
+        # (relative) off least squares; one step of refinement brings it to 1.3e-9
+        rng = np.random.default_rng(2)
+        d, k, kappa = 2000, 2, 1e6
+        U = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        A = (U * (math.sqrt(d) * np.array([1.0, 1.0 / kappa]))) @ V.T
+        v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
+        sol = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+        assert sol.iterations == 2 and sol.converged
+        assert not sol.e_hat.any()
+        c_ls = np.linalg.lstsq(A, v, rcond=None)[0]
+        assert np.abs(sol.c_hat - c_ls).max() <= 1e-13 * kappa * (1.0 + np.abs(c_ls).max())
+
     def test_stop_reason_and_gradient_norm(self):
         rng = np.random.default_rng(6)
         for lam in (1e-3, 1e-2, 1e-1):

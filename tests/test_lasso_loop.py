@@ -9,9 +9,11 @@ two take different paths to the same minimum, so the oracles are on the
 solution: the objective trace never rises, the KKT conditions hold at
 convergence, the solver converges whenever the loop does within the same
 budget, and then its objective is at most that of the loop run to
-convergence, plus rounding.  Designs taller than one row block (condition
-number up to 1e9) take ``R`` from the blocked factor, which must agree
-with one Householder QR of the whole design.
+convergence, plus rounding, and its ``c_hat`` is the minimiser that the
+loop's last point certifies, to rounding amplified by the condition
+number.  Designs taller than one row block (condition number up to 1e9)
+take ``R`` from the blocked factor, which must agree with one Householder
+QR of the whole design.
 """
 
 import math
@@ -120,24 +122,70 @@ def tall_problems(draw):
 # ----------------------------------------------------------------------
 
 
-def assert_reaches_the_qr_loop_minimum(v, A, config, sol):
-    """The solver converges where the loop does within the same budget, and then to no higher
-    an objective than the loop run to convergence, plus 1e-10 relative."""
+def assert_same_verdict_as_qr_loop(v, A, config, sol):
+    """Within the loop's own budget the solver takes at most ``max_iter`` steps, one trace entry
+    each, and converges wherever the loop converges."""
     _, _, trace, converged = qr_loop(v, A, config.lam, config.max_iter)
+    assert sol.iterations == sol.objective_trace.size <= config.max_iter
     assert sol.converged or not converged
-    if not converged:
-        _, _, trace, _ = qr_loop(v, A, config.lam, REFERENCE_SWEEPS)
-    if sol.converged:
-        reference = float(trace[-1])
-        assert sol.objective_trace[-1] <= reference + 1e-10 * abs(reference)
+
+
+def certified_minimiser(v, A, lam, c):
+    """The minimiser on the Huber piece of ``c`` with the condition number of its rows, or None.
+
+    With ``I`` the rows whose residual at ``c`` lies inside the clip ``T = d lam`` and ``s``
+    the signs of the others (``O``), the objective on that piece is stationary at
+    ``c* = (A_I^T A_I)^-1 (A_I^T v_I + T A_O^T s)``, solved here with a QR of ``A_I``.  When
+    the residuals at ``c*`` keep the pattern of those at ``c``, ``c*`` meets the first-order
+    conditions exactly, so it is the minimum.  None when ``A_I`` lacks full rank or the
+    pattern breaks.
+    """
+    d, k = A.shape
+    threshold = d * lam
+    r = v - A @ c
+    inside = np.abs(r) < threshold
+    signs = np.sign(r[~inside])
+    if inside.sum() < k:
+        return None
+    Q, R = np.linalg.qr(A[inside])
+    sigma = np.linalg.svd(R, compute_uv=False)
+    if sigma[-1] <= 1e-10 * sigma[0]:
+        return None
+    pull = threshold * (A[~inside].T @ signs)
+    c_star = solve_triangular(R, Q.T @ v[inside] + solve_triangular(R, pull, trans="T"))
+    r_star = v - A @ c_star
+    keeps = (np.abs(r_star[inside]) <= threshold).all() and (
+        (np.sign(r_star[~inside]) == signs).all() and (np.abs(r_star[~inside]) >= threshold).all()
+    )
+    return (c_star, sigma[0] / sigma[-1]) if keeps else None
+
+
+def assert_reaches_the_qr_loop_minimum(v, A, config, sol):
+    """A converged solve ends at no higher an objective than the loop run to convergence, plus
+    1e-10 relative, and its ``c_hat`` is the minimiser that the loop's last point certifies,
+    to rounding amplified by the condition number of the unflagged rows."""
+    if not sol.converged:
+        return
+    c_ref, _, trace, converged = qr_loop(v, A, config.lam, REFERENCE_SWEEPS)
+    reference = float(trace[-1])
+    assert sol.objective_trace[-1] <= reference + 1e-10 * abs(reference)
+    certified = certified_minimiser(v, A, config.lam, c_ref) if converged else None
+    if certified is not None:
+        c_star, kappa = certified
+        tol = 1e-12 * kappa * (1.0 + float(np.abs(c_star).max()))
+        assert float(np.abs(sol.c_hat - c_star).max()) <= tol
 
 
 @given(problems())
-def test_reaches_the_qr_loop_minimum(problem):
+def test_same_sweeps_and_verdict_as_qr_loop(problem):
     v, A, config, _ = problem
-    sol = solve_robust_lasso(v, A, config)
-    assert sol.iterations == sol.objective_trace.size <= config.max_iter
-    assert_reaches_the_qr_loop_minimum(v, A, config, sol)
+    assert_same_verdict_as_qr_loop(v, A, config, solve_robust_lasso(v, A, config))
+
+
+@given(problems())
+def test_c_hat_matches_qr_loop(problem):
+    v, A, config, _ = problem
+    assert_reaches_the_qr_loop_minimum(v, A, config, solve_robust_lasso(v, A, config))
 
 
 @given(problems())
@@ -164,6 +212,20 @@ def test_kkt_holds_at_convergence(problem):
         grad_c, sub_e = kkt_residuals(v, A, sol, config.lam)
         assert grad_c <= 1e-6
         assert sub_e <= 1e-6
+
+
+def test_sweeps_down_a_flat_valley_do_not_stop_above_its_floor():
+    # at lam = 1e-4 the solve ends on sweeps of alternating minimisation on this
+    # design (condition number 1e5), which shrink the gradient below the stopping
+    # rule long before the objective stops falling
+    rng = np.random.default_rng(191)
+    A, _ = design(rng, 22, 2, 1e5)
+    v = A @ rng.standard_normal(2) + 0.1 * rng.standard_normal(22)
+    config = LassoConfig(lam=1e-4)
+    sol = solve_robust_lasso(v, A, config)
+    _, _, trace, converged = qr_loop(v, A, config.lam, config.max_iter)
+    assert converged and sol.converged
+    assert sol.objective_trace[-1] <= trace[-1] + 1e-10 * trace[-1]
 
 
 # ----------------------------------------------------------------------
@@ -195,6 +257,7 @@ def test_tall_designs_reach_the_qr_loop_minimum(problem):
         grad_c, sub_e = kkt_residuals(v, A, sol, config.lam)
         assert grad_c <= 1e-6
         assert sub_e <= 1e-6
+    assert_same_verdict_as_qr_loop(v, A, config, sol)
     assert_reaches_the_qr_loop_minimum(v, A, config, sol)
 
 
