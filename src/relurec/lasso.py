@@ -20,13 +20,13 @@ full rank, ``H`` is ``A^T A`` and the step is one sweep of exact
 alternating minimisation; so the objective never increases.  The step
 needs only the triangular factor ``R`` of a QR of ``A`` (``Q`` is never
 formed): ``H = R^T (I - B B^T) R`` with ``B = R^-T A_O^T`` for the flagged
-rows ``A_O``, so the condition number of ``A`` is never squared.  ``R``
-comes from a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664): for ``k <= 90`` a Householder QR of each block of
-``32768 // k`` rows (at most 256 KiB of ``A``), then one more of the
-stacked ``k x k`` factors.  It is as backward stable as one Householder
-QR of ``A``, and a design that fits in one block gets exactly that QR, as
-does every design with more than 90 columns.
+rows ``A_O``.  Where ``A`` has a condition number ``kappa`` of at most 1e2,
+``R`` is the Cholesky factor of ``A^T A``, one pass over ``A``, whose
+relative error is about ``kappa^2 u`` (CholeskyQR; Fukaya, Kannan,
+Nakatsukasa, Yamamoto & Yanagisawa, arXiv:1809.11085).  Otherwise it comes
+from a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
+arXiv:0808.2664), as backward stable as one Householder QR of ``A``, so
+the condition number of ``A`` is never squared.
 
 The module also provides the rectifier's moments, penalty-level rules, the
 recovery error with its rate bound (leading constant 1), and a search of the
@@ -235,14 +235,12 @@ class LassoConfig:
 class LassoSolution:
     """A solver result and why the solver stopped.
 
-    ``stop_reason`` is ``"tol"`` when the last step left the flagged rows
-    (the nonzero entries of ``e_hat``) as the step before it had left them
-    and the pair was stationary: ``grad_norm`` at most
-    ``1e-8 max(1, ||v||_inf)``; a stop after the first step, or after a
-    sweep of alternating minimisation, also needs the next sweep to take at
-    most 1e-12 of the objective, and after the first step to move ``c`` by
-    at most ``1e-12 (1 + ||c||_inf)`` (see :func:`solve_robust_lasso`).
-    It is ``"max_iter"`` when the step budget ran out first.
+    ``stop_reason`` is ``"tol"`` when the solve stopped at a stationary
+    pair: the flagged rows (the nonzero entries of ``e_hat``) as the step
+    before had left them, ``grad_norm`` at most ``1e-8 max(1, ||v||_inf)
+    max(1, s_max / sqrt(d))`` with ``s_max`` the largest singular value of
+    ``A``, and the further tests of :func:`solve_robust_lasso`.  It is
+    ``"max_iter"`` when the step budget ran out first.
     ``iterations`` counts the steps taken, one entry of ``objective_trace``
     each.  ``grad_norm`` is ``||A^T r||_inf / d`` at the returned pair, with
     ``r = v - A c_hat - e_hat``; the ``e``-step is exact, so it is the whole
@@ -281,8 +279,8 @@ def _check_nonnegative(**values: float) -> None:
             raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
-def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
-    """``v`` and ``A`` as float arrays, or a ``ValueError`` naming the bad argument."""
+def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``v``, ``A`` and the Gram ``A^T A``, or a ``ValueError`` naming the bad argument."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"A must be a 2-D design matrix, got shape {A.shape}")
@@ -292,14 +290,16 @@ def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray]:
     if v.shape != (A.shape[0],):
         raise ValueError(f"v must be 1-D of length {A.shape[0]} (the rows of A), got shape {v.shape}")
     _check_finite("v", v)
-    _check_finite("A", A)
-    with np.errstate(over="ignore"):
-        square = float(v @ v)
+    with np.errstate(all="ignore"):  # A^T A of a finite A may overflow or underflow, v^T v too
+        G, square = A.T @ A, float(v @ v)
+    # a column's sum of squares is finite only if each of its entries is, so scan A only then
+    if not np.isfinite(G.diagonal()).all():
+        _check_finite("A", A)
     if square == math.inf:  # the objective's squared residual would overflow as well
         raise ValueError(
             f"v is too large: its sum of squares overflows (largest entry {np.abs(v).max():.6g})"
         )
-    return v, A
+    return v, A, G
 
 
 def _triangular_factor(A: np.ndarray) -> np.ndarray:
@@ -323,6 +323,26 @@ def _triangular_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.vstack(blocks), mode="r")
 
 
+# The Cholesky factor of A^T A is R up to row signs with a relative error near kappa^2 u, which
+# c_hat inherits: up to 0.12 of the tests' 1e-12 kappa oracle at this kappa, 1.1 at kappa = 1e3
+_GRAM_MAX_CONDITION = 1e2
+
+
+def _factor_and_singular_values(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``R`` of ``A = QR`` and its singular values, those of ``A``: the Cholesky factor of ``G =
+    A^T A`` if they are finite, above the rank threshold 1e-10 (below it ``G`` may underflow)
+    and within ``_GRAM_MAX_CONDITION`` of each other, else :func:`_triangular_factor`."""
+    try:
+        R = np.linalg.cholesky(G).T
+        s = np.linalg.svd(R, compute_uv=False)
+        if np.isfinite(s).all() and 1e-10 < s[-1] and s[0] <= _GRAM_MAX_CONDITION * s[-1]:
+            return R, s
+    except np.linalg.LinAlgError:  # G is not numerically positive definite
+        pass
+    R = _triangular_factor(A)
+    return R, np.linalg.svd(R, compute_uv=False)
+
+
 def _gram_step(
     R_inv: np.ndarray, g: np.ndarray, flagged_rows: np.ndarray
 ) -> tuple[np.ndarray, bool]:
@@ -330,10 +350,10 @@ def _gram_step(
 
     ``R_inv`` is the inverse of ``R``.  With ``B = R^-T A_O^T`` for the flagged rows
     ``A_O``, ``H = A^T A - A_O^T A_O`` is ``R^T (I - B B^T) R``: one ``k x k`` Cholesky
-    factor ``L`` of ``I - B B^T`` and two ``k x k`` solves give the step, and the condition
-    number of ``A`` is never squared.  When no row is flagged, or ``I - B B^T`` has no
-    Cholesky factor (the unflagged rows lack full rank), ``H`` is ``R^T R = A^T A``.  The
-    flag says whether ``H`` left rows out.
+    factor ``L`` of ``I - B B^T`` and two ``k x k`` solves give the step, and ``H``, whose
+    condition number is that of the unflagged rows squared, is never formed.  When no row is
+    flagged, or ``I - B B^T`` has no Cholesky factor (the unflagged rows lack full rank),
+    ``H`` is ``R^T R = A^T A``.  The flag says whether ``H`` left rows out.
     """
     y = R_inv.T @ g
     if flagged_rows.size:
@@ -360,23 +380,24 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     the flagged rows keep their signs.  ``H`` is ``A^T A``, and the step one
     sweep of exact alternating minimisation, where :func:`_gram_step` finds
     no Cholesky factor and on flagged rows on which the other step would
-    have raised the objective; so the objective never rises.  The factor
-    ``R`` of :func:`_triangular_factor` is computed once.
+    have raised the objective; so the objective never rises.  ``R`` is
+    computed once, by :func:`_factor_and_singular_values`.
 
     A step is stationary when it leaves the same rows flagged as the step
-    before it and ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``.
-    The solve stops with ``stop_reason="tol"`` after a stationary Newton
-    step.  After the first step, or after a sweep of alternating
-    minimisation on flagged rows, it stops only if, besides, the next sweep
-    would lower the objective by at most 1e-12 of it: sweeps that crawl
-    along a nearly flat valley of the Huber loss shrink the gradient long
-    before the objective stops falling.  The first step, from ``c = 0``,
-    solves the seminormal equations, whose error on an ill-conditioned
-    design grows with the square of its condition number; it stops only if
-    the next step, one step of refinement, would also move no entry of
-    ``c`` by more than ``1e-12 (1 + ||c||_inf)``.  Otherwise it
-    stops with ``"max_iter"`` after ``config.max_iter`` steps.  ``u``,
-    ``e`` and ``r`` live in three ``d``-vectors allocated once per solve.
+    before it and ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``
+    ``max(1, s_max / sqrt(d))``: ``g`` scales with ``A``, as its largest
+    singular value ``s_max`` does.  The solve stops with ``stop_reason="tol"``
+    after a stationary Newton step.  After the first step, or after a sweep
+    of alternating minimisation on flagged rows, it stops only if, besides,
+    the next sweep would lower the objective by at most 1e-12 of it: sweeps
+    that crawl along a nearly flat valley of the Huber loss shrink the
+    gradient long before the objective stops falling.  The first step, from
+    ``c = 0``, solves the seminormal equations, whose error on an
+    ill-conditioned design grows with the square of its condition number;
+    it stops only if the next step, one step of refinement, would also move
+    no entry of ``c`` by more than ``1e-12 (1 + ||c||_inf)``.  Otherwise it
+    stops with ``"max_iter"`` after ``config.max_iter`` steps.  ``u``, ``e``
+    and ``r`` live in three ``d``-vectors allocated once per solve.
 
     Raises
     ------
@@ -388,19 +409,18 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         If the design has fewer rows than columns or a smallest singular
         value at or below 1e-10.
     """
-    v, A = _validated_problem(v, A)
+    v, A, G = _validated_problem(v, A)
     d, k = A.shape
     if d <= k:
         raise RankDeficiencyError(f"need more rows than columns, got {d} x {k}")
-    R = _triangular_factor(A)
-    # A = QR with orthonormal Q, so A and the k x k factor R share singular values
-    smallest = np.linalg.svd(R, compute_uv=False)[-1]
-    if smallest <= 1e-10:
-        raise RankDeficiencyError(f"smallest singular value {smallest:.3g} is numerically zero")
+    R, singular = _factor_and_singular_values(A, G)
+    if singular[-1] <= 1e-10:
+        raise RankDeficiencyError(f"smallest singular value {singular[-1]:.3g} is numerically zero")
 
     R_inv = np.linalg.inv(R)
     threshold = d * config.lam
-    grad_tol = 1e-8 * max(1.0, float(v.max()), -float(v.min()))  # ||v||_inf without |v|
+    # ||v||_inf without |v|, and the scale of A, s_max / sqrt(d), which ||A^T r|| / d carries
+    grad_tol = 1e-8 * max(1.0, float(v.max()), -float(v.min())) * max(1.0, singular[0] / d**0.5)
     u, e, r = np.empty(d), np.empty(d), np.empty(d)
 
     def objective_at(c: np.ndarray) -> float:

@@ -457,6 +457,31 @@ class TestSolver:
         with pytest.raises(ValueError, match=r"^A has a non-finite entry .* at index \(4, 1\)$"):
             solve_robust_lasso(np.zeros(6), A, LassoConfig(lam=1.0))
 
+    def test_finite_design_is_not_scanned_entry_by_entry(self, monkeypatch):
+        # the diagonal of A^T A, which the solve forms anyway, is finite only if A is
+        names = []
+        check = lasso._check_finite
+        monkeypatch.setattr(
+            lasso, "_check_finite", lambda name, x: names.append(name) or check(name, x)
+        )
+        A = np.random.default_rng(0).standard_normal((6, 2))
+        solve_robust_lasso(np.ones(6), A, LassoConfig(lam=1.0))
+        assert names == ["v"]
+
+    @pytest.mark.parametrize("scale", [1e10, 1e12])
+    def test_scaled_design_stops_as_the_unscaled_one(self, scale):
+        # ||A^T r|| / d grows with A; against a tolerance that did not, these ran all 1000
+        # steps with a c_hat that already was the unscaled one over the scale
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((500, 5))
+        v = A @ rng.standard_normal(5) + 0.01 * rng.standard_normal(500)
+        v[:10] += 5
+        config = LassoConfig(lam=0.01)
+        unscaled = solve_robust_lasso(v, A, config)
+        sol = solve_robust_lasso(v, scale * A, config)
+        assert sol.converged and sol.iterations <= 3
+        np.testing.assert_allclose(sol.c_hat * scale, unscaled.c_hat, rtol=1e-10, atol=0.0)
+
     def test_budget_exhausted_reports_max_iter(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((50, 3))

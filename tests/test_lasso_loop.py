@@ -11,12 +11,16 @@ convergence, the solver converges whenever the loop does within the same
 budget, and then its objective is at most that of the loop run to
 convergence, plus rounding, and its ``c_hat`` is the minimiser that the
 loop's last point certifies, to rounding amplified by the condition
-number.  Designs taller than one row block (condition number up to 1e9)
-take ``R`` from the blocked factor, which must agree with one Householder
-QR of the whole design.
+number.  A design of condition number at most 1e2 takes ``R`` from the
+Cholesky factor of ``A^T A``, and the oracles hold on either side of that
+gate.  Worse-conditioned designs taller than one row block (condition
+number up to 1e9) take ``R`` from the blocked factor, which must agree
+with one Householder QR of the whole design.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
+from relurec import lasso
 from relurec.lasso import LassoConfig, RankDeficiencyError, _triangular_factor, solve_robust_lasso
 
 from lasso_oracles import kkt_residuals, lasso_objective, soft_threshold
@@ -97,11 +102,12 @@ def _problem(draw, d, k, log_kappa):
 
 
 @st.composite
-def problems(draw):
-    """A design with a drawn condition number, observations with sparse +-8 outliers, a penalty."""
+def problems(draw, max_log_kappa=6.0):
+    """A design with a condition number up to ``10**max_log_kappa``, observations with sparse
+    +-8 outliers, a penalty."""
     d = draw(st.integers(20, 300))
     k = draw(st.integers(1, 8))
-    return _problem(draw, d, k, draw(st.floats(0.0, 6.0)))
+    return _problem(draw, d, k, draw(st.floats(0.0, max_log_kappa)))
 
 
 @st.composite
@@ -169,7 +175,14 @@ def assert_reaches_the_qr_loop_minimum(v, A, config, sol):
     c_ref, _, trace, converged = qr_loop(v, A, config.lam, REFERENCE_SWEEPS)
     reference = float(trace[-1])
     assert sol.objective_trace[-1] <= reference + 1e-10 * abs(reference)
-    certified = certified_minimiser(v, A, config.lam, c_ref) if converged else None
+    if converged:
+        assert_c_hat_is_certified(v, A, config, sol, c_ref)
+
+
+def assert_c_hat_is_certified(v, A, config, sol, c_ref):
+    """``c_hat`` is the minimiser that the loop's converged point ``c_ref`` certifies, if it
+    certifies one, to rounding amplified by the condition number of the unflagged rows."""
+    certified = certified_minimiser(v, A, config.lam, c_ref)
     if certified is not None:
         c_star, kappa = certified
         tol = 1e-12 * kappa * (1.0 + float(np.abs(c_star).max()))
@@ -297,3 +310,76 @@ def test_block_boundary_of_the_triangular_factor():
     R, ref = _triangular_factor(two), np.linalg.qr(two, mode="r")
     signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
     np.testing.assert_allclose(signs[:, None] * R, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+
+
+# ----------------------------------------------------------------------
+# the Cholesky factor of A^T A up to condition number 1e2, the TSQR beyond
+# ----------------------------------------------------------------------
+
+
+@given(problems(max_log_kappa=9.0))
+def test_c_hat_is_the_certified_minimiser_on_either_side_of_the_gram_gate(problem):
+    # condition numbers from 1 to 1e9 cross the gate at 1e2; the objective's 1e-10 bound is
+    # left out, since past 1e7 c has entries near 1e8, and a change of c in its last bit
+    # moves the objective by up to 1e-9 (relative)
+    v, A, config, _ = problem
+    sol = solve_robust_lasso(v, A, config)
+    assert_same_verdict_as_qr_loop(v, A, config, sol)
+    c_ref, _, _, converged = qr_loop(v, A, config.lam, REFERENCE_SWEEPS)
+    if sol.converged and converged:
+        assert_c_hat_is_certified(v, A, config, sol, c_ref)
+
+
+def test_well_conditioned_design_takes_its_factor_from_the_gram(monkeypatch):
+    def refuse(A):
+        raise AssertionError("the TSQR factored a well-conditioned design")
+
+    monkeypatch.setattr(lasso, "_triangular_factor", refuse)
+    rng = np.random.default_rng(11)
+    d, k = 64000, 10
+    A = rng.standard_normal((d, k))
+    v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
+    v[: d // 50] += rng.choice([-5.0, 5.0], size=d // 50)
+    config = LassoConfig(lam=2e-5)  # clips residuals at d lam = 1.28
+    sol = solve_robust_lasso(v, A, config)
+    assert sol.converged and np.count_nonzero(sol.e_hat) >= d // 50
+    c_star, kappa = certified_minimiser(v, A, config.lam, sol.c_hat)
+    assert np.abs(sol.c_hat - c_star).max() <= 1e-12 * kappa * (1.0 + np.abs(c_star).max())
+
+
+def test_ill_conditioned_design_takes_the_tsqr(monkeypatch):
+    shapes = []
+    tsqr = lasso._triangular_factor
+    monkeypatch.setattr(lasso, "_triangular_factor", lambda A: shapes.append(A.shape) or tsqr(A))
+    rng = np.random.default_rng(12)
+    A, _ = design(rng, 200, 5, 1e6)
+    v = A @ rng.standard_normal(5) + 0.1 * rng.standard_normal(200)
+    assert solve_robust_lasso(v, A, LassoConfig(lam=0.01)).converged
+    assert shapes == [(200, 5)]
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e-140, 1e150, 1e160, 1e200])
+def test_extreme_column_scales_are_solved_or_named_without_a_warning(scale):
+    # A^T A underflows at 1e-160 and overflows from about 1e154; the rank check names the
+    # smallest singular value of the TSQR, and a scaled design has the unscaled solution
+    # over the scale
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((300, 4))
+    v = A @ rng.standard_normal(4) + 0.1 * rng.standard_normal(300)
+    v[:6] += 8.0
+    config = LassoConfig(lam=0.01)
+    unscaled = solve_robust_lasso(v, A, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if scale < 1.0:
+            smallest = np.linalg.svd(_triangular_factor(scale * A), compute_uv=False)[-1]
+            message = f"smallest singular value {smallest:.3g} is numerically zero"
+            with pytest.raises(RankDeficiencyError, match=f"^{re.escape(message)}$"):
+                solve_robust_lasso(v, scale * A, config)
+            return
+        sol = solve_robust_lasso(v, scale * A, config)
+    assert sol.converged and sol.iterations == unscaled.iterations
+    top = np.abs(unscaled.c_hat).max()
+    np.testing.assert_allclose(sol.c_hat * scale, unscaled.c_hat, rtol=0.0, atol=1e-12 * top)
+    np.testing.assert_array_equal(sol.e_hat != 0.0, unscaled.e_hat != 0.0)
+    np.testing.assert_allclose(sol.e_hat, unscaled.e_hat, rtol=0.0, atol=1e-12 * 8.0)
