@@ -17,10 +17,12 @@ the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
 ``n = 2d`` and ``s = 0.02d`` track the row count.  Results go to
 ``results.csv`` (a column order per task, RFC-4180 quoting, shortest
 round-trip decimals) plus ``summary.json`` with per-configuration
-medians and interquartile ranges.  Rerunning an identical config
-produces byte-identical ``results.csv`` and ``summary.json``; wall-clock
-times go to a separate ``timings.csv`` so they cannot break that
-guarantee.
+medians and interquartile ranges.  A quartile interpolates linearly
+between the order statistics next to ``q (count - 1)``, numpy's default
+rule (definition 7 of Hyndman and Fan, 1996), and is NaN if a value is.
+Rerunning an identical config produces byte-identical ``results.csv``
+and ``summary.json``; wall-clock times go to a separate ``timings.csv``
+so they cannot break that guarantee.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-# np.percentile loads numpy.ma on its first call, which would fall in the first sweep.  Keep
-# the import even where the quartiles need no np.percentile: on the rep_small benchmark
-# (2 shared vCPUs), a round without it took about 3 500 minor page faults after its set-up
-# instead of 1 850, and 1-5% fewer cells/s.  The allocator hands the freed cell arrays back
-# to the kernel, and the next cell faults them in again; with glibc's mmap and trim
-# thresholds raised the same round took about 1 000.
+# Nothing here calls numpy.ma, yet rounds run faster with it imported.  A fresh-process
+# round of the rep_small benchmark (seed 5, 2 shared vCPUs) took about 190 minor page faults
+# after importing relurec with it and 5 160 without it, and 1-5% fewer cells/s in an earlier
+# count: without it the allocator hands the freed arrays of a cell back to the kernel, and
+# the next cell faults them in again.
 import numpy.ma
 
 from .bias import (
@@ -256,8 +257,8 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
         if task == "diagnostics" and rank + s > d / 4:  # check_restricted_lower_bound rejects it
             raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
-    if task == "rep_learning":  # checks run_sweep and every cell make
-        _named("bias", lipschitz_L, model, config.gamma)
+    if task == "rep_learning":  # checks run_sweep and every cell make; run_sweep reuses the value
+        object.__setattr__(config, "_lipschitz", _named("bias", lipschitz_L, model, config.gamma))
         if config.nu is not None:
             _named("nu", omega_min_mass, model, config.gamma, config.nu)
     return config
@@ -448,9 +449,10 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     records its error message instead of aborting the sweep, and its
     metrics stay None; cell order is deterministic.  The sweep parses its bias law
     once, before its first cell.  A rep sweep then evaluates the law's
-    flatness and steepness at ``gamma`` once, and each cell only the window
-    mass of its ``nu``; a recovery or diagnostics sweep computes the law's
-    moments once.  A law whose constants or moments fail, or whose
+    flatness and steepness at ``gamma`` once (the steepness in
+    :func:`parse_config`, if that made ``config``), and each cell only the
+    window mass of its ``nu``; a recovery or diagnostics sweep computes the
+    law's moments once.  A law whose constants or moments fail, or whose
     agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
     naming the config key ``bias``, raised before any cell runs.  Each
     cell looks its runner up on the module, which a caller may rebind.
@@ -458,7 +460,9 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     model = parse_bias_spec(config.bias)
     if config.task == "rep_learning":
         beta = _named("bias", flatness_beta, model, config.gamma)
-        lipschitz = _named("bias", lipschitz_L, model, config.gamma)
+        lipschitz = vars(config).get("_lipschitz")  # a copy made by dataclasses.replace has none
+        if lipschitz is None:
+            lipschitz = _named("bias", lipschitz_L, model, config.gamma)
     else:
         stats = _named("bias", make_nonlinearity_stats, model)
         if config.task == "diagnostics" or config.lambda_mode == "agnostic":
@@ -503,9 +507,17 @@ def _format_cell(value) -> str:
 
 
 def _quartiles(values: list[float]) -> dict[str, float]:
-    arr = np.asarray(values, dtype=float)
-    q1, q2, q3 = np.percentile(arr, [25.0, 50.0, 75.0])
-    return {"median": float(q2), "iqr": float(q3 - q1), "count": int(arr.size)}
+    x = sorted(map(float, values))
+    if any(map(math.isnan, x)):  # every quartile is NaN, as in numpy
+        x = [math.nan]
+    quartiles = []
+    for q in (0.25, 0.5, 0.75):  # interpolated and rounded as np.percentile does
+        p = q * (len(x) - 1)
+        i = int(p)
+        a, b, t = x[i], x[min(i + 1, len(x) - 1)], p - i
+        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    q1, q2, q3 = quartiles
+    return {"median": q2, "iqr": q3 - q1, "count": len(values)}
 
 
 # per task: the grid dimensions that name a summary.json group, its metric and the metric's bound

@@ -395,9 +395,10 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     ``c = 0``, solves the seminormal equations, whose error on an
     ill-conditioned design grows with the square of its condition number;
     it stops only if the next step, one step of refinement, would also move
-    no entry of ``c`` by more than ``1e-12 (1 + ||c||_inf)``.  Otherwise it
-    stops with ``"max_iter"`` after ``config.max_iter`` steps.  ``u``, ``e``
-    and ``r`` live in three ``d``-vectors allocated once per solve.
+    no entry of ``c`` by more than ``1e-12 (1 / max(1, s_max / sqrt(d)) +
+    ||c||_inf)``.  Otherwise it stops with ``"max_iter"`` after
+    ``config.max_iter`` steps.  ``u``, ``e`` and ``r`` live in three
+    ``d``-vectors allocated once per solve.
 
     Raises
     ------
@@ -419,8 +420,8 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
 
     R_inv = np.linalg.inv(R)
     threshold = d * config.lam
-    # ||v||_inf without |v|, and the scale of A, s_max / sqrt(d), which ||A^T r|| / d carries
-    grad_tol = 1e-8 * max(1.0, float(v.max()), -float(v.min())) * max(1.0, singular[0] / d**0.5)
+    scale = max(1.0, singular[0] / d**0.5)  # s_max / sqrt(d), carried by ||A^T r|| / d and 1 / c
+    grad_tol = 1e-8 * max(1.0, float(v.max()), -float(v.min())) * scale  # ||v||_inf without |v|
     u, e, r = np.empty(d), np.empty(d), np.empty(d)
 
     def objective_at(c: np.ndarray) -> float:
@@ -445,7 +446,8 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
                 # objective, with y = R^-T g
                 y = R_inv.T @ g
                 stationary = y @ y <= 2e-12 * d * trace[-1] and (
-                    len(trace) > 1 or np.abs(R_inv @ y).max() <= 1e-12 * (1.0 + np.abs(c).max())
+                    len(trace) > 1
+                    or np.abs(R_inv @ y).max() <= 1e-12 * (1.0 / scale + np.abs(c).max())
                 )
             if stationary:
                 stop_reason = "tol"

@@ -5,14 +5,19 @@ import dataclasses
 import json
 import math
 import re
+import struct
+import sys
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import subspace_angles
 
 from relurec import harness
 from relurec import bias as bias_module
+from relurec.cli import cli_dispatch
 from relurec.bias import (
     BiasModel,
     compute_bias_constants,
@@ -564,7 +569,9 @@ class TestRepSweepConstants:
             with (tmp_path / "results.csv").open(newline="") as fh:
                 assert {row["rep_bound"] for row in csv.DictReader(fh)} == {""}
 
-    def test_flatness_and_steepness_do_not_grow_with_the_seeds(self, monkeypatch):
+    @staticmethod
+    def _count_constants(monkeypatch) -> dict[str, int]:
+        """Count the calls of each rep constant, through ``relurec.bias`` and the harness."""
         calls = {"flatness_beta": 0, "lipschitz_L": 0, "omega_min_mass": 0}
 
         def counted(name, original):
@@ -573,19 +580,39 @@ class TestRepSweepConstants:
                 return original(*args)
             return counting
 
-        configs = [parse_config(_with(REP_CONFIG, "seeds", seeds)) for seeds in ("1", "1, 2, 3")]
         for name in calls:
             wrapper = counted(name, getattr(bias_module, name))
             monkeypatch.setattr(bias_module, name, wrapper)
             monkeypatch.setattr(harness, name, wrapper, raising=False)
+        return calls
+
+    def test_flatness_and_steepness_do_not_grow_with_the_seeds(self, monkeypatch):
+        calls = self._count_constants(monkeypatch)
         counts = []
-        for config in configs:
+        for seeds in ("1", "1, 2, 3"):
             calls.update(dict.fromkeys(calls, 0))
-            records = run_sweep(config)
+            # parse_config evaluates the steepness to check the law, and run_sweep reuses it
+            records = run_sweep(parse_config(_with(REP_CONFIG, "seeds", seeds)))
             assert all(r["error"] is None for r in records)
             counts.append((calls["flatness_beta"], calls["lipschitz_L"], calls["omega_min_mass"]))
         # two d values: 2 and 6 cells, each evaluating the window mass of its realized nu
         assert counts == [(1, 1, 2), (1, 1, 6)]
+
+    def test_a_sweep_command_evaluates_the_steepness_once(self, monkeypatch, tmp_path):
+        config = tmp_path / "sweep.cfg"
+        config.write_text(REP_CONFIG)
+        calls = self._count_constants(monkeypatch)
+        argv = ["sweep", "--config", str(config), "--out", str(tmp_path / "out")]
+        assert cli_dispatch(argv) == 0
+        assert calls["lipschitz_L"] == 1
+
+    def test_a_replaced_config_evaluates_its_own_steepness(self):
+        # the steepness parse_config leaves on a config is not that of another gamma
+        replaced = dataclasses.replace(parse_config(REP_CONFIG), gamma=0.5)
+        parsed = parse_config(_with(REP_CONFIG, "gamma", "0.5"))
+        drop_time = [{**row, "wall_time_ms": None} for row in run_sweep(replaced)]
+        assert drop_time == [{**row, "wall_time_ms": None} for row in run_sweep(parsed)]
+        assert all(row["error"] is None for row in drop_time)
 
     @pytest.mark.parametrize(
         "law, message",
@@ -648,6 +675,74 @@ class TestReconstructAndEvaluate:
         sin_theta, procrustes_err = _distances_from_angles(U, U_hat)
         assert outcome.sin_theta == pytest.approx(sin_theta, rel=1e-12)
         assert outcome.procrustes_err == pytest.approx(procrustes_err, rel=1e-12)
+
+
+def _percentile_quartiles(values):
+    """The summary entry of ``values`` with the quartiles of ``np.percentile``: the reference."""
+    with np.errstate(all="ignore"):  # inf - inf inside numpy's interpolation
+        q1, q2, q3 = np.percentile(np.asarray(values, dtype=float), [25.0, 50.0, 75.0])
+        return {"median": float(q2), "iqr": float(q3 - q1), "count": len(values)}
+
+
+def _same_float(a: float, b: float) -> bool:
+    """``a`` and ``b`` are the same double bit for bit, or both NaN."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# Signed zeros are left out: numpy's partition orders -0.0 and 0.0 arbitrarily, so the sign
+# of a zero quartile is arbitrary there, and every metric the summary takes is at least 0.
+SUMMARY_VALUES = st.lists(
+    st.one_of(
+        st.sampled_from([
+            0.0, 5e-324, 1e-310, 1.0, math.inf, -math.inf, math.nan,
+            sys.float_info.max, -sys.float_info.max,
+        ]),
+        st.floats(allow_subnormal=True).filter(lambda x: math.copysign(1.0, x) > 0.0 or x != 0.0),
+    ),
+    min_size=1, max_size=60,
+)
+
+
+class TestQuartiles:
+    """``summary.json`` takes its quartiles by numpy's default rule, on Python floats."""
+
+    @settings(max_examples=1000)
+    @given(SUMMARY_VALUES)
+    def test_matches_np_percentile_bit_for_bit(self, values):
+        entry, reference = harness._quartiles(values), _percentile_quartiles(values)
+        assert _same_float(entry["median"], reference["median"])
+        assert _same_float(entry["iqr"], reference["iqr"])
+        assert entry["count"] == reference["count"] == len(values)
+
+    @pytest.mark.parametrize(
+        "values, median, iqr",
+        [([3.0], 3.0, 0.0), ([4.0, 1.0], 2.5, 1.5), ([1.0, 2.0, 3.0, 10.0], 2.5, 3.0),
+         ([1.0, math.nan, 2.0], math.nan, math.nan), ([1.0, 1.0, 1.0, math.inf], 1.0, math.inf),
+         ([1.0, math.inf], math.nan, math.nan)],  # numpy's median there is inf - inf * 0.5
+    )
+    def test_worked_cases(self, values, median, iqr):
+        entry = harness._quartiles(values)
+        assert _same_float(entry["median"], median) and _same_float(entry["iqr"], iqr)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            REP_CONFIG,
+            _with(RECOVERY_CONFIG, "seeds", "4, 5, 6"),
+            _with(DIAG_CONFIG, "seeds", "0, 1, 2"),
+        ],
+        ids=["rep_learning", "robust_recovery", "diagnostics"],
+    )
+    def test_summary_is_byte_identical_to_the_percentile_reference(
+        self, text, tmp_path, monkeypatch
+    ):
+        records = run_sweep(parse_config(text))
+        emit_results(records, tmp_path / "new")
+        monkeypatch.setattr(harness, "_quartiles", _percentile_quartiles)
+        emit_results(records, tmp_path / "reference")
+        summary = (tmp_path / "new" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "reference" / "summary.json").read_bytes()
+        assert b'"median"' in summary
 
 
 class TestEmitResults:

@@ -535,17 +535,32 @@ class TestSolver:
         # at condition number 1e6 the first step from c = 0 is stationary and the next step
         # would take less than 1e-12 of the objective, yet the seminormal error leaves c 1.3e-6
         # (relative) off least squares; one step of refinement brings it to 1.3e-9
-        rng = np.random.default_rng(2)
-        d, k, kappa = 2000, 2, 1e6
-        U = np.linalg.qr(rng.standard_normal((d, k)))[0]
-        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
-        A = (U * (math.sqrt(d) * np.array([1.0, 1.0 / kappa]))) @ V.T
-        v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
+        v, A, kappa = self._ill_conditioned_problem()
         sol = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
         assert sol.iterations == 2 and sol.converged
         assert not sol.e_hat.any()
         c_ls = np.linalg.lstsq(A, v, rcond=None)[0]
         assert np.abs(sol.c_hat - c_ls).max() <= 1e-13 * kappa * (1.0 + np.abs(c_ls).max())
+
+    def test_first_step_refinement_does_not_depend_on_the_scale_of_a(self):
+        # c scales as 1 / A; a floor of 1e-12 in the units of c once stopped this solve
+        # after its first step, 4.6e-7 (relative) off least squares
+        v, A, kappa = self._ill_conditioned_problem()
+        unscaled = solve_robust_lasso(v, A, LassoConfig(lam=1.0))
+        sol = solve_robust_lasso(v, 1e10 * A, LassoConfig(lam=1.0))
+        assert sol.iterations == unscaled.iterations and sol.converged
+        c_ls = np.linalg.lstsq(A, v, rcond=None)[0]
+        assert np.abs(1e10 * sol.c_hat - c_ls).max() <= 1e-13 * kappa * (1.0 + np.abs(c_ls).max())
+
+    @staticmethod
+    def _ill_conditioned_problem():
+        """``v``, ``A`` and the condition number 1e6 of ``A``: a 2000 x 2 design with no outlier."""
+        rng = np.random.default_rng(2)
+        d, k, kappa = 2000, 2, 1e6
+        U = np.linalg.qr(rng.standard_normal((d, k)))[0]
+        V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        A = (U * (math.sqrt(d) * np.array([1.0, 1.0 / kappa]))) @ V.T
+        return A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d), A, kappa
 
     def test_stop_reason_and_gradient_norm(self):
         rng = np.random.default_rng(6)
