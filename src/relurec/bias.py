@@ -22,9 +22,9 @@ of the interval: ``(log p)'`` and the hazard ``p / P(B <= x)`` decrease,
 ``p'^2/(4p)`` rises and then falls on either side of the mode (it is zero
 where ``p'`` changes sign), and the window mass is log-concave in the
 window's start (Prekopa).  All three are exact evaluations at the ends.
-Each raises ``ValueError`` for a ``model`` that is not a :class:`BiasModel`,
-such as a constant offset, and :class:`InvalidIntervalError` for a
-``gamma`` that is not positive and finite.
+Each raises ``ValueError`` naming a ``model`` that is not a :class:`BiasModel`,
+such as a constant offset, and :class:`InvalidIntervalError` naming a
+``gamma`` that is not a positive finite real number.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import statistics
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks as checks
 
 __all__ = [
     "BiasModel",
@@ -92,6 +94,8 @@ class BiasModel:
 
     All three kinds are log-concave; the interval constants below and
     the row-wise shift estimate in :mod:`relurec.replearn` rely on it.
+    ``ValueError`` names a parameter that is not a finite real number, or a
+    rate, std or scale that is not positive; each is stored as a ``float``.
     """
 
     kind: str
@@ -103,12 +107,12 @@ class BiasModel:
         names = _PARAM_NAMES[self.kind]
         if len(self.params) != len(names):
             raise ValueError(f"{self.kind} takes the pair ({', '.join(names)}), got {self.params}")
-        for name, value in zip(names, self.params):
-            if not math.isfinite(value):
-                raise ValueError(f"{self.kind} parameter {name} must be finite, got {value!r}")
-        spread = self.params[0] if self.kind == "shifted_exponential" else self.params[1]
-        if not spread > 0:
-            raise ValueError(f"scale parameter must be positive, got {spread!r}")
+        signs = ("positive", "") if self.kind == "shifted_exponential" else ("", "positive")
+        params = tuple(
+            checks.real(f"{self.kind} parameter {name}", value, sign)
+            for name, value, sign in zip(names, self.params, signs)
+        )
+        object.__setattr__(self, "params", params)
 
     # ------------------------------------------------------------------
     # constructors
@@ -117,15 +121,15 @@ class BiasModel:
     @classmethod
     def shifted_exponential(cls, rate: float = 1.0, shift: float = 0.0) -> "BiasModel":
         """Exponential law with rate ``rate`` supported on ``[shift, inf)``."""
-        return cls("shifted_exponential", (float(rate), float(shift)))
+        return cls("shifted_exponential", (rate, shift))
 
     @classmethod
     def gaussian(cls, mean: float = 0.0, std: float = 1.0) -> "BiasModel":
-        return cls("gaussian", (float(mean), float(std)))
+        return cls("gaussian", (mean, std))
 
     @classmethod
     def logistic(cls, loc: float = 0.0, scale: float = 1.0) -> "BiasModel":
-        return cls("logistic", (float(loc), float(scale)))
+        return cls("logistic", (loc, scale))
 
     # ------------------------------------------------------------------
     # distribution functions
@@ -222,9 +226,8 @@ def default_exponential(gamma: float) -> BiasModel:
     working interval, which keeps the density positive and the CDF
     bounded away from zero on the whole interval.
     """
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    return BiasModel.shifted_exponential(rate=1.0, shift=-float(gamma) - 1.0)
+    gamma = checks.real("gamma", gamma, "positive")
+    return BiasModel.shifted_exponential(rate=1.0, shift=-gamma - 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -265,9 +268,7 @@ def parse_bias_spec(text: str) -> BiasModel | float:
     params = tuple(values[k] for k in keys)
     if kind is not None:
         return BiasModel(kind, params)
-    if not math.isfinite(params[0]):
-        raise ValueError(f"constant bias value must be finite, got {params[0]!r}")
-    return params[0]
+    return checks.real("constant bias value", params[0])
 
 
 def bias_spec_to_config(spec: BiasModel | float) -> str:
@@ -283,19 +284,6 @@ def bias_spec_to_config(spec: BiasModel | float) -> str:
 # ----------------------------------------------------------------------
 
 
-def _check_law(model) -> None:
-    """Reject a ``model`` that is not a law, such as a constant offset."""
-    if not isinstance(model, BiasModel):
-        raise ValueError(f"the bias law must be a distributional BiasModel, got {model!r}")
-
-
-def _check_interval(model, gamma: float) -> None:
-    """The checks of each interval constant: ``model`` is a law, ``gamma`` positive and finite."""
-    _check_law(model)
-    if not 0.0 < gamma < math.inf:
-        raise InvalidIntervalError(f"gamma must be positive and finite, got {gamma}")
-
-
 def _interval_ends(gamma: float, length: float) -> np.ndarray:
     """The two ends of ``[-gamma, -gamma + length]``."""
     return np.array([-gamma, -gamma + length])
@@ -309,7 +297,8 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
     Returns 0.0 when the infimum is below ``1e-12``; the ``vacuous`` flag
     of :class:`BiasConstants` reports what that does to the bounds.
     """
-    _check_interval(model, gamma)
+    checks.law("model", model)
+    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
     ends = _interval_ends(gamma, 2.0 * gamma)
     ends[0] = max(ends[0], model.support()[0])
     if ends[0] > ends[1]:
@@ -327,7 +316,8 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
 
 def lipschitz_L(model: BiasModel, gamma: float) -> float:
     """Steepness constant ``max(sup p/P(B<=x), sup |p'|/p)`` over ``[-gamma, gamma]``."""
-    _check_interval(model, gamma)
+    checks.law("model", model)
+    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
     ends = _interval_ends(gamma, 2.0 * gamma)
     p, dp = model.density(ends), model.density_derivative(ends)
     cdf = np.asarray(model.cdf(ends))
@@ -343,8 +333,10 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
 
 def omega_min_mass(model: BiasModel, gamma: float, nu: float) -> float:
     """Smallest mass of a length-``nu`` window contained in ``[-gamma, gamma]``."""
-    _check_interval(model, gamma)
-    if not 0.0 < nu <= 2.0 * gamma:  # gamma is finite, so nu is too
+    checks.law("model", model)
+    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
+    nu = checks.real("nu", nu, error=InvalidIntervalError)
+    if not 0.0 < nu <= 2.0 * gamma:
         raise InvalidIntervalError(
             f"window length nu must satisfy 0 < nu <= 2*gamma, got nu={nu}, gamma={gamma}"
         )

@@ -14,15 +14,14 @@ field plus its class name, so it loads back bit for bit.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import numpy.random  # numpy loads it on first use, which would fall in the first cell
 
-from .bias import BiasModel, _check_law, bias_spec_to_config
+from . import _checks as checks
+from .bias import BiasModel, bias_spec_to_config
 
 __all__ = [
     "DegenerateInstanceError",
@@ -128,22 +127,23 @@ def generate_representation_instance(
     Raises
     ------
     ValueError
-        If a dimension is not positive, ``k`` exceeds ``min(d, n)``,
-        ``gamma`` is not in ``(0, inf)``, ``min_margin`` is not in
-        ``[0, inf)``, or ``model`` is not a :class:`BiasModel`.
+        Naming a ``d``, ``n`` or ``k`` that is not an integer of at least
+        1, a ``k`` above ``min(d, n)``, a ``gamma`` that is not a positive
+        finite real number, a ``min_margin`` that is not a nonnegative
+        finite one, a ``model`` that is not a :class:`BiasModel`, or a
+        ``seed`` that is not an integer of at least 0.
     DegenerateInstanceError
         If every row is entirely on or entirely off, or a row margin
         cannot reach ``min_margin`` within the retry budget.
     """
-    if min(d, n, k) < 1:
-        raise ValueError(f"dimensions must be positive, got d={d}, n={n}, k={k}")
+    d, n, k = (checks.integer(name, value, 1) for name, value in (("d", d), ("n", n), ("k", k)))
     if k > min(d, n):  # M = A C would have rank min(d, n), not k
         raise ValueError(f"rank k={k} must be at most min(d, n) = {min(d, n)}")
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if min_margin is not None and not 0.0 <= min_margin < math.inf:
-        raise ValueError(f"min_margin must be nonnegative and finite, got {min_margin}")
-    _check_law(model)
+    gamma = checks.real("gamma", gamma, "positive")
+    if min_margin is not None:
+        checks.real("min_margin", min_margin, "nonnegative")
+    checks.law("model", model)
+    seed = checks.integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, k))
     C = rng.standard_normal((k, n))
@@ -181,9 +181,9 @@ def generate_representation_instance(
         b=b,
         M=M,
         Y=Y,
-        gamma=float(gamma),
+        gamma=gamma,
         realized_nu=float(finite.min()),
-        seed=int(seed),
+        seed=seed,
         bias=bias_spec_to_config(model),
     )
 
@@ -203,31 +203,25 @@ def generate_recovery_instance(
     ``e*`` places ``+/- outlier_magnitude`` on ``s`` uniformly chosen
     coordinates, and ``w`` is i.i.d. uniform on ``[-delta, delta]``.  The
     bias is either a shared constant (float) or drawn i.i.d. per
-    coordinate from a :class:`BiasModel`.  ``ValueError`` names a ``d``,
-    ``k`` or ``s`` that is not an integer (a bool is none) or out of
-    range, a negative ``delta``, a ``delta`` or ``outlier_magnitude`` that
-    is not finite, and a constant ``bias`` that is not a finite real number.
+    coordinate from a :class:`BiasModel`.  ``ValueError`` names a ``d``
+    or ``k`` that is not an integer of at least 1, an ``s`` that is not
+    one in ``[0, d]``, a ``delta`` that is not a nonnegative finite real
+    number, an ``outlier_magnitude`` or constant ``bias`` that is not a
+    finite one, and a ``seed`` that is not an integer of at least 0.
 
     The design, outlier, noise, and bias draws come from independent
     child streams of the seed, so e.g. changing ``s`` leaves ``A`` and
     ``c*`` untouched.
     """
-    for name, value in (("d", d), ("k", k), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if not 0 <= s <= d:
+    d, k = checks.integer("d", d, 1), checks.integer("k", k, 1)
+    s = checks.integer("s", s, 0)
+    if s > d:
         raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
-    if k < 1 or d <= 0:
-        raise ValueError(f"dimensions must be positive, got d={d}, k={k}")
-    if not 0.0 <= delta < math.inf:
-        raise ValueError(f"noise level delta must be nonnegative and finite, got {delta}")
-    if not math.isfinite(outlier_magnitude):
-        raise ValueError(f"outlier_magnitude must be finite, got {outlier_magnitude}")
+    delta = checks.real("noise level delta", delta, "nonnegative")
+    outlier_magnitude = checks.real("outlier_magnitude", outlier_magnitude)
     if not isinstance(bias, BiasModel):
-        if isinstance(bias, bool) or not isinstance(bias, numbers.Real):
-            raise ValueError(f"constant bias must be a real number, got {bias!r}")
-        if not math.isfinite(bias):
-            raise ValueError(f"constant bias must be finite, got {bias}")
+        bias = checks.real("constant bias", bias)
+    seed = checks.integer("seed", seed, 0)
     stream_main, stream_out, stream_noise, stream_bias = [
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(4)
     ]
@@ -239,14 +233,14 @@ def generate_recovery_instance(
     if s > 0:
         support = stream_out.choice(d, size=s, replace=False)
         signs = stream_out.integers(0, 2, size=s) * 2 - 1
-        e_star[support] = signs * float(outlier_magnitude)
+        e_star[support] = signs * outlier_magnitude
 
     w = stream_noise.uniform(-delta, delta, size=d) if delta > 0 else np.zeros(d)
 
     if isinstance(bias, BiasModel):
         b = bias.sample(d, rng=stream_bias)
     else:
-        b = np.full(d, float(bias))
+        b = np.full(d, bias)
 
     v = relu_map(A @ c_star + b) + e_star + w
     return RecoveryInstance(
@@ -256,9 +250,9 @@ def generate_recovery_instance(
         e_star=e_star,
         w=w,
         v=v,
-        s=int(s),
-        delta=float(delta),
-        seed=int(seed),
+        s=s,
+        delta=delta,
+        seed=seed,
         bias=bias_spec_to_config(bias),
     )
 

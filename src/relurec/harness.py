@@ -43,6 +43,7 @@ import numpy as np
 # the next cell faults them in again.
 import numpy.ma
 
+from . import _checks as checks
 from .bias import (
     BiasConstants,
     BiasModel,
@@ -102,27 +103,20 @@ TASK_KEYS = {
 }
 
 
-def _rule(parse, test, rule: str):
-    """``parse`` that also rejects a value failing ``test``, saying it must be ``rule``."""
-    def checked(text: str):
-        value = parse(text)
-        if not test(value):
-            raise ValueError(f"must be {rule}, got {value!r}")
-        return value
-    return checked
+def _rule(parse, check, *args):
+    """A parser of the value ``parse`` reads, checked by ``check(name, value, *args)``.
+
+    The name is left empty: the config key or the CLI flag names the value.
+    """
+    return lambda text: check("", parse(text), *args)
 
 
 # range rules of the config keys, shared with the CLI flags that set the same values
-positive_float = _rule(float, lambda x: 0.0 < x < math.inf, "positive and finite")
-nonnegative_float = _rule(float, lambda x: 0.0 <= x < math.inf, "nonnegative and finite")
-positive_int = _rule(int, lambda x: x >= 1, "at least 1")
-nonnegative_int = _rule(int, lambda x: x >= 0, "at least 0")
-bias_law = _rule(parse_bias_spec, lambda spec: isinstance(spec, BiasModel), "a bias law")
-
-
-def _choice(options: tuple[str, ...]):
-    """A parser that accepts only one of ``options``."""
-    return _rule(str, options.__contains__, f"one of {options}")
+positive_float = _rule(float, checks.real, "positive")
+nonnegative_float = _rule(float, checks.real, "nonnegative")
+positive_int = _rule(int, checks.integer, 1)
+nonnegative_int = _rule(int, checks.integer, 0)
+bias_law = _rule(parse_bias_spec, checks.law)
 
 
 def _int_list(item):
@@ -172,7 +166,7 @@ def _key(parse, default=MISSING):
 class ExperimentConfig:
     """Parsed sweep description: each field is a config key, declared with its parser."""
 
-    task: str = _key(_choice(tuple(TASK_KEYS)))
+    task: str = _key(_rule(str, checks.choice, tuple(TASK_KEYS)))
     d: tuple[int, ...] = _key(_int_list(positive_int))
     k: tuple[int, ...] = _key(_int_list(positive_int))
     seeds: tuple[int, ...] = _key(_int_list(nonnegative_int))  # default_rng rejects a negative seed
@@ -182,9 +176,9 @@ class ExperimentConfig:
     gamma: float = _key(positive_float, 1.0)
     nu: float | None = _key(nonnegative_float, None)  # None: each instance's realized separation
     delta: float = _key(nonnegative_float, 0.0)
-    outlier_magnitude: float = _key(_rule(float, math.isfinite, "finite"), 5.0)
-    lambda_mode: str = _key(_choice(("oracle", "agnostic")), "oracle")
-    fill_strategy: str = _key(_choice(FILL_STRATEGIES), "midpoint")
+    outlier_magnitude: float = _key(_rule(float, checks.real), 5.0)
+    lambda_mode: str = _key(_rule(str, checks.choice, ("oracle", "agnostic")), "oracle")
+    fill_strategy: str = _key(_rule(str, checks.choice, FILL_STRATEGIES), "midpoint")
     output_dir: str = _key(str, "results")
 
 

@@ -41,13 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 # numpy loads it on first use, which would fall in the first exp or logistic cell
 import numpy.polynomial
 
+from . import _checks as checks
 from .bias import BiasModel, bias_spec_to_config
 from .generate import RecoveryInstance
 
@@ -62,7 +62,6 @@ __all__ = [
     "make_nonlinearity_stats",
     "oracle_lambda",
     "recovery_error_and_bound",
-    "restricted_pair_ratio",
     "solve_robust_lasso",
 ]
 
@@ -104,17 +103,12 @@ def _offset_rule(bias: BiasModel | float) -> tuple[np.ndarray, np.ndarray]:
 
     A constant offset ``b0`` is the one-node rule ``([b0], [1.0])``; a
     random law weights the :func:`_tail_nodes` rule by its density.
-    ``ValueError`` names a constant offset that is not a real number (a
-    bool is none), NaN or infinite, and a law whose masses do not sum to 1
-    within 1e-6, such as one whose spread is lost in rounding at its
-    location.
+    ``ValueError`` names a constant offset that is not a finite real
+    number, and a law whose masses do not sum to 1 within 1e-6, such as one
+    whose spread is lost in rounding at its location.
     """
     if not isinstance(bias, BiasModel):
-        if isinstance(bias, bool) or not isinstance(bias, numbers.Real):
-            raise ValueError(f"constant bias value must be a real number, got {bias!r}")
-        if not math.isfinite(bias):
-            raise ValueError(f"constant bias value must be finite, got {bias!r}")
-        return np.array([float(bias)]), np.array([1.0])
+        return np.array([checks.real("constant bias", bias)]), np.array([1.0])
     nodes, weights = _tail_nodes(bias)
     mass = weights * np.asarray(bias.density(nodes))
     total = float(mass.sum())
@@ -220,15 +214,8 @@ class LassoConfig:
     max_iter: int = 1000
 
     def __post_init__(self) -> None:
-        # bool is an int subclass, but True is neither a penalty nor a step count
-        if isinstance(self.lam, bool) or not isinstance(self.lam, numbers.Real):
-            raise ValueError(f"lam must be a real number, got {self.lam!r}")
-        if not 0.0 < self.lam < math.inf:  # NaN fails too
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        checks.real("lam", self.lam, "positive")
+        checks.integer("max_iter", self.max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -256,50 +243,18 @@ class LassoSolution:
     grad_norm: float
 
 
-def _check_finite(name: str, x: np.ndarray) -> None:
-    """``ValueError`` naming the first non-finite entry of the array ``x``, called ``name``."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        index = tuple(int(i) for i in np.unravel_index(np.argmin(finite), x.shape))
-        at = index[0] if x.ndim == 1 else index
-        raise ValueError(f"{name} has a non-finite entry {x[index]} at index {at}")
-
-
-def _check_shapes(**vectors: tuple[np.ndarray, int]) -> None:
-    """Each ``name=(x, n)``: ``ValueError`` naming ``x`` unless it has shape ``(n,)``."""
-    for name, (x, n) in vectors.items():
-        if np.shape(x) != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {np.shape(x)}")
-
-
-def _check_nonnegative(**values: float) -> None:
-    """``ValueError`` naming the first of ``values`` that is negative or not finite."""
-    for name, value in values.items():
-        if not 0.0 <= value < math.inf:  # NaN fails too
-            raise ValueError(f"{name} must be nonnegative and finite, got {value}")
-
-
-def _validated_problem(v, A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``v``, ``A`` and the Gram ``A^T A``, or a ``ValueError`` naming the bad argument."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"A must be a 2-D design matrix, got shape {A.shape}")
-    if A.shape[1] == 0:
-        raise ValueError(f"A must have at least one column, got shape {A.shape}")
-    v = np.asarray(v, dtype=float)
-    if v.shape != (A.shape[0],):
-        raise ValueError(f"v must be 1-D of length {A.shape[0]} (the rows of A), got shape {v.shape}")
-    _check_finite("v", v)
+def _gram(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """``A^T A``, or a ``ValueError`` naming a non-finite entry of ``A`` or a ``v`` too large."""
     with np.errstate(all="ignore"):  # A^T A of a finite A may overflow or underflow, v^T v too
         G, square = A.T @ A, float(v @ v)
     # a column's sum of squares is finite only if each of its entries is, so scan A only then
     if not np.isfinite(G.diagonal()).all():
-        _check_finite("A", A)
+        checks.array("A", A, 2)
     if square == math.inf:  # the objective's squared residual would overflow as well
         raise ValueError(
             f"v is too large: its sum of squares overflows (largest entry {np.abs(v).max():.6g})"
         )
-    return v, A, G
+    return G
 
 
 def _triangular_factor(A: np.ndarray) -> np.ndarray:
@@ -403,15 +358,19 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
     Raises
     ------
     ValueError
-        If ``A`` is not 2-D or has no column, ``v`` is not 1-D with one
-        entry per row of ``A``, or either holds a non-finite entry (the
-        first one is named), or the sum of squares of ``v`` overflows.
+        Naming an ``A`` that is not 2-D or has no column, a ``v`` that is not
+        of shape ``(d,)``, the first non-finite entry of either, and a ``v``
+        whose sum of squares overflows.
     RankDeficiencyError
         If the design has fewer rows than columns or a smallest singular
         value at or below 1e-10.
     """
-    v, A, G = _validated_problem(v, A)
+    A = checks.array("A", A, 2, finite=False)  # the diagonal of its Gram tests it
     d, k = A.shape
+    if k == 0:
+        raise ValueError(f"A must have at least one column, got shape {A.shape}")
+    v = checks.array("v", v, (d,))
+    G = _gram(v, A)
     if d <= k:
         raise RankDeficiencyError(f"need more rows than columns, got {d} x {k}")
     R, singular = _factor_and_singular_values(A, G)
@@ -504,14 +463,14 @@ def agnostic_lambda(d: int, sigma: float, delta: float) -> float:
     """Penalty rule using only the noise moments, not the realisation.
 
     ``ValueError`` names a sample size ``d`` that is not an integer of at
-    least 1, a ``sigma`` or ``delta`` that is negative or not finite, and
-    rejects a penalty of 0, which no solve accepts: a bias far enough below
-    0 makes the rectifier's output, and so ``sigma``, 0 in floating point.
+    least 1, a ``sigma`` or ``delta`` that is not a nonnegative finite real
+    number, and rejects a penalty of 0, which no solve accepts: a bias far
+    enough below 0 makes the rectifier's output, and so ``sigma``, 0 in
+    floating point.
     """
-    # bool is an int subclass, but True is no sample size
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"sample size d must be an integer of at least 1, got {d!r}")
-    _check_nonnegative(sigma=sigma, delta=delta)
+    d = checks.integer("sample size d", d, 1)
+    sigma = checks.real("sigma", sigma, "nonnegative")
+    delta = checks.real("delta", delta, "nonnegative")
     lam = 4.0 * (sigma * math.sqrt(2.0 * math.log(2.0 * d)) + delta) / d
     if lam == 0.0:
         raise ValueError(
@@ -532,12 +491,14 @@ def recovery_error_and_bound(
     the bound is the rate ``max(sqrt(k log k / d), sqrt(s log d / d))``
     with its leading constant fixed at 1 and the degenerate ``k = 1``
     factor ``k log k`` replaced by ``k``.  ``ValueError`` names a ``c_hat``
-    not of shape ``(k,)`` or an ``e_hat`` not of shape ``(d,)``.
+    not of shape ``(k,)``, an ``e_hat`` not of shape ``(d,)``, and the first
+    non-finite entry of either.
     """
     d, k = instance.A.shape
-    _check_shapes(c_hat=(solution.c_hat, k), e_hat=(solution.e_hat, d))
-    err_c = float(np.linalg.norm(stats.mu * instance.c_star - solution.c_hat))
-    err_e = float(np.linalg.norm(instance.e_star - solution.e_hat)) / math.sqrt(d)
+    c_hat = checks.array("c_hat", solution.c_hat, (k,))
+    e_hat = checks.array("e_hat", solution.e_hat, (d,))
+    err_c = float(np.linalg.norm(stats.mu * instance.c_star - c_hat))
+    err_e = float(np.linalg.norm(instance.e_star - e_hat)) / math.sqrt(d)
     latent = k * math.log(k) if k > 1 else float(k)
     sparse = instance.s * math.log(d) if instance.s > 0 else 0.0
     bound = math.sqrt(max(latent, sparse) / d)
@@ -556,20 +517,12 @@ class RestrictedSetReport:
     min_ratio: float
 
 
-def restricted_pair_ratio(A: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
-    """Ratio of ``(1/2d)||A h + f||^2`` to ``(1/128)(||h|| + ||f||/sqrt(d))^2``.
+def _pair_ratio(Ah: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
+    """Ratio of ``(1/2d)||A h + f||^2`` to ``(1/128)(||h|| + ||f||/sqrt(d))^2``, given ``A h``.
 
     Values at or above 1 satisfy the restricted lower bound; the zero
-    pair gives ``inf`` by convention.  ``ValueError`` names an ``h`` not
-    of shape ``(k,)`` or an ``f`` not of shape ``(d,)``.
+    pair gives ``inf`` by convention.
     """
-    d, k = A.shape
-    _check_shapes(h=(h, k), f=(f, d))
-    return _pair_ratio(A @ h, h, f)
-
-
-def _pair_ratio(Ah: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
-    """:func:`restricted_pair_ratio` of ``(h, f)``, given the product ``Ah = A @ h``."""
     d = Ah.size
     lhs = float(np.linalg.norm(Ah + f) ** 2) / (2.0 * d)
     size = float(np.linalg.norm(h)) + float(np.linalg.norm(f)) / math.sqrt(d)
@@ -578,8 +531,7 @@ def _pair_ratio(Ah: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
 
 def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
     """The pairs ``(h, f)`` that :func:`check_restricted_lower_bound` scores, each in the cone,
-    as triples ``(h, A @ h, f)``: ``A @ h`` is formed once per ``h``, as
-    :func:`restricted_pair_ratio` forms it.
+    as triples ``(h, A @ h, f)``: ``A @ h`` is formed once per ``h``.
 
     ``h`` runs over the top three generalized eigenvectors of ``(A_S^T A_S, A^T A)``, whose
     ``A h`` is heaviest on ``S``; for each ``t`` in ``0, 0.1, ..., 3``, ``f_S = -t (A h)_S``,
@@ -624,25 +576,28 @@ def check_restricted_lower_bound(
     where ``delta_norm`` bounds ``||A^T w||_inf`` and ``C`` is fixed at 1.  Every pair of
     :func:`_cone_pairs` lies in the cone, so each of the ``num_violations`` scored ratios
     below 1 certifies a violation, while a ``min_ratio`` at or above 1 proves nothing.
-    ``ValueError`` rejects a ``lam`` that is not positive and finite, a ``sigma``, ``eta``
-    or ``delta_norm`` that is negative or not finite, a non-finite entry of ``A``, a support
-    entry outside ``[0, d)`` or repeated (each named with its first bad entry),
-    ``k + |S| > d / 4``, outside the bound's regime, and an ``A`` of deficient rank.
+    ``ValueError`` rejects a ``lam`` that is not a positive finite real number, a ``sigma``,
+    ``eta`` or ``delta_norm`` that is not a nonnegative finite one, an ``A`` that is not 2-D
+    or has a non-finite entry, a support entry that is not an integer in ``[0, d)`` or is
+    repeated (each named with its first bad entry), ``k + |S| > d / 4``, outside the bound's
+    regime, and an ``A`` of deficient rank.
     """
-    if not 0.0 < lam < math.inf:  # NaN fails too
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-    _check_nonnegative(sigma=sigma, eta=eta, delta_norm=delta_norm)
-    A = np.asarray(A, dtype=float)
-    _check_finite("A", A)
+    lam = checks.real("lam", lam, "positive")
+    sigma, eta, delta_norm = (
+        checks.real(name, value, "nonnegative")
+        for name, value in (("sigma", sigma), ("eta", eta), ("delta_norm", delta_norm))
+    )
+    A = checks.array("A", A, 2)
     d, k = A.shape
-    S = np.asarray(support, dtype=int)
     seen = set()
-    for i, j in enumerate(S.tolist()):
-        if not 0 <= j < d:
+    for i, j in enumerate(support):
+        j = checks.integer(f"support entry at index {i}", j, 0)
+        if j >= d:
             raise ValueError(f"support entry {j} at index {i} lies outside [0, d={d})")
         if j in seen:
             raise ValueError(f"support entry {j} at index {i} is repeated")
         seen.add(j)
+    S = np.asarray(support, dtype=int)
     if k + S.size > d / 4:
         raise ValueError(f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}")
     pairs = _cone_pairs(A, S, lam=lam, sigma=sigma, eta=eta, delta_norm=delta_norm)

@@ -35,12 +35,12 @@ estimate is feasible by construction and is not checked again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bias import BiasConstants, BiasModel, _check_law
+from . import _checks as checks
+from .bias import BiasConstants, BiasModel
 
 __all__ = [
     "EstimatedMatrix",
@@ -55,21 +55,6 @@ FILL_STRATEGIES = ("upper_boundary", "lower_boundary", "midpoint")
 
 class InfeasibleRowError(ValueError):
     """The feasible interval for a row's shift is empty."""
-
-
-def _checked_inputs(Y, model) -> np.ndarray:
-    """``Y`` as a float matrix, after the input checks both public entry points share."""
-    _check_law(model)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError(f"Y must be a 2-D matrix, got shape {Y.shape}")
-    if Y.size and not (Y.min() >= 0.0 and Y.max() < math.inf):  # NaN fails both tests
-        i, j = np.argwhere(~((Y >= 0.0) & (Y < math.inf)))[0]
-        raise ValueError(
-            f"Y row {i} holds {Y[i, j]} at column {j}; "
-            "a rectified output is finite and nonnegative"
-        )
-    return Y
 
 
 def _row_mles(top, bottom, mixed, index, model: BiasModel, gamma: float, nu: float):
@@ -127,18 +112,16 @@ def reconstruct_matrix(
     interval.  The only slack is the ``1e-12`` tolerance on an interval
     that is empty by rounding.
 
-    Raises ``ValueError`` for a ``model`` that is not a :class:`BiasModel`,
-    for a ``Y`` that is not a 2-D matrix or holds a NaN, an infinity or a
-    negative entry (naming the first such row), for ``gamma`` not positive
-    and finite, and for ``nu`` not nonnegative and finite.
+    Raises ``ValueError`` naming a ``model`` that is not a :class:`BiasModel`,
+    a ``Y`` that is not a 2-D array or the first of its entries that is a
+    NaN, an infinity or negative, a ``gamma`` that is not a positive finite
+    real number, and a ``nu`` that is not a nonnegative finite one.
     """
-    if fill not in FILL_STRATEGIES:
-        raise ValueError(f"fill must be one of {FILL_STRATEGIES}, got {fill!r}")
-    Y = _checked_inputs(Y, model)
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if not 0.0 <= nu < math.inf:
-        raise ValueError(f"nu must be nonnegative and finite, got {nu}")
+    checks.choice("fill", fill, FILL_STRATEGIES)
+    checks.law("model", model)
+    Y = checks.array("Y", Y, 2, nonnegative=True)
+    gamma = checks.real("gamma", gamma, "positive")
+    nu = checks.real("nu", nu, "nonnegative")
     d, n = Y.shape
     on = Y > 0.0
     rows = np.flatnonzero(on.any(axis=1))
@@ -150,7 +133,7 @@ def reconstruct_matrix(
 
     # one fill value per row: the row's ceiling m_min - nu on mixed rows
     # (moot on fully observed ones), -gamma on rows with empty support
-    fill_value = np.full(d, -float(gamma))
+    fill_value = np.full(d, -gamma)
     ceiling = (bottom - beta) - nu
     if fill == "upper_boundary":
         fill_value[rows] = np.maximum(ceiling, -gamma)
@@ -190,36 +173,30 @@ def log_likelihood(Y: np.ndarray, estimate: EstimatedMatrix, model: BiasModel) -
     between two candidates is the difference of their scores.
 
     ``Y`` and ``model`` are checked as in :func:`reconstruct_matrix`.  The
-    estimate must fit ``Y``, else ``ValueError`` names what does not: a
-    shape (``m_hat`` that of ``Y``, ``beta_hats`` one entry per row), or the
-    first row that breaks a rule.  Every ``m_hat`` entry is finite, and each
-    row with support has a finite ``beta_hat`` from which every
-    ``Y_ij - m_hat_ij`` differs by at most ``4 eps`` times the largest
-    magnitude in the row's ``Y``, ``m_hat`` and ``beta_hat`` (``eps`` the
-    float64 machine epsilon).  The score reads the shift from
+    estimate must fit ``Y``, else ``ValueError`` names what does not: an
+    ``m_hat`` not of the shape of ``Y`` or its first non-finite entry, a
+    ``beta_hats`` without one entry per row of ``Y``, or the first row with
+    support that breaks a rule: it has a finite ``beta_hat`` from which
+    every ``Y_ij - m_hat_ij`` differs by at most ``4 eps`` times the
+    largest magnitude in the row's ``Y``, ``m_hat`` and ``beta_hat``
+    (``eps`` the float64 machine epsilon).  The score reads the shift from
     ``beta_hats``: ``Y - m_hat`` can round below an exponential law's
     support edge.
     """
-    Y = _checked_inputs(Y, model)
-    m_hat, beta_hats = (np.asarray(a, dtype=float) for a in (estimate.m_hat, estimate.beta_hats))
-    if m_hat.shape != Y.shape:
-        raise ValueError(f"estimate shape {m_hat.shape} does not match Y {Y.shape}")
-    if beta_hats.shape != Y.shape[:1]:
-        raise ValueError(
-            f"beta_hats shape {beta_hats.shape} is not {Y.shape[:1]}, one shift per row of Y"
-        )
+    checks.law("model", model)
+    Y = checks.array("Y", Y, 2, nonnegative=True)
+    m_hat = checks.array("m_hat", estimate.m_hat, Y.shape)
+    # NaN marks a row without support
+    beta_hats = checks.array("beta_hats", estimate.beta_hats, Y.shape[:1], finite=False)
     on = Y > 0.0
     clipped = ~on.any(axis=1)
     rows = np.flatnonzero(~clipped)
     shift = np.where(clipped, 0.0, beta_hats)  # an all-clipped row has no shift to fit
     stray = np.max(np.abs(Y - m_hat - shift[:, None]), axis=1, where=on, initial=0.0)
     scale = np.maximum(np.max(np.maximum(np.abs(m_hat), Y), axis=1, initial=0.0), np.abs(shift))
-    finite = np.isfinite(m_hat).all(axis=1)
-    unfit = ~(finite & np.isfinite(shift) & (stray <= 4.0 * np.finfo(float).eps * scale))
+    unfit = ~(np.isfinite(shift) & (stray <= 4.0 * np.finfo(float).eps * scale))
     if unfit.any():
         i = int(np.argmax(unfit))
-        if not finite[i]:
-            raise ValueError(f"estimate row {i}: m_hat holds {m_hat[i][~np.isfinite(m_hat[i])][0]}")
         raise ValueError(f"estimate row {i}: Y - m_hat is {stray[i]:.3g} off beta_hat {shift[i]}")
     lp = _row_logliks(beta_hats[rows], m_hat, rows, model)
     # a row's baseline is its term at shift Y_min, or at ceiling 0 when all clipped
@@ -245,8 +222,7 @@ def theoretical_rep_bound(constants: BiasConstants, d: int) -> float:
     ``n`` enters, so this normalisation is not settled by it.  ``ValueError``
     names a ``d`` that is not an integer of at least 1.
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 1:
-        raise ValueError(f"row count d must be an integer of at least 1, got {d!r}")
+    d = checks.integer("row count d", d, 1)
     if constants.vacuous:
         return math.inf
     return 2.0 * constants.lipschitz * constants.gamma * d / (constants.beta * constants.omega)

@@ -24,6 +24,8 @@ import warnings
 import numpy as np
 from numpy.linalg import eigh
 
+from . import _checks as checks
+
 __all__ = [
     "RankDeficiencyWarning",
     "subspace_distances",
@@ -52,17 +54,19 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     ``S`` is accurate to about ``eps * s_1``, and ``U`` and ``V`` to about
     ``eps * s_1^2 / (s_k^2 - s_{k+1}^2)``.
 
-    Raises ``ValueError`` naming the first NaN or infinite entry.  Warns
-    when ``s_k <= max(d, n) * eps * s_1`` (always for a zero matrix), since
-    the trailing basis directions are then arbitrary.
+    Raises ``ValueError`` naming an ``M`` that is not a 2-D array or its
+    first NaN or infinite entry, and a ``k`` that is not an integer in
+    ``[1, min(d, n)]``.  Warns when ``s_k <= max(d, n) * eps * s_1`` (always
+    for a zero matrix), since the trailing basis directions are then
+    arbitrary.
     """
-    M = np.asarray(M, dtype=float)
-    if not 1 <= k <= min(M.shape):
+    M = checks.array("M", M, 2, finite=False)
+    k = checks.integer("k", k, 1)
+    if k > min(M.shape):
         raise ValueError(f"rank k={k} must lie in [1, {min(M.shape)}] for shape {M.shape}")
     top, bottom = M.max(axis=1), M.min(axis=1)  # both finite exactly when the row is
     if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
-        i, j = np.argwhere(~np.isfinite(M))[0]
-        raise ValueError(f"M row {i} holds {M[i, j]} at column {j}; the SVD needs finite entries")
+        checks.array("M", M, 2)  # names the first entry that is not finite
     constant = top == bottom
     c = top[constant]
     norm = float(np.linalg.norm(c))
@@ -161,14 +165,7 @@ def subspace_distances(U: np.ndarray, U_hat: np.ndarray) -> tuple[float, float]:
     the minimising rotation is never formed.  Raises ``ValueError`` naming a
     basis that is not 2-D, or its first NaN or infinite entry.
     """
-    U = np.asarray(U, dtype=float)
-    U_hat = np.asarray(U_hat, dtype=float)
-    for name, A in (("U", U), ("U_hat", U_hat)):
-        if A.ndim != 2:
-            raise ValueError(f"{name} has shape {A.shape}; a basis is a 2-D array")
-        if not np.isfinite(A).all():
-            i, j = np.argwhere(~np.isfinite(A))[0]
-            raise ValueError(f"{name} row {i} holds {A[i, j]} at column {j}; bases must be finite")
+    U, U_hat = checks.array("U", U, 2), checks.array("U_hat", U_hat, 2)
     if U.shape != U_hat.shape:
         raise ValueError(f"basis shapes differ: {U.shape} vs {U_hat.shape}")
     G = U.T @ U_hat

@@ -11,7 +11,7 @@ is ``LassoSolution.grad_norm``.
 closed form; :func:`gaussian_bias_moments` integrates the constant-offset
 forms over the law instead.  :func:`in_restricted_cone` writes out the
 cone inequality that ``check_restricted_lower_bound`` builds its pairs to
-satisfy.
+satisfy, and :func:`restricted_pair_ratio` the ratio it scores each pair by.
 """
 
 import math
@@ -106,3 +106,21 @@ def in_restricted_cone(
     rate = (math.sqrt(k) * sigma + eta) / math.sqrt(d) + math.sqrt(k) * delta_norm / d
     allowed = 2.0 * rate * float(np.sqrt(np.sum(h * h))) + 3.0 * lam * float(np.sum(np.abs(f[on])))
     return off_mass <= allowed * (1.0 + rtol)
+
+
+def restricted_pair_ratio(A: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
+    """Ratio of ``(1/2d)||A h + f||^2`` to ``(1/128)(||h|| + ||f||/sqrt(d))^2``.
+
+    Values at or above 1 satisfy the restricted lower bound; the zero pair
+    gives ``inf`` by convention.  The arithmetic is that of the check's own
+    ratio, so the two agree bit for bit.  ``ValueError`` names an ``h`` not
+    of shape ``(k,)`` or an ``f`` not of shape ``(d,)``, which would
+    otherwise broadcast to a ratio of the wrong pair.
+    """
+    d, k = A.shape
+    for name, x, n in (("h", h, k), ("f", f, d)):
+        if np.shape(x) != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {np.shape(x)}")
+    lhs = float(np.linalg.norm(A @ h + f) ** 2) / (2.0 * d)
+    size = float(np.linalg.norm(h)) + float(np.linalg.norm(f)) / math.sqrt(d)
+    return lhs / (size * size / 128.0) if size else math.inf

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from relurec.bias import (
@@ -424,7 +426,7 @@ class TestConstantsBundle:
     @pytest.mark.parametrize("model", [0.0, -2, None, "exp:rate=1,shift=-2"], ids=repr)
     def test_a_non_law_is_named(self, constant, model):
         # each once raised AttributeError: 'float' object has no attribute 'support' (or 'cdf')
-        message = f"the bias law must be a distributional BiasModel, got {model!r}"
+        message = f"model must be a bias law, got {model!r}"
         with pytest.raises(ValueError) as caught:
             constant(model)
         assert str(caught.value) == message
@@ -448,6 +450,21 @@ class TestConfigStrings:
     @pytest.mark.parametrize("model", ALL_MODELS)
     def test_round_trip(self, model):
         assert parse_bias_spec(bias_spec_to_config(model)) == model
+
+    @given(
+        kind=st.sampled_from(["shifted_exponential", "gaussian", "logistic"]),
+        location=st.floats(-1e3, 1e3),
+        spread=st.floats(1e-3, 1e3),
+        number=st.sampled_from([float, int, np.float64, np.float32]),
+    )
+    def test_a_law_of_any_real_type_round_trips(self, kind, location, spread, number):
+        # np.float64(0.1) was once kept, written as mean=np.float64(0.1) and not parsed back
+        if number is int:
+            location, spread = round(location), max(round(spread), 1)
+        pair = (spread, location) if kind == "shifted_exponential" else (location, spread)
+        law = BiasModel(kind, tuple(number(x) for x in pair))
+        assert all(type(x) is float for x in law.params)
+        assert parse_bias_spec(bias_spec_to_config(law)) == law
 
     def test_constant_spec(self):
         assert parse_bias_spec("const:value=0.5") == 0.5
@@ -518,10 +535,13 @@ class TestConfigStrings:
         "build, message",
         [
             (lambda: BiasModel.gaussian(math.nan, 1.0), "gaussian parameter mean must be finite"),
-            (lambda: BiasModel.gaussian(0.0, math.inf), "gaussian parameter std must be finite"),
+            (
+                lambda: BiasModel.gaussian(0.0, math.inf),
+                "gaussian parameter std must be positive and finite, got inf",
+            ),
             (
                 lambda: BiasModel.shifted_exponential(rate=math.inf),
-                "shifted_exponential parameter rate must be finite",
+                "shifted_exponential parameter rate must be positive and finite, got inf",
             ),
             (
                 lambda: bias_law("gauss:mean=nan,std=1"),

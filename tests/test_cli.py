@@ -16,6 +16,7 @@ from relurec.bias import BiasModel
 from relurec.generate import (
     GenerativeInstance,
     RecoveryInstance,
+    generate_recovery_instance,
     generate_representation_instance,
     load_instance,
     save_instance,
@@ -194,6 +195,13 @@ def make_vector_instance(tmp_path, **overrides):
 
 
 class TestRecover:
+    def test_instance_of_a_law_of_numpy_scalars_is_read_back(self, tmp_path):
+        # the bias was once saved as gauss:mean=np.float64(0.1),std=1.0, which recover rejected
+        law = BiasModel("gaussian", (np.float64(0.1), 1.0))
+        save_instance(generate_recovery_instance(80, 2, 3, 0.005, 5.0, law, seed=2), tmp_path)
+        assert load_instance(tmp_path).bias == "gauss:mean=0.1,std=1.0"
+        assert run(["recover", "--input", tmp_path, "--out", tmp_path / "fit"]) == 0
+
     def test_oracle_lambda(self, tmp_path):
         inst = make_vector_instance(tmp_path)
         out = tmp_path / "fit"
@@ -243,7 +251,7 @@ class TestRecover:
         [
             ("--lambda", "inf", "argument --lambda: must be positive and finite, got inf"),
             ("--lambda", "foo", "argument --lambda: could not convert string to float: 'foo'"),
-            ("--max-iter", "0", "argument --max-iter: must be at least 1, got 0"),
+            ("--max-iter", "0", "argument --max-iter: must be an integer of at least 1, got 0"),
         ],
         ids=["lambda-inf", "lambda-foo", "max-iter-0"],
     )
@@ -345,7 +353,7 @@ class TestBadFlagValue:
             (["gen", "--task", "recover", "--d", 60, "--k", 3, "--delta", "nan"],
              "noise level delta must be nonnegative and finite, got nan"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--bias", "const:value=0.0"],
-             "the bias law must be a distributional BiasModel, got 0.0"),
+             "model must be a bias law, got 0.0"),
             (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--bias", "nope"],
              "bias config 'nope' is missing the ':' separator"),
@@ -363,7 +371,7 @@ class TestBadFlagValue:
             (["gen", "--task", "recover", "--d", 10, "--k", 1, "--s", 20],
              "outlier count s=20 must lie in [0, d=10]"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", -1],
-             "outlier count s=-1 must lie in [0, d=100]"),
+             "s must be an integer of at least 0, got -1"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
              "noise level delta must be nonnegative and finite, got -1.0"),
             (["learn-rep", "--input", "{inst}", "--gamma", 0.1, "--nu", 0.05],
@@ -375,7 +383,7 @@ class TestBadFlagValue:
              "[0.11674730013446474, 0.068626558863551] "
              "(spread 0.182015 vs bound 0.095, separation 0.05610554026310559)"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--seed", -1],
-             "argument --seed: must be at least 0, got -1"),
+             "argument --seed: must be an integer of at least 0, got -1"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "nan"],
              "argument --min-margin: must be nonnegative and finite, got nan"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "inf"],
@@ -403,7 +411,8 @@ class TestBadFlagValue:
              "p/P(B<=x) is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 10],
              "argument --k: k=10 must be less than d=10"),
-            (["gen", "--task", "recover", "--d", 0, "--k", 1], "argument --d: must be at least 1, got 0"),
+            (["gen", "--task", "recover", "--d", 0, "--k", 1],
+             "argument --d: must be an integer of at least 1, got 0"),
             (["gen", "--task", "recover", "--d", 50, "--k", 3, "--bias",
               "logistic:loc=1e17,scale=1"],
              "argument --bias: the quadrature masses of bias law logistic:loc=1e+17,scale=1.0 "

@@ -132,7 +132,7 @@ class TestRepresentationInstance:
 
     def test_constant_bias_is_rejected(self):
         # a float has no sample method; it once raised AttributeError
-        with pytest.raises(ValueError, match="distributional"):
+        with pytest.raises(ValueError, match="^model must be a bias law, got 0.0$"):
             generate_representation_instance(5, 10, 1, 1.0, 0.0, seed=0)
 
 
@@ -185,7 +185,7 @@ class TestRecoveryInstance:
     @pytest.mark.parametrize(
         "s, delta, message",
         [
-            (-1, 0.0, r"outlier count s=-1 must lie in \[0, d=40\]"),
+            (-1, 0.0, "s must be an integer of at least 0, got -1"),
             (41, 0.0, r"outlier count s=41 must lie in \[0, d=40\]"),
             (2, -1.0, "noise level delta must be nonnegative and finite, got -1.0"),
             (2, math.nan, "noise level delta must be nonnegative and finite, got nan"),
@@ -200,10 +200,10 @@ class TestRecoveryInstance:
     @pytest.mark.parametrize(
         "d, k, s, message",
         [
-            (20.0, 2, 2, "d must be an integer, got 20.0"),
-            (20, 2.0, 2, "k must be an integer, got 2.0"),
-            (20, 2, True, "s must be an integer, got True"),
-            (True, 2, 0, "d must be an integer, got True"),
+            (20.0, 2, 2, "d must be an integer of at least 1, got 20.0"),
+            (20, 2.0, 2, "k must be an integer of at least 1, got 2.0"),
+            (20, 2, True, "s must be an integer of at least 0, got True"),
+            (True, 2, 0, "d must be an integer of at least 1, got True"),
         ],
         ids=["d-float", "k-float", "s-true", "d-true"],
     )

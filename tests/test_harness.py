@@ -617,7 +617,7 @@ class TestRepSweepConstants:
     @pytest.mark.parametrize(
         "law, message",
         [
-            ("const:value=0.0", "the bias law must be a distributional BiasModel, got 0.0"),
+            ("const:value=0.0", "model must be a bias law, got 0.0"),
             ("exp:rate=1,shift=2", "density vanishes on all of [-1.0, 1.0]; flatness is undefined"),
             ("exp:rate=1,shift=-1",
              "CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) is unbounded"),

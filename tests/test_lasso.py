@@ -19,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from relurec import _checks as checks
 from relurec import lasso
 from relurec.bias import BiasModel, bias_spec_to_config
 from relurec.generate import generate_recovery_instance
@@ -32,13 +33,13 @@ from relurec.lasso import (
     make_nonlinearity_stats,
     oracle_lambda,
     recovery_error_and_bound,
-    restricted_pair_ratio,
     solve_robust_lasso,
 )
 from relurec.lasso import _cone_pairs, _offset_rule, _residual_moments, _tail_nodes
 
 from lasso_oracles import (
-    gaussian_bias_moments, in_restricted_cone, kkt_residuals, lasso_objective, soft_threshold,
+    gaussian_bias_moments, in_restricted_cone, kkt_residuals, lasso_objective,
+    restricted_pair_ratio, soft_threshold,
 )
 from rectifier_sampling import sampled_moments
 
@@ -226,14 +227,14 @@ class TestMomentsAtExtremeOffsets:
     @pytest.mark.parametrize("b0", [True, False, "0.5"], ids=["true", "false", "string"])
     def test_constant_offset_that_is_no_real_number_is_named(self, b0):
         # True was taken as the offset 1.0
-        message = f"^constant bias value must be a real number, got {re.escape(repr(b0))}$"
+        message = f"^constant bias must be a real number, got {re.escape(repr(b0))}$"
         with pytest.raises(ValueError, match=message):
             make_nonlinearity_stats(b0)
 
     @pytest.mark.parametrize("b0", [math.nan, math.inf, -math.inf])
     def test_non_finite_constant_offset_is_named(self, b0):
         # the closed forms would give NaN moments, or warn on an infinite offset
-        with pytest.raises(ValueError, match=f"^constant bias value must be finite, got {b0}$"):
+        with pytest.raises(ValueError, match=f"^constant bias must be finite, got {b0}$"):
             make_nonlinearity_stats(b0)
 
 
@@ -407,7 +408,7 @@ class TestSolver:
             solve_robust_lasso(np.zeros(2), np.ones((2, 3)), LassoConfig(lam=1.0))
 
     def test_design_must_be_two_dimensional(self):
-        with pytest.raises(ValueError, match=r"^A must be a 2-D design matrix, got shape \(6,\)"):
+        with pytest.raises(ValueError, match=r"^A must be a 2-D array, got shape \(6,\)$"):
             solve_robust_lasso(np.zeros(6), np.ones(6), LassoConfig(lam=1.0))
 
     def test_design_must_have_a_column(self):
@@ -419,7 +420,8 @@ class TestSolver:
     @pytest.mark.parametrize("shape", [(7,), (5,), (6, 1)])
     def test_observations_must_match_the_rows(self, shape):
         A = np.random.default_rng(0).standard_normal((6, 2))
-        with pytest.raises(ValueError, match=r"^v must be 1-D of length 6"):
+        message = rf"^v must be an array of shape \(6,\), got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
             solve_robust_lasso(np.zeros(shape), A, LassoConfig(lam=1.0))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -427,7 +429,7 @@ class TestSolver:
         A = np.random.default_rng(0).standard_normal((6, 2))
         v = np.zeros(6)
         v[[3, 5]] = value
-        with pytest.raises(ValueError, match=r"^v has a non-finite entry .* at index 3$"):
+        with pytest.raises(ValueError, match=r"^v must be finite, got .* at index 3$"):
             solve_robust_lasso(v, A, LassoConfig(lam=1.0))
 
     @pytest.mark.parametrize("value", [1e200, -1e200, 6e153])
@@ -454,19 +456,23 @@ class TestSolver:
         A = np.random.default_rng(0).standard_normal((6, 2))
         A[4, 1] = value
         A[5, 0] = value
-        with pytest.raises(ValueError, match=r"^A has a non-finite entry .* at index \(4, 1\)$"):
+        with pytest.raises(ValueError, match=r"^A must be finite, got .* at index \(4, 1\)$"):
             solve_robust_lasso(np.zeros(6), A, LassoConfig(lam=1.0))
 
     def test_finite_design_is_not_scanned_entry_by_entry(self, monkeypatch):
         # the diagonal of A^T A, which the solve forms anyway, is finite only if A is
-        names = []
-        check = lasso._check_finite
-        monkeypatch.setattr(
-            lasso, "_check_finite", lambda name, x: names.append(name) or check(name, x)
-        )
+        scanned = []
+        array = checks.array
+
+        def recorded(name, value, shape, *, finite=True, **rule):
+            if finite:
+                scanned.append(name)
+            return array(name, value, shape, finite=finite, **rule)
+
+        monkeypatch.setattr(checks, "array", recorded)
         A = np.random.default_rng(0).standard_normal((6, 2))
         solve_robust_lasso(np.ones(6), A, LassoConfig(lam=1.0))
-        assert names == ["v"]
+        assert scanned == ["v"]
 
     @pytest.mark.parametrize("scale", [1e10, 1e12])
     def test_scaled_design_stops_as_the_unscaled_one(self, scale):
@@ -595,12 +601,14 @@ class TestSolver:
             LassoConfig(lam=lam)
 
     def test_fractional_budget_is_named(self):
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got 1\.5$"):
+        message = r"^max_iter must be an integer of at least 1, got 1\.5$"
+        with pytest.raises(ValueError, match=message):
             LassoConfig(lam=1.0, max_iter=1.5)
 
     def test_boolean_budget_is_named(self):
         # True is an int to Python, but not a sweep count
-        with pytest.raises(ValueError, match=r"^max_iter must be an integer, got True$"):
+        message = r"^max_iter must be an integer of at least 1, got True$"
+        with pytest.raises(ValueError, match=message):
             LassoConfig(lam=1.0, max_iter=True)
         assert LassoConfig(lam=1.0, max_iter=np.int64(3)).max_iter == 3
 
@@ -720,10 +728,22 @@ class TestErrorAndBound:
     @pytest.mark.parametrize(
         "c_hat, e_hat, message",
         [
-            (np.zeros(1), np.zeros(50), r"c_hat must have shape \(3,\), got \(1,\)"),
-            (np.zeros((3, 3)), np.zeros(50), r"c_hat must have shape \(3,\), got \(3, 3\)"),
-            (np.zeros(3), np.zeros(1), r"e_hat must have shape \(50,\), got \(1,\)"),
-            (np.zeros(3), np.zeros((50, 1)), r"e_hat must have shape \(50,\), got \(50, 1\)"),
+            (
+                np.zeros(1), np.zeros(50),
+                r"c_hat must be an array of shape \(3,\), got shape \(1,\)",
+            ),
+            (
+                np.zeros((3, 3)), np.zeros(50),
+                r"c_hat must be an array of shape \(3,\), got shape \(3, 3\)",
+            ),
+            (
+                np.zeros(3), np.zeros(1),
+                r"e_hat must be an array of shape \(50,\), got shape \(1,\)",
+            ),
+            (
+                np.zeros(3), np.zeros((50, 1)),
+                r"e_hat must be an array of shape \(50,\), got shape \(50, 1\)",
+            ),
         ],
         ids=["c-one-entry", "c-square", "e-one-entry", "e-column"],
     )
@@ -839,10 +859,13 @@ class TestRestrictedSet:
     @pytest.mark.parametrize(
         "change, message",
         [
-            ({"support": [-1]}, r"support entry -1 at index 0 lies outside \[0, d=100\)"),
+            ({"support": [-1]}, "support entry at index 0 must be an integer of at least 0, "
+                                "got -1"),
             ({"support": [4, 150]}, r"support entry 150 at index 1 lies outside \[0, d=100\)"),
             ({"support": [1, 2, 1]}, "support entry 1 at index 2 is repeated"),
-            ({"A": np.full((100, 3), np.nan)}, r"A has a non-finite entry nan at index \(0, 0\)"),
+            ({"support": [4, 1.5]}, "support entry at index 1 must be an integer of at least 0, "
+                                    "got 1.5"),
+            ({"A": np.full((100, 3), np.nan)}, r"A must be finite, got nan at index \(0, 0\)"),
             ({"lam": 0.0}, "lam must be positive and finite, got 0.0"),
             ({"lam": math.nan}, "lam must be positive and finite, got nan"),
             ({"sigma": -1.0}, "sigma must be nonnegative and finite, got -1.0"),
@@ -850,8 +873,9 @@ class TestRestrictedSet:
             ({"delta_norm": math.nan}, "delta_norm must be nonnegative and finite, got nan"),
             ({"A": np.zeros((100, 3))}, r"A\^T A is not positive definite"),
         ],
-        ids=["support-negative", "support-above-d", "support-repeated", "A-nan", "lam-zero",
-             "lam-nan", "sigma-negative", "eta-inf", "delta-norm-nan", "A-rank-deficient"],
+        ids=["support-negative", "support-above-d", "support-repeated", "support-fraction",
+             "A-nan", "lam-zero", "lam-nan", "sigma-negative", "eta-inf", "delta-norm-nan",
+             "A-rank-deficient"],
     )
     def test_bad_input_is_named(self, change, message):
         # these once ran as row 99, as |S| = 3, or with min_ratio = nan, or

@@ -132,7 +132,8 @@ class TestRowLogLikelihood:
 
     def test_estimate_of_another_shape_is_rejected(self):
         est = one_row([2.0, 1.0, 0.0], EXP4, 3.0, 0.1)
-        with pytest.raises(ValueError, match=r"estimate shape \(1, 3\) does not match Y \(1, 2\)"):
+        message = r"^m_hat must be an array of shape \(1, 2\), got shape \(1, 3\)$"
+        with pytest.raises(ValueError, match=message):
             log_likelihood(np.array([[2.0, 1.0]]), est, EXP4)
 
     @pytest.mark.parametrize(
@@ -150,7 +151,7 @@ class TestRowLogLikelihood:
         Y = np.array(Y)
         est = reconstruct_matrix(Y, EXP4, 3.0, 0.1)
         short = EstimatedMatrix(est.m_hat, np.resize(est.beta_hats, size))
-        message = rf"^beta_hats shape \({size},\) is not \(2,\), one shift per row of Y$"
+        message = rf"^beta_hats must be an array of shape \(2,\), got shape \({size},\)$"
         with pytest.raises(ValueError, match=message):
             log_likelihood(Y, short, EXP4)
 
@@ -299,10 +300,11 @@ class TestReconstructMatrix:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (np.nan, r"Y row 1 holds nan at column 2"),
-            (np.inf, r"Y row 1 holds inf at column 2"),
-            (-0.5, r"Y row 1 holds -0.5 at column 2"),
+            (np.nan, r"^Y must be finite and nonnegative, got nan at index \(1, 2\)$"),
+            (np.inf, r"^Y must be finite and nonnegative, got inf at index \(1, 2\)$"),
+            (-0.5, r"^Y must be finite and nonnegative, got -0.5 at index \(1, 2\)$"),
         ],
+        ids=["nan", "inf", "negative"],
     )
     def test_bad_entries_are_named_by_row(self, bad, message):
         # a NaN once read as clipped, and an inf gave an interval [inf, ...]
@@ -312,7 +314,8 @@ class TestReconstructMatrix:
 
     @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
     def test_y_must_be_a_matrix(self, shape):
-        with pytest.raises(ValueError, match=r"Y must be a 2-D matrix, got shape"):
+        message = rf"^Y must be a 2-D array, got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
             reconstruct_matrix(np.ones(shape), EXP4, 3.0, 0.1)
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf])
@@ -511,7 +514,7 @@ class TestLikelihoodGap:
         inst, model = self._instance()
         bad = inst.M.copy()
         bad[2] = value
-        with pytest.raises(ValueError, match=rf"^estimate row 2: m_hat holds {value}$"):
+        with pytest.raises(ValueError, match=rf"^m_hat must be finite, got {value} at index \(2, 0\)$"):
             log_likelihood(inst.Y, EstimatedMatrix(bad, inst.b), model)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -292,7 +292,7 @@ def test_truncated_svd_names_the_first_non_finite_entry(bad):
     M = np.ones((4, 6))
     M[2, 3] = bad
     M[3, 1] = bad
-    with pytest.raises(ValueError, match=f"M row 2 holds {bad} at column 3"):
+    with pytest.raises(ValueError, match=rf"^M must be finite, got {bad} at index \(2, 3\)$"):
         truncated_svd(M, 2)
 
 
@@ -303,7 +303,7 @@ def test_subspace_distances_names_the_first_non_finite_entry(name, bad):
     bases = {"U": np.eye(5, 2), "U_hat": np.eye(5, 2)}
     bases[name][3, 1] = bad
     bases[name][4, 0] = bad
-    message = f"^{name} row 3 holds {bad} at column 1; bases must be finite$"
+    message = rf"^{name} must be finite, got {bad} at index \(3, 1\)$"
     with pytest.raises(ValueError, match=message):
         subspace_distances(**bases)
 
@@ -312,7 +312,7 @@ def test_subspace_distances_names_the_first_non_finite_entry(name, bad):
 def test_subspace_distances_names_a_basis_that_is_not_2d(name):
     bases = {"U": np.eye(5, 1), "U_hat": np.eye(5, 1)}
     bases[name] = bases[name][:, 0]
-    with pytest.raises(ValueError, match=rf"^{name} has shape \(5,\); a basis is a 2-D array$"):
+    with pytest.raises(ValueError, match=rf"^{name} must be a 2-D array, got shape \(5,\)$"):
         subspace_distances(**bases)
 
 
