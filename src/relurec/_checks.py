@@ -71,12 +71,16 @@ def law(name: str, value):
 def array(name: str, value, shape, *, finite: bool = True, nonnegative: bool = False) -> np.ndarray:
     """``value`` as a float array of ``shape`` dimensions (an int) or of shape ``shape`` (a tuple).
 
-    With ``finite``, every entry must be finite, and nonnegative too with
-    ``nonnegative``; the first one that is not is named with its index.  The
-    test takes the array's minimum and maximum, which NaN propagates through,
-    so it allocates nothing the size of the array.
+    A value numpy cannot convert to floats, such as one with a string entry,
+    is no float array.  With ``finite``, every entry must be finite, and
+    nonnegative too with ``nonnegative``; the first one that is not is named
+    with its index.  The test takes the array's minimum and maximum, which
+    NaN propagates through, so it allocates nothing the size of the array.
     """
-    x = np.asarray(value, dtype=float)
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        _fail(name, "a float array", f"{type(value).__name__} ({exc})")
     if isinstance(shape, int) and x.ndim != shape:
         _fail(name, f"a {shape}-D array", f"shape {x.shape}")
     if isinstance(shape, tuple) and x.shape != shape:

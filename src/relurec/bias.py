@@ -29,8 +29,8 @@ such as a constant offset, and :class:`InvalidIntervalError` naming a
 
 from __future__ import annotations
 
+import functools
 import math
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,13 +52,19 @@ __all__ = [
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
-_NORMAL_INV_CDF = statistics.NormalDist().inv_cdf
+
+
+@functools.cache
+def _normal_inv_cdf():
+    """``statistics.NormalDist().inv_cdf``; ``statistics`` loads with the first quantile."""
+    import statistics
+    return statistics.NormalDist().inv_cdf
 
 
 def _normal_quantile(p: float) -> float:
     """Standard-normal quantile: -inf at 0, inf at 1, NaN outside ``[0, 1]``."""
     if 0.0 < p < 1.0:
-        return _NORMAL_INV_CDF(p)
+        return _normal_inv_cdf()(p)
     return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
 
 
@@ -356,12 +362,11 @@ class BiasConstants:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.beta < 0.0:
-            raise ValueError(f"flatness constant must be nonnegative, got {self.beta}")
-        if not self.lipschitz > 0.0:
-            raise ValueError(f"Lipschitz constant must be positive, got {self.lipschitz}")
-        if not 0.0 <= self.omega <= 1.0:
-            raise ValueError(f"window mass must lie in [0, 1], got {self.omega}")
+        for name, sign in (("beta", "nonnegative"), ("lipschitz", "positive"),
+                           ("omega", "nonnegative"), ("gamma", "positive"), ("nu", "positive")):
+            object.__setattr__(self, name, checks.real(name, getattr(self, name), sign))
+        if self.omega > 1.0:
+            raise ValueError(f"omega must be at most 1, got {self.omega!r}")
 
     @property
     def vacuous(self) -> bool:
@@ -375,6 +380,6 @@ def compute_bias_constants(model: BiasModel, gamma: float, nu: float) -> BiasCon
         beta=flatness_beta(model, gamma),
         lipschitz=lipschitz_L(model, gamma),
         omega=omega_min_mass(model, gamma, nu),
-        gamma=float(gamma),
-        nu=float(nu),
+        gamma=gamma,
+        nu=nu,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bias import BiasModel, default_exponential, flatness_beta, lipschitz_L, parse_bias_spec
+from .bias import default_exponential, flatness_beta, lipschitz_L, parse_bias_spec
 from .generate import (
     GenerativeInstance,
     RecoveryInstance,
@@ -33,6 +33,7 @@ from .generate import (
 from .harness import (
     bias_law,
     emit_results,
+    finite_float,
     nonnegative_float,
     nonnegative_int,
     parse_config,
@@ -82,12 +83,16 @@ def _build_parser() -> _Parser:
     gen = sub.add_parser("gen", help="sample a synthetic instance", add_help=True)
     gen.add_argument("--task", choices=["rep", "recover"], required=True)
     gen.add_argument("--d", type=_flag(positive_int), required=True)
-    gen.add_argument("--n", type=int, help="columns (rep task)")
-    gen.add_argument("--k", type=int, required=True)
-    gen.add_argument("--s", type=int, help="outlier count (recover task; default 0)")
-    gen.add_argument("--gamma", type=float, help="entry bound (rep task; default 1.0)")
-    gen.add_argument("--delta", type=float, help="noise level (recover task; default 0.0)")
-    gen.add_argument("--magnitude", type=float, help="outlier size (recover task; default 5.0)")
+    gen.add_argument("--n", type=_flag(positive_int), help="columns (rep task)")
+    gen.add_argument("--k", type=_flag(positive_int), required=True)
+    gen.add_argument("--s", type=_flag(nonnegative_int),
+                     help="outlier count (recover task; default 0)")
+    gen.add_argument("--gamma", type=_flag(positive_float),
+                     help="entry bound (rep task; default 1.0)")
+    gen.add_argument("--delta", type=_flag(nonnegative_float),
+                     help="noise level (recover task; default 0.0)")
+    gen.add_argument("--magnitude", type=_flag(finite_float),
+                     help="outlier size (recover task; default 5.0)")
     gen.add_argument("--bias", help="bias config string; defaults per task")
     gen.add_argument("--min-margin", type=_flag(nonnegative_float), dest="min_margin",
                      help="least row margin (rep task)")
@@ -151,20 +156,22 @@ def _cmd_gen(args) -> int:
     if args.task == "rep":
         if args.n is None:
             raise ValueError("--n is required for --task rep")
-        spec = parse_bias_spec(args.bias) if args.bias else default_exponential(args.gamma)
-        if isinstance(spec, BiasModel):  # the check every learn-rep on the instance makes
-            try:
-                lipschitz_L(spec, args.gamma)
-            except ValueError as exc:
-                raise _UsageError(f"argument --bias/--gamma: {exc}") from exc
+        try:
+            spec = bias_law(args.bias) if args.bias else default_exponential(args.gamma)
+        except ValueError as exc:
+            raise _UsageError(f"argument --bias: {exc}") from exc
+        try:  # the check every learn-rep on the instance makes
+            lipschitz_L(spec, args.gamma)
+        except ValueError as exc:
+            raise _UsageError(f"argument --bias/--gamma: {exc}") from exc
         instance = generate_representation_instance(
             args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
         )
     else:
         if args.k >= args.d:  # the check every recover on the instance makes
             raise _UsageError(f"argument --k: k={args.k} must be less than d={args.d}")
-        spec = parse_bias_spec(args.bias) if args.bias else 0.0
         try:  # the first step of every recover on the instance
+            spec = parse_bias_spec(args.bias) if args.bias else 0.0
             make_nonlinearity_stats(spec)
         except ValueError as exc:
             raise _UsageError(f"argument --bias: {exc}") from exc

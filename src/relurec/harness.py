@@ -36,12 +36,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-# Nothing here calls numpy.ma, yet rounds run faster with it imported.  A fresh-process
-# round of the rep_small benchmark (seed 5, 2 shared vCPUs) took about 190 minor page faults
-# after importing relurec with it and 5 160 without it, and 1-5% fewer cells/s in an earlier
-# count: without it the allocator hands the freed arrays of a cell back to the kernel, and
-# the next cell faults them in again.
-import numpy.ma
 
 from . import _checks as checks
 from .bias import (
@@ -112,6 +106,7 @@ def _rule(parse, check, *args):
 
 
 # range rules of the config keys, shared with the CLI flags that set the same values
+finite_float = _rule(float, checks.real)
 positive_float = _rule(float, checks.real, "positive")
 nonnegative_float = _rule(float, checks.real, "nonnegative")
 positive_int = _rule(int, checks.integer, 1)
@@ -176,7 +171,7 @@ class ExperimentConfig:
     gamma: float = _key(positive_float, 1.0)
     nu: float | None = _key(nonnegative_float, None)  # None: each instance's realized separation
     delta: float = _key(nonnegative_float, 0.0)
-    outlier_magnitude: float = _key(_rule(float, checks.real), 5.0)
+    outlier_magnitude: float = _key(finite_float, 5.0)
     lambda_mode: str = _key(_rule(str, checks.choice, ("oracle", "agnostic")), "oracle")
     fill_strategy: str = _key(_rule(str, checks.choice, FILL_STRATEGIES), "midpoint")
     output_dir: str = _key(str, "results")
@@ -303,7 +298,7 @@ def reconstruct_and_evaluate(
     factor of ``A`` serves as the truth's basis.
     """
     omega = omega_min_mass(model, gamma, nu)  # rejects a bad nu before the work
-    constants = BiasConstants(beta, lipschitz, omega, float(gamma), float(nu))
+    constants = BiasConstants(beta, lipschitz, omega, gamma, nu)
     estimate = reconstruct_matrix(instance.Y, model, gamma, nu, fill=fill)
     frob_err_sq = float(np.linalg.norm(instance.M - estimate.m_hat) ** 2)
     bound = theoretical_rep_bound(constants, instance.Y.shape[0])

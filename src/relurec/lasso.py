@@ -44,8 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy loads it on first use, which would fall in the first exp or logistic cell
-import numpy.polynomial
 
 from . import _checks as checks
 from .bias import BiasModel, bias_spec_to_config
@@ -85,7 +83,9 @@ class NonlinearityStats:
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray]:
     """200-point Gauss-Legendre nodes and weights on ``[-1, 1]``, computed once per process."""
-    return np.polynomial.legendre.leggauss(200)
+    from numpy.polynomial.legendre import leggauss  # a launch without these laws skips it
+
+    return leggauss(200)
 
 
 def _tail_nodes(model: BiasModel) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,10 @@
 Each public callable is crossed with each of its numeric arguments and each
 bad value: ``True`` (Python counts it as 1), NaN, +-inf, a number out of the
 argument's range, ``2.0`` for a count, and the string ``"1"``.  A second
-table crosses its array arguments with a wrong shape and a NaN or infinite
-entry.  Every case must raise a ``ValueError`` whose message names the
-argument right before its "must", as in ``gamma must be positive and
-finite, got nan``.
+table crosses its array arguments with a wrong shape, a NaN or infinite
+entry, a string entry and an ``object()`` in place of the array.  Every
+case must raise a ``ValueError`` whose message names the argument right
+before its "must", as in ``gamma must be positive and finite, got nan``.
 """
 
 import math
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from relurec.bias import (
+    BiasConstants,
     BiasModel,
     compute_bias_constants,
     default_exponential,
@@ -39,6 +40,7 @@ from relurec.subspace import subspace_distances, truncated_svd
 LAW = default_exponential(3.0)
 Y = np.array([[1.0, 0.0, 0.5], [0.2, 0.3, 0.0]])
 CONSTANTS = compute_bias_constants(default_exponential(1.0), 1.0, 0.5)
+CONSTANT_FIELDS = dict(beta=0.1, lipschitz=1.0, omega=0.5, gamma=1.0, nu=0.1)
 DESIGN = np.random.default_rng(0).standard_normal((100, 3))
 CONE = {"lam": 0.01, "sigma": 0.5, "eta": 0.8, "support": [1, 2], "delta_norm": 0.0}
 
@@ -76,6 +78,15 @@ NUMERIC = [
      lambda x: BiasModel.shifted_exponential(shift=x), _real()),
     ("BiasModel.logistic", "loc", lambda x: BiasModel.logistic(loc=x), _real()),
     ("BiasModel.logistic", "scale", lambda x: BiasModel.logistic(scale=x), _real("positive")),
+    *(
+        ("BiasConstants", name,
+         lambda x, name=name: BiasConstants(**(CONSTANT_FIELDS | {name: x})), _real(sign))
+        for name, sign in (
+            ("beta", "nonnegative"), ("lipschitz", "positive"), ("omega", "nonnegative"),
+            ("gamma", "positive"), ("nu", "positive"),
+        )
+    ),
+    ("BiasConstants", "omega", lambda x: BiasConstants(**(CONSTANT_FIELDS | {"omega": x})), [1.5]),
     ("default_exponential", "gamma", default_exponential, _real("positive")),
     ("flatness_beta", "gamma", lambda x: flatness_beta(LAW, x), _real("positive")),
     ("lipschitz_L", "gamma", lambda x: lipschitz_L(LAW, x), _real("positive")),
@@ -157,7 +168,7 @@ def _reshaped(x):
 
 def _with_entry(value):
     def put(x):
-        x = np.array(x, dtype=float)
+        x = np.array(x, dtype=object if isinstance(value, str) else float)
         x.flat[-1] = value
         return x
     return put
@@ -188,7 +199,8 @@ def test_a_bad_number_is_named(name, call, value):
         pytest.param(name, call, bad(good), id=f"{label}-{name}-{kind}")
         for label, name, good, call in ARRAYS
         for kind, bad in (
-            ("shape", _reshaped), ("nan", _with_entry(math.nan)), ("inf", _with_entry(math.inf))
+            ("shape", _reshaped), ("nan", _with_entry(math.nan)), ("inf", _with_entry(math.inf)),
+            ("string", _with_entry("a")), ("object", lambda x: object()),
         )
     ],
 )

@@ -351,12 +351,12 @@ class TestBadFlagValue:
             (["learn-rep", "--input", "{inst}", "--gamma", "nan"],
              "argument --gamma: must be positive and finite, got nan"),
             (["gen", "--task", "recover", "--d", 60, "--k", 3, "--delta", "nan"],
-             "noise level delta must be nonnegative and finite, got nan"),
+             "argument --delta: must be nonnegative and finite, got nan"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--bias", "const:value=0.0"],
-             "model must be a bias law, got 0.0"),
+             "argument --bias: must be a bias law, got 0.0"),
             (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--bias", "nope"],
-             "bias config 'nope' is missing the ':' separator"),
+             "argument --bias: bias config 'nope' is missing the ':' separator"),
             (["diag", "--input", "{inst}", "--samples", 10],
              "unrecognized arguments: --samples 10"),
             (["learn-rep", "--input", "{inst}", "--nu", 0],
@@ -371,9 +371,9 @@ class TestBadFlagValue:
             (["gen", "--task", "recover", "--d", 10, "--k", 1, "--s", 20],
              "outlier count s=20 must lie in [0, d=10]"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", -1],
-             "s must be an integer of at least 0, got -1"),
+             "argument --s: must be an integer of at least 0, got -1"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
-             "noise level delta must be nonnegative and finite, got -1.0"),
+             "argument --delta: must be nonnegative and finite, got -1.0"),
             (["learn-rep", "--input", "{inst}", "--gamma", 0.1, "--nu", 0.05],
              "argument --gamma/--nu: row 2: empty feasible interval "
              "[0.11174730013446474, 0.07973209912665659] "
@@ -417,6 +417,14 @@ class TestBadFlagValue:
               "logistic:loc=1e17,scale=1"],
              "argument --bias: the quadrature masses of bias law logistic:loc=1e+17,scale=1.0 "
              "sum to 3.954713149884052, not 1"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 0, "--k", 2],
+             "argument --n: must be an integer of at least 1, got 0"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 0],
+             "argument --k: must be an integer of at least 1, got 0"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--gamma", "nan"],
+             "argument --gamma: must be positive and finite, got nan"),
+            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--magnitude", "inf"],
+             "argument --magnitude: must be finite, got inf"),
         ],
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
@@ -430,6 +438,7 @@ class TestBadFlagValue:
             "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
             "learn-rep-nu-and-bias", "gen-rep-law-starts-at-gamma",
             "gen-recover-rank-not-below-d", "gen-recover-d-0", "gen-recover-law-lost-in-rounding",
+            "gen-rep-n-0", "gen-rep-k-0", "gen-rep-gamma-nan", "gen-recover-magnitude-inf",
         ],
     )
     def test_exits_one(self, tmp_path, capsys, argv, message):

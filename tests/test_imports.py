@@ -1,10 +1,12 @@
 """What ``relurec`` imports, each case checked in a fresh interpreter.
 
 The package runs on numpy and the standard library: ``import relurec.cli``
-loads no scipy module.  And every module a sweep needs loads with the
-package, so the first sweep of a process imports nothing more; numpy loads
-``numpy.random``, ``numpy.polynomial`` and ``numpy.ma`` lazily, and a lazy
-load would add its import time to the first cell.
+loads no scipy module.  It loads neither ``numpy.polynomial``, which only
+the Legendre rule of an exponential or logistic law's moments needs, nor
+``numpy.ma`` or ``statistics``, which no command needs: each costs a
+launch milliseconds.  A module a sweep needs loads with the package or
+before the sweep's first cell, never inside a cell, where its import time
+would be charged to that cell.
 """
 
 import json
@@ -33,16 +35,28 @@ def _run(code: str, cwd: Path) -> str:
     return done.stdout
 
 
+IMPORT_CLI = """
+import json, sys
+import relurec.cli
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
-    loaded = json.loads(_run(
-        """
-        import json, sys
-        import relurec.cli
-        print(json.dumps(sorted(sys.modules)))
-        """,
-        tmp_path,
-    ))
+    loaded = json.loads(_run(IMPORT_CLI, tmp_path))
     assert [name for name in loaded if name.split(".")[0] == "scipy"] == []
+
+
+def _within(names, packages):
+    """The names in ``names`` of one of ``packages`` or of a module inside one."""
+    return [name for name in names if any(
+        name == package or name.startswith(package + ".") for package in packages
+    )]
+
+
+def test_cli_import_loads_neither_the_legendre_rule_nor_unused_modules(tmp_path):
+    loaded = json.loads(_run(IMPORT_CLI, tmp_path))
+    assert _within(loaded, ("numpy.ma", "numpy.polynomial", "statistics")) == []
 
 
 SWEEPS = {
@@ -79,3 +93,40 @@ def test_first_sweep_loads_no_module_of_numpy_or_relurec(tmp_path, config):
     assert report["errors"] == []
     roots = ("numpy", "relurec", "statistics")
     assert [name for name in report["loaded"] if name.split(".")[0] in roots] == []
+
+
+def test_legendre_rule_loads_before_the_first_cell(tmp_path):
+    config = (
+        "task = robust_recovery\nd = 200\nk = 3\ns = 0.02d\n"
+        "bias = exp:rate=1.0,shift=-2.0\nseeds = 0, 1\n"
+    )
+    report = json.loads(_run(
+        f"""
+        import json, sys
+        import relurec.cli
+        from relurec import harness
+
+        run_cell = harness._run_recovery_cell
+        loaded = {{}}
+
+        def first_cell(*args, **kwargs):
+            loaded["first_cell"] = sorted(sys.modules)
+            harness._run_recovery_cell = run_cell
+            return run_cell(*args, **kwargs)
+
+        harness._run_recovery_cell = first_cell
+        loaded["import"] = sorted(sys.modules)
+        records = harness.run_sweep(harness.parse_config({config!r}))
+        loaded["end"] = sorted(sys.modules)
+        print(json.dumps({{
+            "errors": [r["error"] for r in records if r["error"] is not None],
+            **loaded,
+        }}))
+        """,
+        tmp_path,
+    ))
+    assert report["errors"] == []
+    setup = set(report["first_cell"]) - set(report["import"])
+    assert "numpy.polynomial.legendre" in setup
+    in_cells = set(report["end"]) - set(report["first_cell"])
+    assert _within(in_cells, ("numpy", "relurec", "statistics")) == []
