@@ -11,18 +11,17 @@ LASSO
 as Huber regression: the best ``e`` for a given ``c`` soft thresholds the
 residual ``v - A c`` at ``d lambda``, which leaves the Huber loss of that
 residual, piecewise quadratic in ``c`` (She & Owen, arXiv:1006.2592).  Each
-step corrects ``c`` by ``H^-1 A^T r`` from the residual ``r`` the last step
+step is the Newton step ``H^-1 A^T r`` from the residual ``r`` the last step
 left, where ``H`` is the Gram of the rows that step did not flag as
-outliers: a Newton step, exact once the flagged rows and their signs stop
-changing (Madsen & Nielsen, BIT 30, 1990), so a solve takes a few steps.
-Where that step would raise the objective, or the unflagged rows lack
-full rank, ``H`` is ``A^T A`` and the step is one sweep of exact
-alternating minimisation; so the objective never increases.  The step
-needs only the triangular factor ``R`` of a QR of ``A`` (``Q`` is never
-formed): ``H = R^T (I - B B^T) R`` with ``B = R^-T A_O^T`` for the flagged
-rows ``A_O``.  Where ``A`` has a condition number ``kappa`` of at most 1e2,
-``R`` is the Cholesky factor of ``A^T A``, one pass over ``A``, whose
-relative error is about ``kappa^2 u`` (CholeskyQR; Fukaya, Kannan,
+outliers: exact once the flagged rows and their signs stop changing
+(Madsen & Nielsen, BIT 30, 1990), so a solve takes a few steps.  Where
+those rows lack full rank, the eigenvalues of ``H`` relative to ``A^T A``
+are floored, and a step that would raise the objective is halved.  The
+step needs only the triangular factor ``R`` of a QR of ``A`` (``Q`` is
+never formed): ``H = R^T (I - B B^T) R`` with ``B = R^-T A_O^T`` for the
+flagged rows ``A_O``.  Where ``A`` has a condition number ``kappa`` of at
+most 1e2, ``R`` is the Cholesky factor of ``A^T A``, one pass over ``A``,
+whose relative error is about ``kappa^2 u`` (CholeskyQR; Fukaya, Kannan,
 Nakatsukasa, Yamamoto & Yanagisawa, arXiv:1809.11085).  Otherwise it comes
 from a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
 arXiv:0808.2664), as backward stable as one Householder QR of ``A``, so
@@ -222,14 +221,11 @@ class LassoConfig:
 class LassoSolution:
     """A solver result and why the solver stopped.
 
-    ``stop_reason`` is ``"tol"`` when the solve stopped at a stationary
-    pair: the flagged rows (the nonzero entries of ``e_hat``) as the step
-    before had left them, ``grad_norm`` at most ``1e-8 max(1, ||v||_inf)
-    max(1, s_max / sqrt(d))`` with ``s_max`` the largest singular value of
-    ``A``, and the further tests of :func:`solve_robust_lasso`.  It is
-    ``"max_iter"`` when the step budget ran out first.
-    ``iterations`` counts the steps taken, one entry of ``objective_trace``
-    each.  ``grad_norm`` is ``||A^T r||_inf / d`` at the returned pair, with
+    ``stop_reason`` is ``"tol"`` when the solve stopped at the minimum, by
+    the tests of :func:`solve_robust_lasso`, and ``"max_iter"`` when the
+    step budget ran out first.  ``iterations`` counts the steps taken, one
+    entry of ``objective_trace`` each.  ``grad_norm``, which a stop at the
+    minimum bounds, is ``||A^T r||_inf / d`` at the returned pair, with
     ``r = v - A c_hat - e_hat``; the ``e``-step is exact, so it is the whole
     first-order residual.
     """
@@ -298,62 +294,53 @@ def _factor_and_singular_values(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarra
     return R, np.linalg.svd(R, compute_uv=False)
 
 
-def _gram_step(
-    R_inv: np.ndarray, g: np.ndarray, flagged_rows: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """``H^-1 g`` for the Gram ``H`` of the rows of ``A = Q R`` outside ``flagged_rows``.
+def _newton_step(R_inv: np.ndarray, g: np.ndarray, inner: tuple | None) -> tuple[np.ndarray, bool]:
+    """``H^-1 g`` for the Gram ``H`` of the rows of ``A = Q R`` that are not flagged.
 
-    ``R_inv`` is the inverse of ``R``.  With ``B = R^-T A_O^T`` for the flagged rows
-    ``A_O``, ``H = A^T A - A_O^T A_O`` is ``R^T (I - B B^T) R``: one ``k x k`` Cholesky
-    factor ``L`` of ``I - B B^T`` and two ``k x k`` solves give the step, and ``H``, whose
-    condition number is that of the unflagged rows squared, is never formed.  When no row is
-    flagged, or ``I - B B^T`` has no Cholesky factor (the unflagged rows lack full rank),
-    ``H`` is ``R^T R = A^T A``.  The flag says whether ``H`` left rows out.
+    ``R_inv`` is the inverse of ``R``.  With ``B = R^-T A_O^T`` for the flagged rows ``A_O``,
+    ``H = A^T A - A_O^T A_O`` is ``R^T (I - B B^T) R``: the eigenvalues ``w`` and vectors
+    ``V`` of ``I - B B^T``, which ``inner`` holds, give the step as
+    ``R^-1 V diag(1 / w) V^T R^-T g``, and ``H``, whose condition number is that of the
+    unflagged rows squared, is never formed.  Where those rows lack full rank, an eigenvalue
+    below 1e-8 is taken as 1e-8, and the flag says whether one was.  With no row flagged,
+    ``inner`` is None and the step is ``R^-1 R^-T g``.
     """
     y = R_inv.T @ g
-    if flagged_rows.size:
-        Bt = flagged_rows @ R_inv
-        try:
-            L = np.linalg.cholesky(np.eye(y.size) - Bt.T @ Bt)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            return R_inv @ np.linalg.solve(L.T, np.linalg.solve(L, y)), True
-    return R_inv @ y, False
+    if inner is None:
+        return R_inv @ y, False
+    w, V = inner
+    return R_inv @ (V @ (V.T @ y / np.maximum(w, 1e-8))), bool(w[0] < 1e-8)
 
 
 def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> LassoSolution:
-    """Minimise the robust recovery objective by steps on the rows it does not flag.
+    """Minimise the robust recovery objective by Newton steps on the rows it does not flag.
 
     At fixed ``c`` the best ``e`` soft thresholds ``u = v - A c`` at
     ``T = d * lam``, which leaves the Huber loss of ``u``, piecewise
-    quadratic in ``c``.  From ``c = 0`` and ``e = 0``, each step corrects
-    ``c`` by ``H^-1 g``, with ``g = A^T r`` for the residual
+    quadratic in ``c``.  From ``c = 0`` and ``e = 0``, each step moves ``c``
+    along ``p = H^-1 g``, with ``g = A^T r`` for the residual
     ``r = v - A c - e`` of the previous step, and then soft thresholds the
     new ``u``.  ``H`` is the Gram of the rows that the previous step left
-    unflagged (``e_i = 0``): a Newton step, which lands on the minimum once
-    the flagged rows keep their signs.  ``H`` is ``A^T A``, and the step one
-    sweep of exact alternating minimisation, where :func:`_gram_step` finds
-    no Cholesky factor and on flagged rows on which the other step would
-    have raised the objective; so the objective never rises.  ``R`` is
-    computed once, by :func:`_factor_and_singular_values`.
+    unflagged (``e_i = 0``), as :func:`_newton_step` floors it: a Newton
+    step, which lands on the minimum once the flagged rows keep their signs.
+    The first step is ``p``; a later one is ``t p`` for the first ``t`` of
+    ``1, 1/2, 1/4, ...`` at which the objective rises by at most 1e-12 of
+    it, or ``t = 0`` below ``2^-40``.  ``R`` comes once from
+    :func:`_factor_and_singular_values`, the eigenpairs once per flagged set.
 
-    A step is stationary when it leaves the same rows flagged as the step
-    before it and ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``
-    ``max(1, s_max / sqrt(d))``: ``g`` scales with ``A``, as its largest
-    singular value ``s_max`` does.  The solve stops with ``stop_reason="tol"``
-    after a stationary Newton step.  After the first step, or after a sweep
-    of alternating minimisation on flagged rows, it stops only if, besides,
-    the next sweep would lower the objective by at most 1e-12 of it: sweeps
-    that crawl along a nearly flat valley of the Huber loss shrink the
-    gradient long before the objective stops falling.  The first step, from
-    ``c = 0``, solves the seminormal equations, whose error on an
-    ill-conditioned design grows with the square of its condition number;
-    it stops only if the next step, one step of refinement, would also move
-    no entry of ``c`` by more than ``1e-12 (1 / max(1, s_max / sqrt(d)) +
-    ||c||_inf)``.  Otherwise it stops with ``"max_iter"`` after
-    ``config.max_iter`` steps.  ``u``, ``e`` and ``r`` live in three
-    ``d``-vectors allocated once per solve.
+    The solve stops with ``stop_reason="tol"`` before a step when three tests
+    hold.  ``||g||_inf / d`` is at most ``1e-8 max(1, ||v||_inf)``
+    ``max(1, s_max / sqrt(d))``, as ``g`` scales with ``A`` and its largest
+    singular value ``s_max``.  The step would lower the objective by at most
+    1e-12 of it (``g^T p / 2d``), as steps down a nearly flat valley of the
+    Huber loss shrink the gradient long before the objective stops falling.
+    And the last step, not the first, was not floored and left the flagged
+    rows as the step before had; or it had ``t = 0``; or ``p`` would move no
+    entry of ``c`` by more than ``1e-12 (1 / max(1, s_max / sqrt(d)) +
+    ||c||_inf)``, which refines the first step: it solves the seminormal
+    equations, whose error grows with the square of the condition number.
+    Otherwise it stops with ``"max_iter"`` after ``config.max_iter`` steps.
+    ``u``, ``e`` and ``r`` are three ``d``-vectors allocated once per solve.
 
     Raises
     ------
@@ -391,44 +378,41 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         np.subtract(u, e, out=r)  # the residual v - A c - e, rounded as (v - A c) - e
         return float(r @ r / (2.0 * d) + config.lam * np.abs(e, out=u).sum())
 
-    no_rows = np.zeros((0, k))
     c = np.zeros(k)
     g = A.T @ v  # A^T r at c = 0, e = 0
-    flagged = refused = np.zeros(0, dtype=np.intp)  # e = 0 flags no row
+    flagged = np.zeros(0, dtype=np.intp)  # e = 0 flags no row
+    inner, kept = None, True  # the eigenpairs of I - B B^T, formed again when `flagged` changes
     trace: list[float] = []
     stop_reason = "max_iter"
     while True:
+        if not kept:
+            Bt = A.take(flagged, axis=0) @ R_inv
+            inner = np.linalg.eigh(np.eye(k) - Bt.T @ Bt) if flagged.size else None
+        step, floored = _newton_step(R_inv, g, inner)
         if trace:
-            stationary = grad_norm <= grad_tol and np.array_equal(flagged, previous)
-            if stationary and not newton:
-                # the next sweep would move c by R^-1 y and take ||y||^2 / 2d off the
-                # objective, with y = R^-T g
-                y = R_inv.T @ g
-                stationary = y @ y <= 2e-12 * d * trace[-1] and (
-                    len(trace) > 1
-                    or np.abs(R_inv @ y).max() <= 1e-12 * (1.0 / scale + np.abs(c).max())
-                )
-            if stationary:
+            if (
+                grad_norm <= grad_tol
+                and g @ step <= 2e-12 * d * trace[-1]
+                and (certified or np.abs(step).max() <= 1e-12 * (1.0 / scale + np.abs(c).max()))
+            ):
                 stop_reason = "tol"
                 break
             if len(trace) == config.max_iter:
                 break
-        rows = no_rows
-        if flagged.size and not np.array_equal(flagged, refused):
-            rows = A.take(flagged, axis=0)
-        step, inlier = _gram_step(R_inv, g, rows)
-        current = objective_at(c + step)
-        if inlier and not current <= trace[-1]:  # NaN is refused too
-            refused = flagged
-            step, inlier = _gram_step(R_inv, g, no_rows)
-            current = objective_at(c + step)
-        # H was the Gram of the unflagged rows, and the step not the first one, from c = 0
-        newton = inlier or (not flagged.size and bool(trace))
-        c = c + step
+        t, current = 1.0, objective_at(c + step)
+        while trace and not current <= trace[-1] + 1e-12 * trace[-1]:  # NaN is halved too
+            t *= 0.5
+            if t < 2.0**-40:
+                t, current = 0.0, objective_at(c)
+                break
+            current = objective_at(c + t * step)
+        c = c + t * step
         trace.append(current)
         g = A.T @ r
         grad_norm = float(np.abs(g).max()) / d
         previous, flagged = flagged, np.flatnonzero(e != 0.0)
+        kept = np.array_equal(flagged, previous)
+        certified = t == 0.0 or (len(trace) > 1 and not floored and kept)
     return LassoSolution(
         c_hat=c,
         e_hat=e,

@@ -1,4 +1,4 @@
-"""Tests for the rectifier moments, the alternating solver, and the bounds.
+"""Tests for the rectifier moments, the robust lasso solver, and the bounds.
 
 Closed-form oracles used below (standard normal ``g``, offset ``b0``):
 
@@ -511,8 +511,8 @@ class TestSolver:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_constant_bias_instance_takes_at_most_three_steps(self, seed):
-        # the alternating sweeps took 4 or 5 here; steps on the unflagged rows land on the
-        # minimum once the flagged rows stop changing
+        # Newton steps on the unflagged rows land on the minimum once the flagged rows stop
+        # changing
         inst = generate_recovery_instance(4000, 10, 80, 0.01, 5.0, bias=0.0, seed=seed)
         lam = oracle_lambda(inst, make_nonlinearity_stats(0.0))
         sol = solve_robust_lasso(inst.v, inst.A, LassoConfig(lam=lam))

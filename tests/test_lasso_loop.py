@@ -1,21 +1,21 @@
 """The robust lasso solver against a plain alternating-minimisation loop.
 
-``solve_robust_lasso`` steps ``c`` with the Gram of the rows it did not
-flag as outliers, and falls back to the Gram of all rows where that step
-would raise the objective.  The loop below is exact alternating
-minimisation with the reduced QR, the solver's earlier form, kept here as
-a reference oracle: each sweep solves ``R c = Q^T (v - e)`` afresh.  The
-two take different paths to the same minimum, so the oracles are on the
-solution: the objective trace never rises, the KKT conditions hold at
-convergence, the solver converges whenever the loop does within the same
-budget, and then its objective is at most that of the loop run to
-convergence, plus rounding, and its ``c_hat`` is the minimiser that the
-loop's last point certifies, to rounding amplified by the condition
-number.  A design of condition number at most 1e2 takes ``R`` from the
-Cholesky factor of ``A^T A``, and the oracles hold on either side of that
-gate.  Worse-conditioned designs taller than one row block (condition
-number up to 1e9) take ``R`` from the blocked factor, which must agree
-with one Householder QR of the whole design.
+``solve_robust_lasso`` takes Newton steps on the rows it did not flag as
+outliers, halved where a whole step would raise the objective.  The loop
+below is exact alternating minimisation with the reduced QR, the solver's
+earlier form, kept here as a reference oracle: each sweep solves
+``R c = Q^T (v - e)`` afresh.  The two take different paths to the same
+minimum, so the oracles are on the solution: the objective trace never
+rises, the KKT conditions hold at convergence, the solver converges
+whenever the loop does within the same budget, and then its objective is
+at most that of the loop run to convergence, plus rounding, and its
+``c_hat`` is the minimiser that the loop's last point certifies, to
+rounding amplified by the condition number.  A design of condition
+number at most 1e2 takes ``R`` from the Cholesky factor of ``A^T A``, and
+the oracles hold on either side of that gate.  Worse-conditioned designs
+taller than one row block (condition number up to 1e9) take ``R`` from
+the blocked factor, which must agree with one Householder QR of the whole
+design.
 """
 
 import math
@@ -29,7 +29,15 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from relurec import lasso
-from relurec.lasso import LassoConfig, RankDeficiencyError, _triangular_factor, solve_robust_lasso
+from relurec.generate import generate_recovery_instance
+from relurec.lasso import (
+    LassoConfig,
+    RankDeficiencyError,
+    _triangular_factor,
+    make_nonlinearity_stats,
+    oracle_lambda,
+    solve_robust_lasso,
+)
 
 from lasso_oracles import kkt_residuals, lasso_objective, soft_threshold
 
@@ -90,15 +98,22 @@ def design(rng, d, k, kappa):
     return (U * singular) @ V.T, singular[0] / singular[-1]
 
 
+def build_problem(seed, d, k, kappa, s, lam):
+    """A :func:`design` of condition number ``kappa``, observations with ``s`` outliers of +-8,
+    and the config at ``lam``, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    A, kappa = design(rng, d, k, kappa)
+    v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
+    v[rng.choice(d, size=s, replace=False)] += rng.choice([-8.0, 8.0], size=s)
+    return v, A, LassoConfig(lam=lam), kappa
+
+
 def _problem(draw, d, k, log_kappa):
     """Draw a penalty, the outliers and a seed; build the problem."""
     lam = 10.0 ** draw(st.floats(-4.0, -1.0))
     s = draw(st.integers(0, d // 10))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    A, kappa = design(rng, d, k, 10.0**log_kappa)
-    v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
-    v[rng.choice(d, size=s, replace=False)] += rng.choice([-8.0, 8.0], size=s)
-    return v, A, LassoConfig(lam=lam), kappa
+    seed = draw(st.integers(0, 2**32 - 1))
+    return build_problem(seed, d, k, 10.0**log_kappa, s, lam)
 
 
 @st.composite
@@ -228,9 +243,9 @@ def test_kkt_holds_at_convergence(problem):
 
 
 def test_sweeps_down_a_flat_valley_do_not_stop_above_its_floor():
-    # at lam = 1e-4 the solve ends on sweeps of alternating minimisation on this
-    # design (condition number 1e5), which shrink the gradient below the stopping
-    # rule long before the objective stops falling
+    # at lam = 1e-4 the objective of this design (condition number 1e5) has a nearly
+    # flat valley, where steps shrink the gradient below the stopping rule long before
+    # the objective stops falling
     rng = np.random.default_rng(191)
     A, _ = design(rng, 22, 2, 1e5)
     v = A @ rng.standard_normal(2) + 0.1 * rng.standard_normal(22)
@@ -239,6 +254,29 @@ def test_sweeps_down_a_flat_valley_do_not_stop_above_its_floor():
     _, _, trace, converged = qr_loop(v, A, config.lam, config.max_iter)
     assert converged and sol.converged
     assert sol.objective_trace[-1] <= trace[-1] + 1e-10 * trace[-1]
+
+
+def test_near_lad_draw_converges_within_fifty_steps():
+    # d lam = 0.0039 lies far below the noise: the first step flags all 39 rows, so the
+    # next step has no unflagged row to take its Gram from
+    v, A, config, _ = build_problem(34, 39, 1, 1.0, 1, 1e-4)
+    sol = solve_robust_lasso(v, A, config)
+    assert sol.converged and sol.iterations <= 50
+
+
+def test_near_lad_draws_of_the_problem_distribution_converge_within_fifty_steps():
+    # 1000 seeded draws from the distribution of problems() at lam = 1e-4, where d lam lies
+    # below the noise and few rows stay unflagged
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        d, k = int(rng.integers(20, 301)), int(rng.integers(1, 9))
+        kappa = 10.0 ** rng.uniform(0.0, 6.0)
+        s, seed = int(rng.integers(0, d // 10 + 1)), int(rng.integers(2**32))
+        v, A, config, _ = build_problem(seed, d, k, kappa, s, 1e-4)
+        sol = solve_robust_lasso(v, A, config)
+        trace = sol.objective_trace
+        assert sol.converged and sol.iterations <= 50, (seed, d, k, kappa, s)
+        assert (np.diff(trace) <= 1e-12 * np.abs(trace[:-1])).all(), (seed, d, k, kappa, s)
 
 
 # ----------------------------------------------------------------------
@@ -344,6 +382,18 @@ def test_well_conditioned_design_takes_its_factor_from_the_gram(monkeypatch):
     sol = solve_robust_lasso(v, A, config)
     assert sol.converged and np.count_nonzero(sol.e_hat) >= d // 50
     c_star, kappa = certified_minimiser(v, A, config.lam, sol.c_hat)
+    assert np.abs(sol.c_hat - c_star).max() <= 1e-12 * kappa * (1.0 + np.abs(c_star).max())
+
+
+@pytest.mark.parametrize("seed", [1007, 2004, 3007])
+def test_benchmark_cells_reach_the_certified_minimiser(seed):
+    # recover_large cells of base seeds 1 to 3 on which a stop after a step with the Gram
+    # of all rows leaves c_hat 35 to 152 times the bound away from the minimiser
+    inst = generate_recovery_instance(64000, 10, 1280, 0.01, 5.0, bias=0.0, seed=seed)
+    lam = oracle_lambda(inst, make_nonlinearity_stats(0.0))
+    sol = solve_robust_lasso(inst.v, inst.A, LassoConfig(lam=lam))
+    assert sol.converged
+    c_star, kappa = certified_minimiser(inst.v, inst.A, lam, sol.c_hat)
     assert np.abs(sol.c_hat - c_star).max() <= 1e-12 * kappa * (1.0 + np.abs(c_star).max())
 
 
