@@ -4,9 +4,9 @@ Subcommands::
 
     gen        sample a synthetic instance into a directory
     learn-rep  reconstruct the pre-activation matrix of a saved instance
-    recover    solve the robust recovery program on a saved instance
+    recover    solve the robust recovery program on a saved instance, and with --cone-check
+               search its restricted cone for violations of the lower bound
     sweep      run a config-driven experiment sweep
-    diag       search a saved vector instance's restricted cone for violations of the lower bound
 
 Exit codes: 0 on success, 1 for a bad flag or config value, 2 on runtime failures.
 """
@@ -42,10 +42,9 @@ from .harness import (
     positive_int,
     reconstruct_and_evaluate,
     recover_and_evaluate,
-    restricted_cone_check,
     run_sweep,
 )
-from .lasso import LassoConfig, NonlinearityStats, make_nonlinearity_stats
+from .lasso import LassoConfig, make_nonlinearity_stats
 from .replearn import log_likelihood
 
 __all__ = ["cli_dispatch", "main"]
@@ -116,16 +115,14 @@ def _build_parser() -> _Parser:
         help="penalty level: a number, 'oracle', or 'agnostic'",
     )
     rec.add_argument("--max-iter", type=_flag(positive_int), default=LassoConfig.max_iter)
+    rec.add_argument("--cone-check", action="store_true",
+                     help="also search the restricted cone for violations of the lower bound")
     rec.add_argument("--out", required=True)
 
     sweep = sub.add_parser("sweep", help="run a config-driven sweep")
     sweep.add_argument("--config", required=True)
     sweep.add_argument("--out", help="override the config's output_dir")
     sweep.add_argument("--force", action="store_true")
-
-    diag = sub.add_parser("diag", help="restricted-cone check of a saved vector instance")
-    diag.add_argument("--input", required=True)
-    diag.add_argument("--out", help="also write the report JSON here")
     return parser
 
 
@@ -213,21 +210,16 @@ def _cmd_learn_rep(args) -> int:
     return 0
 
 
-def _load_recovery(path: str) -> tuple[RecoveryInstance, NonlinearityStats]:
-    """The vector instance saved in ``path`` and the moments of its bias law."""
-    instance = load_instance(path)
-    if not isinstance(instance, RecoveryInstance):
-        raise ValueError(f"{path} does not contain a vector instance")
-    return instance, make_nonlinearity_stats(parse_bias_spec(instance.bias))
-
-
 def _cmd_recover(args) -> int:
-    instance, stats = _load_recovery(args.input)
+    instance = load_instance(args.input)
+    if not isinstance(instance, RecoveryInstance):
+        raise ValueError(f"{args.input} does not contain a vector instance")
+    stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
     try:  # only the agnostic rule can fail, and the flag chose it
         lam = penalty_level(args.lam, instance, stats)
     except ValueError as exc:
         raise _UsageError(f"argument --lambda: {exc}") from exc
-    outcome = recover_and_evaluate(instance, stats, lam, args.max_iter)
+    outcome = recover_and_evaluate(instance, stats, lam, args.max_iter, args.cone_check)
     solution = outcome.solution
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,6 +233,10 @@ def _cmd_recover(args) -> int:
         **outcome.metrics(), sigma=stats.sigma, eta=stats.eta, stop_reason=solution.stop_reason,
         grad_norm=solution.grad_norm, flagged=int(np.count_nonzero(solution.e_hat)),
     )
+    if args.cone_check:
+        report["num_checked"] = outcome.num_checked
+    else:
+        del report["diag_violations"], report["diag_min_ratio"]
     _write_report(out / "report.json", report)
     print(json.dumps(report, sort_keys=True))
     return 0
@@ -256,25 +252,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_diag(args) -> int:
-    instance, stats = _load_recovery(args.input)
-    outcome = restricted_cone_check(instance, stats)
-    report = dict(
-        **outcome.metrics(), d=instance.A.shape[0], k=instance.A.shape[1],
-        s=int(np.count_nonzero(instance.e_star)), num_checked=outcome.report.num_checked,
-    )
-    print(json.dumps(report, sort_keys=True))
-    if args.out:
-        _write_report(Path(args.out), report)
-    return 0
-
-
 _COMMANDS = {
     "gen": _cmd_gen,
     "learn-rep": _cmd_learn_rep,
     "recover": _cmd_recover,
     "sweep": _cmd_sweep,
-    "diag": _cmd_diag,
 }
 
 

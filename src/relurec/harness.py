@@ -1,16 +1,16 @@
 """Config-driven experiment sweeps with stable CSV/JSON outputs.
 
 A sweep config is a flat ``key = value`` text file (``#`` starts a
-comment) describing one of three tasks:
+comment) describing one of two tasks:
 
 ``rep_learning``
     generate matrix instances, reconstruct them, and record error,
     bound, and subspace diagnostics;
 ``robust_recovery``
     generate vector instances, solve the robust recovery program, and
-    record error, bound, and solver diagnostics;
-``diagnostics``
-    search the restricted cone of each vector instance for violations.
+    record error, bound, and solver diagnostics; with ``cone_check =
+    true``, also search each instance's restricted cone for violations
+    of the lower bound that the error bound rests on.
 
 Dimension keys take either explicit comma-separated lists or rules of
 the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
@@ -19,7 +19,10 @@ the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
 round-trip decimals) plus ``summary.json`` with per-configuration
 medians and interquartile ranges.  A quartile interpolates linearly
 between the order statistics next to ``q (count - 1)``, numpy's default
-rule (definition 7 of Hyndman and Fan, 1996), and is NaN if a value is.
+rule (definition 7 of Hyndman and Fan, 1996), except that an infinite
+order statistic takes the whole weight of an interpolation, the limit as
+it grows without bound; a quartile is NaN if a value is, or if it lies
+between -inf and inf.
 Rerunning an identical config produces byte-identical ``results.csv``
 and ``summary.json``; wall-clock times go to a separate ``timings.csv``
 so they cannot break that guarantee.
@@ -56,7 +59,6 @@ from .lasso import (
     LassoConfig,
     LassoSolution,
     NonlinearityStats,
-    RestrictedSetReport,
     agnostic_lambda,
     check_restricted_lower_bound,
     make_nonlinearity_stats,
@@ -73,7 +75,6 @@ from .replearn import (
 from .subspace import subspace_distances, truncated_svd
 
 __all__ = [
-    "DiagOutcome",
     "DimensionRule",
     "ExperimentConfig",
     "RESULT_COLUMNS",
@@ -85,15 +86,13 @@ __all__ = [
     "penalty_level",
     "reconstruct_and_evaluate",
     "recover_and_evaluate",
-    "restricted_cone_check",
     "run_sweep",
 ]
 
 # the keys a task reads besides task, d, k, seeds, bias and output_dir, its grid dimension first
 TASK_KEYS = {
     "rep_learning": ("n", "gamma", "nu", "fill_strategy"),
-    "robust_recovery": ("s", "delta", "outlier_magnitude", "lambda_mode"),
-    "diagnostics": ("s", "delta"),
+    "robust_recovery": ("s", "delta", "outlier_magnitude", "lambda_mode", "cone_check"),
 }
 
 
@@ -112,6 +111,11 @@ nonnegative_float = _rule(float, checks.real, "nonnegative")
 positive_int = _rule(int, checks.integer, 1)
 nonnegative_int = _rule(int, checks.integer, 0)
 bias_law = _rule(parse_bias_spec, checks.law)
+
+
+def _boolean(text: str) -> bool:
+    """``text`` read as ``false`` or ``true``, as ``results.csv`` writes a boolean."""
+    return checks.choice("", text, ("false", "true")) == "true"
 
 
 def _int_list(item):
@@ -173,6 +177,7 @@ class ExperimentConfig:
     delta: float = _key(nonnegative_float, 0.0)
     outlier_magnitude: float = _key(finite_float, 5.0)
     lambda_mode: str = _key(_rule(str, checks.choice, ("oracle", "agnostic")), "oracle")
+    cone_check: bool = _key(_boolean, False)
     fill_strategy: str = _key(_rule(str, checks.choice, FILL_STRATEGIES), "midpoint")
     output_dir: str = _key(str, "results")
 
@@ -242,9 +247,9 @@ def parse_config(text: str) -> ExperimentConfig:
         s = max(config.s.resolve(d))
         if s > d:  # generate_recovery_instance rejects it
             raise ValueError(f"config key 's': outlier count s={s} must lie in [0, d={d}]")
-        if task == "robust_recovery" and rank >= d:  # solve_robust_lasso rejects it
+        if rank >= d:  # solve_robust_lasso rejects it
             raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
-        if task == "diagnostics" and rank + s > d / 4:  # check_restricted_lower_bound rejects it
+        if config.cone_check and rank + s > d / 4:  # check_restricted_lower_bound rejects it
             raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
     if task == "rep_learning":  # checks run_sweep and every cell make; run_sweep reuses the value
         object.__setattr__(config, "_lipschitz", _named("bias", lipschitz_L, model, config.gamma))
@@ -334,20 +339,24 @@ def penalty_level(mode: str | float, instance: RecoveryInstance, stats: Nonlinea
 
 @dataclass(frozen=True)
 class RecoveryOutcome(_Scored):
-    """A robust recovery of one vector instance and how far it lies from the truth."""
+    """A robust recovery of one vector instance, how far it lies from the truth, and, if asked
+    for, the check of the restricted cone that its error bound rests on (None otherwise)."""
 
     solution: LassoSolution
+    num_checked: int | None  # the pairs the cone check scored
     recovery_error: float = _column()
     recovery_bound: float = _column()
     mu: float = _column()
     lambda_used: float = _column()
     iterations: int = _column()
     converged: bool = _column()
+    diag_violations: int | None = _column()
+    diag_min_ratio: float | None = _column()
 
 
 def recover_and_evaluate(
     instance: RecoveryInstance, stats: NonlinearityStats, lambda_mode: str | float,
-    max_iter: int = LassoConfig.max_iter,
+    max_iter: int = LassoConfig.max_iter, cone_check: bool = False,
 ) -> RecoveryOutcome:
     """Solve the robust lasso on ``instance`` and score the solution.
 
@@ -355,13 +364,24 @@ def recover_and_evaluate(
     ``make_nonlinearity_stats(parse_bias_spec(instance.bias))``, so that a
     sweep computes them once for all its cells.  The penalty comes from
     ``lambda_mode`` (see :func:`penalty_level`), and ``max_iter`` bounds the
-    solver's steps.
+    solver's steps.  With ``cone_check``, :func:`~relurec.lasso.check_restricted_lower_bound`
+    first searches the cone of the penalty used, the support of ``e_star`` and the
+    noise bound ``||A^T w||_inf``; the check leaves the other metrics as they are.
     """
     lam = penalty_level(lambda_mode, instance, stats)
+    cone = (None, None, None)
+    if cone_check:
+        cone = check_restricted_lower_bound(
+            instance.A, lam=lam, sigma=stats.sigma, eta=stats.eta,
+            support=np.flatnonzero(instance.e_star),
+            delta_norm=float(np.abs(instance.A.T @ instance.w).max()),
+        )
     solution = solve_robust_lasso(instance.v, instance.A, LassoConfig(lam=lam, max_iter=max_iter))
     error, bound = recovery_error_and_bound(solution, instance, stats)
+    num_checked, violations, min_ratio = cone
     return RecoveryOutcome(
-        solution, error, bound, stats.mu, lam, solution.iterations, solution.converged
+        solution, num_checked, error, bound, stats.mu, lam, solution.iterations,
+        solution.converged, violations, min_ratio,
     )
 
 
@@ -373,45 +393,10 @@ def _run_recovery_cell(
     instance = generate_recovery_instance(
         d, k, s, config.delta, config.outlier_magnitude, model, seed
     )
-    outcome = recover_and_evaluate(instance, stats, config.lambda_mode)
+    outcome = recover_and_evaluate(
+        instance, stats, config.lambda_mode, cone_check=config.cone_check
+    )
     return dict(delta=config.delta, lambda_mode=config.lambda_mode, **outcome.metrics())
-
-
-@dataclass(frozen=True)
-class DiagOutcome(_Scored):
-    """A restricted-cone check of one vector instance under the agnostic penalty."""
-
-    report: RestrictedSetReport
-    mu: float = _column()
-    lambda_used: float = _column()
-    diag_violations: int = _column()
-    diag_min_ratio: float = _column()
-
-
-def restricted_cone_check(instance: RecoveryInstance, stats: NonlinearityStats) -> DiagOutcome:
-    """A restricted-cone check of ``instance`` under its moments ``stats`` and the agnostic penalty.
-
-    The cone's support is that of ``e_star``, and its noise bound ``||A^T w||_inf``.
-    """
-    lam = penalty_level("agnostic", instance, stats)
-    report = check_restricted_lower_bound(
-        instance.A, lam=lam, sigma=stats.sigma, eta=stats.eta,
-        support=np.flatnonzero(instance.e_star),
-        delta_norm=float(np.abs(instance.A.T @ instance.w).max()),
-    )
-    return DiagOutcome(report, stats.mu, lam, report.num_violations, report.min_ratio)
-
-
-def _run_diag_cell(
-    config: ExperimentConfig, model: BiasModel | float, stats: NonlinearityStats,
-    d: int, k: int, s: int, seed: int,
-) -> dict:
-    """The result fields of one diagnostics cell; ``stats`` holds the moments of ``model``."""
-    instance = generate_recovery_instance(
-        d, k, s, config.delta, config.outlier_magnitude, model, seed
-    )
-    outcome = restricted_cone_check(instance, stats)
-    return dict(delta=config.delta, **outcome.metrics())
 
 
 # the columns of each task's results.csv, in order
@@ -423,9 +408,6 @@ RESULT_COLUMNS = {
     "robust_recovery": (
         "task", "d", "seed", "bias", "k", "s", "delta", "lambda_mode",
         *RecoveryOutcome.metric_names(), "error",
-    ),
-    "diagnostics": (
-        "task", "d", "seed", "bias", "k", "s", "delta", *DiagOutcome.metric_names(), "error",
     ),
 }
 
@@ -440,8 +422,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     once, before its first cell.  A rep sweep then evaluates the law's
     flatness and steepness at ``gamma`` once (the steepness in
     :func:`parse_config`, if that made ``config``), and each cell only the
-    window mass of its ``nu``; a recovery or diagnostics sweep computes the
-    law's moments once.  A law whose constants or moments fail, or whose
+    window mass of its ``nu``; a recovery sweep computes the law's moments
+    once.  A law whose constants or moments fail, or whose
     agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
     naming the config key ``bias``, raised before any cell runs.  Each
     cell looks its runner up on the module, which a caller may rebind.
@@ -454,7 +436,7 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             lipschitz = _named("bias", lipschitz_L, model, config.gamma)
     else:
         stats = _named("bias", make_nonlinearity_stats, model)
-        if config.task == "diagnostics" or config.lambda_mode == "agnostic":
+        if config.lambda_mode == "agnostic":
             for d in config.d:
                 _named("bias", agnostic_lambda, d, stats.sigma, config.delta)
     columns = RESULT_COLUMNS[config.task]
@@ -467,10 +449,8 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
             try:
                 if config.task == "rep_learning":
                     computed = _run_rep_cell(config, model, beta, lipschitz, d, n, k, seed)
-                elif config.task == "robust_recovery":
-                    computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
                 else:
-                    computed = _run_diag_cell(config, model, stats, d, k, s, seed)
+                    computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
             except Exception as exc:  # noqa: BLE001 - cell isolation
                 computed = {"error": f"{type(exc).__name__}: {exc}"}
             cell = dict(task=config.task, d=d, seed=seed, bias=config.bias, n=n, k=k, s=s)
@@ -500,40 +480,53 @@ def _quartiles(values: list[float]) -> dict[str, float]:
     if any(map(math.isnan, x)):  # every quartile is NaN, as in numpy
         x = [math.nan]
     quartiles = []
-    for q in (0.25, 0.5, 0.75):  # interpolated and rounded as np.percentile does
+    for q in (0.25, 0.5, 0.75):
         p = q * (len(x) - 1)
         i = int(p)
         a, b, t = x[i], x[min(i + 1, len(x) - 1)], p - i
-        quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+        if math.isfinite(a) and math.isfinite(b):  # interpolated and rounded as np.percentile does
+            quartiles.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+        elif t == 0.0:
+            quartiles.append(a)
+        else:  # the infinite end, where numpy meets inf - inf; NaN between -inf and inf
+            quartiles.append(math.nan if a == -b else a if math.isinf(a) else b)
     q1, q2, q3 = quartiles
-    return {"median": q2, "iqr": q3 - q1, "count": len(values)}
+    iqr = q3 - q1
+    if q1 == q3 and math.isinf(q1):
+        # the limit of inf - inf: 0 if the order statistics from q1's lower one to q3's upper
+        # one are all that infinity, else inf, since q1 or q3 also weighs a finite value
+        low, high = x[int(0.25 * (len(x) - 1))], x[math.ceil(0.75 * (len(x) - 1))]
+        iqr = 0.0 if low == high else math.inf
+    return {"median": q2, "iqr": iqr, "count": len(values)}
 
 
-# per task: the grid dimensions that name a summary.json group, its metric and the metric's bound
+# per task: the grid dimensions that name a summary.json group, its metrics, and the bound of
+# the first; a metric a cell leaves empty, such as those of a recovery without the cone check,
+# is not summarised
 _SUMMARISED = {
-    "rep_learning": (("d", "n", "k"), "frob_err_sq", "rep_bound"),
-    "robust_recovery": (("d", "k", "s"), "recovery_error", "recovery_bound"),
-    "diagnostics": (("d", "k", "s"), "diag_min_ratio", None),
+    "rep_learning": (("d", "n", "k"), ("frob_err_sq",), "rep_bound"),
+    "robust_recovery": (
+        ("d", "k", "s"), ("recovery_error", "diag_violations", "diag_min_ratio"), "recovery_bound",
+    ),
 }
 
 
 def _summarise(records: list[dict]) -> dict:
     groups: dict[str, dict] = {}
     for row in records:
-        dims, name, bound_name = _SUMMARISED[row["task"]]
+        dims, names, bound_name = _SUMMARISED[row["task"]]
         key = ",".join(f"{dim}={row[dim]}" for dim in dims)
         bucket = groups.setdefault(key, {})
         if row["error"] is not None:
             bucket.setdefault("errors", 0)
             bucket["errors"] += 1
             continue
-        value = row[name]
-        if value is None:
-            continue
-        bucket.setdefault(name, []).append(value)
-        bound = row.get(bound_name)
-        if bound:
-            bucket.setdefault(f"{name}_over_bound", []).append(value / bound)
+        for name in names:
+            if row[name] is not None:
+                bucket.setdefault(name, []).append(row[name])
+        value, bound = row[names[0]], row[bound_name]
+        if value is not None and bound:
+            bucket.setdefault(f"{names[0]}_over_bound", []).append(value / bound)
     summary = {}
     for key, bucket in sorted(groups.items()):
         entry = {}

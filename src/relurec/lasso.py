@@ -53,7 +53,6 @@ __all__ = [
     "LassoSolution",
     "NonlinearityStats",
     "RankDeficiencyError",
-    "RestrictedSetReport",
     "agnostic_lambda",
     "check_restricted_lower_bound",
     "make_nonlinearity_stats",
@@ -494,13 +493,6 @@ def recovery_error_and_bound(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RestrictedSetReport:
-    num_checked: int
-    num_violations: int
-    min_ratio: float
-
-
 def _pair_ratio(Ah: np.ndarray, h: np.ndarray, f: np.ndarray) -> float:
     """Ratio of ``(1/2d)||A h + f||^2`` to ``(1/128)(||h|| + ||f||/sqrt(d))^2``, given ``A h``.
 
@@ -548,7 +540,7 @@ def _cone_pairs(A: np.ndarray, S: np.ndarray, *, lam, sigma, eta, delta_norm):
 def check_restricted_lower_bound(
     A: np.ndarray, *, lam: float, sigma: float, eta: float,
     support: np.ndarray, delta_norm: float = 0.0,
-) -> RestrictedSetReport:
+) -> tuple[int, int, float]:
     """Search the restricted cone for pairs that violate the quadratic lower bound.
 
     A pair ``(h, f)`` lies in the restricted cone when the penalised mass
@@ -557,9 +549,10 @@ def check_restricted_lower_bound(
         lam ||f_{S^c}||_1 <= 2 (C (sqrt(k) sigma + eta) / sqrt(d) + sqrt(k)/d * delta_norm) ||h||_2
                              + 3 lam ||f_S||_1
 
-    where ``delta_norm`` bounds ``||A^T w||_inf`` and ``C`` is fixed at 1.  Every pair of
-    :func:`_cone_pairs` lies in the cone, so each of the ``num_violations`` scored ratios
-    below 1 certifies a violation, while a ``min_ratio`` at or above 1 proves nothing.
+    where ``delta_norm`` bounds ``||A^T w||_inf`` and ``C`` is fixed at 1.  Returns
+    ``(num_checked, num_violations, min_ratio)``: the pairs scored, those whose ratio lies
+    below 1, and the smallest ratio.  Every pair of :func:`_cone_pairs` lies in the cone, so
+    each violation is certified, while a ``min_ratio`` at or above 1 proves nothing.
     ``ValueError`` rejects a ``lam`` that is not a positive finite real number, a ``sigma``,
     ``eta`` or ``delta_norm`` that is not a nonnegative finite one, an ``A`` that is not 2-D
     or has a non-finite entry, a support entry that is not an integer in ``[0, d)`` or is
@@ -586,4 +579,4 @@ def check_restricted_lower_bound(
         raise ValueError(f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}")
     pairs = _cone_pairs(A, S, lam=lam, sigma=sigma, eta=eta, delta_norm=delta_norm)
     ratios = [_pair_ratio(Ah, h, f) for h, Ah, f in pairs]
-    return RestrictedSetReport(len(ratios), sum(r < 1.0 for r in ratios), min(ratios))
+    return len(ratios), sum(r < 1.0 for r in ratios), min(ratios)

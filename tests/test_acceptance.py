@@ -397,14 +397,13 @@ def test_acceptance_09_restricted_set_lower_bound():
     rng = np.random.default_rng(11)
     A = rng.standard_normal((500, 10))
     support = rng.choice(500, size=25, replace=False)
-    report = check_restricted_lower_bound(
+    num_checked, num_violations, min_ratio = check_restricted_lower_bound(
         A, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=support, delta_norm=0.5,
     )
-    ok = report.num_checked == 93 and report.num_violations == 0
+    ok = num_checked == 93 and num_violations == 0
     _report(
         9, ok,
-        f"{report.num_violations}/{report.num_checked} violations, "
-        f"smallest margin ratio {report.min_ratio:.2f}",
+        f"{num_violations}/{num_checked} violations, smallest margin ratio {min_ratio:.2f}",
     )
 
 

@@ -23,7 +23,6 @@ from relurec.generate import (
 )
 from relurec.harness import (
     RESULT_COLUMNS,
-    DiagOutcome,
     RecoveryOutcome,
     RepOutcome,
     parse_config,
@@ -45,7 +44,7 @@ class TestExitCodes:
     def test_help_exits_clean(self, capsys):
         assert run(["--help"]) == 0
         out = capsys.readouterr().out
-        for name in ("gen", "learn-rep", "recover", "sweep", "diag"):
+        for name in ("gen", "learn-rep", "recover", "sweep"):
             assert name in out
 
     def test_runtime_failure_exits_two(self, tmp_path):
@@ -274,19 +273,22 @@ class TestRecover:
 
     def test_zero_agnostic_penalty_is_usage_error(self, tmp_path, capsys):
         # sigma is 0 under this bias: the oracle rule solves the instance, and
-        # --lambda agnostic chose the rule that fails, so the flag is at fault
+        # --lambda agnostic chose the rule that fails, so the flag is at fault, also
+        # with the cone check, which once ran on its own and exited 2 here
         inst = make_vector_instance(tmp_path, d=50, k=3, s=0, delta=0, bias="const:value=-40")
         assert run(["recover", "--input", inst, "--out", tmp_path / "oracle"]) == 0
         capsys.readouterr()
         out = tmp_path / "fit"
-        assert run(["recover", "--input", inst, "--out", out, "--lambda", "agnostic"]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith(
-            "error: argument --lambda: the agnostic penalty at d=50 is 0 in floating point, "
-            "from the rectifier's noise moment sigma=0.0 and the noise level delta=0.0\n"
-        )
-        assert captured.out == ""
-        assert not out.exists()
+        for check in ([], ["--cone-check"]):
+            argv = ["recover", "--input", inst, "--out", out, "--lambda", "agnostic", *check]
+            assert run(argv) == 1
+            captured = capsys.readouterr()
+            assert captured.err.startswith(
+                "error: argument --lambda: the agnostic penalty at d=50 is 0 in floating point, "
+                "from the rectifier's noise moment sigma=0.0 and the noise level delta=0.0\n"
+            )
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_wrong_instance_type_fails(self, tmp_path):
         inst = tmp_path / "inst"
@@ -316,10 +318,11 @@ REPORT_CELLS = {
     ),
     "diag": (
         ["gen", "--task", "recover", "--d", 80, "--k", 2, "--s", 3, "--delta", 0.005, "--seed", 2],
-        ["diag", "--input", "inst", "--out", "diag.json"], "diag.json",
-        "task = diagnostics\nd = 80\nk = 2\ns = 3\nseeds = 2\ndelta = 0.005\n"
-        "bias = const:value=0.0\n",
-        DiagOutcome,
+        ["recover", "--input", "inst", "--lambda", "agnostic", "--cone-check", "--out", "fit"],
+        "fit/report.json",
+        "task = robust_recovery\nd = 80\nk = 2\ns = 3\nseeds = 2\ndelta = 0.005\n"
+        "bias = const:value=0.0\nlambda_mode = agnostic\ncone_check = true\n",
+        RecoveryOutcome,
     ),
 }
 
@@ -337,7 +340,9 @@ def test_report_equals_the_sweep_cell(command, tmp_path, monkeypatch):
     assert row["error"] is None, row["error"]
     shared = set(report) & set(RESULT_COLUMNS[config.task])
     assert {key: report[key] for key in shared} == {key: row[key] for key in shared}
-    assert set(outcome.metric_names()) <= shared
+    # the report holds each metric the cell computed, and none that it left empty
+    empty = {name for name in outcome.metric_names() if row[name] is None}
+    assert set(outcome.metric_names()) - empty <= shared and not empty & set(report)
 
 
 class TestBadFlagValue:
@@ -357,8 +362,11 @@ class TestBadFlagValue:
             (["gen", "--task", "rep", "--d", 8, "--k", 2], "--n is required for --task rep"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--bias", "nope"],
              "argument --bias: bias config 'nope' is missing the ':' separator"),
-            (["diag", "--input", "{inst}", "--samples", 10],
+            (["recover", "--input", "{inst}", "--cone-check", "--samples", 10],
              "unrecognized arguments: --samples 10"),
+            (["diag", "--input", "{inst}"],
+             "argument command: invalid choice: 'diag' "
+             "(choose from 'gen', 'learn-rep', 'recover', 'sweep')"),
             (["learn-rep", "--input", "{inst}", "--nu", 0],
              "argument --nu: window length nu must satisfy 0 < nu <= 2*gamma, "
              "got nu=0.0, gamma=1.0"),
@@ -429,7 +437,7 @@ class TestBadFlagValue:
         ids=[
             "learn-rep-const-bias", "learn-rep-gamma-nan", "gen-recover-delta-nan",
             "gen-rep-const-bias", "gen-rep-without-n", "gen-recover-bad-bias",
-            "diag-samples-flag-is-gone", "learn-rep-nu-0", "learn-rep-nu-5",
+            "diag-samples-flag-is-gone", "diag-command-is-gone", "learn-rep-nu-0", "learn-rep-nu-5",
             "learn-rep-law-starts-at-gamma", "gen-recover-s-above-d", "gen-recover-negative-s",
             "gen-recover-negative-delta",
             "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
@@ -458,7 +466,7 @@ class TestSweepAndDiag:
     def test_sweep_from_config_file(self, tmp_path):
         config = tmp_path / "sweep.cfg"
         config.write_text(
-            "task = diagnostics\nd = 120\nk = 4\ns = 6\n"
+            "task = robust_recovery\nd = 120\nk = 4\ns = 6\ncone_check = true\n"
             "bias = const:value=0.0\nseeds = 0, 1\n"
         )
         out = tmp_path / "results"
@@ -469,9 +477,12 @@ class TestSweepAndDiag:
     def test_diag_prints_json(self, tmp_path, capsys):
         inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
         capsys.readouterr()
-        assert run(["diag", "--input", inst]) == 0
+        out = tmp_path / "fit"
+        assert run(
+            ["recover", "--input", inst, "--lambda", "agnostic", "--cone-check", "--out", out]
+        ) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["d"] == 100 and payload["k"] == 3 and payload["s"] == 5
+        assert payload == json.loads((out / "report.json").read_text())
         assert payload["diag_violations"] == 0
         assert payload["num_checked"] == 93  # 31 pairs along each of 3 directions
 
@@ -479,12 +490,9 @@ class TestSweepAndDiag:
         "task, flags, message",
         [
             ("recover", {"d": 40, "k": 4, "s": 30}, "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
-            ("recover", {"d": 50, "k": 3, "s": 0, "delta": 0, "bias": "const:value=-40"},
-             "the agnostic penalty at d=50 is 0 in floating point, from the rectifier's "
-             "noise moment sigma=0.0 and the noise level delta=0.0"),
             ("rep", {"d": 8, "n": 12, "k": 2}, "{inst} does not contain a vector instance"),
         ],
-        ids=["regime", "zero-agnostic-penalty", "matrix-instance"],
+        ids=["regime", "matrix-instance"],
     )
     def test_diag_rejected_instance_exits_two(self, tmp_path, capsys, task, flags, message):
         # no flag chose what fails: the saved instance is at fault
@@ -494,8 +502,8 @@ class TestSweepAndDiag:
             argv += [f"--{key}", value]
         assert run(argv) == 0
         capsys.readouterr()
-        out = tmp_path / "diag.json"
-        assert run(["diag", "--input", inst, "--out", out]) == 2
+        out = tmp_path / "fit"
+        assert run(["recover", "--input", inst, "--cone-check", "--out", out]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: ValueError: {message.format(inst=inst)}\n"
         assert captured.out == ""
@@ -503,18 +511,22 @@ class TestSweepAndDiag:
 
     def test_malformed_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
-        config.write_text("task = diagnostics\ncolor = blue\n")
+        config.write_text("task = robust_recovery\ncolor = blue\n")
         assert run(["sweep", "--config", config, "--out", tmp_path / "o"]) == 1
         assert "color" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("task, dimensions", [
+    @pytest.mark.parametrize("name, dimensions", [
         ("robust_recovery", "d = 150\nk = 3\ns = 3\n"),
         ("diagnostics", "d = 200\nk = 5\ns = 10\n"),
     ])
-    def test_failing_moments_are_usage_error(self, task, dimensions, tmp_path, capsys):
+    def test_failing_moments_are_usage_error(self, name, dimensions, tmp_path, capsys):
         # the law parses, but its moments fail: the sweep stops before its first cell
         config = tmp_path / "sweep.cfg"
-        config.write_text(f"task = {task}\n{dimensions}bias = logistic:loc=1e17,scale=1\nseeds = 0, 1\n")
+        check = "cone_check = true\n" if name == "diagnostics" else ""  # the former task
+        config.write_text(
+            f"task = robust_recovery\n{check}{dimensions}"
+            "bias = logistic:loc=1e17,scale=1\nseeds = 0, 1\n"
+        )
         out = tmp_path / "results"
         assert run(["sweep", "--config", config, "--out", out]) == 1
         captured = capsys.readouterr()
@@ -526,7 +538,8 @@ class TestSweepAndDiag:
         # each cell once recorded a ZeroDivisionError, and the sweep exited 0
         config = tmp_path / "sweep.cfg"
         config.write_text(
-            "task = diagnostics\nd = 200\nk = 5\ns = 10\nbias = const:value=-40\nseeds = 0\n"
+            "task = robust_recovery\nd = 200\nk = 5\ns = 10\nbias = const:value=-40\nseeds = 0\n"
+            "lambda_mode = agnostic\ncone_check = true\n"
         )
         out = tmp_path / "results"
         assert run(["sweep", "--config", config, "--out", out]) == 1
@@ -536,9 +549,11 @@ class TestSweepAndDiag:
 
     def test_diag_writes_file(self, tmp_path):
         inst = make_vector_instance(tmp_path, d=100, k=3, s=5, seed=1)
-        target = tmp_path / "diag.json"
-        assert run(["diag", "--input", inst, "--out", target]) == 0
-        payload = json.loads(target.read_text())
+        target = tmp_path / "fit"
+        assert run(
+            ["recover", "--input", inst, "--lambda", "agnostic", "--cone-check", "--out", target]
+        ) == 0
+        payload = json.loads((target / "report.json").read_text())
         assert payload["diag_min_ratio"] >= 1.0
 
 

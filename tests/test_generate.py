@@ -193,7 +193,7 @@ class TestRecoveryInstance:
         ids=["s-negative", "s-above-d", "delta-negative", "delta-nan"],
     )
     def test_bad_setting_is_named(self, s, delta, message):
-        # the one check of s and delta behind recovery and diagnostics cells and `gen`
+        # the one check of s and delta behind recovery cells and `gen`
         with pytest.raises(ValueError, match=f"^{message}$"):
             generate_recovery_instance(40, 2, s, delta, 5.0, bias=0.0, seed=0)
 

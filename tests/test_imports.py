@@ -66,8 +66,9 @@ SWEEPS = {
         "task = robust_recovery\nd = 200\nk = 3\ns = 0.02d\ndelta = 0.01\n"
         "bias = gauss:mean=0.0,std=1.0\n"
     ),
-    "diagnostics": (
-        "task = diagnostics\nd = 40\nk = 2\ns = 1\nbias = const:value=0.0\n"
+    "diagnostics": (  # the cone check that the diagnostics task once ran
+        "task = robust_recovery\nd = 40\nk = 2\ns = 1\nbias = const:value=0.0\n"
+        "lambda_mode = agnostic\ncone_check = true\n"
     ),
 }
 

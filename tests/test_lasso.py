@@ -782,12 +782,12 @@ class TestRestrictedSet:
         rng = np.random.default_rng(7)
         d, k, s = 500, 10, 25
         A = rng.standard_normal((d, k))
-        report = check_restricted_lower_bound(
+        num_checked, num_violations, min_ratio = check_restricted_lower_bound(
             A, lam=0.01, sigma=0.5, eta=math.sqrt(0.75), support=np.arange(s), delta_norm=0.5,
         )
-        assert report.num_checked == 93  # 3 directions x 31 steps of t
-        assert report.num_violations == 0
-        assert report.min_ratio >= 1.0
+        assert num_checked == 93  # 3 directions x 31 steps of t
+        assert num_violations == 0
+        assert min_ratio >= 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_search_certifies_violations_near_the_regime_edge(self, seed):
@@ -800,16 +800,18 @@ class TestRestrictedSet:
             "eta": stats_obj.eta, "delta_norm": float(np.abs(inst.A.T @ inst.w).max()),
         }
         support = np.flatnonzero(inst.e_star)
-        report = check_restricted_lower_bound(inst.A, support=support, **cone)
-        assert report.num_violations >= 1
-        assert report.min_ratio < 1.0
+        num_checked, num_violations, min_ratio = check_restricted_lower_bound(
+            inst.A, support=support, **cone
+        )
+        assert num_violations >= 1
+        assert min_ratio < 1.0
         ratios = []
         for h, Ah, f in _cone_pairs(inst.A, support, **cone):
             assert in_restricted_cone(h, f, support, **cone)
             assert np.array_equal(Ah, inst.A @ h)
             ratios.append(restricted_pair_ratio(inst.A, h, f))
-        assert (len(ratios), min(ratios)) == (report.num_checked, report.min_ratio)
-        assert sum(r < 1.0 for r in ratios) == report.num_violations
+        assert (len(ratios), min(ratios)) == (num_checked, min_ratio)
+        assert sum(r < 1.0 for r in ratios) == num_violations
 
     @given(
         d=st.integers(8, 200),

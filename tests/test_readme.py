@@ -61,9 +61,7 @@ def _python(args: list[str], cwd: Path) -> subprocess.CompletedProcess:
 
 def test_readme_commands_run(tmp_path):
     commands = _commands()
-    assert sorted({argv[0] for argv in commands}) == [
-        "diag", "gen", "learn-rep", "recover", "sweep",
-    ]
+    assert sorted({argv[0] for argv in commands}) == ["gen", "learn-rep", "recover", "sweep"]
     (tmp_path / "sweep.cfg").write_text(_sweep_config(), encoding="utf-8")
     for argv in commands:
         done = _python(["-m", "relurec.cli", *argv], tmp_path)
