@@ -263,7 +263,8 @@ class TestParseConfig:
 
     @pytest.mark.parametrize(
         "config, key",
-        [(REP_CONFIG, "s = 1, 2, 3"), (RECOVERY_CONFIG, "n = 100, 300"), (DIAG_CONFIG, "n = 2d")]
+        [(REP_CONFIG, "s = 1, 2, 3"), (RECOVERY_CONFIG, "n = 100, 300"),
+         pytest.param(DIAG_CONFIG, "n = 2d", id="cone_check-n")]
         + [
             pytest.param(CONFIGS[name], f"{key} = {VALID_VALUES[key]}", id=f"{name}-{key}")
             for name, key in OTHER_TASK_KEYS if key not in ("n", "s")
