@@ -1,11 +1,12 @@
 """The argument checks of the public entry points, each rule written once.
 
-Each function checks one argument and returns it as its callers compute with
-it, or raises ``ValueError`` with the message ``<name> must be <rule>, got
-<value>``.  An empty ``name`` leaves the message at ``must be <rule>, got
-<value>``, for callers that name the value themselves, as the config parser
-and the CLI flags do.  ``bool`` is no number here: Python counts ``True`` as
-the integer 1, yet it is neither a count nor a level.
+Each function checks one argument, or a count against a bound that others set,
+and returns it as its callers compute with it, or raises ``ValueError`` with
+the message ``<name> must be <rule>, got <value>``.  An empty ``name`` leaves
+the message at ``must be <rule>, got <value>``, for callers that name the
+value themselves, as the config parser and the CLI flags do.  ``bool`` is no
+number here: Python counts ``True`` as the integer 1, yet it is neither a
+count nor a level.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def real(name: str, value, sign: str = "", *, error: type[ValueError] = ValueErr
     if not (signed and math.isfinite(value)):  # NaN fails both
         _fail(name, f"{sign} and finite" if sign else "finite", repr(value), error)
     return float(value)
+
+
+def at_most(name: str, value, bound: str, limit, error: type[ValueError] = ValueError):
+    """``value``, for a count of at most ``limit``, the value of ``bound``; raises ``error``."""
+    if value > limit:
+        _fail(name, f"at most {bound} = {limit}", repr(value), error)
+    return value
 
 
 def choice(name: str, value, options: tuple) -> str:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _checks as checks
 from .bias import default_exponential, flatness_beta, lipschitz_L, parse_bias_spec
 from .generate import (
     GenerativeInstance,
@@ -65,6 +66,14 @@ def _flag(parse):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return convert
+
+
+def _argument(flags: str, compute, *args):
+    """``compute(*args)``, its ``ValueError`` reported as a usage error of ``flags``."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        raise _UsageError(f"argument {flags}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,25 +162,19 @@ def _cmd_gen(args) -> int:
     if args.task == "rep":
         if args.n is None:
             raise ValueError("--n is required for --task rep")
-        try:
-            spec = bias_law(args.bias) if args.bias else default_exponential(args.gamma)
-        except ValueError as exc:
-            raise _UsageError(f"argument --bias: {exc}") from exc
-        try:  # the check every learn-rep on the instance makes
-            lipschitz_L(spec, args.gamma)
-        except ValueError as exc:
-            raise _UsageError(f"argument --bias/--gamma: {exc}") from exc
+        if args.bias:
+            spec = _argument("--bias", bias_law, args.bias)
+        else:
+            spec = default_exponential(args.gamma)
+        _argument("--bias/--gamma", lipschitz_L, spec, args.gamma)  # as every learn-rep does
         instance = generate_representation_instance(
             args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
         )
     else:
-        if args.k >= args.d:  # the check every recover on the instance makes
-            raise _UsageError(f"argument --k: k={args.k} must be less than d={args.d}")
-        try:  # the first step of every recover on the instance
-            spec = parse_bias_spec(args.bias) if args.bias else 0.0
-            make_nonlinearity_stats(spec)
-        except ValueError as exc:
-            raise _UsageError(f"argument --bias: {exc}") from exc
+        # the rule of solve_robust_lasso, and the first step of every recover on the instance
+        _argument("--k", checks.at_most, "k", args.k, "d - 1", args.d - 1)
+        spec = _argument("--bias", parse_bias_spec, args.bias) if args.bias else 0.0
+        _argument("--bias", make_nonlinearity_stats, spec)
         instance = generate_recovery_instance(
             args.d, args.k, args.s, args.delta, args.magnitude, spec, args.seed
         )
@@ -215,10 +218,8 @@ def _cmd_recover(args) -> int:
     if not isinstance(instance, RecoveryInstance):
         raise ValueError(f"{args.input} does not contain a vector instance")
     stats = make_nonlinearity_stats(parse_bias_spec(instance.bias))
-    try:  # only the agnostic rule can fail, and the flag chose it
-        lam = penalty_level(args.lam, instance, stats)
-    except ValueError as exc:
-        raise _UsageError(f"argument --lambda: {exc}") from exc
+    # only the agnostic rule can fail, and the flag chose it
+    lam = _argument("--lambda", penalty_level, args.lam, instance, stats)
     outcome = recover_and_evaluate(instance, stats, lam, args.max_iter, args.cone_check)
     solution = outcome.solution
     out = Path(args.out)

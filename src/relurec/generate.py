@@ -137,8 +137,7 @@ def generate_representation_instance(
         cannot reach ``min_margin`` within the retry budget.
     """
     d, n, k = (checks.integer(name, value, 1) for name, value in (("d", d), ("n", n), ("k", k)))
-    if k > min(d, n):  # M = A C would have rank min(d, n), not k
-        raise ValueError(f"rank k={k} must be at most min(d, n) = {min(d, n)}")
+    checks.at_most("k", k, "min(d, n)", min(d, n))  # else M = A C would have rank min(d, n)
     gamma = checks.real("gamma", gamma, "positive")
     if min_margin is not None:
         checks.real("min_margin", min_margin, "nonnegative")
@@ -214,9 +213,7 @@ def generate_recovery_instance(
     ``c*`` untouched.
     """
     d, k = checks.integer("d", d, 1), checks.integer("k", k, 1)
-    s = checks.integer("s", s, 0)
-    if s > d:
-        raise ValueError(f"outlier count s={s} must lie in [0, d={d}]")
+    s = checks.at_most("s", checks.integer("s", s, 0), "d", d)
     delta = checks.real("noise level delta", delta, "nonnegative")
     outlier_magnitude = checks.real("outlier_magnitude", outlier_magnitude)
     if not isinstance(bias, BiasModel):

@@ -13,7 +13,7 @@ comment) describing one of two tasks:
     of the lower bound that the error bound rests on.
 
 Dimension keys take either explicit comma-separated lists or rules of
-the form ``<multiplier>d`` (evaluated as ``ceil(multiplier * d)``), so
+the form ``<multiplier>d`` (``ceil(multiplier * d)``, exact in decimal), so
 ``n = 2d`` and ``s = 0.02d`` track the row count.  Results go to
 ``results.csv`` (a column order per task, RFC-4180 quoting, shortest
 round-trip decimals) plus ``summary.json`` with per-configuration
@@ -131,14 +131,19 @@ def _int_list(item):
 
 @dataclass(frozen=True)
 class DimensionRule:
-    """A dimension given either as an explicit list or as a multiple of d."""
+    """A dimension given either as an explicit list or as a multiple of d, rounded up from the
+    exact product with the multiplier's shortest decimal (in floats, 0.07 * 100 exceeds 7)."""
 
     values: tuple[int, ...] | None = None
     multiplier: float | None = None
 
     def resolve(self, d: int) -> tuple[int, ...]:
         if self.multiplier is not None:
-            return (int(math.ceil(self.multiplier * d)),)
+            digits, _, exponent = repr(self.multiplier).partition("e")
+            whole, _, fraction = digits.partition(".")
+            places = len(fraction) - int(exponent or 0)  # multiplier = numerator / 10**places
+            numerator = int(whole + fraction) * 10 ** max(0, -places)
+            return (-(-numerator * d // 10 ** max(0, places)),)
         assert self.values is not None
         return self.values
 
@@ -198,7 +203,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value config format.
 
     Raises ``ValueError`` naming the offending or missing key, also for a
-    value out of its range, on which every cell would fail.
+    value out of its range; :func:`run_sweep` checks the rest before its first cell.
     """
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -227,35 +232,12 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"config key {key!r} is not used by task {task}")
     if reads[0] not in raw:
         raise ValueError(f"config key {reads[0]!r} is required for task {task}")
-    model = _named("bias", bias_law if task == "rep_learning" else parse_bias_spec, raw["bias"])
+    _named("bias", bias_law if task == "rep_learning" else parse_bias_spec, raw["bias"])
     values = {
         key: _named(key, _KEYS[key].metadata["parse"], text)
         for key, text in raw.items() if key not in ("task", "bias")
     }
-    config = ExperimentConfig(task=task, bias=raw["bias"], **values)
-
-    # grid points on which every cell would fail
-    rank = max(config.k)
-    for d in config.d:
-        if task == "rep_learning":
-            short = min(d, *config.n.resolve(d))
-            if rank > short:  # generate_representation_instance rejects it
-                raise ValueError(
-                    f"config key 'k': rank k={rank} must be at most min(d, n) = {short} for d={d}"
-                )
-            continue
-        s = max(config.s.resolve(d))
-        if s > d:  # generate_recovery_instance rejects it
-            raise ValueError(f"config key 's': outlier count s={s} must lie in [0, d={d}]")
-        if rank >= d:  # solve_robust_lasso rejects it
-            raise ValueError(f"config key 'k': k={rank} must be less than d={d}")
-        if config.cone_check and rank + s > d / 4:  # check_restricted_lower_bound rejects it
-            raise ValueError(f"config keys 'k' and 's': k + s = {rank + s} exceeds d/4 = {d / 4}")
-    if task == "rep_learning":  # checks run_sweep and every cell make; run_sweep reuses the value
-        object.__setattr__(config, "_lipschitz", _named("bias", lipschitz_L, model, config.gamma))
-        if config.nu is not None:
-            _named("nu", omega_min_mass, model, config.gamma, config.nu)
-    return config
+    return ExperimentConfig(task=task, bias=raw["bias"], **values)
 
 
 def _column():
@@ -418,45 +400,57 @@ def run_sweep(config: ExperimentConfig) -> list[dict]:
     Each row maps the task's ``RESULT_COLUMNS``, in order, to the cell's
     values, and then ``wall_time_ms`` to its wall time.  A failing cell
     records its error message instead of aborting the sweep, and its
-    metrics stay None; cell order is deterministic.  The sweep parses its bias law
-    once, before its first cell.  A rep sweep then evaluates the law's
-    flatness and steepness at ``gamma`` once (the steepness in
-    :func:`parse_config`, if that made ``config``), and each cell only the
-    window mass of its ``nu``; a recovery sweep computes the law's moments
-    once.  A law whose constants or moments fail, or whose
-    agnostic penalty is 0 in a sweep that uses it, is a ``ValueError``
-    naming the config key ``bias``, raised before any cell runs.  Each
-    cell looks its runner up on the module, which a caller may rebind.
+    metrics stay None; cell order is deterministic.  Before its first cell the
+    sweep parses its bias law.  A rep sweep evaluates the law's flatness and
+    steepness at ``gamma`` once, and the window mass of a set ``nu``; each cell
+    only that of its own ``nu``.  A recovery sweep computes the law's moments
+    once, and an agnostic one its penalty at each ``d``.  Each grid point then
+    meets the rules between ``d``, ``n``, ``s`` and ``k`` of its cells' library
+    calls, in their order.  What fails there would fail every cell: it raises
+    ``ValueError("config key '<key>': " + <the cell's message>)``.  Each cell
+    looks its runner up on the module, which a caller may rebind.
     """
     model = parse_bias_spec(config.bias)
-    if config.task == "rep_learning":
+    rep = config.task == "rep_learning"
+    if rep:
         beta = _named("bias", flatness_beta, model, config.gamma)
-        lipschitz = vars(config).get("_lipschitz")  # a copy made by dataclasses.replace has none
-        if lipschitz is None:
-            lipschitz = _named("bias", lipschitz_L, model, config.gamma)
+        lipschitz = _named("bias", lipschitz_L, model, config.gamma)
+        if config.nu is not None:
+            _named("nu", omega_min_mass, model, config.gamma, config.nu)
     else:
         stats = _named("bias", make_nonlinearity_stats, model)
         if config.lambda_mode == "agnostic":
             for d in config.d:
                 _named("bias", agnostic_lambda, d, stats.sigma, config.delta)
+    points = []
+    for d in config.d:
+        n_values = config.n.resolve(d) if rep else (None,)
+        s_values = (None,) if rep else config.s.resolve(d)
+        for n, k, s in itertools.product(n_values, config.k, s_values):
+            if rep:  # generate_representation_instance
+                _named("k", checks.at_most, "k", k, "min(d, n)", min(d, n))
+            else:  # generate_recovery_instance, check_restricted_lower_bound, solve_robust_lasso
+                _named("s", checks.at_most, "s", s, "d", d)
+                if config.cone_check:  # outliers of size 0 leave the support empty
+                    support = s if config.outlier_magnitude else 0
+                    _named("cone_check", checks.at_most, "k + |S|", k + support, "d/4", d / 4)
+                _named("k", checks.at_most, "k", k, "d - 1", d - 1)
+            points.append((d, n, k, s))
     columns = RESULT_COLUMNS[config.task]
     records: list[dict] = []
-    for d in config.d:
-        n_values = config.n.resolve(d) if config.n is not None else (None,)
-        s_values = config.s.resolve(d) if config.s is not None else (None,)
-        for n, k, s, seed in itertools.product(n_values, config.k, s_values, config.seeds):
-            start = time.perf_counter()
-            try:
-                if config.task == "rep_learning":
-                    computed = _run_rep_cell(config, model, beta, lipschitz, d, n, k, seed)
-                else:
-                    computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
-            except Exception as exc:  # noqa: BLE001 - cell isolation
-                computed = {"error": f"{type(exc).__name__}: {exc}"}
-            cell = dict(task=config.task, d=d, seed=seed, bias=config.bias, n=n, k=k, s=s)
-            row = {name: cell.get(name) for name in columns} | computed
-            row["wall_time_ms"] = (time.perf_counter() - start) * 1e3
-            records.append(row)
+    for (d, n, k, s), seed in itertools.product(points, config.seeds):
+        start = time.perf_counter()
+        try:
+            if rep:
+                computed = _run_rep_cell(config, model, beta, lipschitz, d, n, k, seed)
+            else:
+                computed = _run_recovery_cell(config, model, stats, d, k, s, seed)
+        except Exception as exc:  # noqa: BLE001 - cell isolation
+            computed = {"error": f"{type(exc).__name__}: {exc}"}
+        cell = dict(task=config.task, d=d, seed=seed, bias=config.bias, n=n, k=k, s=s)
+        row = {name: cell.get(name) for name in columns} | computed
+        row["wall_time_ms"] = (time.perf_counter() - start) * 1e3
+        records.append(row)
     return records
 
 

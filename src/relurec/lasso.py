@@ -348,8 +348,8 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         of shape ``(d,)``, the first non-finite entry of either, and a ``v``
         whose sum of squares overflows.
     RankDeficiencyError
-        If the design has fewer rows than columns or a smallest singular
-        value at or below 1e-10.
+        If the design's ``k`` columns are not fewer than its ``d`` rows, or
+        its smallest singular value is at or below 1e-10.
     """
     A = checks.array("A", A, 2, finite=False)  # the diagonal of its Gram tests it
     d, k = A.shape
@@ -357,8 +357,7 @@ def solve_robust_lasso(v: np.ndarray, A: np.ndarray, config: LassoConfig) -> Las
         raise ValueError(f"A must have at least one column, got shape {A.shape}")
     v = checks.array("v", v, (d,))
     G = _gram(v, A)
-    if d <= k:
-        raise RankDeficiencyError(f"need more rows than columns, got {d} x {k}")
+    checks.at_most("k", k, "d - 1", d - 1, RankDeficiencyError)  # A is d x k
     R, singular = _factor_and_singular_values(A, G)
     if singular[-1] <= 1e-10:
         raise RankDeficiencyError(f"smallest singular value {singular[-1]:.3g} is numerically zero")
@@ -575,8 +574,7 @@ def check_restricted_lower_bound(
             raise ValueError(f"support entry {j} at index {i} is repeated")
         seen.add(j)
     S = np.asarray(support, dtype=int)
-    if k + S.size > d / 4:
-        raise ValueError(f"regime violated: k + |S| = {k + S.size} exceeds d/4 = {d / 4}")
+    checks.at_most("k + |S|", k + S.size, "d/4", d / 4)
     pairs = _cone_pairs(A, S, lam=lam, sigma=sigma, eta=eta, delta_norm=delta_norm)
     ratios = [_pair_ratio(Ah, h, f) for h, Ah, f in pairs]
     return len(ratios), sum(r < 1.0 for r in ratios), min(ratios)

@@ -4,9 +4,11 @@ Each public callable is crossed with each of its numeric arguments and each
 bad value: ``True`` (Python counts it as 1), NaN, +-inf, a number out of the
 argument's range, ``2.0`` for a count, and the string ``"1"``.  A second
 table crosses its array arguments with a wrong shape, a NaN or infinite
-entry, a string entry and an ``object()`` in place of the array.  Every
-case must raise a ``ValueError`` whose message names the argument right
-before its "must", as in ``gamma must be positive and finite, got nan``.
+entry, a string entry and an ``object()`` in place of the array.  A third
+table breaks each rule between arguments, such as ``k <= min(d, n)``, with
+values that each pass alone.  Every case must raise a ``ValueError`` whose
+message names the argument right before its "must", as in ``gamma must be
+positive and finite, got nan`` or ``k must be at most min(d, n) = 8, got 9``.
 """
 
 import math
@@ -161,6 +163,21 @@ ARRAYS = [
 ]
 
 
+# (callable, argument named in the message, the combination, a call that breaks a rule
+# between the argument and others with values that each pass alone)
+RELATIONS = [
+    ("generate_representation_instance", "k", "d=8,n=12,k=9", lambda: _rep(k=9)),
+    ("generate_representation_instance", "k", "d=12,n=8,k=9", lambda: _rep(d=12, n=8, k=9)),
+    ("generate_recovery_instance", "s", "d=40,s=41", lambda: _recovery(s=41)),
+    ("solve_robust_lasso", "k", "d=3,k=3",
+     lambda: solve_robust_lasso(np.ones(3), DESIGN[:3], LassoConfig(lam=1.0))),
+    ("solve_robust_lasso", "k", "d=2,k=3",
+     lambda: solve_robust_lasso(np.ones(2), DESIGN[:2], LassoConfig(lam=1.0))),
+    ("check_restricted_lower_bound", "k + |S|", "d=100,k=3,|S|=23",
+     lambda: check_restricted_lower_bound(DESIGN, **(CONE | {"support": range(23)}))),
+]
+
+
 def _reshaped(x):
     """``x`` with a shape it may not have: a matrix flattened, a vector one entry short."""
     return x.ravel() if x.ndim == 2 else x[:-1]
@@ -206,3 +223,11 @@ def test_a_bad_number_is_named(name, call, value):
 )
 def test_a_bad_array_is_named(name, call, value):
     _named(name, call, value)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [pytest.param(name, call, id=f"{label}-{case}") for label, name, case, call in RELATIONS],
+)
+def test_a_broken_relation_is_named(name, call):
+    _named(name, lambda _: call(), None)

@@ -377,7 +377,7 @@ class TestBadFlagValue:
              "argument --bias: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
              "is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 1, "--s", 20],
-             "outlier count s=20 must lie in [0, d=10]"),
+             "s must be at most d = 10, got 20"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", -1],
              "argument --s: must be an integer of at least 0, got -1"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
@@ -399,7 +399,7 @@ class TestBadFlagValue:
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", -1],
              "argument --min-margin: must be nonnegative and finite, got -1.0"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 20],
-             "rank k=20 must be at most min(d, n) = 8"),
+             "k must be at most min(d, n) = 8, got 20"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--delta", 0.5],
              "flag --delta is not used by task rep"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--magnitude", -4],
@@ -418,7 +418,7 @@ class TestBadFlagValue:
              "argument --bias/--gamma: CDF vanishes at -1.0; the hazard-type ratio "
              "p/P(B<=x) is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 10],
-             "argument --k: k=10 must be less than d=10"),
+             "argument --k: k must be at most d - 1 = 9, got 10"),
             (["gen", "--task", "recover", "--d", 0, "--k", 1],
              "argument --d: must be an integer of at least 1, got 0"),
             (["gen", "--task", "recover", "--d", 50, "--k", 3, "--bias",
@@ -489,7 +489,7 @@ class TestSweepAndDiag:
     @pytest.mark.parametrize(
         "task, flags, message",
         [
-            ("recover", {"d": 40, "k": 4, "s": 30}, "regime violated: k + |S| = 34 exceeds d/4 = 10.0"),
+            ("recover", {"d": 40, "k": 4, "s": 30}, "k + |S| must be at most d/4 = 10.0, got 34"),
             ("rep", {"d": 8, "n": 12, "k": 2}, "{inst} does not contain a vector instance"),
         ],
         ids=["regime", "matrix-instance"],

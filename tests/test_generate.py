@@ -122,7 +122,7 @@ class TestRepresentationInstance:
     @pytest.mark.parametrize("d, n", [(8, 12), (12, 8)])
     def test_rank_above_min_d_n_raises(self, d, n):
         # M = A C would have rank 8, not k
-        with pytest.raises(ValueError, match=r"rank k=20 must be at most min\(d, n\) = 8"):
+        with pytest.raises(ValueError, match=r"^k must be at most min\(d, n\) = 8, got 20$"):
             generate_representation_instance(d, n, 20, 1.0, default_exponential(1.0), seed=0)
 
     @pytest.mark.parametrize("gamma", [0.0, np.inf, np.nan])
@@ -186,7 +186,7 @@ class TestRecoveryInstance:
         "s, delta, message",
         [
             (-1, 0.0, "s must be an integer of at least 0, got -1"),
-            (41, 0.0, r"outlier count s=41 must lie in \[0, d=40\]"),
+            (41, 0.0, "s must be at most d = 40, got 41"),
             (2, -1.0, "noise level delta must be nonnegative and finite, got -1.0"),
             (2, math.nan, "noise level delta must be nonnegative and finite, got nan"),
         ],

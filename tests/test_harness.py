@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -28,7 +29,6 @@ from relurec.bias import (
 from relurec.generate import generate_recovery_instance, generate_representation_instance
 from relurec.harness import (
     RESULT_COLUMNS,
-    DimensionRule,
     ExperimentConfig,
     emit_results,
     parse_config,
@@ -37,7 +37,13 @@ from relurec.harness import (
     TASK_KEYS,
     run_sweep,
 )
-from relurec.lasso import agnostic_lambda, check_restricted_lower_bound, make_nonlinearity_stats
+from relurec.lasso import (
+    LassoConfig,
+    agnostic_lambda,
+    check_restricted_lower_bound,
+    make_nonlinearity_stats,
+    solve_robust_lasso,
+)
 from relurec.replearn import theoretical_rep_bound
 from relurec.subspace import truncated_svd
 
@@ -79,11 +85,6 @@ seeds = 0
 """
 
 
-def _key_parser(key: str):
-    """The parser declared with config key ``key`` on ``ExperimentConfig``."""
-    return next(f for f in dataclasses.fields(ExperimentConfig) if f.name == key).metadata["parse"]
-
-
 class TestKeyDeclarations:
     """Each config key is declared once, as a field of ``ExperimentConfig``."""
 
@@ -121,13 +122,28 @@ class TestDimensionRule:
     def test_integer_multiplier(self):
         assert parse_config(_with(REP_CONFIG, "n", "2d")).n.resolve(25) == (50,)
 
+    @pytest.mark.parametrize(
+        "key, rule, d, value",
+        [
+            ("s", "0.07d", 100, 7), ("s", "0.14d", 100, 14), ("n", "1.1d", 100, 110),
+            ("n", "2.2d", 100, 220), ("s", "0.07d", 101, 8), ("n", "1.1d", 101, 112),
+            ("s", "1e-2d", 100, 1), ("s", "0.001d", 999, 1), ("s", "0d", 50, 0),
+            ("n", "1e2d", 3, 300), ("n", "1.5e1d", 2, 30), ("s", "2e-05d", 100001, 3),
+            ("n", "1e16d", 3, 3 * 10**16),
+        ],
+    )
+    def test_a_decimal_multiple_is_exact(self, key, rule, d, value):
+        # the product of floats rounds 0.07 * 100 up to 8 and 1.1 * 100 up to 111
+        config = REP_CONFIG if key == "n" else RECOVERY_CONFIG
+        assert getattr(parse_config(_with(config, key, rule)), key).resolve(d) == (value,)
+
     def test_garbage_raises(self):
         with pytest.raises(ValueError, match="'n'"):
             parse_config(_with(REP_CONFIG, "n", "abc"))
 
 
-# values parse_config rejects, naming the key; each range case would fail every cell of a
-# sweep or, like a negative s, run it on a setting that means nothing
+# values a sweep rejects before its first cell, naming the key; each range case would fail
+# every cell of the sweep or, like a negative s, run it on a setting that means nothing
 BAD_VALUES = [
     (REP_CONFIG, "bias", "const:value=0.0"),
     (REP_CONFIG, "gamma", "nan"),
@@ -196,29 +212,49 @@ OTHER_TASK_KEYS = [
 
 
 # grid points on which every cell fails: the config, its d, k and s, the error
-# each cell records, and the message of parse_config
+# each cell records, and the message of the sweep's check before its first cell
 FAILING_GRID_POINTS = [
     (
         RECOVERY_CONFIG, 100, 3, "2d",
-        "ValueError: outlier count s=200 must lie in [0, d=100]",
-        "config key 's': outlier count s=200 must lie in [0, d=100]",
+        "ValueError: s must be at most d = 100, got 200",
+        "config key 's': s must be at most d = 100, got 200",
     ),
     (
         DIAG_CONFIG, 40, 2, "41",
-        "ValueError: outlier count s=41 must lie in [0, d=40]",
-        "config key 's': outlier count s=41 must lie in [0, d=40]",
+        "ValueError: s must be at most d = 40, got 41",
+        "config key 's': s must be at most d = 40, got 41",
     ),
     (
         RECOVERY_CONFIG, 8, 10, "0",
-        "RankDeficiencyError: need more rows than columns, got 8 x 10",
-        "config key 'k': k=10 must be less than d=8",
+        "RankDeficiencyError: k must be at most d - 1 = 7, got 10",
+        "config key 'k': k must be at most d - 1 = 7, got 10",
     ),
     (
         DIAG_CONFIG, 40, 8, "4",
-        "ValueError: regime violated: k + |S| = 12 exceeds d/4 = 10.0",
-        "config keys 'k' and 's': k + s = 12 exceeds d/4 = 10.0",
+        "ValueError: k + |S| must be at most d/4 = 10.0, got 12",
+        "config key 'cone_check': k + |S| must be at most d/4 = 10.0, got 12",
     ),
 ]
+
+# the configs a sweep rejects before its first cell, with the key its message names
+REJECTED_CONFIGS = [
+    *((_with(config, key, value), key) for config, key, value in BAD_VALUES),
+    (_with(_with(_with(REP_CONFIG, "d", "8"), "n", "12"), "k", "2, 20"), "k"),
+    *(
+        (_with(_with(_with(base, "d", str(d)), "k", str(k)), "s", s), message.split("'")[1])
+        for base, d, k, s, _, message in FAILING_GRID_POINTS
+    ),
+]
+
+
+def _refuse(*args):
+    raise RuntimeError("the cell ran")
+
+
+def _sweep_to_first_cell(text: str) -> list[dict]:
+    """``run_sweep(parse_config(text))`` with cell runners that refuse to run."""
+    with mock.patch.multiple(harness, _run_rep_cell=_refuse, _run_recovery_cell=_refuse):
+        return run_sweep(parse_config(text))
 
 
 class TestParseConfig:
@@ -315,15 +351,15 @@ class TestParseConfig:
     )
     def test_value_every_cell_would_reject_is_named(self, config, key, value):
         with pytest.raises(ValueError, match=f"^config key '{key}': "):
-            parse_config(_with(config, key, value))
+            _sweep_to_first_cell(_with(config, key, value))
 
     def test_rank_above_min_d_n_is_named(self):
-        # every cell would fail in generate_representation_instance
+        # every cell with k = 20 would fail in generate_representation_instance
         config = _with(_with(_with(REP_CONFIG, "d", "8"), "n", "12"), "k", "2, 20")
         with pytest.raises(
-            ValueError, match=r"^config key 'k': rank k=20 must be at most min\(d, n\) = 8 for d=8$"
+            ValueError, match=r"^config key 'k': k must be at most min\(d, n\) = 8, got 20$"
         ):
-            parse_config(config)
+            _sweep_to_first_cell(config)
 
     @pytest.mark.parametrize(
         "base, d, k, s, cell_error, message", FAILING_GRID_POINTS,
@@ -332,17 +368,105 @@ class TestParseConfig:
     def test_grid_point_every_cell_fails_is_named(self, base, d, k, s, cell_error, message):
         text = _with(_with(_with(base, "d", str(d)), "k", str(k)), "s", s)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            parse_config(text)
-        # run_sweep records the failure in every cell of such a config
-        config = dataclasses.replace(parse_config(base), d=(d,), k=(k,), s=_key_parser("s")(s))
-        records = run_sweep(config)
-        assert records and all(r["error"] == cell_error for r in records)
+            _sweep_to_first_cell(text)
+        # the cell records the same message, under the type of its error
+        config = parse_config(text)
+        stats = make_nonlinearity_stats(parse_bias_spec(config.bias))
+        for seed in config.seeds:
+            with pytest.raises(ValueError) as caught:
+                harness._run_recovery_cell(
+                    config, parse_bias_spec(config.bias), stats, d, k, config.s.resolve(d)[0], seed
+                )
+            assert f"{type(caught.value).__name__}: {caught.value}" == cell_error
+            assert message.endswith(f": {caught.value}")
+
+    @pytest.mark.parametrize(
+        "text, key", REJECTED_CONFIGS,
+        ids=[f"{key}-{i}" for i, (_, key) in enumerate(REJECTED_CONFIGS)],
+    )
+    def test_a_sweep_command_exits_one_before_any_cell(self, text, key, tmp_path, capsys):
+        config, out = tmp_path / "sweep.cfg", tmp_path / "out"
+        config.write_text(text)
+        with mock.patch.multiple(harness, _run_rep_cell=_refuse, _run_recovery_cell=_refuse):
+            assert cli_dispatch(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: config key '{key}': ")
+        assert not out.exists()
 
     def test_bad_bias_fails_fast(self):
         with pytest.raises(ValueError):
             parse_config(
                 "task = robust_recovery\nd = 10\nk = 1\ns = 2\nseeds = 0\nbias = nope:a=1"
             )
+
+
+# the config key a sweep names for each rule between grid dimensions, by the count it bounds
+RULE_KEYS = {"k": "k", "s": "s", "k + |S|": "cone_check"}
+RULE = re.compile(r"^(k|s|k \+ \|S\|) must be at most ")
+
+
+def _first_broken_rule(config: ExperimentConfig) -> str | None:
+    """The message of the first rule between grid dimensions that a library call of a cell
+    breaks, in the order of the cells, after the config key it names; None if none breaks."""
+    model = parse_bias_spec(config.bias)
+    rep = config.task == "rep_learning"
+    for d in config.d:
+        n_values, s_values = (config.n.resolve(d), (0,)) if rep else ((0,), config.s.resolve(d))
+        for n, k, s in itertools.product(n_values, config.k, s_values):
+            try:
+                if rep:
+                    generate_representation_instance(d, n, k, config.gamma, model, 0)
+                    continue
+                instance = generate_recovery_instance(
+                    d, k, s, config.delta, config.outlier_magnitude, model, 0
+                )
+                if config.cone_check:
+                    check_restricted_lower_bound(
+                        instance.A, lam=1.0, sigma=1.0, eta=1.0,
+                        support=np.flatnonzero(instance.e_star),
+                    )
+                solve_robust_lasso(instance.v, instance.A, LassoConfig(lam=1.0, max_iter=1))
+            except Exception as exc:  # noqa: BLE001 - a cell records any error
+                rule = RULE.match(str(exc))
+                if rule:
+                    return f"config key '{RULE_KEYS[rule[1]]}': {exc}"
+    return None
+
+
+def _values(values: st.SearchStrategy, rules: list[str]) -> st.SearchStrategy:
+    """A dimension key: a list of distinct ``values`` or one of the multiples of d ``rules``."""
+    lists = st.lists(values, min_size=1, max_size=3, unique=True)
+    return st.one_of(lists.map(lambda xs: ", ".join(map(str, xs))), st.sampled_from(rules))
+
+
+class TestSweepPreflight:
+    """A sweep checks its grid points with the rules of its cells' library calls."""
+
+    @given(
+        data=st.data(),
+        rep=st.booleans(),
+        d=_values(st.integers(1, 60), ["60"]),
+        k=_values(st.integers(1, 60), ["1"]),
+    )
+    def test_a_sweep_stops_before_its_cells_exactly_where_one_would_break_a_rule(
+        self, data, rep, d, k
+    ):
+        text = _with(_with(REP_CONFIG if rep else RECOVERY_CONFIG, "d", d), "k", k)
+        if rep:
+            n = data.draw(_values(st.integers(1, 120), ["0.5d", "1.1d", "2d"]), label="n")
+            text = _with(text, "n", n)
+        else:
+            s = data.draw(_values(st.integers(0, 60), ["0.07d", "0.3d", "1.1d"]), label="s")
+            text = _with(text, "s", s)
+            for key, values in (("cone_check", ["false", "true"]), ("outlier_magnitude", ["5", "0"])):
+                text = _with(text, key, data.draw(st.sampled_from(values), label=key))
+        expected = _first_broken_rule(parse_config(text))
+        if expected is None:  # each cell reaches its runner, which refuses
+            records = _sweep_to_first_cell(text)
+            assert records and all(r["error"] == "RuntimeError: the cell ran" for r in records)
+        else:
+            with pytest.raises(ValueError) as caught:
+                _sweep_to_first_cell(text)
+            assert str(caught.value) == expected
 
 
 def _sweep_recording_instances(config: ExperimentConfig) -> tuple[list[dict], list]:
@@ -480,18 +604,11 @@ class TestRunSweep:
             assert record["recovery_error"] is None
 
     def test_failing_cell_is_recorded_not_raised(self):
-        config = ExperimentConfig(
-            task="rep_learning",
-            d=(10,),
-            k=(2,),
-            seeds=(0,),
-            bias="exp:rate=1,shift=-2",
-            n=DimensionRule(multiplier=2.0),
-            nu=5.0,  # parse_config rejects it; each cell's window mass does too
-        )
-        records = run_sweep(config)
-        assert len(records) == 1
-        assert records[0]["error"].startswith("InvalidIntervalError: window length nu must")
+        # a window of 1.9 leaves some row of each instance without a feasible shift
+        records = run_sweep(parse_config(_with(REP_CONFIG, "nu", "1.9")))
+        assert len(records) == 4
+        assert all(r["error"].startswith("InfeasibleRowError: row ") for r in records)
+        assert all(r["frob_err_sq"] is None for r in records)
 
 
 class TestSweepMoments:
@@ -635,7 +752,6 @@ class TestRepSweepConstants:
         counts = []
         for seeds in ("1", "1, 2, 3"):
             calls.update(dict.fromkeys(calls, 0))
-            # parse_config evaluates the steepness to check the law, and run_sweep reuses it
             records = run_sweep(parse_config(_with(REP_CONFIG, "seeds", seeds)))
             assert all(r["error"] is None for r in records)
             counts.append((calls["flatness_beta"], calls["lipschitz_L"], calls["omega_min_mass"]))
@@ -651,7 +767,7 @@ class TestRepSweepConstants:
         assert calls["lipschitz_L"] == 1
 
     def test_a_replaced_config_evaluates_its_own_steepness(self):
-        # the steepness parse_config leaves on a config is not that of another gamma
+        # a config copied with another gamma sweeps as one parsed with it
         replaced = dataclasses.replace(parse_config(REP_CONFIG), gamma=0.5)
         parsed = parse_config(_with(REP_CONFIG, "gamma", "0.5"))
         drop_time = [{**row, "wall_time_ms": None} for row in run_sweep(replaced)]
@@ -669,7 +785,8 @@ class TestRepSweepConstants:
         ids=["constant", "no-mass", "no-cdf"],
     )
     def test_failing_constants_raise_before_any_cell(self, law, message, monkeypatch):
-        # parse_config rejects each law, so the config is built around it
+        # parse_config rejects the constant, so the config is built around each law; a law
+        # that fails both constants is named by its flatness, which the sweep evaluates first
         config = dataclasses.replace(parse_config(REP_CONFIG), bias=law)
         runners = []
         monkeypatch.setattr(harness, "_run_rep_cell", lambda *args: runners.append(args))
