@@ -40,18 +40,17 @@ def integer(name: str, value, low: int) -> int:
     return int(value)
 
 
-def real(name: str, value, sign: str = "", *, error: type[ValueError] = ValueError) -> float:
+def real(name: str, value, sign: str = "") -> float:
     """``value`` as a ``float``, for a finite real number that is also ``sign``.
 
     ``sign`` is ``""`` (any finite number), ``"positive"`` (the range
-    ``(0, inf)``) or ``"nonnegative"`` (``[0, inf)``).  ``error`` is the
-    ``ValueError`` subclass raised.
+    ``(0, inf)``) or ``"nonnegative"`` (``[0, inf)``).
     """
     if not _number(value, numbers.Real, float):
-        _fail(name, "a real number", repr(value), error)
+        _fail(name, "a real number", repr(value))
     signed = {"": True, "positive": value > 0.0, "nonnegative": value >= 0.0}[sign]
     if not (signed and math.isfinite(value)):  # NaN fails both
-        _fail(name, f"{sign} and finite" if sign else "finite", repr(value), error)
+        _fail(name, f"{sign} and finite" if sign else "finite", repr(value))
     return float(value)
 
 

@@ -23,8 +23,8 @@ of the interval: ``(log p)'`` and the hazard ``p / P(B <= x)`` decrease,
 where ``p'`` changes sign), and the window mass is log-concave in the
 window's start (Prekopa).  All three are exact evaluations at the ends.
 Each raises ``ValueError`` naming a ``model`` that is not a :class:`BiasModel`,
-such as a constant offset, and :class:`InvalidIntervalError` naming a
-``gamma`` that is not a positive finite real number.
+such as a constant offset, or a ``gamma`` that is not a positive finite real
+number.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from . import _checks as checks
 __all__ = [
     "BiasModel",
     "BiasConstants",
-    "InvalidIntervalError",
     "bias_spec_to_config",
     "compute_bias_constants",
     "default_exponential",
@@ -79,10 +78,6 @@ _CONFIG_SCHEMA = {
     "logistic": ("logistic", ("loc", "scale")),
 }
 _PARAM_NAMES = {kind: names for kind, names in _CONFIG_SCHEMA.values() if kind is not None}
-
-
-class InvalidIntervalError(ValueError):
-    """Raised when interval endpoints are ordered or sized inconsistently."""
 
 
 @dataclass(frozen=True)
@@ -304,7 +299,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
     of :class:`BiasConstants` reports what that does to the bounds.
     """
     checks.law("model", model)
-    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
+    gamma = checks.real("gamma", gamma, "positive")
     ends = _interval_ends(gamma, 2.0 * gamma)
     ends[0] = max(ends[0], model.support()[0])
     if ends[0] > ends[1]:
@@ -323,7 +318,7 @@ def flatness_beta(model: BiasModel, gamma: float) -> float:
 def lipschitz_L(model: BiasModel, gamma: float) -> float:
     """Steepness constant ``max(sup p/P(B<=x), sup |p'|/p)`` over ``[-gamma, gamma]``."""
     checks.law("model", model)
-    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
+    gamma = checks.real("gamma", gamma, "positive")
     ends = _interval_ends(gamma, 2.0 * gamma)
     p, dp = model.density(ends), model.density_derivative(ends)
     cdf = np.asarray(model.cdf(ends))
@@ -340,10 +335,10 @@ def lipschitz_L(model: BiasModel, gamma: float) -> float:
 def omega_min_mass(model: BiasModel, gamma: float, nu: float) -> float:
     """Smallest mass of a length-``nu`` window contained in ``[-gamma, gamma]``."""
     checks.law("model", model)
-    gamma = checks.real("gamma", gamma, "positive", error=InvalidIntervalError)
-    nu = checks.real("nu", nu, error=InvalidIntervalError)
+    gamma = checks.real("gamma", gamma, "positive")
+    nu = checks.real("nu", nu)
     if not 0.0 < nu <= 2.0 * gamma:
-        raise InvalidIntervalError(
+        raise ValueError(
             f"window length nu must satisfy 0 < nu <= 2*gamma, got nu={nu}, gamma={gamma}"
         )
     starts = _interval_ends(gamma, 2.0 * gamma - nu)

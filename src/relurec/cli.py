@@ -102,8 +102,6 @@ def _build_parser() -> _Parser:
     gen.add_argument("--magnitude", type=_flag(finite_float),
                      help="outlier size (recover task; default 5.0)")
     gen.add_argument("--bias", help="bias config string; defaults per task")
-    gen.add_argument("--min-margin", type=_flag(nonnegative_float), dest="min_margin",
-                     help="least row margin (rep task)")
     gen.add_argument("--seed", type=_flag(nonnegative_int), default=0)
     gen.add_argument("--out", required=True)
     gen.add_argument("--force", action="store_true", help="overwrite an existing instance")
@@ -143,7 +141,7 @@ def _write_report(path: Path, report: dict) -> None:
 
 # the gen flags only one task reads, with their defaults
 _GEN_TASK_FLAGS = {
-    "rep": {"n": None, "gamma": 1.0, "min_margin": None},
+    "rep": {"n": None, "gamma": 1.0},
     "recover": {"s": 0, "delta": 0.0, "magnitude": 5.0},
 }
 
@@ -154,8 +152,7 @@ def _cmd_gen(args) -> int:
             if getattr(args, name) is None:
                 setattr(args, name, default)
             elif task != args.task:
-                flag = "--" + name.replace("_", "-")
-                raise _UsageError(f"flag {flag} is not used by task {args.task}")
+                raise _UsageError(f"flag --{name} is not used by task {args.task}")
     out = Path(args.out)
     if (out / "instance.npz").exists() and not args.force:
         raise FileExistsError(f"{out} already holds an instance; pass --force to overwrite")
@@ -167,14 +164,17 @@ def _cmd_gen(args) -> int:
         else:
             spec = default_exponential(args.gamma)
         _argument("--bias/--gamma", lipschitz_L, spec, args.gamma)  # as every learn-rep does
+        # the generator's rules, each reported as a usage error of its flag
+        _argument("--k", checks.at_most, "k", args.k, "min(d, n)", min(args.d, args.n))
         instance = generate_representation_instance(
-            args.d, args.n, args.k, args.gamma, spec, args.seed, min_margin=args.min_margin
+            args.d, args.n, args.k, args.gamma, spec, args.seed
         )
     else:
         # the rule of solve_robust_lasso, and the first step of every recover on the instance
         _argument("--k", checks.at_most, "k", args.k, "d - 1", args.d - 1)
         spec = _argument("--bias", parse_bias_spec, args.bias) if args.bias else 0.0
         _argument("--bias", make_nonlinearity_stats, spec)
+        _argument("--s", checks.at_most, "s", args.s, "d", args.d)
         instance = generate_recovery_instance(
             args.d, args.k, args.s, args.delta, args.magnitude, spec, args.seed
         )

@@ -31,7 +31,6 @@ __all__ = [
     "generate_representation_instance",
     "load_instance",
     "relu_map",
-    "row_margins",
     "save_instance",
 ]
 
@@ -76,24 +75,6 @@ class RecoveryInstance:
     bias: str
 
 
-def row_margins(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-row separation between surviving and clipped entries.
-
-    For each row ``i`` with both positive and nonpositive pre-activations
-    the margin is ``min_{on} M_ij - max_{off} M_ij``, where *on* entries
-    survive the rectifier.  Rows that are entirely on or entirely off get
-    ``inf`` since they impose no separation constraint.
-    """
-    return _masked_margins(M, M + b[:, None] > 0.0)
-
-
-def _masked_margins(M: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """:func:`row_margins` for the mask ``on`` of surviving entries; one-sided rows get +inf."""
-    return np.min(M, axis=1, where=on, initial=np.inf) - np.max(
-        M, axis=1, where=~on, initial=-np.inf
-    )
-
-
 def generate_representation_instance(
     d: int,
     n: int,
@@ -101,7 +82,6 @@ def generate_representation_instance(
     gamma: float,
     model: BiasModel,
     seed: int,
-    min_margin: float | None = None,
 ) -> GenerativeInstance:
     """Sample a rank-``k`` matrix instance of the rectified observation model.
 
@@ -111,36 +91,27 @@ def generate_representation_instance(
     is preserved.  Each row then receives a bias drawn from ``model`` and
     the observation is ``Y = ReLU(M + b 1^T)``.
 
-    Parameters
-    ----------
-    min_margin : float, optional
-        When given, rows whose on/off separation falls below this value
-        have their bias redrawn, up to 100 times per row.
-
     Returns
     -------
     GenerativeInstance
-        Carries the realized separation ``realized_nu`` (the smallest
-        finite row margin), which downstream estimators use as the
-        default window length.
+        Carries the realized separation ``realized_nu``: over the rows with
+        both surviving and clipped entries, the smallest gap
+        ``min_{on} M_ij - max_{off} M_ij``.  Downstream estimators use it
+        as the default window length.
 
     Raises
     ------
     ValueError
         Naming a ``d``, ``n`` or ``k`` that is not an integer of at least
         1, a ``k`` above ``min(d, n)``, a ``gamma`` that is not a positive
-        finite real number, a ``min_margin`` that is not a nonnegative
-        finite one, a ``model`` that is not a :class:`BiasModel`, or a
-        ``seed`` that is not an integer of at least 0.
+        finite real number, a ``model`` that is not a :class:`BiasModel`,
+        or a ``seed`` that is not an integer of at least 0.
     DegenerateInstanceError
-        If every row is entirely on or entirely off, or a row margin
-        cannot reach ``min_margin`` within the retry budget.
+        If every row is entirely on or entirely off.
     """
     d, n, k = (checks.integer(name, value, 1) for name, value in (("d", d), ("n", n), ("k", k)))
     checks.at_most("k", k, "min(d, n)", min(d, n))  # else M = A C would have rank min(d, n)
     gamma = checks.real("gamma", gamma, "positive")
-    if min_margin is not None:
-        checks.real("min_margin", min_margin, "nonnegative")
     checks.law("model", model)
     seed = checks.integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -154,21 +125,12 @@ def generate_representation_instance(
     M *= scale
     A *= scale
     b = model.sample(d, rng=rng)
-
-    if min_margin is not None:
-        for i in range(d):
-            tries = 0
-            while row_margins(M[i : i + 1], b[i : i + 1])[0] < min_margin:
-                if tries >= 100:
-                    raise DegenerateInstanceError(
-                        f"row {i} failed to reach margin {min_margin} after 100 bias redraws"
-                    )
-                b[i] = model.sample(1, rng=rng)[0]
-                tries += 1
-
     Y = M + b[:, None]
     np.maximum(Y, 0.0, out=Y)  # relu_map in place
-    margins = _masked_margins(M, Y > 0.0)  # an entry survives exactly when M_ij + b_i > 0
+    on = Y > 0.0  # an entry survives exactly when M_ij + b_i > 0; one-sided rows get +inf
+    margins = np.min(M, axis=1, where=on, initial=np.inf) - np.max(
+        M, axis=1, where=~on, initial=-np.inf
+    )
     finite = margins[np.isfinite(margins)]
     if finite.size == 0:
         raise DegenerateInstanceError(

@@ -61,9 +61,7 @@ def truncated_svd(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.nda
     arbitrary.
     """
     M = checks.array("M", M, 2, finite=False)
-    k = checks.integer("k", k, 1)
-    if k > min(M.shape):
-        raise ValueError(f"rank k={k} must lie in [1, {min(M.shape)}] for shape {M.shape}")
+    k = checks.at_most("k", checks.integer("k", k, 1), "min(d, n)", min(M.shape))
     top, bottom = M.max(axis=1), M.min(axis=1)  # both finite exactly when the row is
     if not (np.isfinite(top).all() and np.isfinite(bottom).all()):
         checks.array("M", M, 2)  # names the first entry that is not finite

@@ -18,7 +18,6 @@ from scipy import integrate, stats
 from relurec.bias import (
     BiasConstants,
     BiasModel,
-    InvalidIntervalError,
     bias_spec_to_config,
     compute_bias_constants,
     default_exponential,
@@ -316,13 +315,14 @@ class TestOmega:
 
     def test_invalid_window_lengths_raise(self):
         model = BiasModel.gaussian()
-        with pytest.raises(InvalidIntervalError):
+        window = r"^window length nu must satisfy 0 < nu <= 2\*gamma, got nu={}, gamma=1\.0$"
+        with pytest.raises(ValueError, match=window.format(r"0\.0")):
             omega_min_mass(model, 1.0, 0.0)
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ValueError, match=window.format(r"-0\.2")):
             omega_min_mass(model, 1.0, -0.2)
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ValueError, match=window.format(r"2\.5")):
             omega_min_mass(model, 1.0, 2.5)
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ValueError, match="^nu must be finite, got inf$"):
             omega_min_mass(model, 1.0, math.inf)
 
 
@@ -338,7 +338,7 @@ class TestOmega:
 @pytest.mark.parametrize("gamma", [math.inf, math.nan, 0.0])
 def test_gamma_must_be_positive_and_finite(constant, gamma):
     # at gamma = inf flatness once gave 0.0, omega NaN and lipschitz a CDF error
-    with pytest.raises(InvalidIntervalError, match="gamma must be positive and finite"):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
         constant(BiasModel.gaussian(), gamma)
 
 

@@ -103,8 +103,6 @@ NUMERIC = [
     ("generate_representation_instance", "k", lambda x: _rep(k=x), _count(1)),
     ("generate_representation_instance", "gamma", lambda x: _rep(gamma=x), _real("positive")),
     ("generate_representation_instance", "seed", lambda x: _rep(seed=x), _count(0)),
-    ("generate_representation_instance", "min_margin",
-     lambda x: _rep(min_margin=x), _real("nonnegative")),
     ("generate_recovery_instance", "d", lambda x: _recovery(d=x), _count(1)),
     ("generate_recovery_instance", "k", lambda x: _recovery(k=x), _count(1)),
     ("generate_recovery_instance", "s", lambda x: _recovery(s=x), _count(0)),
@@ -175,6 +173,7 @@ RELATIONS = [
      lambda: solve_robust_lasso(np.ones(2), DESIGN[:2], LassoConfig(lam=1.0))),
     ("check_restricted_lower_bound", "k + |S|", "d=100,k=3,|S|=23",
      lambda: check_restricted_lower_bound(DESIGN, **(CONE | {"support": range(23)}))),
+    ("truncated_svd", "k", "d=100,n=3,k=4", lambda: truncated_svd(DESIGN, 4)),
 ]
 
 

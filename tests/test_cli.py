@@ -377,7 +377,7 @@ class TestBadFlagValue:
              "argument --bias: CDF vanishes at -1.0; the hazard-type ratio p/P(B<=x) "
              "is unbounded"),
             (["gen", "--task", "recover", "--d", 10, "--k", 1, "--s", 20],
-             "s must be at most d = 10, got 20"),
+             "argument --s: s must be at most d = 10, got 20"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", -1],
              "argument --s: must be an integer of at least 0, got -1"),
             (["gen", "--task", "recover", "--d", 100, "--k", 3, "--s", 5, "--delta", -1],
@@ -392,22 +392,16 @@ class TestBadFlagValue:
              "(spread 0.182015 vs bound 0.095, separation 0.05610554026310559)"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--seed", -1],
              "argument --seed: must be an integer of at least 0, got -1"),
-            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "nan"],
-             "argument --min-margin: must be nonnegative and finite, got nan"),
-            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", "inf"],
-             "argument --min-margin: must be nonnegative and finite, got inf"),
-            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", -1],
-             "argument --min-margin: must be nonnegative and finite, got -1.0"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 20],
-             "k must be at most min(d, n) = 8, got 20"),
+             "argument --k: k must be at most min(d, n) = 8, got 20"),
+            (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--min-margin", 0.1],
+             "unrecognized arguments: --min-margin 0.1"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--delta", 0.5],
              "flag --delta is not used by task rep"),
             (["gen", "--task", "rep", "--d", 8, "--n", 12, "--k", 2, "--magnitude", -4],
              "flag --magnitude is not used by task rep"),
             (["gen", "--task", "recover", "--d", 60, "--k", 3, "--n", 5],
              "flag --n is not used by task recover"),
-            (["gen", "--task", "recover", "--d", 60, "--k", 3, "--min-margin", 0.3],
-             "flag --min-margin is not used by task recover"),
             (["gen", "--task", "recover", "--d", 60, "--k", 3, "--gamma", 7],
              "flag --gamma is not used by task recover"),
             (["learn-rep", "--input", "{inst}", "--nu", 5, "--bias", "exp:rate=1.0,shift=-2.0"],
@@ -441,9 +435,8 @@ class TestBadFlagValue:
             "learn-rep-law-starts-at-gamma", "gen-recover-s-above-d", "gen-recover-negative-s",
             "gen-recover-negative-delta",
             "learn-rep-gamma-nu-infeasible", "learn-rep-gamma-infeasible", "gen-negative-seed",
-            "gen-min-margin-nan", "gen-min-margin-inf",
-            "gen-negative-min-margin", "gen-rank-above-min-d-n", "gen-rep-delta",
-            "gen-rep-magnitude", "gen-recover-n", "gen-recover-min-margin", "gen-recover-gamma",
+            "gen-rank-above-min-d-n", "gen-min-margin-flag-is-gone", "gen-rep-delta",
+            "gen-rep-magnitude", "gen-recover-n", "gen-recover-gamma",
             "learn-rep-nu-and-bias", "gen-rep-law-starts-at-gamma",
             "gen-recover-rank-not-below-d", "gen-recover-d-0", "gen-recover-law-lost-in-rounding",
             "gen-rep-n-0", "gen-rep-k-0", "gen-rep-gamma-nan", "gen-recover-magnitude-inf",

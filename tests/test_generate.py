@@ -19,7 +19,6 @@ from relurec.generate import (
     generate_representation_instance,
     load_instance,
     relu_map,
-    row_margins,
     save_instance,
 )
 
@@ -72,10 +71,24 @@ class TestRepresentationInstance:
         np.testing.assert_array_equal(two.M, 2.0 * one.M)
 
     def test_realized_margin_matches_direct_scan(self, rep_instance):
-        margins = row_margins(rep_instance.M, rep_instance.b)
-        finite = margins[np.isfinite(margins)]
-        assert rep_instance.realized_nu == pytest.approx(finite.min(), rel=1e-12)
+        M, on = rep_instance.M, rep_instance.M + rep_instance.b[:, None] > 0.0
+        mixed = [i for i in range(len(M)) if on[i].any() and not on[i].all()]
+        gaps = [M[i, on[i]].min() - M[i, ~on[i]].max() for i in mixed]
+        assert rep_instance.realized_nu == min(gaps)
         assert rep_instance.realized_nu > 0.0
+
+    @pytest.mark.parametrize(
+        "model",
+        [default_exponential(1.0), BiasModel.gaussian(0.1, 0.5), BiasModel.logistic(-0.2, 0.3)],
+        ids=["exp", "gauss", "logistic"],
+    )
+    def test_bias_is_one_draw_of_the_recorded_law_after_a_and_c(self, model):
+        inst = generate_representation_instance(30, 50, 4, 1.0, model, seed=7)
+        rng = np.random.default_rng(7)
+        rng.standard_normal((30, 4))  # A
+        rng.standard_normal((4, 50))  # C
+        np.testing.assert_array_equal(inst.b, model.sample(30, rng=rng))
+        assert inst.bias == bias_spec_to_config(model)
 
     def test_mixed_sign_fraction_is_reasonable(self):
         model = default_exponential(1.0)
@@ -90,28 +103,6 @@ class TestRepresentationInstance:
         model = BiasModel.shifted_exponential(rate=1.0, shift=5.0)
         with pytest.raises(DegenerateInstanceError):
             generate_representation_instance(5, 10, 2, 1.0, model, seed=0)
-
-    def test_min_margin_rejection(self):
-        model = default_exponential(1.0)
-        inst = generate_representation_instance(
-            20, 40, 3, 1.0, model, seed=11, min_margin=0.01
-        )
-        assert inst.realized_nu >= 0.01
-
-    def test_unreachable_margin_raises(self):
-        # biases near 0 leave every row mixed with a small margin, so no redraw
-        # reaches 1.9; under a wide law a redraw finds a one-sided row, margin inf
-        model = BiasModel.gaussian(0.0, 1e-3)
-        with pytest.raises(DegenerateInstanceError, match="after 100 bias redraws"):
-            generate_representation_instance(10, 20, 2, 1.0, model, seed=1, min_margin=1.9)
-
-    @pytest.mark.parametrize("min_margin", [np.nan, np.inf, -1.0])
-    def test_min_margin_must_be_nonnegative_and_finite(self, min_margin):
-        # a NaN margin never triggered a redraw, and inf ran 100 redraws per row
-        with pytest.raises(ValueError, match="min_margin must be nonnegative and finite"):
-            generate_representation_instance(
-                10, 20, 2, 1.0, default_exponential(1.0), seed=0, min_margin=min_margin
-            )
 
     def test_bad_dimensions_raise(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The batched row computations against the per-row loops they replaced.
 
-``reconstruct_matrix``, ``log_likelihood`` and ``row_margins`` compute
-every row at once with masked row reductions.  The loops below are the
+``reconstruct_matrix``, ``log_likelihood`` and the realized separation of
+``generate_representation_instance`` compute every row at once with masked
+row reductions.  The loops below are the
 earlier one-row-at-a-time implementations, kept here as reference oracles:
 the batched results must equal them bit for bit, the likelihoods to 1e-12,
 and errors must name the same row and the same kind of violation.  The
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relurec.bias import BiasModel
-from relurec.generate import row_margins
+from relurec.generate import DegenerateInstanceError, generate_representation_instance
 from relurec.replearn import (
     FILL_STRATEGIES,
     EstimatedMatrix,
@@ -232,9 +233,19 @@ def test_likelihood_difference_matches_the_row_loop(kind, inst, loc, scale):
         assert _same_total(got, expected), (got, expected)
 
 
-@given(inst=instances, tilt=st.floats(-2.0, 2.0))
-def test_row_margins_match_the_row_loop(inst, tilt):
-    M, b, _ = _rectified(inst["seed"], inst["d"], inst["n"], inst["gamma"])
-    # the last bias puts column 0 exactly at the rectifier's kink, where it is clipped
-    for bias in (b, b + tilt, -M[:, 0]):
-        np.testing.assert_array_equal(row_margins(M, bias), loop_row_margins(M, bias))
+@given(
+    inst=instances,
+    k=st.integers(1, 9),
+    kind=st.sampled_from(sorted(LAWS)),
+    loc=st.floats(-1.0, 1.0),
+    scale=st.floats(0.1, 1.0),
+)
+def test_row_margins_match_the_row_loop(inst, k, kind, loc, scale):
+    d, n, gamma = inst["d"], inst["n"], inst["gamma"]
+    law = LAWS[kind](loc * gamma, scale * gamma)  # mostly inside [-gamma, gamma], so rows mix
+    try:
+        generated = generate_representation_instance(d, n, min(k, d, n), gamma, law, inst["seed"])
+    except DegenerateInstanceError:  # every row one-sided: no finite margin to compare
+        return
+    margins = loop_row_margins(generated.M, generated.b)
+    assert generated.realized_nu == margins[np.isfinite(margins)].min()
