@@ -23,9 +23,8 @@ flagged rows ``A_O``.  Where ``A`` has a condition number ``kappa`` of at
 most 1e2, ``R`` is the Cholesky factor of ``A^T A``, one pass over ``A``,
 whose relative error is about ``kappa^2 u`` (CholeskyQR; Fukaya, Kannan,
 Nakatsukasa, Yamamoto & Yanagisawa, arXiv:1809.11085).  Otherwise it comes
-from a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou,
-arXiv:0808.2664), as backward stable as one Householder QR of ``A``, so
-the condition number of ``A`` is never squared.
+from one Householder QR of ``A``, which is backward stable, so the
+condition number of ``A`` is never squared.
 
 The module also provides the rectifier's moments, penalty-level rules, the
 recovery error with its rate bound (leading constant 1), and a search of the
@@ -252,27 +251,6 @@ def _gram(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     return G
 
 
-def _triangular_factor(A: np.ndarray) -> np.ndarray:
-    """The ``k x k`` factor ``R`` of a QR of the tall ``d x k`` design ``A``.
-
-    For ``k <= 90`` each block of ``32768 // k`` rows (at most 256 KiB, at
-    least ``4 k`` rows) gets a Householder QR that stays in cache, and one
-    more QR of the stacked block factors gives ``R``.  A design within one
-    block runs one Householder QR of ``A``, with nothing to stack.  Wider
-    designs get one Householder QR of ``A`` too, because blocks shorter
-    than ``4 k`` rows stack into so many rows that the last QR costs more
-    than the blocks save.
-    ``R`` is unique up to the signs of its rows, which ``R^T R = A^T A``
-    does not see.
-    """
-    d, k = A.shape
-    rows = 32768 // k
-    if rows < 4 * k or d <= rows:
-        return np.linalg.qr(A, mode="r")
-    blocks = [np.linalg.qr(A[i : i + rows], mode="r") for i in range(0, d, rows)]
-    return np.linalg.qr(np.vstack(blocks), mode="r")
-
-
 # The Cholesky factor of A^T A is R up to row signs with a relative error near kappa^2 u, which
 # c_hat inherits: up to 0.12 of the tests' 1e-12 kappa oracle at this kappa, 1.1 at kappa = 1e3
 _GRAM_MAX_CONDITION = 1e2
@@ -281,7 +259,7 @@ _GRAM_MAX_CONDITION = 1e2
 def _factor_and_singular_values(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``R`` of ``A = QR`` and its singular values, those of ``A``: the Cholesky factor of ``G =
     A^T A`` if they are finite, above the rank threshold 1e-10 (below it ``G`` may underflow)
-    and within ``_GRAM_MAX_CONDITION`` of each other, else :func:`_triangular_factor`."""
+    and within ``_GRAM_MAX_CONDITION`` of each other, else that of one Householder QR of ``A``."""
     try:
         R = np.linalg.cholesky(G).T
         s = np.linalg.svd(R, compute_uv=False)
@@ -289,7 +267,7 @@ def _factor_and_singular_values(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarra
             return R, s
     except np.linalg.LinAlgError:  # G is not numerically positive definite
         pass
-    R = _triangular_factor(A)
+    R = np.linalg.qr(A, mode="r")
     return R, np.linalg.svd(R, compute_uv=False)
 
 

@@ -4,12 +4,18 @@ Each test covers one numbered criterion and prints a single
 ``[acceptance NN] PASS/FAIL: detail`` line (visible with ``pytest -s``
 or in the failure report); the test name itself carries the criterion
 number so a plain ``pytest -v`` run also yields one pass or fail line
-per criterion.
+per criterion.  Acceptance 01-03 and 05-08 run the cells of ``relurec
+sweep``: each matrix run is one :func:`~relurec.harness.reconstruct_and_evaluate`
+call, each recovery run one :func:`~relurec.harness.recover_and_evaluate`
+call, and acceptance 07 checks the moments a recovery sweep computes.
+Beside them the gates use only the oracles of ``tests/*_oracles.py``, and
+a parity test asks ``run_sweep`` for the same numbers at one cell of each
+sweep.
 """
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -17,27 +23,15 @@ from scipy import stats as scipy_stats
 
 from relurec.bias import (
     BiasModel,
-    compute_bias_constants,
     default_exponential,
     flatness_beta,
+    lipschitz_L,
     omega_min_mass,
 )
 from relurec.generate import generate_recovery_instance, generate_representation_instance, relu_map
-from relurec.lasso import (
-    LassoConfig,
-    check_restricted_lower_bound,
-    make_nonlinearity_stats,
-    oracle_lambda,
-    recovery_error_and_bound,
-    solve_robust_lasso,
-)
-from relurec.replearn import (
-    EstimatedMatrix,
-    log_likelihood,
-    reconstruct_matrix,
-    theoretical_rep_bound,
-)
-from relurec.subspace import subspace_distances, truncated_svd
+from relurec.harness import parse_config, reconstruct_and_evaluate, recover_and_evaluate, run_sweep
+from relurec.lasso import check_restricted_lower_bound, make_nonlinearity_stats
+from relurec.replearn import EstimatedMatrix, log_likelihood, reconstruct_matrix
 
 from lasso_oracles import kkt_residuals, lasso_objective
 from rectifier_sampling import sampled_moments
@@ -63,84 +57,27 @@ RECOVERY_DIMS = (250, 500, 1000, 2000, 4000)
 RECOVERY_SEEDS = tuple(range(10))
 
 
-@dataclass
-class MatrixRun:
-    d: int
-    n: int
-    seed: int
-    err_sq: float
-    bound: float
-    resid_spread: float
-    sin_theta: float | None = None
-    procrustes: float | None = None
-    alignment_bound: float | None = None
-
-
-@dataclass
-class MatrixSweep:
-    runs: list[MatrixRun] = field(default_factory=list)
-    elapsed: float = 0.0
-
-
 @pytest.fixture(scope="module")
-def matrix_sweep() -> MatrixSweep:
+def matrix_sweep():
+    """Each matrix run at ``(d, seed)`` as the outcome of its cell, the largest within-row
+    spread of its support residuals and the perturbation bound of its alignment error; and
+    the sweep's wall time."""
     model = default_exponential(1.0)
-    sweep = MatrixSweep()
+    beta, lipschitz = flatness_beta(model, 1.0), lipschitz_L(model, 1.0)
+    runs = {}
     start = time.perf_counter()
-    for d in MATRIX_DIMS:
-        n = 2 * d
-        for seed in MATRIX_SEEDS:
-            inst = generate_representation_instance(d, n, MATRIX_RANK, 1.0, model, seed)
-            est = reconstruct_matrix(inst.Y, model, 1.0, inst.realized_nu)
-            err_sq = float(np.linalg.norm(inst.M - est.m_hat) ** 2)
-            constants = compute_bias_constants(model, 1.0, inst.realized_nu)
-            bound = theoretical_rep_bound(constants, d)
-            resid = est.m_hat - inst.M
-            spread = 0.0
-            for i in range(d):
-                on = inst.Y[i] > 0.0
-                if on.sum() >= 2:
-                    spread = max(spread, float(np.ptp(resid[i, on])))
-            run = MatrixRun(d=d, n=n, seed=seed, err_sq=err_sq, bound=bound, resid_spread=spread)
-            if d == MATRIX_DIMS[-1]:
-                U, _, _ = truncated_svd(inst.M, MATRIX_RANK)
-                U_hat, _, _ = truncated_svd(est.m_hat, MATRIX_RANK)
-                run.sin_theta, run.procrustes = subspace_distances(U, U_hat)
-                run.alignment_bound = alignment_error_bound(inst.M, resid, MATRIX_RANK)
-            sweep.runs.append(run)
-    sweep.elapsed = time.perf_counter() - start
-    return sweep
-
-
-@dataclass
-class RecoveryRun:
-    d: int
-    seed: int
-    ratio: float
-    trace: np.ndarray
-    kkt_grad: float
-    kkt_sub: float
-    converged: bool
-    err_c: float
-
-
-@dataclass
-class RecoverySweep:
-    runs: list[RecoveryRun] = field(default_factory=list)
-    elapsed: float = 0.0
-
-
-def _solve_instance(d: int, k: int, s: int, delta: float, seed: int, stats) -> RecoveryRun:
-    inst = generate_recovery_instance(d, k, s, delta, 5.0, 0.0, seed)
-    lam = oracle_lambda(inst, stats)
-    solution = solve_robust_lasso(inst.v, inst.A, LassoConfig(lam=lam))
-    error, bound = recovery_error_and_bound(solution, inst, stats)
-    grad, sub = kkt_residuals(inst.v, inst.A, solution, lam)
-    err_c = float(np.linalg.norm(stats.mu * inst.c_star - solution.c_hat))
-    return RecoveryRun(
-        d=d, seed=seed, ratio=error / bound, trace=solution.objective_trace,
-        kkt_grad=grad, kkt_sub=sub, converged=solution.converged, err_c=err_c,
-    )
+    for d, seed in itertools.product(MATRIX_DIMS, MATRIX_SEEDS):
+        inst = generate_representation_instance(d, 2 * d, MATRIX_RANK, 1.0, model, seed)
+        outcome = reconstruct_and_evaluate(
+            inst, model, 1.0, inst.realized_nu, "midpoint", beta, lipschitz
+        )
+        resid = outcome.estimate.m_hat - inst.M
+        spread = max(
+            (float(np.ptp(row[on])) for row, on in zip(resid, inst.Y > 0.0) if on.sum() >= 2),
+            default=0.0,
+        )
+        runs[d, seed] = outcome, spread, alignment_error_bound(inst.M, resid, MATRIX_RANK)
+    return runs, time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
@@ -148,24 +85,27 @@ def zero_bias_stats():
     return make_nonlinearity_stats(0.0)
 
 
-@pytest.fixture(scope="module")
-def recovery_sweep(zero_bias_stats) -> RecoverySweep:
-    sweep = RecoverySweep()
-    start = time.perf_counter()
-    for d in RECOVERY_DIMS:
-        s = math.ceil(0.02 * d)
-        for seed in RECOVERY_SEEDS:
-            sweep.runs.append(_solve_instance(d, 10, s, 0.01, seed, zero_bias_stats))
-    sweep.elapsed = time.perf_counter() - start
-    return sweep
-
-
-@pytest.fixture(scope="module")
-def clean_runs(zero_bias_stats) -> list[RecoveryRun]:
-    return [
-        _solve_instance(2000, 10, 0, 0.0, seed, zero_bias_stats)
-        for seed in RECOVERY_SEEDS
+def _recovery_runs(d: int, s: int, delta: float, stats) -> list:
+    """Each seed's recovery instance and the outcome of its cell with the oracle penalty."""
+    instances = [
+        generate_recovery_instance(d, 10, s, delta, 5.0, 0.0, seed) for seed in RECOVERY_SEEDS
     ]
+    return [(inst, recover_and_evaluate(inst, stats, "oracle")) for inst in instances]
+
+
+@pytest.fixture(scope="module")
+def recovery_sweep(zero_bias_stats):
+    """Each recovery run at ``d`` as its instance and outcome, and the sweep's wall time."""
+    start = time.perf_counter()
+    runs = {
+        d: _recovery_runs(d, math.ceil(0.02 * d), 0.01, zero_bias_stats) for d in RECOVERY_DIMS
+    }
+    return runs, time.perf_counter() - start
+
+
+@pytest.fixture(scope="module")
+def clean_runs(zero_bias_stats):
+    return _recovery_runs(2000, 0, 0.0, zero_bias_stats)
 
 
 # ----------------------------------------------------------------------
@@ -189,25 +129,32 @@ def test_acceptance_01_matrix_error_bound_and_scaling(matrix_sweep):
     grows.  The total-error slope and the bound-to-error ratio are
     reported but not gated.
     """
-    runs = matrix_sweep.runs
-    within = [run.err_sq <= run.bound for run in runs]
+    runs, elapsed = matrix_sweep
+
+    def bound(outcome) -> float:  # a vacuous or overflowing bound
+        return math.inf if outcome.rep_bound is None else outcome.rep_bound
+
+    within = [o.frob_err_sq <= bound(o) for o, _, _ in runs.values()]
     fraction = float(np.mean(within))
 
     def median_by_dim(value) -> list[float]:
-        return [float(np.median([value(r) for r in runs if r.d == d])) for d in MATRIX_DIMS]
+        return [
+            float(np.median([value(runs[d, seed][0]) for seed in MATRIX_SEEDS]))
+            for d in MATRIX_DIMS
+        ]
 
     def loglog_slope(medians: list[float]) -> float:
         return float(np.polyfit(np.log(MATRIX_DIMS), np.log(medians), 1)[0])
 
-    slope = loglog_slope(median_by_dim(lambda r: r.err_sq / r.n))
-    total_slope = loglog_slope(median_by_dim(lambda r: r.err_sq))
-    ratios = median_by_dim(lambda r: r.bound / r.err_sq)
-    ok = fraction >= 0.95 and slope <= 1.3 and matrix_sweep.elapsed <= 120.0
+    slope = loglog_slope(median_by_dim(lambda o: o.frob_err_sq / o.estimate.m_hat.shape[1]))
+    total_slope = loglog_slope(median_by_dim(lambda o: o.frob_err_sq))
+    ratios = median_by_dim(lambda o: bound(o) / o.frob_err_sq)
+    ok = fraction >= 0.95 and slope <= 1.3 and elapsed <= 120.0
     _report(
         1, ok,
         f"bound satisfied in {fraction:.0%} of {len(within)} runs (need >= 95%), "
         f"log-log slope of median error per observation {slope:.3f} (need <= 1.3), "
-        f"sweep took {matrix_sweep.elapsed:.1f}s (need <= 120s); "
+        f"sweep took {elapsed:.1f}s (need <= 120s); "
         f"not gated: slope of median total error {total_slope:.3f}, "
         f"median bound/error ratio {ratios[0]:.2g} at d={MATRIX_DIMS[0]} "
         f"to {ratios[-1]:.2g} at d={MATRIX_DIMS[-1]}",
@@ -217,7 +164,7 @@ def test_acceptance_01_matrix_error_bound_and_scaling(matrix_sweep):
 def test_acceptance_02_support_residuals_row_constant(matrix_sweep):
     """On observed entries the reconstruction misses the truth by a
     per-row constant, to within accumulation error."""
-    worst = max(run.resid_spread for run in matrix_sweep.runs)
+    worst = max(spread for _, spread, _ in matrix_sweep[0].values())
     _report(
         2, worst <= 1e-10,
         f"largest within-row spread of support residuals {worst:.3e} (need <= 1e-10)",
@@ -225,18 +172,18 @@ def test_acceptance_02_support_residuals_row_constant(matrix_sweep):
 
 
 def test_acceptance_03_subspace_alignment_chain(matrix_sweep):
-    """At the largest dimension the subspace distances obey
+    """At every dimension the subspace distances obey
     sin-theta <= Procrustes <= perturbation bound on every run."""
-    rows = [r for r in matrix_sweep.runs if r.d == MATRIX_DIMS[-1]]
-    assert len(rows) == len(MATRIX_SEEDS)
+    rows = list(matrix_sweep[0].values())
+    assert len(rows) == len(MATRIX_DIMS) * len(MATRIX_SEEDS)
     ok = all(
-        r.sin_theta <= r.procrustes + 1e-10 and r.procrustes <= r.alignment_bound
-        for r in rows
+        o.sin_theta <= o.procrustes_err + 1e-10 and o.procrustes_err <= bound
+        for o, _, bound in rows
     )
-    worst_ratio = max(r.procrustes / r.alignment_bound for r in rows)
+    worst_ratio = max(o.procrustes_err / bound for o, _, bound in rows)
     _report(
         3, ok,
-        f"chain holds on {len(rows)} runs at d={MATRIX_DIMS[-1]}; "
+        f"chain holds on {len(rows)} runs at d={', '.join(map(str, MATRIX_DIMS))}; "
         f"largest Procrustes/bound ratio {worst_ratio:.3e}",
     )
 
@@ -292,32 +239,31 @@ def test_acceptance_05_recovery_error_scaling(recovery_sweep):
     """A single constant calibrated at the smallest dimension bounds the
     recovery error at every larger dimension, and the median error-to-rate
     ratio drifts by less than a factor of 3 across dimensions."""
-    pilot = [r.ratio for r in recovery_sweep.runs if r.d == RECOVERY_DIMS[0]]
-    c_tilde = max(pilot)
-    later = [r.ratio for r in recovery_sweep.runs if r.d > RECOVERY_DIMS[0]]
-    medians = [
-        float(np.median([r.ratio for r in recovery_sweep.runs if r.d == d]))
-        for d in RECOVERY_DIMS
-    ]
+    runs, elapsed = recovery_sweep
+    ratios = {
+        d: [o.recovery_error / o.recovery_bound for _, o in runs[d]] for d in RECOVERY_DIMS
+    }
+    c_tilde = max(ratios[RECOVERY_DIMS[0]])
+    later = [ratio for d in RECOVERY_DIMS[1:] for ratio in ratios[d]]
+    medians = [float(np.median(ratios[d])) for d in RECOVERY_DIMS]
     spread = max(medians) / min(medians)
-    ok = (
-        all(ratio <= c_tilde for ratio in later)
-        and spread <= 3.0
-        and recovery_sweep.elapsed <= 300.0
-    )
+    ok = all(ratio <= c_tilde for ratio in later) and spread <= 3.0 and elapsed <= 300.0
     _report(
         5, ok,
         f"calibrated constant {c_tilde:.3f}, worst larger-d ratio {max(later):.3f}, "
         f"median-ratio spread {spread:.2f} (need <= 3), "
-        f"sweep took {recovery_sweep.elapsed:.1f}s (need <= 300s)",
+        f"sweep took {elapsed:.1f}s (need <= 300s)",
     )
 
 
 def test_acceptance_06_clean_case_recovery(clean_runs):
     """Without outliers or dense noise the rescaled truth is recovered to
     0.05 in Euclidean norm in at least 9 of 10 seeds."""
-    successes = sum(run.err_c <= 0.05 for run in clean_runs)
-    worst = max(run.err_c for run in clean_runs)
+    errors = [
+        float(np.linalg.norm(o.mu * inst.c_star - o.solution.c_hat)) for inst, o in clean_runs
+    ]
+    successes = sum(error <= 0.05 for error in errors)
+    worst = max(errors)
     _report(
         6, successes >= 9,
         f"{successes}/10 seeds within 0.05 (worst error {worst:.4f})",
@@ -357,20 +303,23 @@ def test_acceptance_07_nonlinearity_constants():
 def test_acceptance_08_solver_properties(recovery_sweep, clean_runs, zero_bias_stats):
     """Objective traces never increase, first-order residuals stay below
     1e-6, and random perturbations never find a lower objective."""
-    runs = recovery_sweep.runs + clean_runs
+    runs = [run for d in RECOVERY_DIMS for run in recovery_sweep[0][d]] + clean_runs
     worst_rise = max(
-        float(np.diff(run.trace).max(initial=-np.inf)) for run in runs
+        float(np.diff(o.solution.objective_trace).max(initial=-np.inf)) for _, o in runs
     )
     trace_ok = worst_rise <= 1e-12
-    kkt_worst = max(max(r.kkt_grad, r.kkt_sub) for r in runs if r.converged)
-    kkt_ok = all(r.converged for r in runs) and kkt_worst <= 1e-6
+    kkt_worst = max(
+        max(kkt_residuals(inst.v, inst.A, o.solution, o.lambda_used))
+        for inst, o in runs if o.converged
+    )
+    kkt_ok = all(o.converged for _, o in runs) and kkt_worst <= 1e-6
 
     worst_deficit = 0.0
     n_probes = 10_000
     for seed in range(20):
         inst = generate_recovery_instance(30, 3, 3, 0.01, 5.0, 0.0, seed)
-        lam = oracle_lambda(inst, zero_bias_stats)
-        solution = solve_robust_lasso(inst.v, inst.A, LassoConfig(lam=lam))
+        outcome = recover_and_evaluate(inst, zero_bias_stats, "oracle")
+        solution, lam = outcome.solution, outcome.lambda_used
         base = lasso_objective(inst.v, inst.A, solution.c_hat, solution.e_hat, lam)
         rng = np.random.default_rng(1000 + seed)
         directions = rng.standard_normal((3 + 30, n_probes))
@@ -441,3 +390,50 @@ def test_acceptance_10_row_mle_matches_grid_oracle():
         f"worst shortfall against a 10^4-point grid {worst_gap:.2e} over 50 rows "
         f"(need >= -1e-9)",
     )
+
+
+# ----------------------------------------------------------------------
+# the runs above are the cells of relurec sweep
+# ----------------------------------------------------------------------
+
+MATRIX_CONFIG = """
+task = rep_learning
+d = 50
+n = 2d
+k = 5
+bias = exp:rate=1.0,shift=-2.0
+fill_strategy = midpoint
+seeds = 0
+"""
+
+RECOVERY_CONFIG = """
+task = robust_recovery
+d = 250
+k = 10
+s = 0.02d
+delta = 0.01
+bias = const:value=0.0
+lambda_mode = oracle
+seeds = 0
+"""
+
+
+def test_sweep_cells_match_the_acceptance_runs(matrix_sweep, recovery_sweep):
+    """Seed 0 at the first grid point of each sweep gives ``run_sweep`` the numbers of the
+    acceptance run, bit for bit."""
+    cases = [
+        (
+            MATRIX_CONFIG, matrix_sweep[0][MATRIX_DIMS[0], 0][0],
+            ("frob_err_sq", "rep_bound", "sin_theta", "procrustes_err"),
+        ),
+        (
+            RECOVERY_CONFIG, recovery_sweep[0][RECOVERY_DIMS[0]][0][1],
+            ("recovery_error", "recovery_bound", "lambda_used", "iterations"),
+        ),
+    ]
+    for config, outcome, columns in cases:
+        (row,) = run_sweep(parse_config(config))
+        assert row["error"] is None
+        assert {name: row[name] for name in columns} == {
+            name: getattr(outcome, name) for name in columns
+        }

@@ -412,7 +412,7 @@ class TestSolver:
             solve_robust_lasso(np.zeros(6), np.ones(6), LassoConfig(lam=1.0))
 
     def test_design_must_have_a_column(self):
-        # the blocked QR would divide by the column count
+        # the rank check would find no singular value
         message = r"^A must have at least one column, got shape \(10, 0\)$"
         with pytest.raises(ValueError, match=message):
             solve_robust_lasso(np.ones(10), np.zeros((10, 0)), LassoConfig(lam=0.1))

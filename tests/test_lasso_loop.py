@@ -13,9 +13,8 @@ at most that of the loop run to convergence, plus rounding, and its
 rounding amplified by the condition number.  A design of condition
 number at most 1e2 takes ``R`` from the Cholesky factor of ``A^T A``, and
 the oracles hold on either side of that gate.  Worse-conditioned designs
-taller than one row block (condition number up to 1e9) take ``R`` from
-the blocked factor, which must agree with one Householder QR of the whole
-design.
+(condition number up to 1e9), tall ones included, take ``R`` from one
+Householder QR of the design.
 """
 
 import math
@@ -33,7 +32,6 @@ from relurec.generate import generate_recovery_instance
 from relurec.lasso import (
     LassoConfig,
     RankDeficiencyError,
-    _triangular_factor,
     make_nonlinearity_stats,
     oracle_lambda,
     solve_robust_lasso,
@@ -85,11 +83,6 @@ REFERENCE_SWEEPS = 10 * LassoConfig.max_iter
 # ----------------------------------------------------------------------
 
 
-def block_rows(k):
-    """Rows per block of the blocked triangular factor: at most 256 KiB of a ``k``-column design."""
-    return 32768 // k
-
-
 def design(rng, d, k, kappa):
     """A ``d x k`` design with singular values ``sqrt(d)`` down to ``sqrt(d) / kappa``."""
     U = np.linalg.qr(rng.standard_normal((d, k)))[0]
@@ -127,14 +120,10 @@ def problems(draw, max_log_kappa=6.0):
 
 @st.composite
 def tall_problems(draw):
-    """As :func:`problems`, on one or two whole blocks plus a last block of any size.
-
-    The last block may be shorter than the design has columns, and the
-    condition number reaches 1e9.
-    """
+    """As :func:`problems`, on designs of more than 2^15 and at most 3 * 2^15 entries,
+    whose condition number reaches 1e9."""
     k = draw(st.integers(1, 8))
-    last = draw(st.one_of(st.integers(1, k + 1), st.integers(1, block_rows(k))))
-    d = block_rows(k) * draw(st.integers(1, 2)) + last
+    d = draw(st.integers(32768 // k + 1, 3 * (32768 // k)))
     return _problem(draw, d, k, draw(st.integers(0, 9)))
 
 
@@ -280,22 +269,8 @@ def test_near_lad_draws_of_the_problem_distribution_converge_within_fifty_steps(
 
 
 # ----------------------------------------------------------------------
-# the blocked triangular factor on designs taller than one block
+# tall and wide designs
 # ----------------------------------------------------------------------
-
-
-@given(tall_problems())
-def test_blocked_factor_matches_one_householder_qr(problem):
-    _, A, _, _ = problem
-    R = _triangular_factor(A)
-    top = np.linalg.svd(A, compute_uv=False)
-    scale = 1e-13 * top[0]
-    assert R.shape == (A.shape[1],) * 2
-    np.testing.assert_allclose(np.linalg.svd(R, compute_uv=False), top, rtol=0.0, atol=scale)
-    # R is unique up to the signs of its rows
-    np.testing.assert_allclose(
-        np.abs(R), np.abs(np.linalg.qr(A, mode="r")), rtol=0.0, atol=scale
-    )
 
 
 @given(tall_problems())
@@ -315,43 +290,23 @@ def test_tall_designs_reach_the_qr_loop_minimum(problem):
 def test_tall_duplicated_column_is_rank_deficient():
     rng = np.random.default_rng(4)
     k = 5
-    A = rng.standard_normal((2 * block_rows(k) + 7, k))
+    A = rng.standard_normal((13114, k))
     A[:, 3] = A[:, 1]
     with pytest.raises(RankDeficiencyError, match="is numerically zero"):
         solve_robust_lasso(rng.standard_normal(A.shape[0]), A, LassoConfig(lam=0.01))
 
 
-@pytest.mark.parametrize("k", [1, 3, 10])
-def test_design_within_one_block_gets_one_householder_qr(k):
-    rng = np.random.default_rng(k)
-    for d in (k + 1, block_rows(k)):
-        A = rng.standard_normal((d, k))
-        np.testing.assert_array_equal(_triangular_factor(A), np.linalg.qr(A, mode="r"))
-
-
 @pytest.mark.parametrize("k", [91, 200])
 def test_wide_design_gets_one_householder_qr(k):
-    # blocks of fewer than 4 k rows would cost more than one QR of the design
+    # past the Gram's gate, a design of any width gets one QR of the whole design
     rng = np.random.default_rng(k)
-    A = rng.standard_normal((2 * block_rows(k) + 7, k))
-    np.testing.assert_array_equal(_triangular_factor(A), np.linalg.qr(A, mode="r"))
-
-
-def test_block_boundary_of_the_triangular_factor():
-    # one block up to 32768 // k rows, two blocks from one row more
-    k = 10
-    rng = np.random.default_rng(17)
-    rows = 32768 // k
-    one = rng.standard_normal((rows, k))
-    np.testing.assert_array_equal(_triangular_factor(one), np.linalg.qr(one, mode="r"))
-    two = rng.standard_normal((rows + 1, k))
-    R, ref = _triangular_factor(two), np.linalg.qr(two, mode="r")
-    signs = np.sign(np.diag(R)) * np.sign(np.diag(ref))
-    np.testing.assert_allclose(signs[:, None] * R, ref, rtol=0.0, atol=1e-13 * np.abs(ref).max())
+    A, _ = design(rng, 3 * k, k, 1e6)
+    R, _ = lasso._factor_and_singular_values(A, A.T @ A)
+    np.testing.assert_array_equal(R, np.linalg.qr(A, mode="r"))
 
 
 # ----------------------------------------------------------------------
-# the Cholesky factor of A^T A up to condition number 1e2, the TSQR beyond
+# the Cholesky factor of A^T A up to condition number 1e2, one Householder QR beyond
 # ----------------------------------------------------------------------
 
 
@@ -369,17 +324,18 @@ def test_c_hat_is_the_certified_minimiser_on_either_side_of_the_gram_gate(proble
 
 
 def test_well_conditioned_design_takes_its_factor_from_the_gram(monkeypatch):
-    def refuse(A):
-        raise AssertionError("the TSQR factored a well-conditioned design")
+    def refuse(A, mode="reduced"):
+        raise AssertionError("a QR factored a well-conditioned design")
 
-    monkeypatch.setattr(lasso, "_triangular_factor", refuse)
     rng = np.random.default_rng(11)
     d, k = 64000, 10
     A = rng.standard_normal((d, k))
     v = A @ rng.standard_normal(k) + 0.1 * rng.standard_normal(d)
     v[: d // 50] += rng.choice([-5.0, 5.0], size=d // 50)
     config = LassoConfig(lam=2e-5)  # clips residuals at d lam = 1.28
-    sol = solve_robust_lasso(v, A, config)
+    with monkeypatch.context() as patch:  # the oracle below takes a QR of its own
+        patch.setattr(np.linalg, "qr", refuse)
+        sol = solve_robust_lasso(v, A, config)
     assert sol.converged and np.count_nonzero(sol.e_hat) >= d // 50
     c_star, kappa = certified_minimiser(v, A, config.lam, sol.c_hat)
     assert np.abs(sol.c_hat - c_star).max() <= 1e-12 * kappa * (1.0 + np.abs(c_star).max())
@@ -397,13 +353,13 @@ def test_benchmark_cells_reach_the_certified_minimiser(seed):
     assert np.abs(sol.c_hat - c_star).max() <= 1e-12 * kappa * (1.0 + np.abs(c_star).max())
 
 
-def test_ill_conditioned_design_takes_the_tsqr(monkeypatch):
-    shapes = []
-    tsqr = lasso._triangular_factor
-    monkeypatch.setattr(lasso, "_triangular_factor", lambda A: shapes.append(A.shape) or tsqr(A))
+def test_ill_conditioned_design_takes_one_householder_qr(monkeypatch):
     rng = np.random.default_rng(12)
     A, _ = design(rng, 200, 5, 1e6)
     v = A @ rng.standard_normal(5) + 0.1 * rng.standard_normal(200)
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda A, mode: shapes.append(A.shape) or qr(A, mode))
     assert solve_robust_lasso(v, A, LassoConfig(lam=0.01)).converged
     assert shapes == [(200, 5)]
 
@@ -411,7 +367,7 @@ def test_ill_conditioned_design_takes_the_tsqr(monkeypatch):
 @pytest.mark.parametrize("scale", [1e-160, 1e-140, 1e150, 1e160, 1e200])
 def test_extreme_column_scales_are_solved_or_named_without_a_warning(scale):
     # A^T A underflows at 1e-160 and overflows from about 1e154; the rank check names the
-    # smallest singular value of the TSQR, and a scaled design has the unscaled solution
+    # smallest singular value of the QR, and a scaled design has the unscaled solution
     # over the scale
     rng = np.random.default_rng(5)
     A = rng.standard_normal((300, 4))
@@ -422,7 +378,7 @@ def test_extreme_column_scales_are_solved_or_named_without_a_warning(scale):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if scale < 1.0:
-            smallest = np.linalg.svd(_triangular_factor(scale * A), compute_uv=False)[-1]
+            smallest = np.linalg.svd(np.linalg.qr(scale * A, mode="r"), compute_uv=False)[-1]
             message = f"smallest singular value {smallest:.3g} is numerically zero"
             with pytest.raises(RankDeficiencyError, match=f"^{re.escape(message)}$"):
                 solve_robust_lasso(v, scale * A, config)
